@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -51,11 +51,26 @@ from .suites import (
 )
 
 
+def _read_json(path: str, flag: str, parse: Callable):
+    """Load and parse a JSON input file; any failure is a config error."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{flag} {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _exponent(value) -> Exponent:
+    try:
+        return Exponent(float(value))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--p: {exc}") from None
+
+
 def _merge_config(args: argparse.Namespace, keys: List[str]) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
+        cfg.update(_read_json(args.config, "--config", dict))
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
@@ -83,16 +98,19 @@ def _emit(report: Report, out: Optional[str], rows, csv_path: Optional[str]) -> 
 def cmd_build_frame(args) -> int:
     cfg = _merge_config(args, ["p", "blocks", "growth", "sizes", "candidates",
                                "base", "ratio", "lambda_file", "out", "frame_out"])
-    p = Exponent(float(cfg.get("p", 4.0)))
+    p = _exponent(cfg.get("p", 4.0))
     with Stopwatch() as sw:
-        if cfg.get("sizes"):
-            sizes = [int(x) for x in str(cfg["sizes"]).split(",")]
-            plan = plan_from_sizes(p, sizes)
-        else:
-            plan = plan_blocks(p, int(cfg.get("blocks", 3)), float(cfg.get("growth", 2.0)))
+        try:
+            if cfg.get("sizes"):
+                sizes = [int(x) for x in str(cfg["sizes"]).split(",")]
+                plan = plan_from_sizes(p, sizes)
+            else:
+                plan = plan_blocks(p, int(cfg.get("blocks", 3)),
+                                   float(cfg.get("growth", 2.0)))
+        except ValueError as exc:
+            raise ConfigError(f"block plan: {exc}") from None
         if cfg.get("lambda_file"):
-            with open(cfg["lambda_file"]) as fh:
-                cands = points_from_json(json.load(fh))
+            cands = _read_json(cfg["lambda_file"], "--lambda-file", points_from_json)
         else:
             count = int(cfg.get("candidates", plan.total))
             cands = spread_candidates(count, base=int(cfg.get("base", 4)),
@@ -132,8 +150,7 @@ def cmd_verify_frame(args) -> int:
     seed = _require_seed(cfg)
     if not cfg.get("frame"):
         raise ConfigError("verify-frame requires --frame")
-    with open(cfg["frame"]) as fh:
-        frame = frame_from_json(json.load(fh))
+    frame = _read_json(cfg["frame"], "--frame", frame_from_json)
     size = int(cfg.get("corpus", 50))
     tol = float(cfg.get("tol", 1e-8))
     rows = []
@@ -179,7 +196,7 @@ def cmd_counterexample(args) -> int:
     trials = int(cfg.get("trials", 200))
     with Stopwatch() as sw:
         if family == "peaks":
-            p = Exponent(float(cfg.get("p", 1.5)))
+            p = _exponent(cfg.get("p", 1.5))
             J, K = int(cfg.get("J", 8)), int(cfg.get("K", 8))
             alpha = float(cfg.get("alpha", 0.1))
             weights = WeightSequence.polynomial(alpha, p, length=K)
@@ -209,7 +226,7 @@ def cmd_counterexample(args) -> int:
                 )
             used_cal = {"peaks": cal}
         elif family == "cells":
-            p = Exponent(float(cfg.get("p", 4.0)))
+            p = _exponent(cfg.get("p", 4.0))
             K, n_max = int(cfg.get("K", 6)), int(cfg.get("n_max", 8))
             c = flat_cells_coefficients(K, p)
             rep, rows = verify_cells(c, p, K, n_max, trials, seed)

@@ -16,12 +16,14 @@ difference sets supp(h_k) + t_j - t_i.  The certified contraction constant
 
 bounds the error term's norm relative to the input.
 
-Selected translates grow geometrically (|t_{i+1}| >= 4 |t_i| + 4 by default),
-which forces every pairwise difference apart by more than the unit support
-length; disjointness is nevertheless re-verified exactly with integer interval
-arithmetic, never assumed.  Translates are kept as exact rationals throughout:
-at the certified block sizes they exceed the double-precision range, so no
-code path converts them to floats.
+Selected translates grow geometrically (|t_{i+1}| >= 4 |t_i| + 4), which
+forces every pairwise difference apart by more than the unit support length.
+Disjointness is nevertheless verified exactly, never assumed: one certificate,
+certify_selection, runs once for every built or loaded frame.  It scales all
+intervals by the lcm of every denominator and compares them as integers, so
+its verdict is exact for any rational input.  Translates are kept as exact
+rationals throughout: at the certified block sizes they exceed the
+double-precision range, so no code path converts them to floats.
 
 Because the difference sets avoid the base-cell span, the error term of one
 application contributes nothing to the coefficient functionals of the next.
@@ -35,8 +37,10 @@ synthesis residual and checked against q rather than against the tolerance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,154 +180,88 @@ class TranslateSelection:
 
 
 def select_translates(
-    candidates: Sequence[TimeFreqPoint],
-    plan: BlockPlan,
-    growth_factor: int = 4,
-    growth_offset: int = 4,
-    max_attempts: int = 4,
+    candidates: Sequence[TimeFreqPoint], plan: BlockPlan
 ) -> TranslateSelection:
-    """Greedy pick of plan.total points with |t| >= factor * |t_prev| + offset.
+    """Greedy pick of plan.total candidates, in order, with |t| >= 4|t_prev| + 4.
 
-    The accepted selection is certified afterwards: all difference sets
-    supp(h_k) + t_j - t_i must be pairwise disjoint (exact check).  On a
-    certificate failure the growth rule is doubled and the scan repeats.
+    The rule alone makes the selection certifiable, whatever the signs and
+    denominators of the candidates.  Write a_i = |t_i|, so a_{i+1} >= 4 a_i + 4.
+    For two distinct ordered pairs (i, j) != (i', j'), i != j, i' != j', let m
+    be the largest index in t_j - t_i - (t_j' - t_i').  If t_m cancels, the
+    expression is a difference t_b - t_a of two distinct translates, of size
+    at least a_b - a_a >= 3 a_a + 4 >= 4 for a < b.  Otherwise t_m enters
+    with coefficient +-1 or +-2 against at most 2 a_{m-1} + a_{m-2} from the
+    rest, leaving at least 2 a_{m-1} + 4 - a_{m-2} >= 4.  So the differences
+    d = t_j - t_i are at least 4 apart, and |d| >= 4.  Atom supports lie in
+    [0, 1), so the difference sets d + supp(h_k) are pairwise disjoint and
+    clear of the base cell, and the window summands supp(h_k) - t_i are
+    disjoint too.  build_frame still verifies all of this exactly.
     """
-    atoms = block_atoms(plan)
-    block_of = plan.block_of_index()
-    factor, offset = growth_factor, growth_offset
-    for _ in range(max_attempts):
-        chosen: List[TimeFreqPoint] = []
-        prev: Optional[Fraction] = None
-        for pt in candidates:
-            mag = abs(pt.t)
-            if prev is None or mag >= factor * prev + offset:
-                chosen.append(pt)
-                prev = mag
-                if len(chosen) == plan.total:
-                    break
-        if len(chosen) < plan.total:
-            raise InsufficientSpread(
-                f"only {len(chosen)} of {plan.total} points reachable with "
-                f"growth rule |t| >= {factor}|t_prev| + {offset}"
-            )
-        selection = TranslateSelection(tuple(chosen))
-        ok, _ = difference_sets_disjoint(selection, atoms, block_of)
-        if ok:
-            return selection
-        factor *= 2
-        offset *= 2
-    raise InsufficientSpread("disjointness certificate failed at every growth rule")
-
-
-def _scaled_supports(
-    atoms: Sequence[HaarIndex], denominator: int
-) -> List[Tuple[int, int]]:
-    out = []
-    for a in atoms:
-        lo, hi = a.support
-        out.append((int(lo * denominator), int(hi * denominator)))
-    return out
-
-
-def _common_denominator(selection: TranslateSelection, atoms: Sequence[HaarIndex]) -> int:
-    den = 1
-    for pt in selection.points:
-        den = max(den, pt.t.denominator)
-    for a in atoms:
-        lo, hi = a.support
-        den = max(den, lo.denominator, hi.denominator)
-    # all denominators are powers of two, so the max is the lcm
-    return den
-
-
-def difference_sets_disjoint(
-    selection: TranslateSelection,
-    atoms: Sequence[HaarIndex],
-    block_of: np.ndarray,
-) -> Tuple[bool, str]:
-    """Exact pairwise-disjointness check of supp(h_k) + t_j - t_i over i != j.
-
-    Intervals are scaled to a common power-of-two denominator and compared as
-    integers, so the verdict is exact for translates of any size.
-    """
-    intervals = _difference_intervals(selection, atoms, block_of)[0]
-    intervals.sort()
-    for (alo, ahi), (blo, bhi) in zip(intervals, intervals[1:]):
-        if blo < ahi:
-            return False, f"overlap between scaled intervals [{alo},{ahi}) and [{blo},{bhi})"
-    return True, "pairwise disjoint"
-
-
-def _difference_intervals(
-    selection: TranslateSelection,
-    atoms: Sequence[HaarIndex],
-    block_of: np.ndarray,
-) -> Tuple[List[Tuple[int, int]], int]:
-    n = len(selection.points)
-    den = _common_denominator(selection, atoms)
-    ts = [int(pt.t * den) for pt in selection.points]
-    supports = _scaled_supports(atoms, den)
-    intervals: List[Tuple[int, int]] = []
-    for i in range(n):
-        lo_k, hi_k = supports[block_of[i]]
-        ti = ts[i]
-        for j in range(n):
-            if i == j:
-                continue
-            d = ts[j] - ti
-            intervals.append((d + lo_k, d + hi_k))
-    return intervals, den
-
-
-def difference_sets_clear_of_base(
-    selection: TranslateSelection,
-    atoms: Sequence[HaarIndex],
-    block_of: np.ndarray,
-) -> bool:
-    """Exact check that no difference set meets the base cell [0, 1).
-
-    This is what lets the operator report the off-span error mass separately
-    from the reproduced span part; it holds automatically for selections from
-    the geometric growth rule and is re-verified rather than assumed.
-    """
-    intervals, den = _difference_intervals(selection, atoms, block_of)
-    return all(hi <= 0 or lo >= den for lo, hi in intervals)
+    chosen: List[TimeFreqPoint] = []
+    prev: Optional[Fraction] = None
+    for pt in candidates:
+        mag = abs(pt.t)
+        if prev is None or mag >= 4 * prev + 4:
+            chosen.append(pt)
+            prev = mag
+            if len(chosen) == plan.total:
+                return TranslateSelection(tuple(chosen))
+    raise InsufficientSpread(
+        f"only {len(chosen)} of {plan.total} points reachable with "
+        f"growth rule |t| >= 4|t_prev| + 4"
+    )
 
 
 def certify_selection(
     selection: TranslateSelection,
     atoms: Sequence[HaarIndex],
     block_of: np.ndarray,
-) -> Tuple[bool, str, bool]:
-    """Both exact certificates from a single interval enumeration."""
-    intervals, den = _difference_intervals(selection, atoms, block_of)
-    clear = all(hi <= 0 or lo >= den for lo, hi in intervals)
-    intervals.sort()
-    for (alo, ahi), (blo, bhi) in zip(intervals, intervals[1:]):
-        if blo < ahi:
-            return (
-                False,
-                f"overlap between scaled intervals [{alo},{ahi}) and [{blo},{bhi})",
-                clear,
-            )
-    return True, "pairwise disjoint", clear
+) -> Tuple[bool, str, bool, bool]:
+    """The exact certificate of a selection, from one interval enumeration.
+
+    Returns (difference sets pairwise disjoint, detail, difference sets clear
+    of the base cell [0, 1), window summands disjoint).  The difference sets
+    are supp(h_k) + t_j - t_i over ordered pairs i != j, with k the block of
+    i; the window summands are supp(h_k) - t_i.  Every endpoint is scaled by
+    the lcm of all denominators and compared as an integer, so the verdict is
+    exact for rational translates of any size and denominator.
+    """
+    supports = [a.support for a in atoms]
+    den = math.lcm(
+        *(pt.t.denominator for pt in selection.points),
+        *(x.denominator for support in supports for x in support),
+    )
+    ts = [int(pt.t * den) for pt in selection.points]
+    ordered = sorted(ts)
+    scaled = [(int(lo * den), int(hi * den)) for lo, hi in supports]
+    intervals: List[Tuple[int, int]] = []
+    summands: List[Tuple[int, int]] = []
+    clear = True
+    for i, ti in enumerate(ts):
+        lo_k, hi_k = scaled[block_of[i]]
+        lo, hi = lo_k - ti, hi_k - ti
+        summands.append((lo, hi))
+        intervals += [(tj + lo, tj + hi) for tj in ts[:i] + ts[i + 1 :]]
+        # [tj + lo, tj + hi) meets the base cell [0, den) iff -hi < tj < den - lo;
+        # tj = ti always does, so the row is clear iff no other translate does
+        meeting = bisect_left(ordered, den - lo) - bisect_right(ordered, -hi)
+        clear = clear and meeting == 1
+    summands_ok = _first_overlap(summands) is None
+    overlap = _first_overlap(intervals)
+    if overlap is None:
+        return True, "pairwise disjoint", clear, summands_ok
+    (alo, ahi), (blo, bhi) = overlap
+    detail = f"overlap between scaled intervals [{alo},{ahi}) and [{blo},{bhi})"
+    return False, detail, clear, summands_ok
 
 
-def window_supports_disjoint(
-    selection: TranslateSelection,
-    atoms: Sequence[HaarIndex],
-    block_of: np.ndarray,
-) -> bool:
-    """Exact disjointness of the window summand supports supp(h_k) - t_i."""
-    den = _common_denominator(selection, atoms)
-    supports = _scaled_supports(atoms, den)
-    intervals = []
-    for i, pt in enumerate(selection.points):
-        lo_k, hi_k = supports[block_of[i]]
-        ti = int(pt.t * den)
-        intervals.append((lo_k - ti, hi_k - ti))
+def _first_overlap(intervals: List[Tuple[int, int]]) -> Optional[tuple]:
+    """Sort half-open intervals in place; return the first overlapping neighbours."""
     intervals.sort()
-    return all(b[0] >= a[1] for a, b in zip(intervals, intervals[1:]))
+    for a, b in pairwise(intervals):
+        if b[0] < a[1]:
+            return a, b
+    return None
 
 
 @dataclass
@@ -432,8 +370,7 @@ def build_frame(
     window = build_window(plan, selection, step_log2)
     atoms = block_atoms(plan)
     block_of = plan.block_of_index()
-    ok, detail, clear = certify_selection(selection, atoms, block_of)
-    summands_ok = window_supports_disjoint(selection, atoms, block_of)
+    ok, detail, clear, summands_ok = certify_selection(selection, atoms, block_of)
     q = error_bound(plan)
     norm_pth = window.lp_norm_pth(plan.p)
     certificate = {

@@ -13,6 +13,7 @@ order step * frequency, which callers are expected to record in reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -49,8 +50,8 @@ class Exponent:
     p: float
 
     def __post_init__(self):
-        if not (self.p > 1.0):
-            raise ValueError(f"exponent must satisfy p > 1, got {self.p}")
+        if not (1.0 < self.p < math.inf):
+            raise ValueError(f"exponent must be finite with p > 1, got {self.p}")
 
     @property
     def conjugate(self) -> float:
@@ -203,18 +204,6 @@ def embed(f: SampledFunction, grid: Grid) -> SampledFunction:
     v = np.zeros(grid.count, dtype=np.complex128)
     v[off : off + f.grid.count] = f.values
     return SampledFunction(grid, v)
-
-
-def common_grid(fs: Sequence[SampledFunction]) -> Grid:
-    """Smallest grid (at the common step) containing the spans of all inputs."""
-    if not fs:
-        raise ValueError("need at least one function")
-    steps = {f.grid.step_log2 for f in fs}
-    if len(steps) > 1:
-        raise GridMismatch("functions live at different steps")
-    lo = min(f.grid.origin_index for f in fs)
-    hi = max(f.grid.origin_index + f.grid.count for f in fs)
-    return Grid(lo, steps.pop(), hi - lo)
 
 
 def lp_norm(f: SampledFunction, p: Exponent) -> float:

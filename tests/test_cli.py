@@ -12,6 +12,31 @@ def run(args):
     return main(args)
 
 
+FRAME_WITHOUT_SIZES = json.dumps({"plan": {"p": 4.0}, "selection": [], "step_log2": -3})
+
+# (id, files written to the test directory, argv; *.json names live there)
+MALFORMED_INPUTS = [
+    ("lambda_zero_denominator", {"lam.json": "[[[4, 0], [0, 1]]]"},
+     ["build-frame", "--sizes", "37", "--lambda-file", "lam.json"]),
+    ("lambda_missing", {},
+     ["build-frame", "--sizes", "37", "--lambda-file", "absent.json"]),
+    ("lambda_unparsable", {"lam.json": "[[[4, 1], [0"},
+     ["build-frame", "--sizes", "37", "--lambda-file", "lam.json"]),
+    ("frame_missing", {}, ["verify-frame", "--seed", "1", "--frame", "absent.json"]),
+    ("frame_unparsable", {"frame.json": "{"},
+     ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
+    ("frame_without_sizes", {"frame.json": FRAME_WITHOUT_SIZES},
+     ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
+    ("sizes_not_integers", {}, ["build-frame", "--sizes", "37,x"]),
+    ("p_one", {}, ["build-frame", "--p", "1"]),
+    ("p_below_one", {},
+     ["counterexample", "--family", "cells", "--p", "0.5", "--seed", "1"]),
+    ("p_nan", {}, ["build-frame", "--p", "nan"]),
+    ("p_inf", {}, ["build-frame", "--p", "inf"]),
+    ("zero_blocks", {}, ["build-frame", "--blocks", "0"]),
+]
+
+
 class TestExitCodes:
     def test_inequalities_pass(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -34,6 +59,21 @@ class TestExitCodes:
             run(["inequalities", "--suite", "nope", "--seed", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "files,argv",
+        [case[1:] for case in MALFORMED_INPUTS],
+        ids=[case[0] for case in MALFORMED_INPUTS],
+    )
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, files, argv):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = run([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_infeasible_plan_exit(self, capsys):
         code = run(["build-frame", "--p", "2.0", "--blocks", "1"])

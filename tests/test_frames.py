@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab.errors import (
     GridTooSmall,
@@ -17,7 +19,7 @@ from gaborlab.frames import (
     block_atoms,
     build_frame,
     build_window,
-    difference_sets_disjoint,
+    certify_selection,
     error_bound,
     error_pieces,
     error_pth_direct,
@@ -69,6 +71,30 @@ def separation_oracle(selection, atoms, block_of):
             if alo < bhi and blo < ahi:
                 return False
     return True
+
+
+def clearance_oracle(selection, atoms, block_of):
+    """Independent base-cell verdict: no difference set meets [0, 1)."""
+    for i, pi in enumerate(selection.points):
+        lo, hi = atoms[block_of[i]].support
+        for j, pj in enumerate(selection.points):
+            d = pj.t - pi.t
+            if i != j and d + lo < 1 and d + hi > 0:
+                return False
+    return True
+
+
+def summands_oracle(selection, atoms, block_of):
+    """Independent verdict on the window summands supp(h_k) - t_i."""
+    pieces = []
+    for i, pt in enumerate(selection.points):
+        lo, hi = atoms[block_of[i]].support
+        pieces.append((lo - pt.t, hi - pt.t))
+    return all(
+        not (alo < bhi and blo < ahi)
+        for a, (alo, ahi) in enumerate(pieces)
+        for blo, bhi in pieces[a + 1 :]
+    )
 
 
 def demo_plan(sizes):
@@ -125,9 +151,7 @@ class TestSelectTranslates:
         plan = plan_from_sizes(P4, (37,))
         cands = spread_candidates(80, base=4, ratio=4, alternate_signs=True)
         sel = select_translates(cands, plan)
-        ok, _ = difference_sets_disjoint(
-            sel, block_atoms(plan), plan.block_of_index()
-        )
+        ok = certify_selection(sel, block_atoms(plan), plan.block_of_index())[0]
         assert ok
 
     def test_certificate_matches_oracle_small(self):
@@ -138,14 +162,30 @@ class TestSelectTranslates:
             spread_candidates(plan.total, base=4, ratio=5, s_value=Fraction(1, 2)),
             plan,
         )
-        fast, _ = difference_sets_disjoint(good, atoms, block_of)
+        fast = certify_selection(good, atoms, block_of)[0]
         assert fast == separation_oracle(good, atoms, block_of) is True
         # a deliberately colliding selection: equal difference gaps
         bad = TranslateSelection(
             tuple(TimeFreqPoint(Fraction(4 * n), 0) for n in range(1, plan.total + 1))
         )
-        fast_bad, _ = difference_sets_disjoint(bad, atoms, block_of)
+        fast_bad = certify_selection(bad, atoms, block_of)[0]
         assert fast_bad == separation_oracle(bad, atoms, block_of) is False
+
+    def test_non_dyadic_overlap_is_found(self):
+        # [11/10, 21/10) and [31/15, 46/15) meet; scaling to the largest
+        # denominator (10) instead of the lcm (30) truncated the overlap away
+        plan = demo_plan((1, 1, 1))
+        atoms = block_atoms(plan)
+        block_of = plan.block_of_index()
+        sel = TranslateSelection(
+            tuple(
+                TimeFreqPoint(t, 0)
+                for t in (Fraction(31, 3), Fraction(62, 5), Fraction(27, 2))
+            )
+        )
+        verdict = certify_selection(sel, atoms, block_of)
+        assert verdict[0] is False and verdict[1].startswith("overlap")
+        assert separation_oracle(sel, atoms, block_of) is False
 
     def test_bounded_strip_insufficient(self):
         plan = plan_from_sizes(P4, (37,))
@@ -157,6 +197,76 @@ class TestSelectTranslates:
         plan = plan_from_sizes(P4, (37,))
         with pytest.raises(InsufficientSpread):
             select_translates([TimeFreqPoint(4, 0)], plan)
+
+
+# demonstration plans of at most 8 points, so the brute-force oracles stay fast
+SMALL_SIZES = st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+    lambda sizes: sum(sizes) <= 8
+)
+SIGNS = st.sampled_from((-1, 1))
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@st.composite
+def rational_selections(draw):
+    """A demonstration plan and a selection of non-dyadic rational translates."""
+    sizes = draw(SMALL_SIZES)
+    n = sum(sizes)
+    mags = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=30, max_denominator=12),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    points = tuple(TimeFreqPoint(draw(SIGNS) * m, 0) for m in sorted(mags))
+    return demo_plan(sizes), TranslateSelection(points)
+
+
+@st.composite
+def greedy_inputs(draw):
+    """A demonstration plan and rational candidates the greedy pick can complete.
+
+    Candidates mix arbitrary rationals with magnitudes within 1 of 4|t| + 4
+    for the previous candidate t (exactly on it when the offset is 0); a
+    geometric tail beyond every earlier magnitude guarantees enough picks.
+    """
+    plan = demo_plan(draw(SMALL_SIZES))
+    cands, mag = [], Fraction(0)
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            mag = 4 * mag + 4 + draw(st.fractions(-1, 1, max_denominator=9))
+        else:
+            mag = draw(st.fractions(0, 1000, max_denominator=30))
+        s = draw(st.fractions(-1, 1, max_denominator=8))
+        cands.append(TimeFreqPoint(draw(SIGNS) * mag, s))
+    top = max((abs(pt.t) for pt in cands), default=Fraction(0)) + 1
+    for n in range(1, plan.total + 1):
+        cands.append(TimeFreqPoint(draw(SIGNS) * top * 5**n, 0))
+    return plan, cands
+
+
+class TestCertificateProperties:
+    @PROPERTY
+    @given(rational_selections())
+    def test_certificate_matches_oracles(self, case):
+        plan, sel = case
+        atoms, block_of = block_atoms(plan), plan.block_of_index()
+        ok, _, clear, summands_ok = certify_selection(sel, atoms, block_of)
+        assert ok == separation_oracle(sel, atoms, block_of)
+        assert clear == clearance_oracle(sel, atoms, block_of)
+        assert summands_ok == summands_oracle(sel, atoms, block_of)
+
+    @PROPERTY
+    @given(greedy_inputs())
+    def test_greedy_pick_always_certifies(self, case):
+        plan, cands = case
+        sel = select_translates(cands, plan)
+        ok, detail, clear, summands_ok = certify_selection(
+            sel, block_atoms(plan), plan.block_of_index()
+        )
+        assert (ok, detail, clear, summands_ok) == (True, "pairwise disjoint", True, True)
 
 
 def tiny_frame(sizes=(37,), s_value=Fraction(0)):
