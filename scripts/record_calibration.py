@@ -9,22 +9,18 @@ import json
 import sys
 
 from gaborlab import calibration
-from gaborlab.basic_sequences import (
-    WeightSequence,
-    flat_cells_coefficients,
-    verify_cells,
-    verify_peaks,
-)
-from gaborlab.grids import Exponent
 from gaborlab.suites import (
+    cells_suite,
     lacunary_suite,
+    peaks_suite,
     rdf_suite,
     squarefunc_suite,
     type_cotype_suite,
 )
 
 
-def main() -> None:
+def record() -> dict:
+    """The CALIBRATION dict observed on the recorded runs."""
     cfg = calibration.RECORDED_CONFIG
     seed = cfg["seed"]
     out = {}
@@ -56,21 +52,20 @@ def main() -> None:
     }
 
     pk = cfg["peaks"]
-    weights = WeightSequence.polynomial(pk["alpha"], Exponent(pk["p"]), length=pk["K"])
-    rep, _ = verify_peaks(
-        weights, Exponent(pk["p"]), pk["J"], pk["K"], pk["trials"], seed
-    )
+    rep, _ = peaks_suite(seed, pk["trials"], pk["p"], pk["J"], pk["K"], pk["alpha"])
     out["peaks"] = {
-        "ratio": [rep.ratio_min, rep.ratio_max],
-        "local": [rep.local_ratio_min, rep.local_ratio_max],
+        "ratio": [rep.metrics["ratio_min"], rep.metrics["ratio_max"]],
+        "local": [rep.metrics["local_ratio_min"], rep.metrics["local_ratio_max"]],
     }
 
     cl = cfg["cells"]
-    c = flat_cells_coefficients(cl["K"], Exponent(cl["p"]))
-    rep, _ = verify_cells(c, Exponent(cl["p"]), cl["K"], cl["n_max"], cl["trials"], seed)
-    out["cells"] = {"ratio": [rep.ratio_min, rep.ratio_max]}
+    rep, _ = cells_suite(seed, cl["trials"], cl["p"], cl["K"], cl["n_max"])
+    out["cells"] = {"ratio": [rep.metrics["ratio_min"], rep.metrics["ratio_max"]]}
+    return out
 
-    json.dump(out, sys.stdout, indent=2)
+
+def main() -> None:
+    json.dump(record(), sys.stdout, indent=2)
     print()
 
 

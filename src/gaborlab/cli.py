@@ -10,22 +10,11 @@ the same configuration and seed, and exits 0 only if all assertions pass.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Callable, List, Optional
 
-import numpy as np
-
-from . import calibration
-from .basic_sequences import (
-    WeightSequence,
-    flat_cells_coefficients,
-    growth_threshold_scan,
-    separated_translates_norm,
-    verify_cells,
-    verify_peaks,
-    weight_growth_ratios,
-)
 from .errors import ConfigError, GaborLabError
 from .frames import (
     build_frame,
@@ -42,9 +31,11 @@ from .gabor import points_from_json
 from .grids import Exponent, lp_norm
 from .reports import Report, Stopwatch, write_csv
 from .suites import (
+    cells_suite,
     isometry_suite,
     khintchine_suite,
     lacunary_suite,
+    peaks_suite,
     rdf_suite,
     squarefunc_suite,
     type_cotype_suite,
@@ -188,80 +179,6 @@ def cmd_verify_frame(args) -> int:
     return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
 
 
-def cmd_counterexample(args) -> int:
-    cfg = _merge_config(args, ["family", "p", "trials", "seed", "J", "K",
-                               "n_max", "alpha", "out", "csv"])
-    seed = _require_seed(cfg)
-    family = cfg.get("family")
-    trials = int(cfg.get("trials", 200))
-    with Stopwatch() as sw:
-        if family == "peaks":
-            p = _exponent(cfg.get("p", 1.5))
-            J, K = int(cfg.get("J", 8)), int(cfg.get("K", 8))
-            alpha = float(cfg.get("alpha", 0.1))
-            weights = WeightSequence.polynomial(alpha, p, length=K)
-            rep, rows = verify_peaks(weights, p, J, K, trials, seed)
-            growth = weight_growth_ratios(weights, p, 64)
-            cal = calibration.CALIBRATION["peaks"]
-            rec = calibration.RECORDED_CONFIG["peaks"]
-            metrics = {
-                **rep.to_json(),
-                "growth_first": float(growth[0]),
-                "growth_last": float(growth[-1]),
-            }
-            assertions = {
-                "growth_monotone": bool(np.all(np.diff(growth) > 0)),
-            }
-            # window regression applies to (prefixes of) the recorded run
-            if (seed == calibration.RECORDED_CONFIG["seed"]
-                    and (p.p, J, K, alpha) == (rec["p"], rec["J"], rec["K"], rec["alpha"])
-                    and trials <= rec["trials"]):
-                assertions["ratio_window"] = (
-                    rep.ratio_min >= cal["ratio"][0] * (1 - 1e-6)
-                    and rep.ratio_max <= cal["ratio"][1] * (1 + 1e-6)
-                )
-                assertions["local_window"] = (
-                    rep.local_ratio_min >= cal["local"][0] * (1 - 1e-6)
-                    and rep.local_ratio_max <= cal["local"][1] * (1 + 1e-6)
-                )
-            used_cal = {"peaks": cal}
-        elif family == "cells":
-            p = _exponent(cfg.get("p", 4.0))
-            K, n_max = int(cfg.get("K", 6)), int(cfg.get("n_max", 8))
-            c = flat_cells_coefficients(K, p)
-            rep, rows = verify_cells(c, p, K, n_max, trials, seed)
-            cal = calibration.CALIBRATION["cells"]
-            rec = calibration.RECORDED_CONFIG["cells"]
-            sep_norm = separated_translates_norm(c, p, K, n=8, separation=K + 1)
-            bound = 2.0 * 8 ** (1.0 / p.p)
-            metrics = {
-                **rep.to_json(),
-                "growth_threshold_n": growth_threshold_scan(c, p),
-                "separated_norm": sep_norm,
-                "separated_bound": bound,
-            }
-            assertions = {"separated_translates": sep_norm < bound}
-            if (seed == calibration.RECORDED_CONFIG["seed"]
-                    and (p.p, K, n_max) == (rec["p"], rec["K"], rec["n_max"])
-                    and trials <= rec["trials"]):
-                assertions["ratio_window"] = (
-                    rep.ratio_min >= cal["ratio"][0] * (1 - 1e-6)
-                    and rep.ratio_max <= cal["ratio"][1] * (1 + 1e-6)
-                )
-            used_cal = {"cells": cal}
-        else:
-            raise ConfigError("counterexample requires --family peaks|cells")
-    report = Report(
-        f"counterexample:{family}",
-        {k: cfg.get(k) for k in ("family", "p", "trials", "seed", "J", "K", "n_max")},
-        metrics,
-        assertions,
-        used_cal,
-    )
-    report.wall_time_s = sw.elapsed
-    return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
-
-
 SUITES = {
     "khintchine": khintchine_suite,
     "squarefunc": squarefunc_suite,
@@ -271,6 +188,52 @@ SUITES = {
     "isometry": isometry_suite,
 }
 
+FAMILIES = {"peaks": peaks_suite, "cells": cells_suite}
+
+
+def _flag_value(key: str, value):
+    if key == "p":
+        return _exponent(value).p
+    try:
+        return float(value) if key == "alpha" else int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from None
+
+
+def _run_suite(kind: str, name: str, suite: Callable, seed: int, cfg: dict,
+               keys: List[str]):
+    """Call a suite with the seed, --trials as its second parameter, and the
+    flags among keys that are set; a set flag the suite does not take is a
+    config error."""
+    params = inspect.signature(suite).parameters
+    args = [seed]
+    if cfg.get("trials") is not None:
+        args.append(_flag_value("trials", cfg["trials"]))
+    kwargs = {}
+    for key in keys:
+        if cfg.get(key) is None:
+            continue
+        if key not in params:
+            flag = key.replace("_", "-")
+            raise ConfigError(f"--{flag} does not apply to {kind} {name!r}")
+        kwargs[key] = _flag_value(key, cfg[key])
+    return suite(*args, **kwargs)
+
+
+def cmd_counterexample(args) -> int:
+    cfg = _merge_config(args, ["family", "p", "trials", "seed", "J", "K",
+                               "n_max", "alpha", "out", "csv"])
+    seed = _require_seed(cfg)
+    family = cfg.get("family")
+    if family not in FAMILIES:
+        raise ConfigError("counterexample requires --family peaks|cells")
+    report, rows = _run_suite("family", family, FAMILIES[family], seed, cfg,
+                              ["p", "J", "K", "n_max", "alpha"])
+    # the report echoes the merged flags, null where unset
+    report.config = {k: cfg.get(k) for k in ("family", "p", "trials", "seed",
+                                             "J", "K", "n_max")}
+    return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
+
 
 def cmd_inequalities(args) -> int:
     cfg = _merge_config(args, ["suite", "trials", "seed", "grid_log2", "span",
@@ -279,26 +242,8 @@ def cmd_inequalities(args) -> int:
     suite = cfg.get("suite")
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    kwargs = {}
-    if cfg.get("trials") is not None:
-        key = {
-            "khintchine": "trials",
-            "squarefunc": "families",
-            "type-cotype": "families",
-            "lacunary": "trials",
-            "rdf": "corpus",
-            "isometry": "triples",
-        }[suite]
-        kwargs[key] = int(cfg["trials"])
-    if cfg.get("grid_log2") is not None:
-        if suite not in ("lacunary", "rdf", "isometry"):
-            raise ConfigError(f"--grid-log2 does not apply to suite {suite!r}")
-        kwargs["grid_log2"] = int(cfg["grid_log2"])
-    if cfg.get("span") is not None:
-        if suite not in ("rdf", "isometry"):
-            raise ConfigError(f"--span does not apply to suite {suite!r}")
-        kwargs["span"] = int(cfg["span"])
-    report, rows = SUITES[suite](seed, **kwargs)
+    report, rows = _run_suite("suite", suite, SUITES[suite], seed, cfg,
+                              ["grid_log2", "span"])
     return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
 
 

@@ -9,7 +9,7 @@ and compose by interval intersection up to floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,17 +60,3 @@ def square_function_norm(
     parts = [partial_sum(f, iv) for iv in intervals]
     return lp_ell2_norm(parts, p)
 
-
-def split_into_disjoint_families(
-    intervals: Sequence[FrequencyInterval],
-) -> List[List[FrequencyInterval]]:
-    """Greedy first-fit partition of an interval family into disjoint subfamilies."""
-    families: List[List[FrequencyInterval]] = []
-    for iv in sorted(intervals, key=lambda i: (i.lo, i.hi)):
-        for fam in families:
-            if not fam[-1].overlaps(iv):
-                fam.append(iv)
-                break
-        else:
-            families.append([iv])
-    return families

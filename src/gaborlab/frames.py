@@ -50,8 +50,9 @@ from .errors import (
     InfeasiblePlan,
     InsufficientSpread,
     NoConvergence,
+    NonAlignedShift,
 )
-from .gabor import TimeFreqPoint
+from .gabor import TimeFreqPoint, points_from_json, points_to_json
 from .grids import (
     Exponent,
     Grid,
@@ -98,11 +99,7 @@ class BlockPlan:
     @staticmethod
     def condition_holds(p: Exponent, sizes: Sequence[int]) -> bool:
         bound = (2.0 * haar_constant(p)) ** (-p.p / 2.0)
-        return sum(n ** (1.0 - p.p / 2.0) for n in sizes) < bound
-
-    @property
-    def haar_unconditionality(self) -> float:
-        return haar_constant(self.p)
+        return _block_sum(p, sizes) < bound
 
     @property
     def total(self) -> int:
@@ -110,11 +107,12 @@ class BlockPlan:
 
     @property
     def block_sum(self) -> float:
-        return sum(n ** (1.0 - self.p.p / 2.0) for n in self.sizes)
+        return _block_sum(self.p, self.sizes)
 
     @property
     def contraction(self) -> float:
-        return self.haar_unconditionality * self.block_sum ** (2.0 / self.p.p)
+        """The certified contraction constant q = K_p * (sum N_k^(1-p/2))^(2/p)."""
+        return haar_constant(self.p) * self.block_sum ** (2.0 / self.p.p)
 
     def block_of_index(self) -> np.ndarray:
         """Block number of each point index 0..total-1 (consecutive runs)."""
@@ -124,13 +122,19 @@ class BlockPlan:
         return {"p": self.p.p, "sizes": list(self.sizes)}
 
 
+def _block_sum(p: Exponent, sizes: Sequence[int]) -> float:
+    return sum(n ** (1.0 - p.p / 2.0) for n in sizes)
+
+
 def plan_blocks(p: Exponent, num_blocks: int, growth: float = 2.0) -> BlockPlan:
     """Smallest geometric plan: N_k = ceil(N_1 * growth^(k-1)), N_1 minimal.
 
-    Scans N_1 upward until the strict block condition holds for the finite
-    size list; raises InfeasiblePlan if no N_1 up to 10^6 works or if p <= 2
-    (the condition's exponent 1 - p/2 is then nonnegative and the sum cannot
-    be made small).
+    The strict block condition is monotone in N_1: every ceil(N_1 growth^k)
+    is nondecreasing in N_1, and n^(1 - p/2) decreases in n for p > 2.  So
+    the least N_1 is found by bisection over [1, 10^6], after checking that
+    N_1 = 10^6 satisfies the condition at all.  Raises InfeasiblePlan if it
+    does not, or if p <= 2 (the condition's exponent 1 - p/2 is then
+    nonnegative and the sum cannot be made small).
     """
     if p.p <= 2.0:
         raise InfeasiblePlan("no admissible plan exists for p <= 2")
@@ -138,21 +142,25 @@ def plan_blocks(p: Exponent, num_blocks: int, growth: float = 2.0) -> BlockPlan:
         raise ValueError("need at least one block")
     if growth < 2.0:
         raise ValueError("growth must be at least 2")
-    for lead in range(1, MAX_LEAD_SIZE + 1):
-        sizes = tuple(math.ceil(lead * growth**k) for k in range(num_blocks))
-        if BlockPlan.condition_holds(p, sizes):
-            return BlockPlan(p, sizes)
-    raise InfeasiblePlan(f"no leading size up to {MAX_LEAD_SIZE} satisfies the condition")
+
+    def sizes(lead: int) -> Tuple[int, ...]:
+        return tuple(math.ceil(lead * growth**k) for k in range(num_blocks))
+
+    if not BlockPlan.condition_holds(p, sizes(MAX_LEAD_SIZE)):
+        raise InfeasiblePlan(f"no leading size up to {MAX_LEAD_SIZE} satisfies the condition")
+    lo, hi = 1, MAX_LEAD_SIZE  # the condition holds at hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if BlockPlan.condition_holds(p, sizes(mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return BlockPlan(p, sizes(lo))
 
 
 def plan_from_sizes(p: Exponent, sizes: Sequence[int]) -> BlockPlan:
     """Plan with explicitly given block sizes (validated)."""
     return BlockPlan(p, tuple(int(n) for n in sizes))
-
-
-def error_bound(plan: BlockPlan) -> float:
-    """The certified contraction constant q = K_p * (sum N_k^(1-p/2))^(2/p)."""
-    return plan.contraction
 
 
 def block_atoms(plan: BlockPlan) -> List[HaarIndex]:
@@ -172,11 +180,11 @@ class TranslateSelection:
             raise ValueError("|t_i| must be strictly increasing")
 
     def to_json(self) -> list:
-        return [pt.to_json() for pt in self.points]
+        return points_to_json(self.points)
 
     @classmethod
     def from_json(cls, obj) -> "TranslateSelection":
-        return cls(tuple(TimeFreqPoint.from_json(o) for o in obj))
+        return cls(tuple(points_from_json(obj)))
 
 
 def select_translates(
@@ -313,16 +321,24 @@ def build_window(
     return SparseWindow(step_log2, pieces)
 
 
+def _place(out: np.ndarray, grid: Grid, at: Fraction, values: np.ndarray) -> None:
+    """Add a piece whose first cell starts at x = at into the dense values of grid."""
+    start = at / grid.step_fraction - grid.origin_index
+    if start.denominator != 1:
+        raise NonAlignedShift(f"piece at {at} is not a multiple of the grid step")
+    if not (0 <= start and start + len(values) <= grid.count):
+        raise GridTooSmall(f"piece at {at} falls outside the grid")
+    out[int(start) : int(start) + len(values)] += values
+
+
 def window_on_grid(window: SparseWindow, grid: Grid) -> SampledFunction:
-    """Materialize the window densely; raises GridTooSmall if the span is short."""
+    """Materialize the window densely; raises GridTooSmall if the span is short
+    and NonAlignedShift if a piece does not start on a grid point."""
     if grid.step_log2 != window.step_log2:
         raise GridTooSmall("grid step differs from the window step")
     out = np.zeros(grid.count, dtype=np.complex128)
     for offset, f in window.pieces:
-        start = (offset + f.grid.origin) / grid.step_fraction - grid.origin_index
-        if start.denominator != 1 or not (0 <= start and start + f.grid.count <= grid.count):
-            raise GridTooSmall(f"piece at offset {offset} falls outside the grid")
-        out[int(start) : int(start) + f.grid.count] += f.values
+        _place(out, grid, offset + f.grid.origin, f.values)
     return SampledFunction(grid, out)
 
 
@@ -346,11 +362,6 @@ class ConstructedFrame:
     def p(self) -> Exponent:
         return self.plan.p
 
-    def functional_value(self, j: int, f: SampledFunction) -> complex:
-        """Coefficient functional of point j: N_l^(-1/2) times the dual-atom pairing."""
-        l = int(self.plan.block_of_index()[j])
-        return self.plan.sizes[l] ** -0.5 * haar_functional(self.atoms[l], f, self.p)
-
     def to_json(self) -> dict:
         return {
             "plan": self.plan.to_json(),
@@ -371,7 +382,7 @@ def build_frame(
     atoms = block_atoms(plan)
     block_of = plan.block_of_index()
     ok, detail, clear, summands_ok = certify_selection(selection, atoms, block_of)
-    q = error_bound(plan)
+    q = plan.contraction
     norm_pth = window.lp_norm_pth(plan.p)
     certificate = {
         "difference_sets_disjoint": ok,
@@ -438,17 +449,21 @@ def span_coefficients(frame: ConstructedFrame, f: SampledFunction) -> np.ndarray
     )
 
 
+def _span_synthesis(frame: ConstructedFrame, b: np.ndarray) -> SampledFunction:
+    """sum_l b_l h_l on the frame's span grid."""
+    vals = np.zeros(frame.span_grid.count, dtype=np.complex128)
+    for coeff, av in zip(b, frame._atom_values):
+        vals += coeff * av
+    return SampledFunction(frame.span_grid, vals)
+
+
 def project_onto_span(
     frame: ConstructedFrame, f: SampledFunction
 ) -> Tuple[SampledFunction, float]:
     """Projection of f onto the span of the plan's atoms and the residual norm."""
     if f.grid != frame.span_grid:
         raise GridTooSmall("input must live on the frame's span grid")
-    b = span_coefficients(frame, f)
-    vals = np.zeros(frame.span_grid.count, dtype=np.complex128)
-    for coeff, av in zip(b, frame._atom_values):
-        vals += coeff * av
-    proj = SampledFunction(frame.span_grid, vals)
+    proj = _span_synthesis(frame, span_coefficients(frame, f))
     return proj, lp_norm(f - proj, frame.p)
 
 
@@ -484,13 +499,8 @@ def frame_operator(frame: ConstructedFrame, f: SampledFunction) -> FrameImage:
             "operator's mass accounting relies on"
         )
     b = span_coefficients(frame, f)
-    vals = np.zeros(frame.span_grid.count, dtype=np.complex128)
-    for coeff, av in zip(b, frame._atom_values):
-        vals += coeff * av
-    main = SampledFunction(frame.span_grid, vals)
-    p = frame.p.p
-    error_pth = float(frame._pair_weight_by_block @ (np.abs(b) ** p))
-    return FrameImage(main, error_pth, b)
+    error_pth = float(frame._pair_weight_by_block @ (np.abs(b) ** frame.p.p))
+    return FrameImage(_span_synthesis(frame, b), error_pth, b)
 
 
 def error_pieces(
@@ -552,16 +562,9 @@ def frame_operator_dense(
         raise GridTooSmall("grid step differs from the frame step")
     img = frame_operator(frame, f)
     out = np.zeros(grid.count, dtype=np.complex128)
-
-    def place(offset: Fraction, values: np.ndarray, origin: Fraction):
-        start = (offset + origin) / grid.step_fraction - grid.origin_index
-        if start.denominator != 1 or not (0 <= start and int(start) + len(values) <= grid.count):
-            raise GridTooSmall(f"piece at offset {offset} falls outside the grid")
-        out[int(start) : int(start) + len(values)] += values
-
-    place(Fraction(0), img.main.values, img.main.grid.origin)
+    _place(out, grid, img.main.grid.origin, img.main.values)
     for _, _, d, vals in error_pieces(frame, f):
-        place(d, vals, Fraction(0))
+        _place(out, grid, d, vals)
     return SampledFunction(grid, out)
 
 
@@ -647,9 +650,9 @@ def sign_flip_synthesis_max(
     exactly from the layout.
     """
     inv = invert_neumann(frame, f, tol)
-    b = span_coefficients(frame, inv.solution)
+    image = frame_operator(frame, inv.solution)
+    b, error_pth = image.coefficients, image.error_pth
     p = frame.p.p
-    error_pth = float(frame._pair_weight_by_block @ (np.abs(b) ** p))
     block_of = frame.plan.block_of_index()
     signs = sign_matrix(rng_for(seed), patterns, frame.plan.total).astype(np.float64)
     base = lp_norm(f, frame.p)

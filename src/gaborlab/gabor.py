@@ -178,18 +178,3 @@ def points_to_json(points: Sequence[TimeFreqPoint]) -> list:
 def points_from_json(items: Sequence) -> List[TimeFreqPoint]:
     return [TimeFreqPoint.from_json(o) for o in items]
 
-
-def coefficients_to_json(a: CoefficientMap) -> list:
-    return [
-        {"point": pt.to_json(), "re": float(c.real), "im": float(c.imag)}
-        for pt, c in a.entries.items()
-    ]
-
-
-def coefficients_from_json(items: Sequence[dict]) -> CoefficientMap:
-    return CoefficientMap(
-        {
-            TimeFreqPoint.from_json(d["point"]): complex(d["re"], d["im"])
-            for d in items
-        }
-    )

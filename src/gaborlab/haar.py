@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -97,11 +97,6 @@ def haar_function(idx: HaarIndex, p: Exponent, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, v)
 
 
-def haar_dual(idx: HaarIndex, p: Exponent, grid: Grid) -> SampledFunction:
-    """The biorthogonal partner: same shape, normalized in the conjugate exponent."""
-    return haar_function(idx, p.dual(), grid)
-
-
 def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:
     """Coefficient functional: integral of f against the dual atom."""
     grid = f.grid
@@ -176,16 +171,3 @@ def unconditionality_bound(p: Exponent) -> float:
     """Checked upper bound for the Haar sign-flip constant: max(p-1, 1/(p-1))."""
     return max(p.p - 1.0, 1.0 / (p.p - 1.0))
 
-
-def coefficients_to_json(coeffs: Dict[HaarIndex, complex]) -> list:
-    return [
-        {**idx.to_json(), "re": float(c.real), "im": float(c.imag)}
-        for idx, c in coeffs.items()
-    ]
-
-
-def coefficients_from_json(items: Sequence[dict]) -> Dict[HaarIndex, complex]:
-    return {
-        HaarIndex(d["cell"], d["scale"], d["position"]): complex(d["re"], d["im"])
-        for d in items
-    }

@@ -1,8 +1,7 @@
 """Rademacher averages and the inequality toolbox built on them.
 
 Exact expectations enumerate all 2^n sign patterns (n <= 12 for function
-families, n <= 20 for scalar sums); a seeded Monte Carlo estimator covers
-larger families.  The Khintchine and square-function sandwiches hold with
+families, n <= 20 for scalar sums).  The Khintchine and square-function sandwiches hold with
 constant 1 on one side: the lower constant is 1 for p >= 2 and the upper
 constant is 1 for p <= 2, which the tests assert exactly.
 """
@@ -15,7 +14,6 @@ import numpy as np
 
 from .errors import AliasedFrequency, NotLacunary, TooManyFunctions
 from .grids import Exponent, Grid, SampledFunction, lp_norm
-from .rng import rng_for, sign_matrix
 
 EXACT_FUNCTION_CUTOFF = 12
 EXACT_SCALAR_CUTOFF = 20
@@ -36,46 +34,26 @@ def _value_matrix(fs: Sequence[SampledFunction]) -> Tuple[np.ndarray, Grid]:
     return np.array([f.values for f in fs]), grid
 
 
-def rademacher_pnorm_exact(fs: Sequence[SampledFunction], p: Exponent) -> float:
-    """(E || sum_j eps_j f_j ||_p^p)^(1/p) by full sign-pattern enumeration."""
+def _pattern_pth(fs: Sequence[SampledFunction], p: Exponent) -> np.ndarray:
+    """|| sum_j eps_j f_j ||_p^p for every sign pattern eps (one zero for no fs)."""
     n = len(fs)
     if n > EXACT_FUNCTION_CUTOFF:
         raise TooManyFunctions(f"{n} > {EXACT_FUNCTION_CUTOFF}")
     if n == 0:
-        return 0.0
+        return np.zeros(1)
     mat, grid = _value_matrix(fs)
     sums = all_sign_patterns(n).astype(np.complex128) @ mat
-    pth = (np.abs(sums) ** p.p).sum(axis=1) * grid.step
-    return float(pth.mean()) ** (1.0 / p.p)
+    return (np.abs(sums) ** p.p).sum(axis=1) * grid.step
+
+
+def rademacher_pnorm_exact(fs: Sequence[SampledFunction], p: Exponent) -> float:
+    """(E || sum_j eps_j f_j ||_p^p)^(1/p) by full sign-pattern enumeration."""
+    return float(_pattern_pth(fs, p).mean()) ** (1.0 / p.p)
 
 
 def rademacher_mean_norm_exact(fs: Sequence[SampledFunction], p: Exponent) -> float:
     """First moment E || sum_j eps_j f_j ||_p by full enumeration."""
-    n = len(fs)
-    if n > EXACT_FUNCTION_CUTOFF:
-        raise TooManyFunctions(f"{n} > {EXACT_FUNCTION_CUTOFF}")
-    if n == 0:
-        return 0.0
-    mat, grid = _value_matrix(fs)
-    sums = all_sign_patterns(n).astype(np.complex128) @ mat
-    norms = ((np.abs(sums) ** p.p).sum(axis=1) * grid.step) ** (1.0 / p.p)
-    return float(norms.mean())
-
-
-def rademacher_pnorm_mc(
-    fs: Sequence[SampledFunction], p: Exponent, trials: int, seed: int
-) -> Tuple[float, float]:
-    """Monte Carlo estimate of E || sum eps f ||_p^p with its standard error."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not fs:
-        return 0.0, 0.0
-    mat, grid = _value_matrix(fs)
-    signs = sign_matrix(rng_for(seed), trials, len(fs)).astype(np.complex128)
-    pth = (np.abs(signs @ mat) ** p.p).sum(axis=1) * grid.step
-    est = float(pth.mean())
-    stderr = float(pth.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return est, stderr
+    return float((_pattern_pth(fs, p) ** (1.0 / p.p)).mean())
 
 
 def khintchine_ratio(a: Sequence[complex], p: Exponent) -> float:

@@ -14,6 +14,15 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import calibration
+from .basic_sequences import (
+    WeightSequence,
+    flat_cells_coefficients,
+    growth_threshold_scan,
+    separated_translates_norm,
+    verify_cells,
+    verify_peaks,
+    weight_growth_ratios,
+)
 from .fourier import FrequencyInterval, square_function_norm
 from .grids import (
     Exponent,
@@ -52,11 +61,9 @@ def _is_recorded_run(seed: int, name: str, **shape) -> bool:
     )
 
 
-def _window_contains(recorded: Tuple[float, float], lo: float, hi: float) -> bool:
+def _window_contains(recorded: Sequence[float], lo: float, hi: float) -> bool:
     rlo, rhi = recorded
-    return lo >= rlo * (1 - WINDOW_SLACK) - WINDOW_SLACK * abs(rlo) and hi <= rhi * (
-        1 + WINDOW_SLACK
-    ) + WINDOW_SLACK * abs(rhi)
+    return lo >= rlo * (1 - WINDOW_SLACK) and hi <= rhi * (1 + WINDOW_SLACK)
 
 
 def random_atoms(
@@ -379,6 +386,87 @@ def isometry_suite(
         {"seed": seed, "triples": triples, "grid_log2": grid_log2, "span": span},
         metrics,
         assertions,
+    )
+    report.wall_time_s = sw.elapsed
+    return report, rows
+
+
+def peaks_suite(
+    seed: int,
+    trials: int = 200,
+    p: float = 1.5,
+    J: int = 8,
+    K: int = 8,
+    alpha: float = 0.1,
+) -> Tuple[Report, List[dict]]:
+    """Peaks window family (1 < p < 2): synthesized against predicted norms."""
+    exp = Exponent(p)
+    cal = calibration.CALIBRATION["peaks"]
+    with Stopwatch() as sw:
+        weights = WeightSequence.polynomial(alpha, exp, length=K)
+        rep, rows = verify_peaks(weights, exp, J, K, trials, seed)
+        growth = weight_growth_ratios(weights, exp, 64)
+    metrics = {
+        **rep.to_json(),
+        "growth_first": float(growth[0]),
+        "growth_last": float(growth[-1]),
+    }
+    assertions = {"growth_monotone": bool(np.all(np.diff(growth) > 0))}
+    if _is_recorded_run(seed, "peaks", p=p, J=J, K=K, alpha=alpha) and trials <= (
+        calibration.RECORDED_CONFIG["peaks"]["trials"]
+    ):
+        assertions["ratio_window"] = _window_contains(
+            cal["ratio"], rep.ratio_min, rep.ratio_max
+        )
+        assertions["local_window"] = _window_contains(
+            cal["local"], rep.local_ratio_min, rep.local_ratio_max
+        )
+    report = Report(
+        "counterexample:peaks",
+        {"seed": seed, "trials": trials, "p": p, "J": J, "K": K, "alpha": alpha},
+        metrics,
+        assertions,
+        {"peaks": cal},
+    )
+    report.wall_time_s = sw.elapsed
+    return report, rows
+
+
+def cells_suite(
+    seed: int,
+    trials: int = 200,
+    p: float = 4.0,
+    K: int = 6,
+    n_max: int = 8,
+) -> Tuple[Report, List[dict]]:
+    """Cells window family (p > 2): translate combinations against predicted mass."""
+    exp = Exponent(p)
+    cal = calibration.CALIBRATION["cells"]
+    with Stopwatch() as sw:
+        c = flat_cells_coefficients(K, exp)
+        rep, rows = verify_cells(c, exp, K, n_max, trials, seed)
+        threshold = growth_threshold_scan(c, exp)
+        sep_norm = separated_translates_norm(c, exp, K, n=8, separation=K + 1)
+    bound = 2.0 * 8 ** (1.0 / p)
+    metrics = {
+        **rep.to_json(),
+        "growth_threshold_n": threshold,
+        "separated_norm": sep_norm,
+        "separated_bound": bound,
+    }
+    assertions = {"separated_translates": sep_norm < bound}
+    if _is_recorded_run(seed, "cells", p=p, K=K, n_max=n_max) and trials <= (
+        calibration.RECORDED_CONFIG["cells"]["trials"]
+    ):
+        assertions["ratio_window"] = _window_contains(
+            cal["ratio"], rep.ratio_min, rep.ratio_max
+        )
+    report = Report(
+        "counterexample:cells",
+        {"seed": seed, "trials": trials, "p": p, "K": K, "n_max": n_max},
+        metrics,
+        assertions,
+        {"cells": cal},
     )
     report.wall_time_s = sw.elapsed
     return report, rows

@@ -11,15 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from gaborlab.basic_sequences import (
-    WeightSequence,
-    flat_cells_coefficients,
-    separated_translates_norm,
-    verify_cells,
-    verify_peaks,
-    weight_growth_ratios,
-)
-from gaborlab.calibration import CALIBRATION, RECORDED_CONFIG
+from gaborlab.calibration import RECORDED_CONFIG
 from gaborlab.cli import main as cli_main
 from gaborlab.frames import (
     build_frame,
@@ -34,8 +26,10 @@ from gaborlab.frames import (
 )
 from gaborlab.grids import Exponent, lp_norm
 from gaborlab.suites import (
+    cells_suite,
     isometry_suite,
     khintchine_suite,
+    peaks_suite,
     rdf_suite,
     squarefunc_suite,
 )
@@ -138,53 +132,34 @@ def test_criterion_4_square_function_sandwich():
     )
 
 
-def test_criterion_5_peaks_equivalence():
+def window_criterion(criterion, suite, keys):
+    """Run a window-family suite at the recorded seed; every key must be asserted true."""
     start = time.perf_counter()
-    cfg = RECORDED_CONFIG["peaks"]
-    p = Exponent(cfg["p"])
-    weights = WeightSequence.polynomial(cfg["alpha"], p, length=cfg["K"])
-    rep, _ = verify_peaks(weights, p, cfg["J"], cfg["K"], trials=200, seed=SEED)
-    cal = CALIBRATION["peaks"]
-    in_window = (
-        rep.ratio_min >= cal["ratio"][0] * (1 - 1e-6)
-        and rep.ratio_max <= cal["ratio"][1] * (1 + 1e-6)
-        and rep.local_ratio_min >= cal["local"][0] * (1 - 1e-6)
-        and rep.local_ratio_max <= cal["local"][1] * (1 + 1e-6)
-    )
-    growth = weight_growth_ratios(weights, p, 64)
-    monotone = bool(np.all(np.diff(growth) > 0))
-    # the exact interval-decomposition check runs inside verify_peaks
+    rep, _ = suite(SEED)
     elapsed = time.perf_counter() - start
+    missing = [k for k in keys if k not in rep.assertions]
+    m = rep.metrics
     report(
-        "5 peaks-equivalence",
-        in_window and monotone,
-        f"ratio=[{rep.ratio_min:.4f},{rep.ratio_max:.4f}] within "
-        f"[{cal['ratio'][0]:.4f},{cal['ratio'][1]:.4f}], growth monotone={monotone}",
+        criterion,
+        not missing and rep.passed,
+        f"ratio=[{m['ratio_min']:.4f},{m['ratio_max']:.4f}], "
+        f"assertions={rep.assertions}, missing={missing}",
         elapsed,
         60.0,
+    )
+
+
+def test_criterion_5_peaks_equivalence():
+    # the exact interval-decomposition check runs inside the suite
+    window_criterion(
+        "5 peaks-equivalence", peaks_suite,
+        ("growth_monotone", "ratio_window", "local_window"),
     )
 
 
 def test_criterion_6_cells_equivalence():
-    start = time.perf_counter()
-    cfg = RECORDED_CONFIG["cells"]
-    p = Exponent(cfg["p"])
-    c = flat_cells_coefficients(cfg["K"], p)
-    rep, _ = verify_cells(c, p, cfg["K"], cfg["n_max"], trials=200, seed=SEED)
-    cal = CALIBRATION["cells"]
-    in_window = rep.ratio_min >= cal["ratio"][0] * (1 - 1e-6) and rep.ratio_max <= cal[
-        "ratio"
-    ][1] * (1 + 1e-6)
-    sep = separated_translates_norm(c, p, cfg["K"], n=8, separation=cfg["K"] + 1)
-    bound = 2.0 * 8 ** (1.0 / p.p)
-    elapsed = time.perf_counter() - start
-    report(
-        "6 cells-equivalence",
-        in_window and sep < bound,
-        f"ratio=[{rep.ratio_min:.4f},{rep.ratio_max:.4f}], separated "
-        f"norm={sep:.4f} < {bound:.4f}",
-        elapsed,
-        60.0,
+    window_criterion(
+        "6 cells-equivalence", cells_suite, ("ratio_window", "separated_translates")
     )
 
 

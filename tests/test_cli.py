@@ -34,6 +34,10 @@ MALFORMED_INPUTS = [
     ("p_nan", {}, ["build-frame", "--p", "nan"]),
     ("p_inf", {}, ["build-frame", "--p", "inf"]),
     ("zero_blocks", {}, ["build-frame", "--blocks", "0"]),
+    ("flag_not_for_family", {},
+     ["counterexample", "--family", "cells", "--alpha", "0.1", "--seed", "1"]),
+    ("flag_not_for_suite", {},
+     ["inequalities", "--suite", "khintchine", "--grid-log2", "-6", "--seed", "1"]),
 ]
 
 

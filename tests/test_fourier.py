@@ -1,4 +1,4 @@
-"""Band projections: pass/kill, projection algebra, Plancherel, family splits."""
+"""Band projections: pass/kill, projection algebra, Plancherel."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from gaborlab.fourier import (
     FrequencyInterval,
     grid_frequencies,
     partial_sum,
-    split_into_disjoint_families,
     square_function_norm,
 )
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm, modulate
@@ -95,46 +94,6 @@ class TestSquareFunctionNorm:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             square_function_norm(noise(68), [FrequencyInterval(0, 1)], Exponent(1.5))
-
-
-class TestFamilySplit:
-    def test_disjoint_family_single_class(self):
-        fam = [FrequencyInterval(i, i + 1) for i in range(5)]
-        assert len(split_into_disjoint_families(fam)) == 1
-
-    def test_nested_pair_two_classes(self):
-        fam = [FrequencyInterval(0, 10), FrequencyInterval(2, 3)]
-        assert len(split_into_disjoint_families(fam)) == 2
-
-    @pytest.mark.parametrize("l,delta", [(1.0, 0.5), (1.5, 0.5), (2.0, 0.75)])
-    def test_shifted_equal_intervals(self, l, delta):
-        # family [-k delta - l, -k delta + l]: class count equals max overlap depth
-        fam = [
-            FrequencyInterval(-k * delta - l, -k * delta + l) for k in range(24)
-        ]
-        families = split_into_disjoint_families(fam)
-        # oracle: maximum number of intervals covering any single endpoint
-        depth = 0
-        for iv in fam:
-            for x in (iv.lo + 1e-9, (iv.lo + iv.hi) / 2):
-                depth = max(depth, sum(1 for j in fam if j.lo <= x < j.hi))
-        assert len(families) == depth == int(np.ceil(2 * l / delta))
-        for sub in families:
-            for i, a in enumerate(sub):
-                for b in sub[i + 1 :]:
-                    assert not a.overlaps(b)
-
-    def test_partition_preserves_membership(self):
-        rng = rng_for(69)
-        fam = [
-            FrequencyInterval(float(lo), float(lo) + float(rng.uniform(0.5, 3.0)))
-            for lo in rng.uniform(-10, 10, size=17)
-        ]
-        families = split_into_disjoint_families(fam)
-        flattened = [iv for sub in families for iv in sub]
-        assert sorted(flattened, key=lambda i: (i.lo, i.hi)) == sorted(
-            fam, key=lambda i: (i.lo, i.hi)
-        )
 
 
 class TestGridFrequencies:

@@ -12,6 +12,7 @@ from gaborlab.errors import (
     GridTooSmall,
     InfeasiblePlan,
     InsufficientSpread,
+    NonAlignedShift,
 )
 from gaborlab.frames import (
     BlockPlan,
@@ -20,7 +21,6 @@ from gaborlab.frames import (
     build_frame,
     build_window,
     certify_selection,
-    error_bound,
     error_pieces,
     error_pth_direct,
     frame_from_json,
@@ -108,7 +108,7 @@ class TestBlockPlan:
         assert minimal_lead_oracle(P4, 1, 2.0) == (37,)
         plan = plan_blocks(P4, 1)
         assert plan.sizes == (37,)
-        assert error_bound(plan) == pytest.approx(3.0 / math.sqrt(37.0), rel=1e-12)
+        assert plan.contraction == pytest.approx(3.0 / math.sqrt(37.0), rel=1e-12)
 
     def test_three_blocks_growth_two_minimal(self):
         expect = minimal_lead_oracle(P4, 3, 2.0)
@@ -121,10 +121,21 @@ class TestBlockPlan:
     def test_acceptance_sizes_are_admissible(self):
         plan = plan_from_sizes(P4, (72, 144, 288))
         assert plan.block_sum == pytest.approx(7.0 / 288.0, rel=1e-14)
-        assert error_bound(plan) == pytest.approx(
+        assert plan.contraction == pytest.approx(
             3.0 * math.sqrt(7.0 / 288.0), rel=1e-12
         )
-        assert error_bound(plan) < 0.47
+        assert plan.contraction < 0.47
+
+    @pytest.mark.parametrize(
+        "p,num_blocks,growth",
+        [(3.0, 1, 2.0), (3.0, 2, 2.5), (4.0, 2, 3.0), (5.0, 3, 2.0), (6.0, 4, 2.5),
+         (2.5, 3, 2.0)],
+    )
+    def test_bisection_matches_linear_scan(self, p, num_blocks, growth):
+        exp = Exponent(p)
+        assert plan_blocks(exp, num_blocks, growth).sizes == minimal_lead_oracle(
+            exp, num_blocks, growth
+        )
 
     def test_p_two_infeasible(self):
         with pytest.raises(InfeasiblePlan):
@@ -137,7 +148,7 @@ class TestBlockPlan:
     def test_q_below_one_for_any_valid_plan(self):
         for sizes in [(37,), (50, 100), (72, 144, 288), (300, 900, 2700)]:
             if BlockPlan.condition_holds(P4, sizes):
-                assert error_bound(plan_from_sizes(P4, sizes)) < 1.0
+                assert plan_from_sizes(P4, sizes).contraction < 1.0
 
 
 class TestSelectTranslates:
@@ -320,6 +331,13 @@ class TestWindow:
         with pytest.raises(GridTooSmall):
             window_on_grid(frame.window, grid)
 
+    def test_dense_materialization_non_aligned(self):
+        # a piece at -1/3 lies inside [-2, 2) but off every dyadic grid point
+        sel = TranslateSelection((TimeFreqPoint(Fraction(1, 3), 0),))
+        window = build_window(demo_plan((1,)), sel)
+        with pytest.raises(NonAlignedShift):
+            window_on_grid(window, Grid.over(-2, 2, window.step_log2))
+
 
 class TestFrameOperator:
     def test_zero_in_zero_out(self):
@@ -475,15 +493,3 @@ class TestSerialization:
         assert [pt.t for pt in back.selection.points] == [
             pt.t for pt in frame.selection.points
         ]
-
-    def test_functional_interface(self):
-        frame = tiny_frame((80, 160))
-        f = span_corpus(frame, 1, seed=14)[0]
-        from gaborlab.haar import haar_functional
-
-        j = 100  # a point in the second block
-        l = int(frame.plan.block_of_index()[j])
-        expect = frame.plan.sizes[l] ** -0.5 * haar_functional(
-            frame.atoms[l], f, frame.p
-        )
-        assert frame.functional_value(j, f) == pytest.approx(expect, rel=1e-14)

@@ -10,8 +10,6 @@ from gaborlab.gabor import (
     GaborSystem,
     TimeFreqPoint,
     atom,
-    coefficients_from_json,
-    coefficients_to_json,
     points_from_json,
     points_to_json,
     sign_flip_ratio,
@@ -198,8 +196,3 @@ class TestSerialization:
     def test_points_roundtrip(self):
         pts = [TimeFreqPoint(Fraction(1, 2), 2), TimeFreqPoint(-3, Fraction(7, 4))]
         assert points_from_json(points_to_json(pts)) == pts
-
-    def test_coefficients_roundtrip(self):
-        a = CoefficientMap({TimeFreqPoint(1, 2): 0.5 - 1.5j})
-        back = coefficients_from_json(coefficients_to_json(a))
-        assert back.entries == a.entries

@@ -8,9 +8,6 @@ from gaborlab.errors import GridTooCoarse, SupportOutOfRange, ZeroFunction
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm
 from gaborlab.haar import (
     HaarIndex,
-    coefficients_from_json,
-    coefficients_to_json,
-    haar_dual,
     haar_expand,
     haar_function,
     haar_functional,
@@ -74,7 +71,7 @@ class TestHaarFunction:
             assert lp_norm(haar_function(idx, p, GRID), p) == pytest.approx(
                 1.0, abs=1e-12
             )
-            assert lp_norm(haar_dual(idx, p, GRID), p.dual()) == pytest.approx(
+            assert lp_norm(haar_function(idx, p.dual(), GRID), p.dual()) == pytest.approx(
                 1.0, abs=1e-12
             )
 
@@ -128,10 +125,6 @@ class TestExpandReconstruct:
         back = haar_expand(f, p, [0], max_scale=3)
         for idx in family:
             assert back[idx] == pytest.approx(coeffs[idx], abs=1e-12)
-
-    def test_json_roundtrip(self):
-        coeffs = {HaarIndex(0, 1, 1): 1 - 2j, HaarIndex(-1): 0.5}
-        assert coefficients_from_json(coefficients_to_json(coeffs)) == coeffs
 
 
 class TestUnconditionality:

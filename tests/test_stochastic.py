@@ -13,7 +13,6 @@ from gaborlab.stochastic import (
     lacunary_pnorm,
     rademacher_mean_norm_exact,
     rademacher_pnorm_exact,
-    rademacher_pnorm_mc,
     type2_ratio,
 )
 
@@ -67,41 +66,6 @@ class TestExactEnumeration:
     def test_cutoff(self):
         with pytest.raises(TooManyFunctions):
             rademacher_pnorm_exact(random_fns(13, 43), Exponent(2.0))
-
-
-class TestMonteCarlo:
-    def test_matches_exact_within_three_stderr(self):
-        p = Exponent(3.0)
-        fs = random_fns(10, 44)
-        exact_pth = rademacher_pnorm_exact(fs, p) ** p.p
-        est, stderr = rademacher_pnorm_mc(fs, p, trials=4000, seed=9)
-        assert abs(est - exact_pth) <= 3.5 * stderr
-
-    def test_estimator_consistency(self):
-        # estimates tighten toward the enumerated value as trials grow
-        p = Exponent(4.0)
-        fs = random_fns(8, 45)
-        exact_pth = rademacher_pnorm_exact(fs, p) ** p.p
-        errs, stderrs = [], []
-        for trials in (1000, 10000, 100000):
-            est, se = rademacher_pnorm_mc(fs, p, trials=trials, seed=10)
-            errs.append(abs(est - exact_pth))
-            stderrs.append(se)
-            assert abs(est - exact_pth) <= 4.0 * se
-        assert stderrs[2] < stderrs[1] < stderrs[0]
-
-    def test_seed_reproducibility(self):
-        p = Exponent(2.0)
-        fs = random_fns(5, 46)
-        one = rademacher_pnorm_mc(fs, p, trials=1, seed=77)
-        two = rademacher_pnorm_mc(fs, p, trials=1, seed=77)
-        assert one == two
-
-    def test_zero_functions(self):
-        p = Exponent(2.0)
-        fs = [SampledFunction.zero(GRID) for _ in range(4)]
-        est, stderr = rademacher_pnorm_mc(fs, p, trials=10, seed=1)
-        assert est == 0.0 and stderr == 0.0
 
 
 class TestKhintchine:
