@@ -220,8 +220,6 @@ class EquivalenceReport:
     trials: int
     ratio_min: float
     ratio_max: float
-    local_ratio_min: float
-    local_ratio_max: float
     extras: Dict[str, float]
 
     def to_json(self) -> dict:
@@ -229,8 +227,6 @@ class EquivalenceReport:
             "trials": self.trials,
             "ratio_min": self.ratio_min,
             "ratio_max": self.ratio_max,
-            "local_ratio_min": self.local_ratio_min,
-            "local_ratio_max": self.local_ratio_max,
             **self.extras,
         }
 
@@ -283,8 +279,9 @@ def verify_peaks(
              "predicted": predicted, "ratio": ratio}
         )
     report = EquivalenceReport(
-        trials, float(r_lo), float(r_hi), float(l_lo), float(l_hi),
-        {"J": J, "K": K, "p": p.p},
+        trials, float(r_lo), float(r_hi),
+        {"local_ratio_min": float(l_lo), "local_ratio_max": float(l_hi),
+         "J": J, "K": K, "p": p.p},
     )
     return report, rows
 
@@ -383,8 +380,7 @@ def verify_cells(
              "predicted": predicted, "ratio": ratio}
         )
     report = EquivalenceReport(
-        trials, float(r_lo), float(r_hi), float("nan"), float("nan"),
-        {"K": K, "n_max": n_max, "p": p.p},
+        trials, float(r_lo), float(r_hi), {"K": K, "n_max": n_max, "p": p.p}
     )
     return report, rows
 

@@ -45,7 +45,7 @@ RECORDED_CONFIG = {
     "squarefunc": {"families": 50, "max_n": 10},
     "type_cotype": {"families": 50},
     "lacunary": {"trials": 100, "p": 4.0, "n_freqs": 9},
-    "rdf": {"corpus": 100, "ps": [3.0, 4.0], "bands": 8},
+    "rdf": {"corpus": 100, "ps": [3.0, 4.0], "bands": 8, "grid_log2": -6, "span": 8},
     "peaks": {"p": 1.5, "J": 8, "K": 8, "trials": 200, "alpha": 0.1},
     "cells": {"p": 4.0, "K": 6, "n_max": 8, "trials": 200},
 }

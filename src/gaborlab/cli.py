@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from typing import Callable, List, Optional
 
@@ -19,7 +20,6 @@ from .errors import ConfigError, GaborLabError
 from .frames import (
     build_frame,
     frame_from_json,
-    operator_deviation,
     plan_blocks,
     plan_from_sizes,
     reconstruct,
@@ -28,7 +28,7 @@ from .frames import (
     spread_candidates,
 )
 from .gabor import points_from_json
-from .grids import Exponent, lp_norm
+from .grids import Exponent
 from .reports import Report, Stopwatch, write_csv
 from .suites import (
     cells_suite,
@@ -141,21 +141,21 @@ def cmd_verify_frame(args) -> int:
     seed = _require_seed(cfg)
     if not cfg.get("frame"):
         raise ConfigError("verify-frame requires --frame")
+    size = _flag_value("corpus", cfg.get("corpus", 50))
+    tol = _flag_value("tol", cfg.get("tol", 1e-8))
     frame = _read_json(cfg["frame"], "--frame", frame_from_json)
-    size = int(cfg.get("corpus", 50))
-    tol = float(cfg.get("tol", 1e-8))
     rows = []
     with Stopwatch() as sw:
         corpus = span_corpus(frame, size, seed)
         max_ratio, max_rel, max_residual, max_iters = 0.0, 0.0, 0.0, 0
         for i, f in enumerate(corpus):
-            ratio = operator_deviation(frame, f) / lp_norm(f, frame.p)
             rec = reconstruct(frame, f, tol)
-            max_ratio = max(max_ratio, ratio)
+            max_ratio = max(max_ratio, rec.contraction_ratio)
             max_rel = max(max_rel, rec.relative_error)
             max_residual = max(max_residual, rec.synthesis_residual)
             max_iters = max(max_iters, rec.iterations)
-            rows.append({"trial": i, "seed": seed, "contraction_ratio": ratio,
+            rows.append({"trial": i, "seed": seed,
+                         "contraction_ratio": rec.contraction_ratio,
                          "reconstruction_error": rec.relative_error,
                          "synthesis_residual": rec.synthesis_residual,
                          "iterations": rec.iterations})
@@ -192,12 +192,19 @@ FAMILIES = {"peaks": peaks_suite, "cells": cells_suite}
 
 
 def _flag_value(key: str, value):
+    """A numeric flag or config value, checked against the range it allows."""
     if key == "p":
         return _exponent(value).p
+    flag = f"--{key.replace('_', '-')}"
     try:
-        return float(value) if key == "alpha" else int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from None
+        out = float(value) if key in ("alpha", "tol") else int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+    if key in ("trials", "corpus") and out < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {out}")
+    if key == "tol" and not 0 < out < math.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {out}")
+    return out
 
 
 def _run_suite(kind: str, name: str, suite: Callable, seed: int, cfg: dict,

@@ -27,10 +27,13 @@ double-precision range, so no code path converts them to floats.
 
 Because the difference sets avoid the base-cell span, the error term of one
 application contributes nothing to the coefficient functionals of the next.
-The Neumann iteration for the frame inverse is therefore carried out on the
-span V, where one application already reproduces the input exactly and the
-certified bound ceil(log tol / log q) + 1 on the iteration count holds with
-room to spare; the off-span error term is reported separately as the
+reconstruct therefore solves S y = f on the span V by the Neumann iteration
+and applies S once per vector: S f yields both the projection of f onto V
+and the contraction ratio, and the image S y of the converged iterate is the
+result.  On V one application reproduces the input up to rounding, so the
+loop usually stops after one step, well inside the certified budget
+ceil(log tol / log q) + 1; below the rounding floor it refines further or
+exhausts the budget.  The off-span error term is reported separately as the
 synthesis residual and checked against q rather than against the tolerance.
 """
 
@@ -353,10 +356,10 @@ class ConstructedFrame:
     q: float
     certificate: dict
     span_grid: Grid
-    # f-independent error-term layout (ordered pairs i != j)
-    _pair_block: np.ndarray = field(repr=False, default=None)
-    _pair_weight_by_block: np.ndarray = field(repr=False, default=None)
-    _atom_values: List[np.ndarray] = field(repr=False, default=None)
+    # the plan's atoms sampled on span_grid, and the f-independent error-term
+    # weight of each block's coefficient (see _block_error_weights)
+    _atom_values: List[np.ndarray] = field(repr=False)
+    _pair_weight_by_block: np.ndarray = field(repr=False)
 
     @property
     def p(self) -> Exponent:
@@ -395,11 +398,11 @@ def build_frame(
         "q": q,
     }
     span_grid = Grid.over(0, 1, window.step_log2)
-    frame = ConstructedFrame(
-        plan, selection, window, atoms, q, certificate, span_grid
+    atom_values = [haar_function(a, plan.p, span_grid).values.copy() for a in atoms]
+    return ConstructedFrame(
+        plan, selection, window, atoms, q, certificate, span_grid, atom_values,
+        _block_error_weights(plan, atom_values, span_grid.step),
     )
-    _attach_layout(frame)
-    return frame
 
 
 def frame_from_json(obj: dict) -> ConstructedFrame:
@@ -408,8 +411,10 @@ def frame_from_json(obj: dict) -> ConstructedFrame:
     return build_frame(plan, selection, obj["step_log2"])
 
 
-def _attach_layout(frame: ConstructedFrame) -> None:
-    """Precompute the f-independent error-term reduction.
+def _block_error_weights(
+    plan: BlockPlan, atom_values: List[np.ndarray], step: float
+) -> np.ndarray:
+    """The f-independent error-term reduction.
 
     For input coefficients b_l = <f, h_l*>, the error term is the sum over
     ordered pairs (i, j), i != j, of
@@ -422,24 +427,15 @@ def _attach_layout(frame: ConstructedFrame) -> None:
     pairs.  The disjointness certificate is what licenses adding piece masses
     without merging; error_pth_direct walks the unreduced pieces instead.
     """
-    p = frame.p.p
-    block_of = frame.plan.block_of_index()
-    sizes = np.array(frame.plan.sizes, dtype=np.float64)
-    local = frame.span_grid
-    frame._atom_values = [
-        haar_function(a, frame.p, local).values.copy() for a in frame.atoms
-    ]
-    unit_pth = np.array(
-        [float((np.abs(v) ** p).sum() * local.step) for v in frame._atom_values]
-    )
-    n = frame.plan.total
+    p = plan.p.p
+    sizes = np.array(plan.sizes, dtype=np.float64)
+    unit_pth = np.array([float((np.abs(v) ** p).sum() * step) for v in atom_values])
     counts = np.zeros((len(sizes), len(sizes)))
-    for k, nk in enumerate(frame.plan.sizes):
-        for l, nl in enumerate(frame.plan.sizes):
+    for k, nk in enumerate(plan.sizes):
+        for l, nl in enumerate(plan.sizes):
             counts[k, l] = nk * nl - (nk if k == l else 0)
     amp_p = np.outer(sizes ** (-p / 2.0) * unit_pth, sizes ** (-p / 2.0))
-    frame._pair_block = block_of
-    frame._pair_weight_by_block = (counts * amp_p).sum(axis=0)
+    return (counts * amp_p).sum(axis=0)
 
 
 def span_coefficients(frame: ConstructedFrame, f: SampledFunction) -> np.ndarray:
@@ -447,24 +443,6 @@ def span_coefficients(frame: ConstructedFrame, f: SampledFunction) -> np.ndarray
     return np.array(
         [haar_functional(a, f, frame.p) for a in frame.atoms], dtype=np.complex128
     )
-
-
-def _span_synthesis(frame: ConstructedFrame, b: np.ndarray) -> SampledFunction:
-    """sum_l b_l h_l on the frame's span grid."""
-    vals = np.zeros(frame.span_grid.count, dtype=np.complex128)
-    for coeff, av in zip(b, frame._atom_values):
-        vals += coeff * av
-    return SampledFunction(frame.span_grid, vals)
-
-
-def project_onto_span(
-    frame: ConstructedFrame, f: SampledFunction
-) -> Tuple[SampledFunction, float]:
-    """Projection of f onto the span of the plan's atoms and the residual norm."""
-    if f.grid != frame.span_grid:
-        raise GridTooSmall("input must live on the frame's span grid")
-    proj = _span_synthesis(frame, span_coefficients(frame, f))
-    return proj, lp_norm(f - proj, frame.p)
 
 
 @dataclass
@@ -500,7 +478,10 @@ def frame_operator(frame: ConstructedFrame, f: SampledFunction) -> FrameImage:
         )
     b = span_coefficients(frame, f)
     error_pth = float(frame._pair_weight_by_block @ (np.abs(b) ** frame.p.p))
-    return FrameImage(_span_synthesis(frame, b), error_pth, b)
+    main = np.zeros(frame.span_grid.count, dtype=np.complex128)
+    for coeff, av in zip(b, frame._atom_values):
+        main += coeff * av
+    return FrameImage(SampledFunction(frame.span_grid, main), error_pth, b)
 
 
 def error_pieces(
@@ -549,11 +530,6 @@ def error_pth_direct(frame: ConstructedFrame, f: SampledFunction) -> float:
     return total
 
 
-def operator_deviation(frame: ConstructedFrame, f: SampledFunction) -> float:
-    """|| S f - f ||_p for f on the span grid."""
-    return frame_operator(frame, f).deviation_from(f, frame.p)
-
-
 def frame_operator_dense(
     frame: ConstructedFrame, f: SampledFunction, grid: Grid
 ) -> SampledFunction:
@@ -569,50 +545,18 @@ def frame_operator_dense(
 
 
 @dataclass
-class NeumannResult:
-    solution: SampledFunction
-    iterations: int
-    residual: float
-    projection_residual: float
-
-
-def invert_neumann(
-    frame: ConstructedFrame, f: SampledFunction, tol: float
-) -> NeumannResult:
-    """Solve S y = f on the span by the geometric iteration y <- f + (I - S) y.
-
-    The iteration runs on the span of the plan's atoms, where the certified
-    contraction q < 1 bounds the iteration budget by ceil(log tol / log q) + 1;
-    exceeding the budget signals an implementation bug, not a data condition.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    proj, proj_residual = project_onto_span(frame, f)
-    base = lp_norm(proj, frame.p)
-    if base == 0.0:
-        return NeumannResult(proj, 0, 0.0, proj_residual)
-    if frame.q < 1.0:
-        budget = math.ceil(math.log(tol) / math.log(frame.q)) + 1
-    else:
-        budget = 1  # degenerate demo plans: one application reproduces the span
-
-    y = proj
-    for n in range(1, budget + 1):
-        sy = frame_operator(frame, y).main
-        residual = lp_norm(sy - proj, frame.p)
-        if residual <= tol * base:
-            return NeumannResult(y, n, residual / base, proj_residual)
-        y = proj + (y - sy)
-    raise NoConvergence(
-        f"residual above {tol} after the certified budget of {budget} iterations"
-    )
-
-
-@dataclass
 class ReconstructionResult:
-    approximation: SampledFunction
+    """The solution y of S y = y_0 (the projection of f) and its image S y.
+
+    image.main approximates f; the errors and the contraction ratio
+    || S f - f ||_p are relative to || f ||_p (all 0 when f is zero).
+    """
+
+    solution: SampledFunction
+    image: FrameImage
     relative_error: float
     synthesis_residual: float
+    contraction_ratio: float
     iterations: int
 
 
@@ -621,18 +565,47 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Frame reconstruction sum_j g*_j(S^{-1} f) e_{s_j} tau_{t_j} g.
 
-    The span part of the synthesis is the approximation whose relative error
-    meets the tolerance; the off-span error mass is returned as the synthesis
-    residual, bounded by the contraction constant q (not by the tolerance).
+    S f gives the projection y_0 of f onto the span of the plan's atoms and
+    the contraction ratio.  S y = y_0 is then solved on the span by the
+    geometric iteration y <- y_0 + (I - S) y, whose certified contraction
+    q < 1 bounds the iteration count by ceil(log tol / log q) + 1; NoConvergence
+    past the budget means the tolerance lies below the rounding floor.  The
+    image S y of the converged iterate is returned: its span part is the
+    approximation of f, and its off-span error mass is the synthesis
+    residual, bounded by q (not by the tolerance).
     """
-    inv = invert_neumann(frame, f, tol)
-    image = frame_operator(frame, inv.solution)
-    base = lp_norm(f, frame.p)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    sf = frame_operator(frame, f)
+    y0 = y = sf.main
+    base = lp_norm(y0, frame.p)
     if base == 0.0:
-        return ReconstructionResult(image.main, 0.0, 0.0, inv.iterations)
-    rel = lp_norm(image.main - f, frame.p) / base
-    residual = image.deviation_from(f, frame.p) / base
-    return ReconstructionResult(image.main, rel, residual, inv.iterations)
+        n, image = 0, frame_operator(frame, y0)
+    else:
+        if frame.q < 1.0:
+            budget = math.ceil(math.log(tol) / math.log(frame.q)) + 1
+        else:
+            budget = 1  # degenerate demo plans: one application reproduces the span
+        for n in range(1, budget + 1):
+            image = frame_operator(frame, y)
+            if lp_norm(image.main - y0, frame.p) <= tol * base:
+                break
+            y = y0 + (y - image.main)
+        else:
+            raise NoConvergence(
+                f"residual above {tol} after the certified budget of {budget} iterations"
+            )
+    norm = lp_norm(f, frame.p)
+    if norm == 0.0:
+        return ReconstructionResult(y, image, 0.0, 0.0, 0.0, n)
+    return ReconstructionResult(
+        y,
+        image,
+        lp_norm(image.main - f, frame.p) / norm,
+        image.deviation_from(f, frame.p) / norm,
+        sf.deviation_from(f, frame.p) / norm,
+        n,
+    )
 
 
 def sign_flip_synthesis_max(
@@ -649,8 +622,7 @@ def sign_flip_synthesis_max(
     leaves every error piece's modulus unchanged, so the norm is evaluated
     exactly from the layout.
     """
-    inv = invert_neumann(frame, f, tol)
-    image = frame_operator(frame, inv.solution)
+    image = reconstruct(frame, f, tol).image
     b, error_pth = image.coefficients, image.error_pth
     p = frame.p.p
     block_of = frame.plan.block_of_index()

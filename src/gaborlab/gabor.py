@@ -8,7 +8,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -53,23 +53,31 @@ class TimeFreqPoint:
 
 @dataclass(frozen=True)
 class GaborSystem:
-    """A window and a finite ordered point set; atoms share one common grid."""
+    """A window and a finite ordered point set; atoms share one common grid.
+
+    The hull (the smallest grid containing every translated copy of the
+    window) and the atom matrix (one row per point, the atom on the hull) are
+    built once, on construction.
+    """
 
     window: SampledFunction
     points: Tuple[TimeFreqPoint, ...]
+    hull: Grid = field(compare=False, repr=False)
+    atom_matrix: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, window: SampledFunction, points: Sequence[TimeFreqPoint]):
+        points = tuple(points)
+        hull = window.grid
+        if points:
+            shifted = [translate_span(window.grid, pt.t) for pt in points]
+            lo = min(g.origin_index for g in shifted)
+            hi = max(g.origin_index + g.count for g in shifted)
+            hull = Grid(lo, window.grid.step_log2, hi - lo)
+        rows = [embed(time_freq_shift(window, pt.t, pt.s), hull).values for pt in points]
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "points", tuple(points))
-
-    def hull_grid(self) -> Grid:
-        """Smallest grid containing every translated copy of the window."""
-        if not self.points:
-            return self.window.grid
-        shifted = [translate_span(self.window.grid, pt.t) for pt in self.points]
-        lo = min(g.origin_index for g in shifted)
-        hi = max(g.origin_index + g.count for g in shifted)
-        return Grid(lo, self.window.grid.step_log2, hi - lo)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "hull", hull)
+        object.__setattr__(self, "atom_matrix", np.array(rows))
 
 
 def translate_span(grid: Grid, t: Fraction) -> Grid:
@@ -108,17 +116,7 @@ def atom(sys: GaborSystem, pt: TimeFreqPoint) -> SampledFunction:
     """The time-frequency shifted window at a system point, on the hull grid."""
     if pt not in sys.points:
         raise UnknownPoint(f"{pt} is not a point of the system")
-    shifted = time_freq_shift(sys.window, pt.t, pt.s)
-    return embed(shifted, sys.hull_grid())
-
-
-def _atom_matrix(sys: GaborSystem) -> Tuple[np.ndarray, Grid]:
-    hull = sys.hull_grid()
-    rows = [
-        embed(time_freq_shift(sys.window, pt.t, pt.s), hull).values
-        for pt in sys.points
-    ]
-    return np.array(rows), hull
+    return SampledFunction(sys.hull, sys.atom_matrix[sys.points.index(pt)].copy())
 
 
 def synthesize(sys: GaborSystem, a: CoefficientMap) -> SampledFunction:
@@ -128,17 +126,15 @@ def synthesize(sys: GaborSystem, a: CoefficientMap) -> SampledFunction:
             raise UnknownPoint(f"coefficient at {pt} outside the system")
     if not sys.points:
         return SampledFunction.zero(sys.window.grid)
-    mat, hull = _atom_matrix(sys)
-    return SampledFunction(hull, a.vector(sys) @ mat)
+    return SampledFunction(sys.hull, a.vector(sys) @ sys.atom_matrix)
 
 
 def square_function_equivalent(
     sys: GaborSystem, a: CoefficientMap, p: Exponent
 ) -> float:
     """|| (sum |a_{ts}|^2 |atom|^2)^(1/2) ||_p, the square-function comparison."""
-    mat, hull = _atom_matrix(sys)
     vec = a.vector(sys)
-    fs = [SampledFunction(hull, c * row) for c, row in zip(vec, mat)]
+    fs = [SampledFunction(sys.hull, c * row) for c, row in zip(vec, sys.atom_matrix)]
     return lp_ell2_norm(fs, p)
 
 
@@ -155,9 +151,9 @@ def sign_flip_ratio(
     samples `trials` patterns from the seeded stream (the identity pattern is
     always included, so both extremes bracket 1).
     """
-    mat, hull = _atom_matrix(sys)
+    mat, step = sys.atom_matrix, sys.hull.step
     vec = a.vector(sys)
-    base = float((np.abs(vec @ mat) ** p.p).sum() * hull.step) ** (1.0 / p.p)
+    base = float((np.abs(vec @ mat) ** p.p).sum() * step) ** (1.0 / p.p)
     if base == 0.0:
         raise ZeroFunction("base combination is the zero function")
     n = len(sys.points)
@@ -167,7 +163,7 @@ def sign_flip_ratio(
         signs = sign_matrix(rng_for(seed), trials, n)
         signs[0, :] = 1
     sums = (signs * vec) @ mat
-    norms = ((np.abs(sums) ** p.p).sum(axis=1) * hull.step) ** (1.0 / p.p)
+    norms = ((np.abs(sums) ** p.p).sum(axis=1) * step) ** (1.0 / p.p)
     return float(norms.max() / base), float(norms.min() / base)
 
 

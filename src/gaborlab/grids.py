@@ -103,10 +103,6 @@ class Grid:
     def origin(self) -> Fraction:
         return self.origin_index * self.step_fraction
 
-    @property
-    def upper(self) -> Fraction:
-        return (self.origin_index + self.count) * self.step_fraction
-
     def midpoints(self) -> np.ndarray:
         return (float(self.origin) + (np.arange(self.count) + 0.5) * self.step)
 
@@ -163,13 +159,6 @@ class SampledFunction:
         return SampledFunction(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    def pointwise(self, other: "SampledFunction") -> "SampledFunction":
-        _require_same_grid(self, other)
-        return SampledFunction(self.grid, self.values * other.values)
-
-    def abs(self) -> "SampledFunction":
-        return SampledFunction(self.grid, np.abs(self.values).astype(np.complex128))
 
     def to_json(self) -> dict:
         return {

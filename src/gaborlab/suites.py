@@ -321,13 +321,8 @@ def rdf_suite(
                 stats[p].append(r)
                 rows.append({"trial": trial, "seed": seed, "p": p, "ratio": r})
     cal = calibration.CALIBRATION["rdf"]
-    rec = calibration.RECORDED_CONFIG["rdf"]
-    recorded_shape = (
-        _is_recorded_run(seed, "rdf", corpus=corpus, bands=bands)
-        and list(ps) == rec["ps"]
-        and grid_log2 == -6
-        and span == 8
-    )
+    recorded_shape = _is_recorded_run(seed, "rdf", corpus=corpus, ps=list(ps),
+                                      bands=bands, grid_log2=grid_log2, span=span)
     metrics = {"plancherel_deviation": plancherel_dev}
     assertions = {"plancherel_partition": plancherel_dev <= 1e-10}
     for p in ps:
@@ -419,7 +414,7 @@ def peaks_suite(
             cal["ratio"], rep.ratio_min, rep.ratio_max
         )
         assertions["local_window"] = _window_contains(
-            cal["local"], rep.local_ratio_min, rep.local_ratio_max
+            cal["local"], rep.extras["local_ratio_min"], rep.extras["local_ratio_max"]
         )
     report = Report(
         "counterexample:peaks",

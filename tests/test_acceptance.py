@@ -17,7 +17,6 @@ from gaborlab.frames import (
     build_frame,
     error_pth_direct,
     frame_operator,
-    operator_deviation,
     plan_from_sizes,
     reconstruct,
     select_translates,
@@ -67,7 +66,8 @@ def test_criterion_1_frame_certificate(certified_frame, corpus):
         "disjointness": frame.certificate["difference_sets_disjoint"] is True,
         "window_norm": abs(frame.window.lp_norm_pth(P4) - 7.0 / 288.0) <= 1e-10,
     }
-    worst = max(operator_deviation(frame, f) / lp_norm(f, P4) for f in corpus)
+    worst = max(frame_operator(frame, f).deviation_from(f, P4) / lp_norm(f, P4)
+                for f in corpus)
     checks["contraction"] = worst <= frame.q + 1e-9
     # one unreduced piece-by-piece evaluation cross-checks the reduced path
     direct = error_pth_direct(frame, corpus[0])

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from gaborlab.cli import main
+from gaborlab.frames import build_frame, plan_from_sizes, select_translates, spread_candidates
+from gaborlab.grids import Exponent
 from gaborlab.reports import Report
 
 
@@ -13,6 +15,17 @@ def run(args):
 
 
 FRAME_WITHOUT_SIZES = json.dumps({"plan": {"p": 4.0}, "selection": [], "step_log2": -3})
+_PLAN_37 = plan_from_sizes(Exponent(4.0), (37,))
+FRAME_37 = json.dumps(
+    build_frame(_PLAN_37, select_translates(spread_candidates(37), _PLAN_37)).to_json()
+)
+
+
+def _verify(*flags):
+    """Files and argv of a verify-frame run on a real 37-point frame."""
+    return ({"frame.json": FRAME_37},
+            ["verify-frame", "--seed", "1", "--frame", "frame.json", *flags])
+
 
 # (id, files written to the test directory, argv; *.json names live there)
 MALFORMED_INPUTS = [
@@ -38,6 +51,22 @@ MALFORMED_INPUTS = [
      ["counterexample", "--family", "cells", "--alpha", "0.1", "--seed", "1"]),
     ("flag_not_for_suite", {},
      ["inequalities", "--suite", "khintchine", "--grid-log2", "-6", "--seed", "1"]),
+    *((f"trials_{trials}_{suite}", {},
+       ["inequalities", "--suite", suite, "--trials", trials, "--seed", "1"])
+      for suite in ("khintchine", "squarefunc", "type-cotype", "lacunary", "rdf",
+                    "isometry")
+      for trials in ("0", "-1")),
+    *((f"trials_{trials}_{family}", {},
+       ["counterexample", "--family", family, "--trials", trials, "--seed", "1"])
+      for family in ("peaks", "cells") for trials in ("0", "-1")),
+    ("trials_zero_in_config", {"cfg.json": '{"trials": 0}'},
+     ["inequalities", "--suite", "isometry", "--config", "cfg.json", "--seed", "1"]),
+    ("corpus_zero", *_verify("--corpus", "0")),
+    ("corpus_negative", *_verify("--corpus", "-3")),
+    ("tol_zero", *_verify("--tol", "0")),
+    ("tol_negative", *_verify("--tol", "-0.5")),
+    ("tol_nan", *_verify("--tol", "nan")),
+    ("tol_inf", *_verify("--tol", "inf")),
 ]
 
 
@@ -259,6 +288,25 @@ class TestCsvColumns:
         header = csv_path.read_text().splitlines()[0].split(",")
         for col in ("n", "p", "ratio", "bound", "pass"):
             assert col in header
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("family", ["peaks", "cells"])
+    def test_family_reports_parse_as_json(self, tmp_path, capsys, family):
+        out = tmp_path / "r.json"
+        code = run(["counterexample", "--family", family, "--trials", "5",
+                    "--seed", "3", "--out", str(out)])
+        printed = capsys.readouterr().out
+        assert code == 0
+        for text in (out.read_text(), printed):
+            payload = json.loads(text, parse_constant=_reject_constant)
+            # only the peaks family has a local prediction
+            assert ("local_ratio_min" in payload["metrics"]) == (family == "peaks")
+            assert ("local_ratio_max" in payload["metrics"]) == (family == "peaks")
 
 
 class TestReportBlock:

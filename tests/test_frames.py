@@ -1,5 +1,6 @@
 """Block plans, translate selection, window assembly and the frame operator."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from gaborlab.errors import (
     GridTooSmall,
     InfeasiblePlan,
     InsufficientSpread,
+    NoConvergence,
     NonAlignedShift,
 )
 from gaborlab.frames import (
@@ -26,8 +28,6 @@ from gaborlab.frames import (
     frame_from_json,
     frame_operator,
     frame_operator_dense,
-    invert_neumann,
-    operator_deviation,
     plan_blocks,
     plan_from_sizes,
     reconstruct,
@@ -357,7 +357,8 @@ class TestFrameOperator:
         frame = tiny_frame((80, 160))
         worst = 0.0
         for f in span_corpus(frame, 25, seed=4):
-            worst = max(worst, operator_deviation(frame, f) / lp_norm(f, P4))
+            deviation = frame_operator(frame, f).deviation_from(f, P4)
+            worst = max(worst, deviation / lp_norm(f, P4))
         assert worst <= frame.q + 1e-9
 
     def test_error_mass_matches_direct_enumeration(self):
@@ -417,13 +418,46 @@ class TestFrameOperator:
             frame_operator(frame, f)
 
 
+@pytest.fixture(scope="module")
+def frame_504():
+    plan = plan_from_sizes(P4, (72, 144, 288))
+    return build_frame(
+        plan, select_translates(spread_candidates(504, base=4, ratio=5), plan)
+    )
+
+
 class TestNeumannAndReconstruction:
+    def test_result_reuses_operator_images(self):
+        frame = tiny_frame((80, 160))
+        f = span_corpus(frame, 1, seed=14)[0]
+        rec = reconstruct(frame, f, 1e-8)
+        sf = frame_operator(frame, f)
+        image = frame_operator(frame, rec.solution)
+        assert np.array_equal(rec.image.main.values, image.main.values)
+        assert rec.image.error_pth == image.error_pth
+        assert rec.contraction_ratio == sf.deviation_from(f, P4) / lp_norm(f, P4)
+        assert rec.relative_error == lp_norm(image.main - f, P4) / lp_norm(f, P4)
+
+    def test_loop_refines_below_one_step(self, frame_504):
+        # at tol 1e-17 one application leaves a rounding-level residual on
+        # this function, and the second step removes it: the loop earns its code
+        f = span_corpus(frame_504, 1, seed=0)[0]
+        rec = reconstruct(frame_504, f, 1e-17)
+        assert rec.iterations >= 2
+        assert rec.iterations <= math.ceil(math.log(1e-17) / math.log(frame_504.q)) + 1
+
+    def test_no_convergence_below_rounding_floor(self, frame_504):
+        # this function's residual never reaches 1e-17 of its norm, so the
+        # certified budget runs out
+        f = span_corpus(frame_504, 1, seed=2)[0]
+        with pytest.raises(NoConvergence):
+            reconstruct(frame_504, f, 1e-17)
+
     def test_zero_input(self):
         frame = tiny_frame()
         z = SampledFunction.zero(frame.span_grid)
-        res = invert_neumann(frame, z, 1e-8)
-        assert res.iterations == 0
         rec = reconstruct(frame, z, 1e-8)
+        assert rec.iterations == 0
         assert rec.relative_error == 0.0 and rec.synthesis_residual == 0.0
 
     def test_single_atom_plan_one_iteration(self):
@@ -431,21 +465,17 @@ class TestNeumannAndReconstruction:
         sel = TranslateSelection((TimeFreqPoint(4, 0),))
         frame = build_frame(plan, sel)
         f = span_corpus(frame, 1, seed=8)[0]
-        res = invert_neumann(frame, f, 1e-8)
-        assert res.iterations == 1
-        assert np.abs(res.solution.values - f.values).max() <= 1e-12
+        rec = reconstruct(frame, f, 1e-8)
+        assert rec.iterations == 1
+        assert np.abs(rec.solution.values - f.values).max() <= 1e-12
 
-    def test_budget_formula(self):
-        plan = plan_from_sizes(P4, (72, 144, 288))
-        frame = build_frame(
-            plan, select_translates(spread_candidates(504, base=4, ratio=5), plan)
-        )
-        budget = math.ceil(math.log(1e-8) / math.log(frame.q)) + 1
+    def test_budget_formula(self, frame_504):
+        budget = math.ceil(math.log(1e-8) / math.log(frame_504.q)) + 1
         assert budget == 26
-        f = span_corpus(frame, 1, seed=8)[0]
-        res = invert_neumann(frame, f, 1e-8)
-        assert res.iterations <= budget
-        assert res.residual <= 1e-8
+        f = span_corpus(frame_504, 1, seed=8)[0]
+        rec = reconstruct(frame_504, f, 1e-8)
+        assert rec.iterations <= budget
+        assert rec.relative_error <= 1e-8
 
     def test_reconstruction_meets_tolerance(self):
         frame = tiny_frame((80, 160))
@@ -466,9 +496,9 @@ class TestNeumannAndReconstruction:
         frame = tiny_frame((37,))
         plan = frame.plan
         f = span_corpus(frame, 1, seed=12)[0]
-        inv = invert_neumann(frame, f, 1e-8)
+        y = reconstruct(frame, f, 1e-8).solution
         signs = rng_for(13).integers(0, 2, size=plan.total) * 2 - 1
-        b = span_coefficients(frame, inv.solution)
+        b = span_coefficients(frame, y)
         block_of = plan.block_of_index()
         means = np.bincount(block_of, weights=signs, minlength=len(plan.sizes))
         means = means / np.array(plan.sizes, dtype=float)
@@ -477,13 +507,39 @@ class TestNeumannAndReconstruction:
         step = frame.span_grid.step
         err_pth = sum(
             float((np.abs(signs[j] * vals) ** 4).sum() * step)
-            for _, j, _, vals in error_pieces(frame, inv.solution)
+            for _, j, _, vals in error_pieces(frame, y)
         )
         direct = (span_pth + err_pth) ** 0.25 / lp_norm(f, P4)
         assert direct <= (1 + frame.q) / (1 - frame.q)
 
 
+@st.composite
+def serializable_frames(draw):
+    """A minimal admissible plan and a greedy pick of rational candidates.
+
+    Every candidate's magnitude is at least 4|t| + 4 for the previous one,
+    so the greedy pick takes them all; s stays far below the window's Nyquist.
+    """
+    plan = plan_blocks(Exponent(draw(st.sampled_from((4.0, 6.0, 8.0)))),
+                       draw(st.integers(1, 2)))
+    cands, mag = [], Fraction(0)
+    for _ in range(plan.total):
+        mag = 4 * mag + 4 + draw(st.fractions(0, 3, max_denominator=9))
+        s = draw(st.fractions(-1, 1, max_denominator=8))
+        cands.append(TimeFreqPoint(draw(SIGNS) * mag, s))
+    return build_frame(plan, select_translates(cands, plan))
+
+
 class TestSerialization:
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(serializable_frames())
+    def test_json_roundtrip_keeps_frame(self, frame):
+        back = frame_from_json(json.loads(json.dumps(frame.to_json())))
+        assert back.plan == frame.plan
+        assert back.selection == frame.selection
+        assert back.certificate == frame.certificate
+        assert back.window.step_log2 == frame.window.step_log2
+
     def test_roundtrip_preserves_certificate(self):
         frame = tiny_frame((80, 160))
         back = frame_from_json(frame.to_json())

@@ -1,8 +1,12 @@
 """Gabor systems: atoms, synthesis linearity, sign flips, square function."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab.errors import UnknownPoint, ZeroFunction
 from gaborlab.gabor import (
@@ -178,13 +182,9 @@ class TestSquareFunction:
     def test_exact_rademacher_sandwich(self, p):
         # one-sided constant 1: lower for p >= 2, upper for p <= 2
         sys = small_system(8, seed=36)
-        hull = sys.hull_grid()
         a = complex_gaussian(rng_for(37), len(sys.points))
         sf = square_function_equivalent(sys, CoefficientMap.from_vector(sys, a), p)
-        from gaborlab.gabor import _atom_matrix
-
-        mat, _ = _atom_matrix(sys)
-        fs = [SampledFunction(hull, c * row) for c, row in zip(a, mat)]
+        fs = [SampledFunction(sys.hull, c * row) for c, row in zip(a, sys.atom_matrix)]
         mean = rademacher_pnorm_exact(fs, p)
         if p.p >= 2.0:
             assert mean >= sf * (1 - 1e-12)
@@ -196,3 +196,9 @@ class TestSerialization:
     def test_points_roundtrip(self):
         pts = [TimeFreqPoint(Fraction(1, 2), 2), TimeFreqPoint(-3, Fraction(7, 4))]
         assert points_from_json(points_to_json(pts)) == pts
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.fractions(), st.fractions())))
+    def test_points_roundtrip_is_lossless(self, pairs):
+        pts = [TimeFreqPoint(t, s) for t, s in pairs]
+        assert points_from_json(json.loads(json.dumps(points_to_json(pts)))) == pts
