@@ -18,7 +18,7 @@ from .grids import (
     translate,
     wiener_norm,
 )
-from .gabor import CoefficientMap, GaborSystem, TimeFreqPoint, atom, synthesize
+from .gabor import GaborSystem, TimeFreqPoint, synthesize
 from .haar import HaarIndex, haar_function, haar_functional
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "wiener_norm",
     "TimeFreqPoint",
     "GaborSystem",
-    "CoefficientMap",
-    "atom",
     "synthesize",
     "HaarIndex",
     "haar_function",

@@ -31,8 +31,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GridTooCoarse
-from .gabor import CoefficientMap, GaborSystem, TimeFreqPoint, synthesize
+from .errors import GridTooCoarse, GridTooSmall
+from .gabor import GaborSystem, TimeFreqPoint, synthesize
 from .grids import (
     Exponent,
     Grid,
@@ -260,7 +260,7 @@ def verify_peaks(
     l_lo, l_hi = np.inf, -np.inf
     for trial in range(trials):
         a = complex_gaussian(rng_for(seed, trial), J)
-        phi = synthesize(system, CoefficientMap.from_vector(system, a))
+        phi = synthesize(system, a)
         computed = lp_norm(phi, p)
         predicted = peaks_predicted_norm(a, head, p)
         ratio = computed / predicted
@@ -343,8 +343,6 @@ def cells_combination(
     window: SampledFunction, a: Sequence[complex], grid: Grid
 ) -> SampledFunction:
     """sum_j a_j g(x - j), j = 1..len(a), placed on the target grid."""
-    from .errors import GridTooSmall
-
     total = np.zeros(grid.count, dtype=np.complex128)
     for j, coeff in enumerate(a, start=1):
         shifted = translate(window, j)
@@ -423,9 +421,6 @@ def separated_translates_norm(
         raise ValueError("separation below the window support length")
     grid = Grid.over(0, separation * n + K + 1, -(K + 2))
     window = cells_window(c, p, K, Grid.over(0, K + 1, -(K + 2)))
-    total = np.zeros(grid.count, dtype=np.complex128)
-    for j in range(1, n + 1):
-        shifted = translate(window, j * separation)
-        off = shifted.grid.origin_index - grid.origin_index
-        total[off : off + shifted.grid.count] += shifted.values
-    return lp_norm(SampledFunction(grid, total), p)
+    a = np.zeros(separation * n)
+    a[separation - 1 :: separation] = 1.0
+    return lp_norm(cells_combination(window, a, grid), p)

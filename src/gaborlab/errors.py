@@ -49,10 +49,6 @@ class OverlappingIntervals(GaborLabError):
     """A family of frequency intervals required to be disjoint is not."""
 
 
-class UnknownPoint(GaborLabError):
-    """A time-frequency point is not a member of the system."""
-
-
 class InfeasiblePlan(GaborLabError):
     """No admissible block plan exists for the requested parameters."""
 

@@ -63,16 +63,19 @@ from .grids import (
     lp_norm,
     lp_norm_pth,
     modulate,
+    modulation_values,
 )
-from .haar import HaarIndex, haar_function, haar_functional, haar_indices
+from .haar import (
+    HaarIndex,
+    haar_function,
+    haar_functional,
+    haar_indices,
+    unconditionality_bound,
+)
 from .rng import complex_gaussian, rng_for, sign_matrix
+from .stochastic import combination_pth
 
 MAX_LEAD_SIZE = 10**6
-
-
-def haar_constant(p: Exponent) -> float:
-    """Sign-flip constant of the Haar basis used by the plans (p > 2)."""
-    return p.p - 1.0
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class BlockPlan:
 
     @staticmethod
     def condition_holds(p: Exponent, sizes: Sequence[int]) -> bool:
-        bound = (2.0 * haar_constant(p)) ** (-p.p / 2.0)
+        bound = (2.0 * unconditionality_bound(p)) ** (-p.p / 2.0)
         return _block_sum(p, sizes) < bound
 
     @property
@@ -115,7 +118,7 @@ class BlockPlan:
     @property
     def contraction(self) -> float:
         """The certified contraction constant q = K_p * (sum N_k^(1-p/2))^(2/p)."""
-        return haar_constant(self.p) * self.block_sum ** (2.0 / self.p.p)
+        return unconditionality_bound(self.p) * self.block_sum ** (2.0 / self.p.p)
 
     def block_of_index(self) -> np.ndarray:
         """Block number of each point index 0..total-1 (consecutive runs)."""
@@ -277,10 +280,15 @@ def _first_overlap(intervals: List[Tuple[int, int]]) -> Optional[tuple]:
 
 @dataclass
 class SparseWindow:
-    """The window as placed pieces: (offset, local step function on [0, 1])."""
+    """The window as placed pieces: (offset, local step function on [0, 1]).
+
+    atoms holds the plan's K atoms sampled on [0, 1] at the window step, one
+    row per block; every piece is a scaled, possibly modulated copy of a row.
+    """
 
     step_log2: int
     pieces: List[Tuple[Fraction, SampledFunction]]
+    atoms: np.ndarray = field(repr=False)
 
     def lp_norm_pth(self, p: Exponent) -> float:
         # piece supports are certified pairwise disjoint, so the p-mass adds
@@ -321,7 +329,7 @@ def build_window(
         if pt.s != 0:
             f = modulate(f, -pt.s)
         pieces.append((-pt.t, f))
-    return SparseWindow(step_log2, pieces)
+    return SparseWindow(step_log2, pieces, np.array([h.values for h in base]))
 
 
 def _place(out: np.ndarray, grid: Grid, at: Fraction, values: np.ndarray) -> None:
@@ -356,9 +364,8 @@ class ConstructedFrame:
     q: float
     certificate: dict
     span_grid: Grid
-    # the plan's atoms sampled on span_grid, and the f-independent error-term
-    # weight of each block's coefficient (see _block_error_weights)
-    _atom_values: List[np.ndarray] = field(repr=False)
+    # the f-independent error-term weight of each block's coefficient (see
+    # _block_error_weights)
     _pair_weight_by_block: np.ndarray = field(repr=False)
 
     @property
@@ -398,10 +405,9 @@ def build_frame(
         "q": q,
     }
     span_grid = Grid.over(0, 1, window.step_log2)
-    atom_values = [haar_function(a, plan.p, span_grid).values.copy() for a in atoms]
     return ConstructedFrame(
-        plan, selection, window, atoms, q, certificate, span_grid, atom_values,
-        _block_error_weights(plan, atom_values, span_grid.step),
+        plan, selection, window, atoms, q, certificate, span_grid,
+        _block_error_weights(plan, window.atoms, span_grid.step),
     )
 
 
@@ -412,7 +418,7 @@ def frame_from_json(obj: dict) -> ConstructedFrame:
 
 
 def _block_error_weights(
-    plan: BlockPlan, atom_values: List[np.ndarray], step: float
+    plan: BlockPlan, atom_values: np.ndarray, step: float
 ) -> np.ndarray:
     """The f-independent error-term reduction.
 
@@ -479,7 +485,7 @@ def frame_operator(frame: ConstructedFrame, f: SampledFunction) -> FrameImage:
     b = span_coefficients(frame, f)
     error_pth = float(frame._pair_weight_by_block @ (np.abs(b) ** frame.p.p))
     main = np.zeros(frame.span_grid.count, dtype=np.complex128)
-    for coeff, av in zip(b, frame._atom_values):
+    for coeff, av in zip(b, frame.window.atoms):
         main += coeff * av
     return FrameImage(SampledFunction(frame.span_grid, main), error_pth, b)
 
@@ -499,7 +505,7 @@ def error_pieces(
     mod_cache: Dict[Fraction, np.ndarray] = {}
     for i, pi in enumerate(pts):
         k = int(block_of[i])
-        base = frame._atom_values[k] * (frame.plan.sizes[k] ** -0.5)
+        base = frame.window.atoms[k] * (frame.plan.sizes[k] ** -0.5)
         for j, pj in enumerate(pts):
             if i == j:
                 continue
@@ -510,8 +516,6 @@ def error_pieces(
             if pj.s != pi.s:
                 rel = pj.s - pi.s
                 if rel not in mod_cache:
-                    from .grids import modulation_values
-
                     mod_cache[rel] = modulation_values(local, rel)
                 vals = vals * mod_cache[rel]
             if pj.s != 0:
@@ -623,20 +627,13 @@ def sign_flip_synthesis_max(
     exactly from the layout.
     """
     image = reconstruct(frame, f, tol).image
-    b, error_pth = image.coefficients, image.error_pth
-    p = frame.p.p
-    block_of = frame.plan.block_of_index()
-    signs = sign_matrix(rng_for(seed), patterns, frame.plan.total).astype(np.float64)
-    base = lp_norm(f, frame.p)
-    atom_mat = np.array(frame._atom_values)
-    best = 0.0
     sizes = np.array(frame.plan.sizes, dtype=np.float64)
-    for row in signs:
-        means = np.bincount(block_of, weights=row, minlength=len(sizes)) / sizes
-        span_vals = (means * b) @ atom_mat
-        span_pth = float((np.abs(span_vals) ** p).sum() * frame.span_grid.step)
-        best = max(best, (span_pth + error_pth) ** (1.0 / p) / base)
-    return best
+    onehot = frame.plan.block_of_index()[:, None] == np.arange(len(sizes))
+    signs = sign_matrix(rng_for(seed), patterns, frame.plan.total).astype(np.float64)
+    rows = (signs @ onehot / sizes) * image.coefficients
+    span_pth = combination_pth(rows, frame.window.atoms, frame.span_grid.step, frame.p)
+    worst = float((span_pth.max() + image.error_pth) ** (1.0 / frame.p.p))
+    return worst / lp_norm(f, frame.p)
 
 
 def span_corpus(
@@ -644,10 +641,9 @@ def span_corpus(
 ) -> List[SampledFunction]:
     """Seeded random elements of the span of the plan's atoms."""
     out = []
-    atom_mat = np.array(frame._atom_values)
     for trial in range(size):
         coeffs = complex_gaussian(rng_for(seed, trial), len(frame.atoms))
-        out.append(SampledFunction(frame.span_grid, coeffs @ atom_mat))
+        out.append(SampledFunction(frame.span_grid, coeffs @ frame.window.atoms))
     return out
 
 

@@ -1,20 +1,18 @@
-"""Finite Gabor systems: atoms, synthesis and sign-perturbation experiments.
+"""Finite Gabor systems: atoms, synthesis and the square function.
 
 A system is a window together with a finite ordered list of time-frequency
-points (t, s); the atom at (t, s) is x -> g(x - t) exp(2 pi i s x).  Sign-flip
-ratios are enumerated exactly for systems of at most 12 points and sampled
-otherwise.
+points (t, s); the atom at (t, s) is x -> g(x - t) exp(2 pi i s x).
+Coefficients are plain vectors with one entry per point, in point order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import UnknownPoint, ZeroFunction
 from .grids import (
     Exponent,
     Grid,
@@ -23,9 +21,8 @@ from .grids import (
     embed,
     lp_ell2_norm,
     time_freq_shift,
+    translate,
 )
-from .rng import rng_for, sign_matrix
-from .stochastic import EXACT_FUNCTION_CUTOFF, all_sign_patterns
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class GaborSystem:
         points = tuple(points)
         hull = window.grid
         if points:
-            shifted = [translate_span(window.grid, pt.t) for pt in points]
+            shifted = [translate(window, pt.t).grid for pt in points]
             lo = min(g.origin_index for g in shifted)
             hi = max(g.origin_index + g.count for g in shifted)
             hull = Grid(lo, window.grid.step_log2, hi - lo)
@@ -80,91 +77,31 @@ class GaborSystem:
         object.__setattr__(self, "atom_matrix", np.array(rows))
 
 
-def translate_span(grid: Grid, t: Fraction) -> Grid:
-    cells = t / grid.step_fraction
-    if cells.denominator != 1:
-        from .errors import NonAlignedShift
-
-        raise NonAlignedShift(f"shift {t} is not a multiple of the grid step")
-    return grid.shifted(int(cells))
+def _coefficients(sys: GaborSystem, a: Sequence[complex]) -> np.ndarray:
+    vec = np.asarray(a, dtype=np.complex128)
+    if vec.shape != (len(sys.points),):
+        raise ValueError("coefficient vector length differs from point count")
+    return vec
 
 
-@dataclass(frozen=True)
-class CoefficientMap:
-    """Complex coefficients indexed by time-frequency points."""
+def synthesize(sys: GaborSystem, a: Sequence[complex]) -> SampledFunction:
+    """The finite combination sum a_{ts} g(x - t) exp(2 pi i s x).
 
-    entries: Dict[TimeFreqPoint, complex]
-
-    def __init__(self, entries: Dict[TimeFreqPoint, complex]):
-        object.__setattr__(self, "entries", dict(entries))
-
-    @classmethod
-    def from_vector(
-        cls, sys: GaborSystem, a: Sequence[complex]
-    ) -> "CoefficientMap":
-        if len(a) != len(sys.points):
-            raise ValueError("coefficient vector length differs from point count")
-        return cls(dict(zip(sys.points, a)))
-
-    def vector(self, sys: GaborSystem) -> np.ndarray:
-        return np.array(
-            [self.entries.get(pt, 0.0) for pt in sys.points], dtype=np.complex128
-        )
-
-
-def atom(sys: GaborSystem, pt: TimeFreqPoint) -> SampledFunction:
-    """The time-frequency shifted window at a system point, on the hull grid."""
-    if pt not in sys.points:
-        raise UnknownPoint(f"{pt} is not a point of the system")
-    return SampledFunction(sys.hull, sys.atom_matrix[sys.points.index(pt)].copy())
-
-
-def synthesize(sys: GaborSystem, a: CoefficientMap) -> SampledFunction:
-    """The finite combination sum a_{ts} g(x - t) exp(2 pi i s x)."""
-    for pt in a.entries:
-        if pt not in sys.points:
-            raise UnknownPoint(f"coefficient at {pt} outside the system")
+    a holds one coefficient per system point, in the order of sys.points.
+    """
+    vec = _coefficients(sys, a)
     if not sys.points:
         return SampledFunction.zero(sys.window.grid)
-    return SampledFunction(sys.hull, a.vector(sys) @ sys.atom_matrix)
+    return SampledFunction(sys.hull, vec @ sys.atom_matrix)
 
 
 def square_function_equivalent(
-    sys: GaborSystem, a: CoefficientMap, p: Exponent
+    sys: GaborSystem, a: Sequence[complex], p: Exponent
 ) -> float:
     """|| (sum |a_{ts}|^2 |atom|^2)^(1/2) ||_p, the square-function comparison."""
-    vec = a.vector(sys)
+    vec = _coefficients(sys, a)
     fs = [SampledFunction(sys.hull, c * row) for c, row in zip(vec, sys.atom_matrix)]
     return lp_ell2_norm(fs, p)
-
-
-def sign_flip_ratio(
-    sys: GaborSystem,
-    a: CoefficientMap,
-    p: Exponent,
-    trials: int,
-    seed: int,
-) -> Tuple[float, float]:
-    """Extremes over sign patterns of ||sum theta a atom||_p / ||sum a atom||_p.
-
-    Enumerates all patterns when the system has at most 12 points; otherwise
-    samples `trials` patterns from the seeded stream (the identity pattern is
-    always included, so both extremes bracket 1).
-    """
-    mat, step = sys.atom_matrix, sys.hull.step
-    vec = a.vector(sys)
-    base = float((np.abs(vec @ mat) ** p.p).sum() * step) ** (1.0 / p.p)
-    if base == 0.0:
-        raise ZeroFunction("base combination is the zero function")
-    n = len(sys.points)
-    if n <= EXACT_FUNCTION_CUTOFF:
-        signs = all_sign_patterns(n)
-    else:
-        signs = sign_matrix(rng_for(seed), trials, n)
-        signs[0, :] = 1
-    sums = (signs * vec) @ mat
-    norms = ((np.abs(sums) ** p.p).sum(axis=1) * step) ** (1.0 / p.p)
-    return float(norms.max() / base), float(norms.min() / base)
 
 
 def points_to_json(points: Sequence[TimeFreqPoint]) -> list:

@@ -29,9 +29,6 @@ from .errors import (
     NonAlignedShift,
 )
 
-ALIGNMENT_TOL = 1e-12
-
-
 def _as_fraction(x, what: str = "value") -> Fraction:
     """Convert ints, Fractions and binary floats to an exact Fraction."""
     if isinstance(x, Rational):
@@ -210,21 +207,16 @@ def lp_norm_pth(f: SampledFunction, p: Exponent) -> float:
 def translate(f: SampledFunction, t) -> SampledFunction:
     """Shift f by t: result(x) = f(x - t).  t must be a multiple of the step.
 
+    A float shift is taken at its exact binary value, like every coordinate.
+
     The shift is realized by moving the grid origin; values are untouched, so
     translation is an exact isometry for every norm computed here.
     """
     step = f.grid.step_fraction
-    if isinstance(t, float):
-        q = t / float(step)
-        if abs(q - round(q)) > ALIGNMENT_TOL:
-            raise NonAlignedShift(f"shift {t} is not a multiple of step {float(step)}")
-        cells = int(round(q))
-    else:
-        q = _as_fraction(t, "t") / step
-        if q.denominator != 1:
-            raise NonAlignedShift(f"shift {t} is not a multiple of step {step}")
-        cells = int(q)
-    return SampledFunction(f.grid.shifted(cells), f.values)
+    q = _as_fraction(t, "t") / step
+    if q.denominator != 1:
+        raise NonAlignedShift(f"shift {t} is not a multiple of step {step}")
+    return SampledFunction(f.grid.shifted(int(q)), f.values)
 
 
 def _phase_base(s: Fraction, origin: Fraction) -> float:

@@ -16,8 +16,8 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from .errors import GridTooCoarse, SupportOutOfRange, ZeroFunction
-from .grids import Exponent, Grid, SampledFunction, lp_norm
-from .rng import rng_for
+from .grids import Exponent, Grid, SampledFunction
+from .stochastic import sign_flip_extremes
 
 
 @dataclass(frozen=True, order=True)
@@ -142,32 +142,31 @@ def span_cells(f: SampledFunction) -> range:
 def haar_unconditionality_ratio(
     f: SampledFunction, p: Exponent, trials: int, seed: int
 ) -> float:
-    """Largest sampled sign-flip norm ratio max_theta ||sum theta_k c_k h_k||_p / ||f||_p.
+    """Largest sign-flip norm ratio max_theta ||sum theta_k c_k h_k||_p / ||f||_p.
 
     f is expanded in the full-scale Haar system of its grid, so the expansion
-    reproduces f exactly and the ratio for the all-plus pattern is 1.
+    reproduces f exactly and the ratio for the all-plus pattern is 1.  The
+    patterns over the nonzero coefficients are those of sign_flip_extremes:
+    all of them for at most 12 coefficients, else `trials` seeded draws.
     """
-    base = lp_norm(f, p)
-    if base == 0.0:
-        raise ZeroFunction("cannot form a ratio against the zero function")
     max_scale = -f.grid.step_log2 - 1
     items = [
         (idx, c)
         for idx, c in haar_expand(f, p, span_cells(f), max_scale).items()
         if c != 0
     ]
+    if not items:
+        raise ZeroFunction("cannot form a ratio against the zero function")
     atoms = np.array([haar_function(idx, p, f.grid).values for idx, _ in items])
-    coeffs = np.array([c for _, c in items])
-    rng = rng_for(seed)
-    best = 1.0  # the identity pattern is always admissible
-    for _ in range(trials):
-        signs = rng.integers(0, 2, size=len(items)) * 2 - 1
-        g = SampledFunction(f.grid, (signs * coeffs) @ atoms)
-        best = max(best, lp_norm(g, p) / base)
-    return best
+    coeffs = [c for _, c in items]
+    return sign_flip_extremes(coeffs, atoms, f.grid.step, p, trials, seed)[0]
 
 
 def unconditionality_bound(p: Exponent) -> float:
-    """Checked upper bound for the Haar sign-flip constant: max(p-1, 1/(p-1))."""
+    """The Haar sign-flip constant K_p = max(p-1, 1/(p-1)); block plans read it.
+
+    For p > 2 the maximum is p - 1 exactly, the K_p of the certified
+    contraction constant q.
+    """
     return max(p.p - 1.0, 1.0 / (p.p - 1.0))
 

@@ -4,16 +4,23 @@ Exact expectations enumerate all 2^n sign patterns (n <= 12 for function
 families, n <= 20 for scalar sums).  The Khintchine and square-function sandwiches hold with
 constant 1 on one side: the lower constant is 1 for p >= 2 and the upper
 constant is 1 for p <= 2, which the tests assert exactly.
+
+Every signed p-mass || sum_j theta_j c_j v_j ||_p^p is formed by one kernel,
+combination_pth, from coefficient rows and a matrix of sampled values.  The
+sign-flip extremes behind every unconditionality check are enumerated exactly
+for at most 12 functions and sampled otherwise.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import AliasedFrequency, NotLacunary, TooManyFunctions
+from .errors import AliasedFrequency, NotLacunary, TooManyFunctions, ZeroFunction
 from .grids import Exponent, Grid, SampledFunction, lp_norm
+from .rng import rng_for, sign_matrix
 
 EXACT_FUNCTION_CUTOFF = 12
 EXACT_SCALAR_CUTOFF = 20
@@ -24,6 +31,16 @@ def all_sign_patterns(n: int) -> np.ndarray:
     codes = np.arange(2**n, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(n)) & 1
     return bits.astype(np.int8) * 2 - 1
+
+
+def combination_pth(
+    rows: np.ndarray, mat: np.ndarray, step: float, p: Exponent
+) -> np.ndarray:
+    """|| sum_j rows[r, j] v_j ||_p^p for every row r.
+
+    The v_j are the rows of mat: step functions on one grid of the given step.
+    """
+    return (np.abs(rows @ mat) ** p.p).sum(axis=1) * step
 
 
 def _value_matrix(fs: Sequence[SampledFunction]) -> Tuple[np.ndarray, Grid]:
@@ -42,8 +59,37 @@ def _pattern_pth(fs: Sequence[SampledFunction], p: Exponent) -> np.ndarray:
     if n == 0:
         return np.zeros(1)
     mat, grid = _value_matrix(fs)
-    sums = all_sign_patterns(n).astype(np.complex128) @ mat
-    return (np.abs(sums) ** p.p).sum(axis=1) * grid.step
+    signs = all_sign_patterns(n).astype(np.complex128)
+    return combination_pth(signs, mat, grid.step, p)
+
+
+def sign_flip_extremes(
+    coeffs: Sequence[complex],
+    mat: np.ndarray,
+    step: float,
+    p: Exponent,
+    trials: int,
+    seed: int,
+) -> Tuple[float, float]:
+    """Extremes over sign patterns of || sum theta_j c_j v_j ||_p / || sum c_j v_j ||_p.
+
+    Enumerates all 2^n patterns when n <= EXACT_FUNCTION_CUTOFF; otherwise
+    samples `trials` patterns from the seeded stream.  Row 0 is the identity
+    up to a global sign (all minus when enumerating, set to all plus when
+    sampling), which leaves the norm unchanged, so both extremes bracket 1.
+    """
+    vec = np.asarray(coeffs, dtype=np.complex128)
+    n = len(vec)
+    if n <= EXACT_FUNCTION_CUTOFF:
+        signs = all_sign_patterns(n)
+    else:
+        signs = sign_matrix(rng_for(seed), trials, n)
+        signs[0, :] = 1
+    pth = combination_pth(signs * vec, mat, step, p)
+    if pth[0] == 0.0:
+        raise ZeroFunction("base combination is the zero function")
+    ratios = (pth / pth[0]) ** (1.0 / p.p)
+    return float(ratios.max()), float(ratios.min())
 
 
 def rademacher_pnorm_exact(fs: Sequence[SampledFunction], p: Exponent) -> float:
@@ -92,8 +138,6 @@ def verify_lacunary(freqs: Sequence[int], min_ratio: float = 2.0) -> None:
     """Check s_{n+1}/s_n >= min_ratio with exact integer arithmetic."""
     if any(int(s) != s or s <= 0 for s in freqs):
         raise NotLacunary("frequencies must be positive integers")
-    from fractions import Fraction
-
     r = Fraction(min_ratio)
     for a, b in zip(freqs, freqs[1:]):
         if Fraction(int(b), int(a)) < r:

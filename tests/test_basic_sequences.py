@@ -26,7 +26,7 @@ from gaborlab.basic_sequences import (
 )
 from gaborlab.calibration import CALIBRATION, RECORDED_CONFIG
 from gaborlab.errors import GridTooCoarse
-from gaborlab.gabor import CoefficientMap, GaborSystem, synthesize
+from gaborlab.gabor import GaborSystem, synthesize
 from gaborlab.grids import (
     Exponent,
     Grid,
@@ -36,6 +36,7 @@ from gaborlab.grids import (
     wiener_norm,
 )
 from gaborlab.rng import complex_gaussian, rng_for
+from gaborlab.stochastic import sign_flip_extremes
 
 P15 = Exponent(1.5)
 P4 = Exponent(4.0)
@@ -132,7 +133,7 @@ def phi():
     window = peaks_window(head.c, P15, 8, grid)
     system = GaborSystem(window, peaks_lattice(8))
     a = complex_gaussian(rng_for(71), 8)
-    f = synthesize(system, CoefficientMap.from_vector(system, a))
+    f = synthesize(system, a)
     return head, a, f
 
 
@@ -190,7 +191,7 @@ class TestPeaksDecomposition:
         system = GaborSystem(window, peaks_lattice(8))
         e1 = np.zeros(8, dtype=complex)
         e1[0] = 1.0
-        f = synthesize(system, CoefficientMap.from_vector(system, e1))
+        f = synthesize(system, e1)
         ratio = lp_norm(f, P15) / peaks_predicted_norm(e1, head, P15)
         # atom norm is 1, prediction is w_1^(1/p) + 1 = 2
         assert ratio == pytest.approx(1.0 / (head.w[0] ** (1 / P15.p) + 1.0), rel=1e-12)
@@ -201,14 +202,13 @@ class TestPeaksVerification:
         # every sign pattern keeps the synthesized norm within the equivalence
         # window around the (sign-invariant) prediction, so the flip ratio is
         # at most the window's spread
-        from gaborlab.gabor import sign_flip_ratio
-
         head, a, _ = phi
         grid = peaks_grid(8, 8)
         window = peaks_window(head.c, P15, 8, grid)
         system = GaborSystem(window, peaks_lattice(8))
-        coeffs = CoefficientMap.from_vector(system, a)
-        mx, mn = sign_flip_ratio(system, coeffs, P15, trials=256, seed=73)
+        mx, mn = sign_flip_extremes(
+            a, system.atom_matrix, system.hull.step, P15, trials=256, seed=73
+        )
         lo, hi = CALIBRATION["peaks"]["ratio"]
         spread = hi / lo
         assert mx <= spread * (1 + 1e-9)

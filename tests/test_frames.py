@@ -40,7 +40,7 @@ from gaborlab.frames import (
 )
 from gaborlab.gabor import TimeFreqPoint
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm, lp_norm_pth
-from gaborlab.rng import rng_for
+from gaborlab.rng import rng_for, sign_matrix
 
 P4 = Exponent(4.0)
 
@@ -492,17 +492,18 @@ class TestNeumannAndReconstruction:
             assert worst <= bound * (1 + 1e-9)
 
     def test_sign_flip_direct_oracle(self):
-        # oracle: place signed pieces one by one and integrate
+        # oracle: place signed pieces one by one and integrate, for the one
+        # pattern sign_flip_synthesis_max draws from the same seed
         frame = tiny_frame((37,))
         plan = frame.plan
         f = span_corpus(frame, 1, seed=12)[0]
         y = reconstruct(frame, f, 1e-8).solution
-        signs = rng_for(13).integers(0, 2, size=plan.total) * 2 - 1
+        signs = sign_matrix(rng_for(13), 1, plan.total)[0]
         b = span_coefficients(frame, y)
         block_of = plan.block_of_index()
         means = np.bincount(block_of, weights=signs, minlength=len(plan.sizes))
         means = means / np.array(plan.sizes, dtype=float)
-        span_vals = (means * b) @ np.array(frame._atom_values)
+        span_vals = (means * b) @ frame.window.atoms
         span_pth = float((np.abs(span_vals) ** 4).sum() * frame.span_grid.step)
         step = frame.span_grid.step
         err_pth = sum(
@@ -510,6 +511,8 @@ class TestNeumannAndReconstruction:
             for _, j, _, vals in error_pieces(frame, y)
         )
         direct = (span_pth + err_pth) ** 0.25 / lp_norm(f, P4)
+        fast = sign_flip_synthesis_max(frame, f, patterns=1, seed=13)
+        assert fast == pytest.approx(direct, rel=1e-12)
         assert direct <= (1 + frame.q) / (1 - frame.q)
 
 

@@ -8,21 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaborlab.errors import UnknownPoint, ZeroFunction
+from gaborlab.errors import ZeroFunction
 from gaborlab.gabor import (
-    CoefficientMap,
     GaborSystem,
     TimeFreqPoint,
-    atom,
     points_from_json,
     points_to_json,
-    sign_flip_ratio,
     square_function_equivalent,
     synthesize,
 )
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm, restrict
 from gaborlab.rng import complex_gaussian, rng_for
-from gaborlab.stochastic import rademacher_pnorm_exact
+from gaborlab.stochastic import rademacher_pnorm_exact, sign_flip_extremes
 
 
 def bump_window(step_log2=-4, seed=31):
@@ -43,12 +40,16 @@ def small_system(n_points=4, seed=32):
     return GaborSystem(window, pts)
 
 
+def atom(sys, row):
+    """Row `row` of the atom matrix as a function on the hull."""
+    return SampledFunction(sys.hull, sys.atom_matrix[row])
+
+
 class TestAtom:
     def test_zero_point_is_window(self):
         sys = GaborSystem(bump_window(), [TimeFreqPoint(0, 0)])
-        a = atom(sys, TimeFreqPoint(0, 0))
         assert np.allclose(
-            restrict(a, 0, 1).values, sys.window.values, atol=0
+            restrict(atom(sys, 0), 0, 1).values, sys.window.values, atol=0
         )
 
     def test_isometry_and_modulus(self):
@@ -56,26 +57,20 @@ class TestAtom:
             bump_window(), [TimeFreqPoint(2, 5), TimeFreqPoint(2, 0)]
         )
         p = Exponent(3.0)
-        a = atom(sys, TimeFreqPoint(2, 5))
-        b = atom(sys, TimeFreqPoint(2, 0))
+        a, b = atom(sys, 0), atom(sys, 1)
         assert lp_norm(a, p) == pytest.approx(lp_norm(sys.window, p), rel=1e-12)
         assert np.allclose(np.abs(a.values), np.abs(b.values), atol=1e-15)
-
-    def test_unknown_point(self):
-        sys = GaborSystem(bump_window(), [TimeFreqPoint(0, 0)])
-        with pytest.raises(UnknownPoint):
-            atom(sys, TimeFreqPoint(1, 0))
 
 
 class TestSynthesize:
     def test_single_unit_coefficient(self):
         sys = GaborSystem(bump_window(), [TimeFreqPoint(0, 0)])
-        out = synthesize(sys, CoefficientMap.from_vector(sys, [1.0]))
+        out = synthesize(sys, [1.0])
         assert np.allclose(restrict(out, 0, 1).values, sys.window.values, atol=0)
 
     def test_zero_map(self):
         sys = small_system()
-        out = synthesize(sys, CoefficientMap({}))
+        out = synthesize(sys, np.zeros(len(sys.points)))
         assert np.all(out.values == 0)
 
     def test_disjoint_supports_add_in_pth_power(self):
@@ -83,7 +78,7 @@ class TestSynthesize:
         pts = [TimeFreqPoint(0, 0), TimeFreqPoint(2, 3)]
         sys = GaborSystem(window, pts)
         p = Exponent(2.5)
-        out = synthesize(sys, CoefficientMap.from_vector(sys, [1.0, 1.0]))
+        out = synthesize(sys, [1.0, 1.0])
         expect = (2 * lp_norm(window, p) ** p.p) ** (1 / p.p)
         assert lp_norm(out, p) == pytest.approx(expect, rel=1e-12)
 
@@ -94,24 +89,29 @@ class TestSynthesize:
         a = complex_gaussian(rng, len(sys.points))
         b = complex_gaussian(rng, len(sys.points))
         lam = complex(*rng.standard_normal(2))
-        fa = synthesize(sys, CoefficientMap.from_vector(sys, a))
-        fb = synthesize(sys, CoefficientMap.from_vector(sys, b))
-        fab = synthesize(sys, CoefficientMap.from_vector(sys, a + lam * b))
+        fa = synthesize(sys, a)
+        fb = synthesize(sys, b)
+        fab = synthesize(sys, a + lam * b)
         assert np.abs(fab.values - (fa.values + lam * fb.values)).max() <= 1e-12
 
     def test_rejects_stray_coefficient(self):
+        # one coefficient per point: a vector of any other length is refused
         sys = GaborSystem(bump_window(), [TimeFreqPoint(0, 0)])
-        stray = CoefficientMap({TimeFreqPoint(1, 1): 1.0})
-        with pytest.raises(UnknownPoint):
-            synthesize(sys, stray)
+        for a in ([1.0, 1.0], [], np.ones((1, 1))):
+            with pytest.raises(ValueError):
+                synthesize(sys, a)
+            with pytest.raises(ValueError):
+                square_function_equivalent(sys, a, Exponent(2.0))
+
+
+def flip_extremes(sys, a, p, trials, seed):
+    return sign_flip_extremes(a, sys.atom_matrix, sys.hull.step, p, trials, seed)
 
 
 class TestSignFlipRatio:
     def test_single_point(self):
         sys = GaborSystem(bump_window(), [TimeFreqPoint(0, 0)])
-        mx, mn = sign_flip_ratio(
-            sys, CoefficientMap.from_vector(sys, [1.0]), Exponent(3.0), 8, 1
-        )
+        mx, mn = flip_extremes(sys, [1.0], Exponent(3.0), 8, 1)
         assert mx == pytest.approx(1.0, abs=1e-12)
         assert mn == pytest.approx(1.0, abs=1e-12)
 
@@ -119,24 +119,20 @@ class TestSignFlipRatio:
         sys = GaborSystem(
             bump_window(), [TimeFreqPoint(0, 0), TimeFreqPoint(2, 1)]
         )
-        mx, mn = sign_flip_ratio(
-            sys, CoefficientMap.from_vector(sys, [1.0, 0.5]), Exponent(2.5), 8, 1
-        )
+        mx, mn = flip_extremes(sys, [1.0, 0.5], Exponent(2.5), 8, 1)
         assert mx == pytest.approx(1.0, abs=1e-12)
         assert mn == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_function_rejected(self):
         sys = small_system()
         with pytest.raises(ZeroFunction):
-            sign_flip_ratio(sys, CoefficientMap({}), Exponent(2.0), 4, 1)
+            flip_extremes(sys, np.zeros(len(sys.points)), Exponent(2.0), 4, 1)
 
     def test_brackets_one(self):
         sys = small_system(6)
         p = Exponent(4.0)
-        a = CoefficientMap.from_vector(
-            sys, complex_gaussian(rng_for(34), len(sys.points))
-        )
-        mx, mn = sign_flip_ratio(sys, a, p, 64, 2)
+        a = complex_gaussian(rng_for(34), len(sys.points))
+        mx, mn = flip_extremes(sys, a, p, 64, 2)
         assert mn <= 1.0 + 1e-12 <= mx + 2e-12
 
 
@@ -144,7 +140,7 @@ class TestSquareFunction:
     def test_single_atom(self):
         sys = GaborSystem(bump_window(), [TimeFreqPoint(1, 2)])
         p = Exponent(3.0)
-        a = CoefficientMap.from_vector(sys, [2.0 - 1.0j])
+        a = [2.0 - 1.0j]
         expect = abs(2.0 - 1.0j) * lp_norm(sys.window, p)
         assert square_function_equivalent(sys, a, p) == pytest.approx(
             expect, rel=1e-12
@@ -155,7 +151,7 @@ class TestSquareFunction:
             bump_window(), [TimeFreqPoint(0, 0), TimeFreqPoint(2, 3)]
         )
         p = Exponent(2.5)
-        a = CoefficientMap.from_vector(sys, [1.0, -2.0])
+        a = [1.0, -2.0]
         assert square_function_equivalent(sys, a, p) == pytest.approx(
             lp_norm(synthesize(sys, a), p), rel=1e-12
         )
@@ -173,8 +169,7 @@ class TestSquareFunction:
             if len(set(pts)) < len(pts):
                 continue
             sys = GaborSystem(window, pts)
-            a = CoefficientMap.from_vector(sys, values)
-            results.append(square_function_equivalent(sys, a, p))
+            results.append(square_function_equivalent(sys, values, p))
         for r in results[1:]:
             assert r == pytest.approx(results[0], rel=1e-12)
 
@@ -183,7 +178,7 @@ class TestSquareFunction:
         # one-sided constant 1: lower for p >= 2, upper for p <= 2
         sys = small_system(8, seed=36)
         a = complex_gaussian(rng_for(37), len(sys.points))
-        sf = square_function_equivalent(sys, CoefficientMap.from_vector(sys, a), p)
+        sf = square_function_equivalent(sys, a, p)
         fs = [SampledFunction(sys.hull, c * row) for c, row in zip(a, sys.atom_matrix)]
         mean = rademacher_pnorm_exact(fs, p)
         if p.p >= 2.0:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab.errors import (
     AliasedFrequency,
@@ -120,6 +122,33 @@ class TestTranslate:
         f = SampledFunction.indicator(0, 1, g)
         with pytest.raises(NonAlignedShift):
             translate(f, 0.3)
+
+    def test_rejects_float_just_off_a_boundary(self):
+        # a float shift is taken at its exact value, never rounded to a cell
+        g = Grid.over(0, 1, -3)
+        f = SampledFunction.indicator(0, 1, g)
+        with pytest.raises(NonAlignedShift):
+            translate(f, 0.125 + 2**-50)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        origin=st.integers(-64, 64),
+        step_log2=st.integers(-8, 0),
+        count=st.integers(1, 64),
+        k=st.integers(-(10**6), 10**6),
+        seed=st.integers(0, 2**31),
+    )
+    def test_aligned_shift_is_exact_isometry(self, origin, step_log2, count, k, seed):
+        g = Grid(origin, step_log2, count)
+        f = random_fn(g, seed)
+        for t in (k * g.step_fraction, k * g.step):
+            moved = translate(f, t)
+            assert moved.grid.origin_index == g.origin_index + k
+            assert moved.values.tobytes() == f.values.tobytes()
+            for p in PS:
+                assert lp_norm(moved, p) == lp_norm(f, p)
+        with pytest.raises(NonAlignedShift):
+            translate(f, k * g.step_fraction + g.step_fraction / 3)
 
 
 class TestModulate:

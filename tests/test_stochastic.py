@@ -1,5 +1,7 @@
 """Rademacher averages, Khintchine ratios, type/cotype, lacunary sums."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from gaborlab.errors import AliasedFrequency, NotLacunary, TooManyFunctions
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm
 from gaborlab.rng import complex_gaussian, rng_for
 from gaborlab.stochastic import (
+    EXACT_FUNCTION_CUTOFF,
     all_sign_patterns,
     cotype2_ratio,
     khintchine_ratio,
     lacunary_pnorm,
     rademacher_mean_norm_exact,
     rademacher_pnorm_exact,
+    sign_flip_extremes,
     type2_ratio,
 )
 
@@ -66,6 +70,30 @@ class TestExactEnumeration:
     def test_cutoff(self):
         with pytest.raises(TooManyFunctions):
             rademacher_pnorm_exact(random_fns(13, 43), Exponent(2.0))
+
+
+class TestSignFlipExtremes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_brute_force(self, n):
+        p = Exponent(3.0)
+        mat = np.array([f.values for f in random_fns(n, 40)])
+        c = complex_gaussian(rng_for(41, n), n)
+        base = lp_norm(SampledFunction(GRID, c @ mat), p)
+        ratios = [
+            lp_norm(SampledFunction(GRID, (np.array(theta) * c) @ mat), p) / base
+            for theta in itertools.product((-1, 1), repeat=n)
+        ]
+        mx, mn = sign_flip_extremes(c, mat, GRID.step, p, trials=4, seed=1)
+        assert mx == pytest.approx(max(ratios), rel=1e-12)
+        assert mn == pytest.approx(min(ratios), rel=1e-12)
+
+    def test_sampled_branch_brackets_one(self):
+        n = EXACT_FUNCTION_CUTOFF + 1
+        mat = np.array([f.values for f in random_fns(n, 42)])
+        c = complex_gaussian(rng_for(43), n)
+        mx, mn = sign_flip_extremes(c, mat, GRID.step, Exponent(4.0), trials=64, seed=2)
+        assert mx >= 1.0 >= mn
+        assert mx > mn
 
 
 class TestKhintchine:
