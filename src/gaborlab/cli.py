@@ -13,6 +13,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 from typing import Callable, List, Optional
 
@@ -59,6 +60,8 @@ def _exponent(value) -> Exponent:
 
 
 def _merge_config(args: argparse.Namespace, keys: List[str]) -> dict:
+    """Config file values overridden by set flags; output paths are checked here,
+    before any work runs."""
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(_read_json(args.config, "--config", dict))
@@ -66,7 +69,38 @@ def _merge_config(args: argparse.Namespace, keys: List[str]) -> dict:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
+    for key in ("out", "frame_out", "csv"):
+        if key in keys and cfg.get(key):
+            _check_writable(f"--{key.replace('_', '-')}", str(cfg[key]))
     return cfg
+
+
+def _check_writable(flag: str, path: str) -> None:
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"no directory {folder}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "not writable"
+    else:
+        return
+    raise ConfigError(f"{flag} {path}: {problem}")
+
+
+def _check_int_digits(selection) -> None:
+    """Python will not write an int of more than sys.get_int_max_str_digits()
+    decimal digits as text, so a frame holding one cannot be saved as JSON."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound = 10**limit
+    for i, pt in enumerate(selection.points):
+        if any(abs(x.numerator) >= bound or x.denominator >= bound for x in (pt.t, pt.s)):
+            raise ConfigError(
+                f"--frame-out: point {i} of the selection has more than {limit} "
+                "decimal digits, past Python's integer string conversion limit"
+            )
 
 
 def _require_seed(cfg: dict) -> int:
@@ -107,6 +141,8 @@ def cmd_build_frame(args) -> int:
             cands = spread_candidates(count, base=int(cfg.get("base", 4)),
                                       ratio=int(cfg.get("ratio", 5)))
         selection = select_translates(cands, plan)
+        if cfg.get("frame_out"):
+            _check_int_digits(selection)
         frame = build_frame(plan, selection)
     cert = frame.certificate
     report = Report(

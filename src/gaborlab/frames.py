@@ -18,11 +18,14 @@ bounds the error term's norm relative to the input.
 
 Selected translates grow geometrically (|t_{i+1}| >= 4 |t_i| + 4), which
 forces every pairwise difference apart by more than the unit support length.
-Disjointness is nevertheless verified exactly, never assumed: one certificate,
-certify_selection, runs once for every built or loaded frame.  It scales all
-intervals by the lcm of every denominator and compares them as integers, so
-its verdict is exact for any rational input.  Translates are kept as exact
-rationals throughout: at the certified block sizes they exceed the
+Disjointness is checked exactly, never assumed: one certificate,
+certify_selection, runs once for every built or loaded frame.  When the
+growth rule holds and the atom supports lie in [0, 1) it settles the
+certificate in n - 1 exact Fraction comparisons; any other selection (a
+hand-edited frame or candidate file) falls back to enumerating all n^2
+difference intervals, scaled by the lcm of every denominator and compared as
+integers.  Both paths are exact for any rational input.  Translates are kept
+as exact rationals throughout: at the certified block sizes they exceed the
 double-precision range, so no code path converts them to floats.
 
 Because the difference sets avoid the base-cell span, the error term of one
@@ -32,9 +35,10 @@ and applies S once per vector: S f yields both the projection of f onto V
 and the contraction ratio, and the image S y of the converged iterate is the
 result.  On V one application reproduces the input up to rounding, so the
 loop usually stops after one step, well inside the certified budget
-ceil(log tol / log q) + 1; below the rounding floor it refines further or
-exhausts the budget.  The off-span error term is reported separately as the
-synthesis residual and checked against q rather than against the tolerance.
+ceil(log tol / log q) + 1; near the rounding floor it refines further until
+the image meets the tolerance against f, or exhausts the budget.  The
+off-span error term is reported separately as the synthesis residual and
+checked against q rather than against the tolerance.
 """
 
 from __future__ import annotations
@@ -76,6 +80,10 @@ from .rng import complex_gaussian, rng_for, sign_matrix
 from .stochastic import combination_pth
 
 MAX_LEAD_SIZE = 10**6
+# reconstruct treats an input within this relative distance of its projection
+# onto the span as a span input: far above the projection's rounding error
+# (a few ulps of the norm), far below any deliberate off-span component
+SPAN_RTOL = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -193,6 +201,11 @@ class TranslateSelection:
         return cls(tuple(points_from_json(obj)))
 
 
+def _meets_growth_rule(prev: Fraction, mag: Fraction) -> bool:
+    """The growth rule between consecutive magnitudes: |t_{i+1}| >= 4|t_i| + 4."""
+    return mag >= 4 * prev + 4
+
+
 def select_translates(
     candidates: Sequence[TimeFreqPoint], plan: BlockPlan
 ) -> TranslateSelection:
@@ -209,13 +222,13 @@ def select_translates(
     d = t_j - t_i are at least 4 apart, and |d| >= 4.  Atom supports lie in
     [0, 1), so the difference sets d + supp(h_k) are pairwise disjoint and
     clear of the base cell, and the window summands supp(h_k) - t_i are
-    disjoint too.  build_frame still verifies all of this exactly.
+    disjoint too.  certify_selection checks exactly these two premises.
     """
     chosen: List[TimeFreqPoint] = []
     prev: Optional[Fraction] = None
     for pt in candidates:
         mag = abs(pt.t)
-        if prev is None or mag >= 4 * prev + 4:
+        if prev is None or _meets_growth_rule(prev, mag):
             chosen.append(pt)
             prev = mag
             if len(chosen) == plan.total:
@@ -231,14 +244,40 @@ def certify_selection(
     atoms: Sequence[HaarIndex],
     block_of: np.ndarray,
 ) -> Tuple[bool, str, bool, bool]:
-    """The exact certificate of a selection, from one interval enumeration.
+    """The exact certificate of a selection.
 
     Returns (difference sets pairwise disjoint, detail, difference sets clear
     of the base cell [0, 1), window summands disjoint).  The difference sets
     are supp(h_k) + t_j - t_i over ordered pairs i != j, with k the block of
-    i; the window summands are supp(h_k) - t_i.  Every endpoint is scaled by
-    the lcm of all denominators and compared as an integer, so the verdict is
-    exact for rational translates of any size and denominator.
+    i; the window summands are supp(h_k) - t_i.
+
+    When consecutive magnitudes follow the growth rule |t_{i+1}| >= 4|t_i| + 4
+    and every atom support lies in [0, 1), all three properties hold by the
+    argument in select_translates, so n - 1 exact Fraction comparisons settle
+    the certificate.  Any other selection (only a hand-edited frame or
+    candidate file yields one) goes to _certify_by_enumeration, which is exact
+    for every rational input.
+    """
+    mags = [abs(pt.t) for pt in selection.points]
+    if all(_meets_growth_rule(a, b) for a, b in pairwise(mags)) and all(
+        0 <= lo and hi <= 1 for lo, hi in (a.support for a in atoms)
+    ):
+        return True, "pairwise disjoint", True, True
+    return _certify_by_enumeration(selection, atoms, block_of)
+
+
+def _certify_by_enumeration(
+    selection: TranslateSelection,
+    atoms: Sequence[HaarIndex],
+    block_of: np.ndarray,
+) -> Tuple[bool, str, bool, bool]:
+    """certify_selection by enumerating all n(n - 1) difference intervals.
+
+    Every endpoint is scaled by the lcm of all denominators and compared as an
+    integer, so the verdict is exact for rational translates of any size and
+    denominator.  A failed disjointness verdict names two overlapping ordered
+    pairs (i, j) and the blocks of i and j.  This is also the test oracle for
+    the growth-rule path of certify_selection.
     """
     supports = [a.support for a in atoms]
     den = math.lcm(
@@ -248,14 +287,14 @@ def certify_selection(
     ts = [int(pt.t * den) for pt in selection.points]
     ordered = sorted(ts)
     scaled = [(int(lo * den), int(hi * den)) for lo, hi in supports]
-    intervals: List[Tuple[int, int]] = []
+    intervals: List[Tuple[int, int, int, int]] = []
     summands: List[Tuple[int, int]] = []
     clear = True
     for i, ti in enumerate(ts):
         lo_k, hi_k = scaled[block_of[i]]
         lo, hi = lo_k - ti, hi_k - ti
         summands.append((lo, hi))
-        intervals += [(tj + lo, tj + hi) for tj in ts[:i] + ts[i + 1 :]]
+        intervals += [(tj + lo, tj + hi, i, j) for j, tj in enumerate(ts) if j != i]
         # [tj + lo, tj + hi) meets the base cell [0, den) iff -hi < tj < den - lo;
         # tj = ti always does, so the row is clear iff no other translate does
         meeting = bisect_left(ordered, den - lo) - bisect_right(ordered, -hi)
@@ -264,13 +303,16 @@ def certify_selection(
     overlap = _first_overlap(intervals)
     if overlap is None:
         return True, "pairwise disjoint", clear, summands_ok
-    (alo, ahi), (blo, bhi) = overlap
-    detail = f"overlap between scaled intervals [{alo},{ahi}) and [{blo},{bhi})"
+    pairs = " and ".join(
+        f"({i}, {j}) [blocks {block_of[i]}, {block_of[j]}]" for _, _, i, j in overlap
+    )
+    detail = f"overlap between the difference sets of (i, j) = {pairs}"
     return False, detail, clear, summands_ok
 
 
-def _first_overlap(intervals: List[Tuple[int, int]]) -> Optional[tuple]:
-    """Sort half-open intervals in place; return the first overlapping neighbours."""
+def _first_overlap(intervals: List[tuple]) -> Optional[tuple]:
+    """Sort half-open intervals (lo, hi, *tags) in place; return the first
+    overlapping neighbours."""
     intervals.sort()
     for a, b in pairwise(intervals):
         if b[0] < a[1]:
@@ -572,17 +614,22 @@ def reconstruct(
     S f gives the projection y_0 of f onto the span of the plan's atoms and
     the contraction ratio.  S y = y_0 is then solved on the span by the
     geometric iteration y <- y_0 + (I - S) y, whose certified contraction
-    q < 1 bounds the iteration count by ceil(log tol / log q) + 1; NoConvergence
-    past the budget means the tolerance lies below the rounding floor.  The
-    image S y of the converged iterate is returned: its span part is the
-    approximation of f, and its off-span error mass is the synthesis
-    residual, bounded by q (not by the tolerance).
+    q < 1 bounds the iteration count by ceil(log tol / log q) + 1.  The loop
+    stops once || S y - y_0 || <= tol || y_0 ||; for a span input (f within
+    SPAN_RTOL of y_0) it also needs the reported relative error
+    || S y - f || / || f || <= tol, so such an input either meets tol against f
+    or raises NoConvergence.  NoConvergence past the budget means the
+    tolerance lies below the rounding floor.  The image S y of the converged
+    iterate is returned: its span part is the approximation of f, and its
+    off-span error mass is the synthesis residual, bounded by q (not by the
+    tolerance).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     sf = frame_operator(frame, f)
     y0 = y = sf.main
     base = lp_norm(y0, frame.p)
+    norm = lp_norm(f, frame.p)
     if base == 0.0:
         n, image = 0, frame_operator(frame, y0)
     else:
@@ -590,16 +637,18 @@ def reconstruct(
             budget = math.ceil(math.log(tol) / math.log(frame.q)) + 1
         else:
             budget = 1  # degenerate demo plans: one application reproduces the span
+        on_span = lp_norm(f - y0, frame.p) <= SPAN_RTOL * norm
         for n in range(1, budget + 1):
             image = frame_operator(frame, y)
-            if lp_norm(image.main - y0, frame.p) <= tol * base:
+            if lp_norm(image.main - y0, frame.p) <= tol * base and (
+                not on_span or lp_norm(image.main - f, frame.p) / norm <= tol
+            ):
                 break
             y = y0 + (y - image.main)
         else:
             raise NoConvergence(
                 f"residual above {tol} after the certified budget of {budget} iterations"
             )
-    norm = lp_norm(f, frame.p)
     if norm == 0.0:
         return ReconstructionResult(y, image, 0.0, 0.0, 0.0, n)
     return ReconstructionResult(

@@ -67,6 +67,17 @@ MALFORMED_INPUTS = [
     ("tol_negative", *_verify("--tol", "-0.5")),
     ("tol_nan", *_verify("--tol", "nan")),
     ("tol_inf", *_verify("--tol", "inf")),
+    ("out_unwritable", {},
+     ["build-frame", "--sizes", "37", "--out", "/nonexistent/r.json"]),
+    ("frame_out_unwritable", {},
+     ["build-frame", "--sizes", "37", "--frame-out", "/nonexistent/f.json"]),
+    ("csv_unwritable", {},
+     ["inequalities", "--suite", "khintchine", "--seed", "1",
+      "--csv", "/nonexistent/x.csv"]),
+    # translates past Python's int-to-text digit limit cannot be saved
+    ("frame_out_digit_limit", {},
+     ["build-frame", "--p", "6", "--blocks", "2", "--ratio", str(10**100),
+      "--frame-out", "f.json"]),
 ]
 
 
@@ -107,6 +118,30 @@ class TestExitCodes:
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_digit_limit_writes_no_frame_file(self, tmp_path, capsys):
+        frame_path = tmp_path / "f.json"
+        code = run(["build-frame", "--p", "6", "--blocks", "2", "--ratio",
+                    str(10**100), "--frame-out", str(frame_path)])
+        assert code == 2
+        assert "more than" in capsys.readouterr().err
+        assert not frame_path.exists()
+
+    def test_span_corpus_never_converges_but_fails(self, tmp_path, capsys):
+        # below 1e-15 a converged loop used to miss tol against f (exit 1);
+        # now each function meets tol or the run raises NoConvergence (exit 3)
+        plan = plan_from_sizes(Exponent(4.0), (72, 144, 288))
+        frame = build_frame(plan, select_translates(spread_candidates(504), plan))
+        frame_path = tmp_path / "frame.json"
+        frame_path.write_text(json.dumps(frame.to_json()))
+        out = tmp_path / "r.json"
+        argv = ["verify-frame", "--frame", str(frame_path), "--corpus", "300",
+                "--seed", "11", "--out", str(out)]
+        assert run([*argv, "--tol", "3e-16"]) == 0
+        assert json.loads(out.read_text())["metrics"]["max_iterations"] == 2
+        capsys.readouterr()
+        assert run([*argv, "--tol", "1e-17"]) == 3
+        assert "NoConvergence" in capsys.readouterr().err
 
     def test_infeasible_plan_exit(self, capsys):
         code = run(["build-frame", "--p", "2.0", "--blocks", "1"])

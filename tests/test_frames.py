@@ -2,13 +2,17 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import pairwise
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaborlab import frames
 from gaborlab.errors import (
     GridTooSmall,
     InfeasiblePlan,
@@ -19,6 +23,7 @@ from gaborlab.errors import (
 from gaborlab.frames import (
     BlockPlan,
     TranslateSelection,
+    _certify_by_enumeration,
     block_atoms,
     build_frame,
     build_window,
@@ -40,6 +45,7 @@ from gaborlab.frames import (
 )
 from gaborlab.gabor import TimeFreqPoint
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm, lp_norm_pth
+from gaborlab.haar import haar_indices
 from gaborlab.rng import rng_for, sign_matrix
 
 P4 = Exponent(4.0)
@@ -195,7 +201,13 @@ class TestSelectTranslates:
             )
         )
         verdict = certify_selection(sel, atoms, block_of)
-        assert verdict[0] is False and verdict[1].startswith("overlap")
+        assert verdict[0] is False
+        # the mirror images meet first in sorted order: t_0 - t_1 + supp(h_1)
+        # = [-31/15, -16/15) and t_1 - t_2 + supp(h_2) = [-11/10, -3/5)
+        assert verdict[1] == (
+            "overlap between the difference sets of (i, j) = "
+            "(1, 0) [blocks 1, 0] and (2, 1) [blocks 2, 1]"
+        )
         assert separation_oracle(sel, atoms, block_of) is False
 
     def test_bounded_strip_insufficient(self):
@@ -278,6 +290,102 @@ class TestCertificateProperties:
             sel, block_atoms(plan), plan.block_of_index()
         )
         assert (ok, detail, clear, summands_ok) == (True, "pairwise disjoint", True, True)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """A demonstration plan, its atoms on cell 0 or a neighbouring cell, and a
+    selection whose magnitudes follow the growth rule, miss it by a little at
+    some steps, or are arbitrary rationals."""
+    sizes = draw(SMALL_SIZES)
+    cell = draw(st.sampled_from((0, 0, -1, 1)))
+    atoms = haar_indices([cell], max_scale=len(sizes))[: len(sizes)]
+    n = sum(sizes)
+    mode = draw(st.sampled_from(("rule", "near", "any")))
+    if mode == "any":
+        mags = sorted(draw(st.lists(st.fractions(0, 30, max_denominator=12),
+                                    min_size=n, max_size=n, unique=True)))
+    else:
+        mags = [draw(st.fractions(0, 2, max_denominator=12))]
+        low = 0 if mode == "rule" else -3
+        while len(mags) < n:
+            mags.append(4 * mags[-1] + 4 + draw(st.fractions(low, 3, max_denominator=12)))
+    points = tuple(TimeFreqPoint(draw(SIGNS) * m, 0) for m in mags)
+    return demo_plan(sizes), atoms, TranslateSelection(points)
+
+
+def spy_enumeration():
+    return mock.patch.object(
+        frames, "_certify_by_enumeration", wraps=_certify_by_enumeration
+    )
+
+
+class TestCertificatePaths:
+    @PROPERTY
+    @given(certificate_inputs())
+    def test_growth_rule_path_agrees_with_enumeration(self, case):
+        plan, atoms, sel = case
+        block_of = plan.block_of_index()
+        mags = [abs(pt.t) for pt in sel.points]
+        rule = all(b >= 4 * a + 4 for a, b in pairwise(mags))
+        inside = all(0 <= a.support[0] and a.support[1] <= 1 for a in atoms)
+        with spy_enumeration() as spy:
+            verdict = certify_selection(sel, atoms, block_of)
+        assert spy.called == (not (rule and inside))
+        assert verdict == _certify_by_enumeration(sel, atoms, block_of)
+
+    @staticmethod
+    def edited_frame(t1):
+        """The 37-point frame's JSON with the translate t_1 = 20 replaced by t1."""
+        obj = tiny_frame((37,)).to_json()
+        obj["selection"][1] = [[t1, 1], [0, 1]]
+        return obj
+
+    def test_rule_breaking_disjoint_selection_certifies(self):
+        # 10 < 4 * 4 + 4 breaks the rule, yet every difference stays more
+        # than one unit from every other one and from the base cell
+        with spy_enumeration() as spy:
+            frame = frame_from_json(self.edited_frame(10))
+        assert spy.call_count == 1
+        cert = frame.certificate
+        assert cert["difference_sets_disjoint"] is True
+        assert cert["difference_sets_detail"] == "pairwise disjoint"
+        assert cert["difference_sets_clear_of_base"] is True
+        assert cert["window_summands_disjoint"] is True
+
+    def test_rule_breaking_overlapping_selection_is_rejected(self):
+        # t_1 = 52 halves the gap between t_0 = 4 and t_2 = 100, so the
+        # differences t_1 - t_0 and t_2 - t_1 coincide (100 < 4 * 52 + 4)
+        with spy_enumeration() as spy:
+            frame = frame_from_json(self.edited_frame(52))
+        assert spy.call_count == 1
+        assert frame.certificate["difference_sets_disjoint"] is False
+        assert frame.certificate["difference_sets_detail"] == (
+            "overlap between the difference sets of (i, j) = "
+            "(1, 0) [blocks 0, 0] and (2, 1) [blocks 0, 0]"
+        )
+        with pytest.raises(InsufficientSpread):
+            frame_operator(frame, span_corpus(frame, 1, seed=1)[0])
+
+    def test_growth_rule_certificate_memory(self):
+        # the enumeration peaked at 538 MiB here; the rule path needs n - 1
+        # comparisons and no interval list
+        plan = plan_blocks(P4, 4)
+        assert plan.total == 1020
+        sel = select_translates(spread_candidates(plan.total), plan)
+        atoms, block_of = block_atoms(plan), plan.block_of_index()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            verdict = certify_selection(sel, atoms, block_of)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert verdict == (True, "pairwise disjoint", True, True)
+        assert peak < 5 * 2**20
 
 
 def tiny_frame(sizes=(37,), s_value=Fraction(0)):
@@ -439,12 +547,36 @@ class TestNeumannAndReconstruction:
         assert rec.relative_error == lp_norm(image.main - f, P4) / lp_norm(f, P4)
 
     def test_loop_refines_below_one_step(self, frame_504):
-        # at tol 1e-17 one application leaves a rounding-level residual on
-        # this function, and the second step removes it: the loop earns its code
-        f = span_corpus(frame_504, 1, seed=0)[0]
-        rec = reconstruct(frame_504, f, 1e-17)
+        # at tol 3e-16 one application leaves this function 3.08e-16 from f
+        # (past tol, though within tol of the projection y_0), and the second
+        # step brings it within tol: the loop earns its code
+        f = span_corpus(frame_504, 193, seed=11)[192]
+        rec = reconstruct(frame_504, f, 3e-16)
         assert rec.iterations >= 2
-        assert rec.iterations <= math.ceil(math.log(1e-17) / math.log(frame_504.q)) + 1
+        assert rec.iterations <= math.ceil(math.log(3e-16) / math.log(frame_504.q)) + 1
+        assert rec.relative_error <= 3e-16
+
+    @pytest.mark.parametrize("tol", [3e-16, 1e-16, 1e-17])
+    def test_span_input_meets_tol_or_raises(self, frame_504, tol):
+        # near the rounding floor a span input either meets tol against f or
+        # raises NoConvergence; it never converges with a larger error
+        for f in span_corpus(frame_504, 300, seed=11):
+            try:
+                rec = reconstruct(frame_504, f, tol)
+            except NoConvergence:
+                continue
+            assert rec.relative_error <= tol
+
+    def test_off_span_input_stops_on_projection(self, frame_504):
+        # a function with a real off-span part stops once S y meets the
+        # projection y_0, and reports its (large) error against f
+        span = span_corpus(frame_504, 1, seed=15)[0]
+        bump = np.zeros(span.grid.count)
+        bump[-1] = 1.0  # the atoms are equal on the last two cells; f is not
+        f = SampledFunction(span.grid, span.values + bump)
+        rec = reconstruct(frame_504, f, 1e-12)
+        assert rec.iterations == 1
+        assert rec.relative_error > 1e-3
 
     def test_no_convergence_below_rounding_floor(self, frame_504):
         # this function's residual never reaches 1e-17 of its norm, so the
