@@ -16,7 +16,6 @@ from .grids import (
     modulate,
     time_freq_shift,
     translate,
-    wiener_norm,
 )
 from .gabor import GaborSystem, TimeFreqPoint, synthesize
 from .haar import HaarIndex, haar_function, haar_functional
@@ -31,7 +30,6 @@ __all__ = [
     "translate",
     "modulate",
     "time_freq_shift",
-    "wiener_norm",
     "TimeFreqPoint",
     "GaborSystem",
     "synthesize",

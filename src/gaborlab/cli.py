@@ -17,13 +17,15 @@ import os
 import sys
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from .errors import ConfigError, GaborLabError
 from .frames import (
     build_frame,
     frame_from_json,
     plan_blocks,
     plan_from_sizes,
-    reconstruct,
+    reconstruct_rows,
     select_translates,
     span_corpus,
     spread_candidates,
@@ -172,6 +174,17 @@ def cmd_build_frame(args) -> int:
     return _emit(report, cfg.get("out"), None, None)
 
 
+def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
+    """The per-trial verify-frame columns of the seeded span corpus, solved
+    as one batch; the batch arrays are freed before the rows are built."""
+    corpus = np.array([f.values for f in span_corpus(frame, size, seed)])
+    rec = reconstruct_rows(frame, corpus, tol)
+    return {"contraction_ratio": rec.contraction_ratio.tolist(),
+            "reconstruction_error": rec.relative_error.tolist(),
+            "synthesis_residual": rec.synthesis_residual.tolist(),
+            "iterations": rec.iterations.tolist()}
+
+
 def cmd_verify_frame(args) -> int:
     cfg = _merge_config(args, ["frame", "corpus", "seed", "tol", "out", "csv"])
     seed = _require_seed(cfg)
@@ -180,21 +193,11 @@ def cmd_verify_frame(args) -> int:
     size = _flag_value("corpus", cfg.get("corpus", 50))
     tol = _flag_value("tol", cfg.get("tol", 1e-8))
     frame = _read_json(cfg["frame"], "--frame", frame_from_json)
-    rows = []
     with Stopwatch() as sw:
-        corpus = span_corpus(frame, size, seed)
-        max_ratio, max_rel, max_residual, max_iters = 0.0, 0.0, 0.0, 0
-        for i, f in enumerate(corpus):
-            rec = reconstruct(frame, f, tol)
-            max_ratio = max(max_ratio, rec.contraction_ratio)
-            max_rel = max(max_rel, rec.relative_error)
-            max_residual = max(max_residual, rec.synthesis_residual)
-            max_iters = max(max_iters, rec.iterations)
-            rows.append({"trial": i, "seed": seed,
-                         "contraction_ratio": rec.contraction_ratio,
-                         "reconstruction_error": rec.relative_error,
-                         "synthesis_residual": rec.synthesis_residual,
-                         "iterations": rec.iterations})
+        columns = _corpus_columns(frame, size, seed, tol)
+        rows = [{"trial": i, "seed": seed, **{k: v[i] for k, v in columns.items()}}
+                for i in range(size)]
+        max_ratio, max_rel, max_residual, max_iters = (max(v) for v in columns.values())
     report = Report(
         "verify-frame",
         {"frame": cfg["frame"], "corpus": size, "seed": seed, "tol": tol},

@@ -30,15 +30,28 @@ double-precision range, so no code path converts them to floats.
 
 Because the difference sets avoid the base-cell span, the error term of one
 application contributes nothing to the coefficient functionals of the next.
-reconstruct therefore solves S y = f on the span V by the Neumann iteration
-and applies S once per vector: S f yields both the projection of f onto V
-and the contraction ratio, and the image S y of the converged iterate is the
-result.  On V one application reproduces the input up to rounding, so the
-loop usually stops after one step, well inside the certified budget
-ceil(log tol / log q) + 1; near the rounding floor it refines further until
-the image meets the tolerance against f, or exhausts the budget.  The
-off-span error term is reported separately as the synthesis residual and
-checked against q rather than against the tolerance.
+reconstruct_rows therefore solves S y = f on the span V by the Neumann
+iteration, for a whole batch of functions at once: the rows of an (n, count)
+matrix on the span grid.  S f yields both the projection of f onto V and the
+contraction ratio, and the image S y of the converged iterate is the result.
+On V one application reproduces the input up to rounding, so most rows stop
+after one step, well inside the certified budget ceil(log tol / log q) + 1;
+near the rounding floor a row refines further until its image meets the
+tolerance against f, or the batch exhausts the budget.  Converged rows leave
+the batch, and each row takes exactly the floating-point steps it would take
+alone, so reconstruct (one function) is a one-row call of reconstruct_rows
+and frame_operator a one-row call of frame_operator_rows.  The coefficient
+functionals read the per-frame layout that build_frame computes once, each
+atom's (i, mid, j) cell slice and dual amplitude; span_coefficients, one
+haar_functional call per atom, is their test oracle.  The off-span error
+term is reported separately as the synthesis residual and checked against q
+rather than against the tolerance.
+
+Translates need not be dyadic.  The certificate is exact for any rational
+translate, and the operator works on the atom rows of the span grid, so no
+product path places a piece at a translate.  Only the dense oracles
+(window_on_grid, frame_operator_dense) place pieces, and they raise
+NonAlignedShift for a piece that does not start on a grid point.
 """
 
 from __future__ import annotations
@@ -71,6 +84,7 @@ from .grids import (
 )
 from .haar import (
     HaarIndex,
+    functional_layout,
     haar_function,
     haar_functional,
     haar_indices,
@@ -409,6 +423,8 @@ class ConstructedFrame:
     # the f-independent error-term weight of each block's coefficient (see
     # _block_error_weights)
     _pair_weight_by_block: np.ndarray = field(repr=False)
+    # each atom's functional_layout (i, mid, j, amp) on span_grid
+    _functional_layout: Tuple[Tuple[int, int, int, float], ...] = field(repr=False)
 
     @property
     def p(self) -> Exponent:
@@ -450,6 +466,7 @@ def build_frame(
     return ConstructedFrame(
         plan, selection, window, atoms, q, certificate, span_grid,
         _block_error_weights(plan, window.atoms, span_grid.step),
+        tuple(functional_layout(a, plan.p, span_grid) for a in atoms),
     )
 
 
@@ -487,7 +504,8 @@ def _block_error_weights(
 
 
 def span_coefficients(frame: ConstructedFrame, f: SampledFunction) -> np.ndarray:
-    """Dual-atom coefficients b_l of f against the plan's K atoms."""
+    """Dual-atom coefficients b_l of f against the plan's K atoms, one
+    haar_functional call each: the test oracle of frame_operator_rows."""
     return np.array(
         [haar_functional(a, f, frame.p) for a in frame.atoms], dtype=np.complex128
     )
@@ -506,16 +524,51 @@ class FrameImage:
         return (lp_norm_pth(self.main - f, p) + self.error_pth) ** (1.0 / p.p)
 
 
-def frame_operator(frame: ConstructedFrame, f: SampledFunction) -> FrameImage:
-    """Apply S f = sum_j g*_j(f) e_{s_j} tau_{t_j} g directly.
+@dataclass
+class FrameImages:
+    """The frame operator applied to each row of a batch; [r] is row r's FrameImage."""
 
-    f must live on the frame's span grid.  The span part of the image is the
-    reproduced function sum_l b_l h_l; the off-span part is reported through
-    its exact p-mass (piece masses add by the disjointness certificate, and
-    they stay clear of the base cell by the clearance certificate).
+    grid: Grid
+    main: np.ndarray  # (n, count)
+    error_pth: np.ndarray  # (n,)
+    coefficients: np.ndarray  # (n, K)
+
+    def __getitem__(self, r: int) -> FrameImage:
+        return FrameImage(
+            SampledFunction(self.grid, self.main[r]),
+            float(self.error_pth[r]),
+            self.coefficients[r],
+        )
+
+
+def _reproduce(frame: ConstructedFrame, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Coefficients b of every row of values and the span part sum_l b_l h_l
+    of its image, both read off the frame's functional layouts."""
+    step = frame.span_grid.step
+    b = np.empty((len(values), len(frame.atoms)), dtype=np.complex128)
+    for k, (i, mid, j, amp) in enumerate(frame._functional_layout):
+        if mid == j:
+            b[:, k] = values[:, i:j].sum(axis=1) * step
+        else:
+            b[:, k] = (values[:, i:mid].sum(axis=1) - values[:, mid:j].sum(axis=1)) * amp * step
+    main = np.zeros(values.shape, dtype=np.complex128)
+    for k, av in enumerate(frame.window.atoms):
+        main += b[:, k, None] * av
+    return b, main
+
+
+def frame_operator_rows(frame: ConstructedFrame, values: np.ndarray) -> FrameImages:
+    """Apply S f = sum_j g*_j(f) e_{s_j} tau_{t_j} g to every row f of values.
+
+    values is an (n, count) matrix of functions on the frame's span grid.
+    The span part of each image is the reproduced function sum_l b_l h_l;
+    the off-span part is reported through its exact p-mass (piece masses add
+    by the disjointness certificate, and they stay clear of the base cell by
+    the clearance certificate).
     """
-    if f.grid != frame.span_grid:
-        raise GridTooSmall("input must live on the frame's span grid")
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 2 or values.shape[1] != frame.span_grid.count:
+        raise GridTooSmall("rows must live on the frame's span grid")
     if not (
         frame.certificate["difference_sets_disjoint"]
         and frame.certificate["difference_sets_clear_of_base"]
@@ -524,12 +577,23 @@ def frame_operator(frame: ConstructedFrame, f: SampledFunction) -> FrameImage:
             "selection lacks the disjointness/clearance certificates the "
             "operator's mass accounting relies on"
         )
-    b = span_coefficients(frame, f)
-    error_pth = float(frame._pair_weight_by_block @ (np.abs(b) ** frame.p.p))
-    main = np.zeros(frame.span_grid.count, dtype=np.complex128)
-    for coeff, av in zip(b, frame.window.atoms):
-        main += coeff * av
-    return FrameImage(SampledFunction(frame.span_grid, main), error_pth, b)
+    b, main = _reproduce(frame, values)
+    # a 1-D product per row: one matrix product may round differently
+    mass = np.abs(b) ** frame.p.p
+    error_pth = np.array([float(frame._pair_weight_by_block @ row) for row in mass])
+    return FrameImages(frame.span_grid, main, error_pth, b)
+
+
+def _on_span_grid(frame: ConstructedFrame, f: SampledFunction) -> np.ndarray:
+    """f's values as a one-row batch."""
+    if f.grid != frame.span_grid:
+        raise GridTooSmall("input must live on the frame's span grid")
+    return f.values[None, :]
+
+
+def frame_operator(frame: ConstructedFrame, f: SampledFunction) -> FrameImage:
+    """frame_operator_rows for one function f on the frame's span grid."""
+    return frame_operator_rows(frame, _on_span_grid(frame, f))[0]
 
 
 def error_pieces(
@@ -606,59 +670,114 @@ class ReconstructionResult:
     iterations: int
 
 
-def reconstruct(
-    frame: ConstructedFrame, f: SampledFunction, tol: float
-) -> ReconstructionResult:
-    """Frame reconstruction sum_j g*_j(S^{-1} f) e_{s_j} tau_{t_j} g.
+@dataclass
+class Reconstructions:
+    """reconstruct_rows of a batch, one entry per row; [r] is row r's
+    ReconstructionResult."""
+
+    solution: np.ndarray  # (n, count)
+    image: FrameImages
+    relative_error: np.ndarray
+    synthesis_residual: np.ndarray
+    contraction_ratio: np.ndarray
+    iterations: np.ndarray
+
+    def __getitem__(self, r: int) -> ReconstructionResult:
+        return ReconstructionResult(
+            SampledFunction(self.image.grid, self.solution[r]),
+            self.image[r],
+            float(self.relative_error[r]),
+            float(self.synthesis_residual[r]),
+            float(self.contraction_ratio[r]),
+            int(self.iterations[r]),
+        )
+
+
+def _pth_rows(values: np.ndarray, p: Exponent, step: float) -> np.ndarray:
+    """lp_norm_pth of every row."""
+    return (np.abs(values) ** p.p).sum(axis=1) * step
+
+
+def _root(pth: np.ndarray, p: Exponent) -> np.ndarray:
+    """pth ** (1/p) entry by entry as a Python float power, as lp_norm takes
+    it; numpy's array power can differ in the last bit."""
+    return np.array([float(x) ** (1.0 / p.p) for x in pth])
+
+
+def reconstruct_rows(
+    frame: ConstructedFrame, values: np.ndarray, tol: float
+) -> Reconstructions:
+    """Frame reconstruction sum_j g*_j(S^{-1} f) e_{s_j} tau_{t_j} g of every row f.
 
     S f gives the projection y_0 of f onto the span of the plan's atoms and
     the contraction ratio.  S y = y_0 is then solved on the span by the
     geometric iteration y <- y_0 + (I - S) y, whose certified contraction
-    q < 1 bounds the iteration count by ceil(log tol / log q) + 1.  The loop
+    q < 1 bounds the iteration count by ceil(log tol / log q) + 1.  A row
     stops once || S y - y_0 || <= tol || y_0 ||; for a span input (f within
     SPAN_RTOL of y_0) it also needs the reported relative error
     || S y - f || / || f || <= tol, so such an input either meets tol against f
-    or raises NoConvergence.  NoConvergence past the budget means the
-    tolerance lies below the rounding floor.  The image S y of the converged
+    or raises NoConvergence.  NoConvergence past the budget, for any row,
+    means the tolerance lies below the rounding floor.  A row whose
+    projection is zero takes no step.  The image S y of each converged
     iterate is returned: its span part is the approximation of f, and its
     off-span error mass is the synthesis residual, bounded by q (not by the
     tolerance).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sf = frame_operator(frame, f)
-    y0 = y = sf.main
-    base = lp_norm(y0, frame.p)
-    norm = lp_norm(f, frame.p)
-    if base == 0.0:
-        n, image = 0, frame_operator(frame, y0)
+    f = np.asarray(values, dtype=np.complex128)
+    p, step = frame.p, frame.span_grid.step
+
+    def norms(x: np.ndarray) -> np.ndarray:
+        return _root(_pth_rows(x, p, step), p)
+
+    sf = frame_operator_rows(frame, f)
+    y0 = sf.main
+    base, norm = norms(y0), norms(f)
+    if frame.q < 1.0:
+        budget = math.ceil(math.log(tol) / math.log(frame.q)) + 1
     else:
-        if frame.q < 1.0:
-            budget = math.ceil(math.log(tol) / math.log(frame.q)) + 1
-        else:
-            budget = 1  # degenerate demo plans: one application reproduces the span
-        on_span = lp_norm(f - y0, frame.p) <= SPAN_RTOL * norm
-        for n in range(1, budget + 1):
-            image = frame_operator(frame, y)
-            if lp_norm(image.main - y0, frame.p) <= tol * base and (
-                not on_span or lp_norm(image.main - f, frame.p) / norm <= tol
-            ):
-                break
-            y = y0 + (y - image.main)
-        else:
-            raise NoConvergence(
-                f"residual above {tol} after the certified budget of {budget} iterations"
-            )
-    if norm == 0.0:
-        return ReconstructionResult(y, image, 0.0, 0.0, 0.0, n)
-    return ReconstructionResult(
+        budget = 1  # degenerate demo plans: one application reproduces the span
+    on_span = norms(f - y0) <= SPAN_RTOL * norm
+    y = y0.copy()
+    iterations = np.zeros(len(f), dtype=np.int64)
+    active = np.flatnonzero(base != 0.0)
+    for n in range(1, budget + 1):
+        if not active.size:
+            break
+        main = _reproduce(frame, y[active])[1]
+        done = norms(main - y0[active]) <= tol * base[active]
+        near = done & on_span[active]
+        rows = active[near]
+        done[near] = norms(main[near] - f[rows]) / norm[rows] <= tol
+        iterations[active[done]] = n
+        active, main = active[~done], main[~done]
+        y[active] = y0[active] + (y[active] - main)
+    if active.size:
+        raise NoConvergence(
+            f"residual above {tol} after the certified budget of {budget} iterations"
+        )
+    image = frame_operator_rows(frame, y)
+    image_pth = _pth_rows(image.main - f, p, step)
+
+    def relative(x: np.ndarray) -> np.ndarray:
+        return np.divide(x, norm, out=np.zeros_like(norm), where=norm != 0.0)
+
+    return Reconstructions(
         y,
         image,
-        lp_norm(image.main - f, frame.p) / norm,
-        image.deviation_from(f, frame.p) / norm,
-        sf.deviation_from(f, frame.p) / norm,
-        n,
+        relative(_root(image_pth, p)),
+        relative(_root(image_pth + image.error_pth, p)),
+        relative(_root(_pth_rows(sf.main - f, p, step) + sf.error_pth, p)),
+        iterations,
     )
+
+
+def reconstruct(
+    frame: ConstructedFrame, f: SampledFunction, tol: float
+) -> ReconstructionResult:
+    """reconstruct_rows for one function f on the frame's span grid."""
+    return reconstruct_rows(frame, _on_span_grid(frame, f), tol)[0]
 
 
 def sign_flip_synthesis_max(

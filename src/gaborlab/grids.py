@@ -266,28 +266,6 @@ def lp_ell2_norm(fs: Sequence[SampledFunction], p: Exponent) -> float:
     return float((sq ** (p.p / 2.0)).sum() * g.step) ** (1.0 / p.p)
 
 
-def wiener_norm(f: SampledFunction) -> float:
-    """Amalgam norm: sum over integer cells [k, k+1) of sup |f| on the cell.
-
-    Integer cut points are always cell boundaries here (the step divides 1 and
-    the origin is a multiple of the step), so no resampling is ever needed.
-    """
-    g = f.grid
-    cells_per_unit = 2 ** (-g.step_log2)
-    total = 0.0
-    a = np.abs(f.values)
-    # first integer boundary at or before the origin
-    start = (g.origin_index // cells_per_unit) * cells_per_unit
-    i = start - g.origin_index
-    while i < g.count:
-        lo = max(i, 0)
-        hi = min(i + cells_per_unit, g.count)
-        if hi > lo:
-            total += float(a[lo:hi].max())
-        i += cells_per_unit
-    return total
-
-
 def restrict(f: SampledFunction, lo, hi) -> SampledFunction:
     """Restriction of f to [lo, hi) as a function on the sub-grid."""
     i = f.grid.index_of(lo)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -97,17 +97,29 @@ def haar_function(idx: HaarIndex, p: Exponent, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, v)
 
 
-def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:
-    """Coefficient functional: integral of f against the dual atom."""
-    grid = f.grid
+def functional_layout(
+    idx: HaarIndex, p: Exponent, grid: Grid
+) -> Tuple[int, int, int, float]:
+    """The dual atom of idx on grid as (i, mid, j, amp).
+
+    The dual atom is amp on the cells [i, mid) and -amp on [mid, j); the
+    father has mid = j and amp = 1.
+    """
     _check_resolution(idx, grid)
     i, j = _support_slice(idx, grid)
-    seg = f.values[i:j]
     if idx.scale == -1:
-        return complex(seg.sum() * grid.step)
-    amp = 2.0 ** (idx.scale / p.conjugate)
-    mid = (j - i) // 2
-    return complex((seg[:mid].sum() - seg[mid:].sum()) * amp * grid.step)
+        return i, j, j, 1.0
+    return i, i + (j - i) // 2, j, 2.0 ** (idx.scale / p.conjugate)
+
+
+def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:
+    """Coefficient functional: integral of f against the dual atom."""
+    i, mid, j, amp = functional_layout(idx, p, f.grid)
+    if mid == j:
+        return complex(f.values[i:j].sum() * f.grid.step)
+    return complex(
+        (f.values[i:mid].sum() - f.values[mid:j].sum()) * amp * f.grid.step
+    )
 
 
 def haar_expand(

@@ -269,6 +269,41 @@ class TestFramePipeline:
         assert len(csv_path.read_text().splitlines()) == 6
 
 
+@pytest.fixture(scope="module")
+def frame_504_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("frame") / "frame.json"
+    assert run(["build-frame", "--p", "4", "--sizes", "72,144,288",
+                "--frame-out", str(path)]) == 0
+    return path
+
+
+class TestRecordedSeedMetrics:
+    """verify-frame metric blocks at recorded seeds, compared exactly."""
+
+    def metrics(self, tmp_path, frame_path, *flags):
+        out = tmp_path / "r.json"
+        assert run(["verify-frame", "--frame", str(frame_path), *flags,
+                    "--out", str(out)]) == 0
+        return json.loads(out.read_text())["metrics"]
+
+    def test_corpus_2000_recorded_seed(self, tmp_path, capsys, frame_504_file):
+        got = self.metrics(tmp_path, frame_504_file, "--corpus", "2000",
+                           "--seed", "20260810")
+        assert got == {
+            "max_contraction_ratio": 0.13199153713089842,
+            "max_reconstruction_error": 3.676477803584136e-16,
+            "max_synthesis_residual": 0.13199153713089842,
+            "max_iterations": 1,
+            "q": 0.4677071733467426,
+        }
+
+    def test_corpus_300_near_rounding_floor(self, tmp_path, capsys, frame_504_file):
+        got = self.metrics(tmp_path, frame_504_file, "--corpus", "300",
+                           "--seed", "11", "--tol", "3e-16")
+        assert (got["max_contraction_ratio"], got["max_reconstruction_error"],
+                got["max_iterations"]) == (0.12946689081911605, 2.9636587505445273e-16, 2)
+
+
 class TestPointSetFile:
     def test_build_frame_from_lambda_file(self, tmp_path, capsys):
         from gaborlab.frames import spread_candidates

@@ -33,9 +33,11 @@ from gaborlab.frames import (
     frame_from_json,
     frame_operator,
     frame_operator_dense,
+    frame_operator_rows,
     plan_blocks,
     plan_from_sizes,
     reconstruct,
+    reconstruct_rows,
     select_translates,
     sign_flip_synthesis_max,
     span_coefficients,
@@ -526,12 +528,105 @@ class TestFrameOperator:
             frame_operator(frame, f)
 
 
+@st.composite
+def operator_inputs(draw):
+    """A demonstration frame and a few seeded input rows on its span grid.
+
+    Magnitudes follow the growth rule with a common denominator that is a
+    power of two or not, signs are mixed and every s is nonzero, so the
+    frame certifies, its relative modulations and phases are exercised, and
+    its difference sets sit on the grid or off it.
+    """
+    sizes = draw(SMALL_SIZES)
+    den = draw(st.sampled_from((1, 4, 3, 10)))
+    mag = Fraction(draw(st.integers(0, 2 * den)), den)
+    points = []
+    for _ in range(sum(sizes)):
+        s = draw(st.fractions(-1, 1, max_denominator=8).filter(lambda x: x != 0))
+        points.append(TimeFreqPoint(draw(SIGNS) * mag, s))
+        mag = 4 * mag + 4 + Fraction(draw(st.integers(0, 3 * den)), den)
+    frame = build_frame(demo_plan(sizes), TranslateSelection(tuple(points)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 4)), frame.span_grid.count)
+    return frame, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestOperatorProperties:
+    @PROPERTY
+    @given(operator_inputs())
+    def test_batched_operator_matches_oracles(self, case):
+        frame, rows = case
+        images = frame_operator_rows(frame, rows)
+        for r, values in enumerate(rows):
+            f = SampledFunction(frame.span_grid, values)
+            # bit for bit: the per-frame layouts against one haar_functional per atom
+            assert np.array_equal(images.coefficients[r], span_coefficients(frame, f))
+            alone = frame_operator_rows(frame, rows[r : r + 1])
+            assert np.array_equal(alone.main[0], images.main[r])
+            assert alone.error_pth[0] == images.error_pth[r]
+            assert images.error_pth[r] == pytest.approx(
+                error_pth_direct(frame, f), rel=1e-12
+            )
+        f, img = SampledFunction(frame.span_grid, rows[0]), images[0]
+        diffs = [pj.t - pi.t for pi in frame.selection.points for pj in frame.selection.points]
+        step = frame.span_grid.step_fraction
+        if all((d / step).denominator == 1 for d in diffs):
+            grid = Grid.over(min(diffs), max(diffs) + 1, frame.span_grid.step_log2)
+            dense = frame_operator_dense(frame, f, grid)
+            assert lp_norm_pth(dense, frame.p) == pytest.approx(
+                lp_norm_pth(img.main, frame.p) + img.error_pth, rel=1e-9
+            )
+        else:
+            grid = Grid.over(math.floor(min(diffs)), math.ceil(max(diffs)) + 1,
+                             frame.span_grid.step_log2)
+            with pytest.raises(NonAlignedShift):
+                frame_operator_dense(frame, f, grid)
+
+
 @pytest.fixture(scope="module")
 def frame_504():
     plan = plan_from_sizes(P4, (72, 144, 288))
     return build_frame(
         plan, select_translates(spread_candidates(504, base=4, ratio=5), plan)
     )
+
+
+def neumann_oracle(frame, f, tol):
+    """The per-function Neumann solve written out with span_coefficients and
+    lp_norm: (solution, image span part, relative error, synthesis residual,
+    contraction ratio, iterations), each float rounded as reconstruct's."""
+    p = frame.p
+
+    def apply(g):
+        b = span_coefficients(frame, g)
+        main = np.zeros(g.grid.count, dtype=np.complex128)
+        for coeff, av in zip(b, frame.window.atoms):
+            main += coeff * av
+        error = float(frame._pair_weight_by_block @ (np.abs(b) ** p.p))
+        return SampledFunction(g.grid, main), error
+
+    def deviation(main, error):
+        return (lp_norm_pth(main - f, p) + error) ** (1.0 / p.p) / norm
+
+    y0, error0 = apply(f)
+    base, norm = lp_norm(y0, p), lp_norm(f, p)
+    on_span = lp_norm(f - y0, p) <= frames.SPAN_RTOL * norm
+    y, n = y0, 0
+    if base != 0.0:
+        for n in range(1, math.ceil(math.log(tol) / math.log(frame.q)) + 2):
+            main, _ = apply(y)
+            if lp_norm(main - y0, p) <= tol * base and (
+                not on_span or lp_norm(main - f, p) / norm <= tol
+            ):
+                break
+            y = y0 + (y - main)
+        else:
+            raise NoConvergence("budget exhausted")
+    main, error = apply(y)
+    if norm == 0.0:
+        return y.values, main.values, 0.0, 0.0, 0.0, n
+    return (y.values, main.values, lp_norm(main - f, p) / norm,
+            deviation(main, error), deviation(y0, error0), n)
 
 
 class TestNeumannAndReconstruction:
@@ -584,6 +679,54 @@ class TestNeumannAndReconstruction:
         f = span_corpus(frame_504, 1, seed=2)[0]
         with pytest.raises(NoConvergence):
             reconstruct(frame_504, f, 1e-17)
+
+    def test_batch_rows_match_one_row_calls(self, frame_504):
+        # the zero function, the two-step reproducer, an off-span input and
+        # ordinary span inputs, solved together, one by one and by the
+        # per-function oracle
+        corpus = span_corpus(frame_504, 193, seed=11)
+        off = corpus[0].values.copy()
+        off[-1] += 1.0
+        rows = np.array([np.zeros_like(off), corpus[192].values, off,
+                         *(f.values for f in corpus[1:5])])
+        batch = reconstruct_rows(frame_504, rows, 3e-16)
+        assert batch.iterations.tolist()[:2] == [0, 2]
+        for r, values in enumerate(rows):
+            one = reconstruct(frame_504, SampledFunction(frame_504.span_grid, values), 3e-16)
+            got = batch[r]
+            assert np.array_equal(got.solution.values, one.solution.values)
+            assert np.array_equal(got.image.main.values, one.image.main.values)
+            assert np.array_equal(got.image.coefficients, one.image.coefficients)
+            assert (got.image.error_pth, got.relative_error, got.synthesis_residual,
+                    got.contraction_ratio, got.iterations) == (
+                one.image.error_pth, one.relative_error, one.synthesis_residual,
+                one.contraction_ratio, one.iterations)
+            solution, main, *scalars = neumann_oracle(
+                frame_504, SampledFunction(frame_504.span_grid, values), 3e-16)
+            assert np.array_equal(got.solution.values, solution)
+            assert np.array_equal(got.image.main.values, main)
+            assert [got.relative_error, got.synthesis_residual, got.contraction_ratio,
+                    got.iterations] == scalars
+
+    def test_batch_with_unreachable_row_raises(self, frame_504):
+        stuck = span_corpus(frame_504, 1, seed=2)[0]
+        rows = np.array([*(f.values for f in span_corpus(frame_504, 3, seed=11)),
+                         stuck.values])
+        with pytest.raises(NoConvergence) as alone:
+            reconstruct(frame_504, stuck, 1e-17)
+        with pytest.raises(NoConvergence) as batch:
+            reconstruct_rows(frame_504, rows, 1e-17)
+        assert str(batch.value) == str(alone.value) == (
+            "residual above 1e-17 after the certified budget of 53 iterations"
+        )
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_nonpositive_tol_rejected(self, frame_504, tol):
+        rows = np.array([f.values for f in span_corpus(frame_504, 2, seed=3)])
+        with pytest.raises(ValueError):
+            reconstruct_rows(frame_504, rows, tol)
+        with pytest.raises(ValueError):
+            reconstruct(frame_504, span_corpus(frame_504, 1, seed=3)[0], tol)
 
     def test_zero_input(self):
         frame = tiny_frame()

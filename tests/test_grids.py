@@ -21,7 +21,6 @@ from gaborlab.grids import (
     restrict,
     time_freq_shift,
     translate,
-    wiener_norm,
 )
 from gaborlab.rng import complex_gaussian, rng_for
 
@@ -241,22 +240,3 @@ class TestLpEll2:
             assert lp_ell2_norm(both, p) <= lp_ell2_norm(fs, p) + lp_ell2_norm(
                 hs, p
             ) + 1e-12
-
-
-class TestWienerNorm:
-    def test_unit_indicator(self):
-        g = Grid.over(0, 2, -3)
-        assert wiener_norm(SampledFunction.indicator(0, 1, g)) == pytest.approx(1.0)
-
-    def test_double_indicator(self):
-        g = Grid.over(0, 3, -3)
-        assert wiener_norm(SampledFunction.indicator(0, 2, g)) == pytest.approx(2.0)
-
-    def test_sups_add_over_integer_cells(self):
-        g = Grid.over(-1, 2, -2)
-        v = np.zeros(g.count, dtype=complex)
-        v[0] = 3.0  # cell [-1, -0.75)
-        v[5] = -2.0  # inside [0, 1)
-        v[9] = 1.0j  # inside [1, 2)
-        f = SampledFunction(g, v)
-        assert wiener_norm(f) == pytest.approx(6.0, abs=1e-12)
