@@ -6,9 +6,10 @@ Runs every command of `bench/workloads.py`, the set-up builds of each
 workload included, as a `gaborlab` subprocess: once with PARENT_SRC and once
 with CHANGE_SRC on `PYTHONPATH`, each side in its own directory under the
 same relative paths, so that echoed paths match.  It compares the exit codes,
-stderr, the JSON reports without `wall_time_s`, the CSVs and the written
-frame files byte for byte, prints every difference, and exits 1 if there is
-one, else 0.  `bench/workloads.py` is imported and never written.
+stdout (the printed report) and the JSON reports without `wall_time_s`,
+stderr, the CSVs and the written frame files byte for byte, prints every
+difference, and exits 1 if there is one, else 0.  `bench/workloads.py` is
+imported and never written.
 """
 
 from __future__ import annotations
@@ -46,18 +47,19 @@ def commands(side: Path, seed: int) -> list:
 
 
 def run_side(src: Path, side: Path, seed: int) -> dict:
-    """Exit code, stderr and output files of every command, by label."""
+    """Exit code, stdout, stderr and output files of every command, by label."""
     side.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     results = {}
     for cmd in commands(side, seed):
         done = subprocess.run([sys.executable, "-c", CLI_ENTRY, *cmd.argv], cwd=side,
-                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         files = {}
         for path in cmd.outputs:
             data = (side / path).read_bytes() if (side / path).exists() else None
             files[str(path)] = WALL_TIME.sub(b"", data) if path == cmd.out and data else data
-        results[cmd.label] = (done.returncode, done.stderr, files)
+        stdout = WALL_TIME.sub(b"", done.stdout)
+        results[cmd.label] = (done.returncode, stdout, done.stderr, files)
     return results
 
 
@@ -71,10 +73,12 @@ def main(argv=None) -> int:
         parent = run_side(args.parent_src, Path(tmp) / "parent", args.seed)
         change = run_side(args.change_src, Path(tmp) / "change", args.seed)
     differences, files = [], 0
-    for label, (code, err, outputs) in parent.items():
-        code2, err2, outputs2 = change[label]
+    for label, (code, out, err, outputs) in parent.items():
+        code2, out2, err2, outputs2 = change[label]
         if code != code2:
             differences.append(f"{label}: exit code {code} -> {code2}")
+        if out != out2:
+            differences.append(f"{label}: stdout differs")
         if err != err2:
             differences.append(f"{label}: stderr differs")
         for path, data in outputs.items():

@@ -44,6 +44,7 @@ from .grids import (
     translate,
 )
 from .rng import complex_gaussian, rng_for
+from .stochastic import moduli_pth
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,19 @@ def peaks_predicted_norm(
     return lp_part + float(np.linalg.norm(arr))
 
 
-def peaks_local_predicted(
-    a: Sequence[complex], c_k: complex, k: int, p: Exponent
-) -> float:
-    """|c_k|^p * (sum_{j <= k} |a_j|^p + (sum_{j > k} |a_j|^2)^(p/2))."""
-    arr = np.asarray(a, dtype=complex)
-    head = float((np.abs(arr[: min(k, len(arr))]) ** p.p).sum())
-    tail = float((np.abs(arr[k:]) ** 2).sum()) ** (p.p / 2.0) if k < len(arr) else 0.0
-    return abs(c_k) ** p.p * (head + tail)
+def peaks_local_predictions(
+    a: Sequence[complex], c: Sequence[complex], p: Exponent
+) -> List[float]:
+    """|c_k|^p * (sum_{j <= k} |a_j|^p + (sum_{j > k} |a_j|^2)^(p/2)) for
+    k = 1..len(c), from one array of |a_j|^p and one of |a_j|^2."""
+    mods = np.abs(np.asarray(a, dtype=complex))
+    pw, sq = mods**p.p, mods**2
+    out = []
+    for k, c_k in enumerate(c, start=1):
+        head = float(pw[: min(k, len(mods))].sum())
+        tail = float(sq[k:].sum()) ** (p.p / 2.0) if k < len(mods) else 0.0
+        out.append(abs(c_k) ** p.p * (head + tail))
+    return out
 
 
 def peaks_interval_families(
@@ -255,6 +261,10 @@ def verify_peaks(
     head = weights.normalized_head(K, p)
     window = peaks_window(head.c, p, K, grid)
     system = GaborSystem(window, peaks_lattice(J))
+    # the unit cells [k, k+1], k = 1..K, are the rows of one block of the hull
+    lo, hi = system.hull.index_of(1), system.hull.index_of(K + 1)
+    if not 0 <= lo <= hi <= system.hull.count:
+        raise GridTooSmall(f"[1, {K + 1}) not contained in the hull")
     rows: List[dict] = []
     r_lo, r_hi = np.inf, -np.inf
     l_lo, l_hi = np.inf, -np.inf
@@ -265,11 +275,14 @@ def verify_peaks(
         predicted = peaks_predicted_norm(a, head, p)
         ratio = computed / predicted
         r_lo, r_hi = min(r_lo, ratio), max(r_hi, ratio)
-        for k in range(1, K + 1):
-            local_pred = peaks_local_predicted(a, head.c[k - 1], k, p)
-            cell_mass = lp_norm_pth(restrict(phi, Fraction(k), Fraction(k + 1)), p)
+        cell_masses = moduli_pth(
+            np.abs(phi.values[lo:hi]).reshape(K, -1), system.hull.step, p
+        )
+        for local_pred, cell_mass in zip(
+            peaks_local_predictions(a, head.c, p), cell_masses
+        ):
             if local_pred > 0:
-                lr = cell_mass / local_pred
+                lr = float(cell_mass) / local_pred
                 l_lo, l_hi = min(l_lo, lr), max(l_hi, lr)
         if trial == 0:
             for k in range(1, K + 1):
@@ -339,18 +352,32 @@ def cells_grid(K: int, n_max: int) -> Grid:
     return Grid.over(0, K + 1 + n_max, -(K + 2))
 
 
+def _translate_slices(window: SampledFunction, n: int, grid: Grid) -> List[slice]:
+    """Where the window translated by j = 1..n sits on the target grid."""
+    out = []
+    for j in range(1, n + 1):
+        shifted = translate(window, j).grid
+        off = shifted.origin_index - grid.origin_index
+        if off < 0 or off + shifted.count > grid.count:
+            raise GridTooSmall(f"translate by {j} escapes the grid span")
+        out.append(slice(off, off + shifted.count))
+    return out
+
+
+def _combine(
+    window: SampledFunction, a: Sequence[complex], slices: Sequence[slice], grid: Grid
+) -> SampledFunction:
+    total = np.zeros(grid.count, dtype=np.complex128)
+    for coeff, cells in zip(a, slices):
+        total[cells] += coeff * window.values
+    return SampledFunction(grid, total)
+
+
 def cells_combination(
     window: SampledFunction, a: Sequence[complex], grid: Grid
 ) -> SampledFunction:
     """sum_j a_j g(x - j), j = 1..len(a), placed on the target grid."""
-    total = np.zeros(grid.count, dtype=np.complex128)
-    for j, coeff in enumerate(a, start=1):
-        shifted = translate(window, j)
-        off = shifted.grid.origin_index - grid.origin_index
-        if off < 0 or off + shifted.grid.count > grid.count:
-            raise GridTooSmall(f"translate by {j} escapes the grid span")
-        total[off : off + shifted.grid.count] += coeff * shifted.values
-    return SampledFunction(grid, total)
+    return _combine(window, a, _translate_slices(window, len(a), grid), grid)
 
 
 def verify_cells(
@@ -364,11 +391,12 @@ def verify_cells(
     """Ratio of || sum a_j g(.-j) ||_p^p to the predicted mass over seeded draws."""
     grid = cells_grid(K, n_max)
     window = cells_window(c, p, K, Grid.over(0, K + 1, -(K + 2)))
+    slices = _translate_slices(window, n_max, grid)
     rows: List[dict] = []
     r_lo, r_hi = np.inf, -np.inf
     for trial in range(trials):
         a = complex_gaussian(rng_for(seed, trial), n_max)
-        phi = cells_combination(window, a, grid)
+        phi = _combine(window, a, slices, grid)
         computed = lp_norm_pth(phi, p)
         predicted = cells_predicted_mass(a, c, p)
         ratio = computed / predicted

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -224,13 +224,26 @@ def _phase_base(s: Fraction, origin: Fraction) -> float:
     return float((s * origin) % 1)
 
 
+def modulation_phase(grid: Grid, s) -> Tuple[float, float]:
+    """(base, incr): exp(2*pi*i*s*x) at the midpoint of cell i has the phase
+    base + incr * (i + 1/2) turns."""
+    s_f = _as_fraction(s, "s")
+    return _phase_base(s_f, grid.origin), float(s_f) * grid.step
+
+
+def phase_samples(base, incr, count: int) -> np.ndarray:
+    """exp(2*pi*i*(base + incr*(i + 1/2))) on cells i = 0..count-1.
+
+    base and incr are floats, or (rows, 1) columns giving one row of samples
+    per (base, incr) pair with the same float operations.
+    """
+    phases = base + incr * (np.arange(count) + 0.5)
+    return np.exp(2j * np.pi * phases)
+
+
 def modulation_values(grid: Grid, s) -> np.ndarray:
     """Midpoint samples of exp(2*pi*i*s*x) on the grid cells."""
-    s_f = _as_fraction(s, "s")
-    base = _phase_base(s_f, grid.origin)
-    incr = float(s_f) * grid.step
-    phases = base + incr * (np.arange(grid.count) + 0.5)
-    return np.exp(2j * np.pi * phases)
+    return phase_samples(*modulation_phase(grid, s), grid.count)
 
 
 def modulate(f: SampledFunction, s) -> SampledFunction:

@@ -4,6 +4,14 @@ Each suite draws its randomness from counter-based streams keyed by an
 explicit seed, computes named metrics, evaluates its pass criteria (hard
 inequalities with constant 1 where available, recorded calibration windows
 otherwise) and returns a Report plus per-trial rows for CSV output.
+
+A suite runs as draw, kernel, reduce: it draws each trial's vectors from
+that trial's own stream, hands them to the array kernels of stochastic,
+fourier, grids and basic_sequences, which do the work shared by a trial's
+exponents and bands once (and, for lacunary and isometry, evaluate chunks
+of trials as (trials, cells) arrays), and folds the results into rows and
+extremes in trial order.  Every value is the one the single-call functions
+give for that trial, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .basic_sequences import (
     verify_peaks,
     weight_growth_ratios,
 )
-from .fourier import FrequencyInterval, square_function_norm
+from .fourier import FrequencyInterval, square_function_norms
 from .grids import (
     Exponent,
     Grid,
@@ -31,20 +39,24 @@ from .grids import (
     embed,
     lp_ell2_norm,
     lp_norm,
-    time_freq_shift,
+    modulation_phase,
+    phase_samples,
 )
 from .reports import Report, Stopwatch
 from .rng import complex_gaussian, rng_for
 from .stochastic import (
-    cotype2_ratio,
-    khintchine_ratio,
-    lacunary_pnorm,
-    rademacher_pnorm_exact,
-    type2_ratio,
+    khintchine_ratios,
+    lacunary_pnorms,
+    moduli_norms,
+    rademacher_pnorms_exact,
+    type_cotype_ratios,
 )
 
 EXACT_SIDE_TOL = 1e-12
 WINDOW_SLACK = 1e-6  # absorbs cross-platform rounding in recorded windows
+# isometry trials per chunk: a (32, 256) complex array is 128 KiB, so memory
+# does not grow with the trial count
+ISOMETRY_CHUNK = 32
 
 
 def _is_recorded_run(seed: int, name: str, **shape) -> bool:
@@ -72,14 +84,16 @@ def random_atoms(
     """n random Gabor atoms: time-frequency shifts of a random unit-cell window."""
     rng = rng_for(seed, trial)
     cell = Grid(0, grid.step_log2, 2 ** (-grid.step_log2))
-    window = SampledFunction(cell, complex_gaussian(rng, cell.count))
+    window = complex_gaussian(rng, cell.count)
     nyq = 2 ** (-grid.step_log2 - 1)
-    out = []
+    shifts = []
     for _ in range(n):
-        t = Fraction(int(rng.integers(0, span_units)))
+        t = int(rng.integers(0, span_units))
         s = Fraction(int(rng.integers(-nyq + 1, nyq)), 2)
-        out.append(embed(time_freq_shift(window, t, s), grid))
-    return out
+        shifts.append((cell.shifted(t * cell.count), s))  # the cell moved by t
+    phases = np.array([modulation_phase(at, s) for at, s in shifts]).reshape(n, 2)
+    atoms = window * phase_samples(phases[:, :1], phases[:, 1:], cell.count)
+    return [embed(SampledFunction(at, row), grid) for (at, _), row in zip(shifts, atoms)]
 
 
 def khintchine_suite(
@@ -91,13 +105,13 @@ def khintchine_suite(
     """Exact-enumeration Khintchine ratios sit on the correct side of 1."""
     rows = []
     stats: Dict[float, List[float]] = {p: [] for p in ps}
+    exps = [Exponent(p) for p in ps]
     with Stopwatch() as sw:
         for trial in range(trials):
             rng = rng_for(seed, trial)
             n = int(rng.integers(1, max_n + 1))
             a = complex_gaussian(rng, n)
-            for p in ps:
-                r = khintchine_ratio(a, Exponent(p))
+            for p, r in zip(ps, khintchine_ratios(a, exps)):
                 stats[p].append(r)
                 ok = (p < 2.0 or r >= 1.0 - EXACT_SIDE_TOL) and (
                     p > 2.0 or r <= 1.0 + EXACT_SIDE_TOL
@@ -135,16 +149,15 @@ def squarefunc_suite(
     grid = Grid.over(0, 4, -5)
     rows = []
     stats: Dict[float, List[float]] = {p: [] for p in ps}
+    exps = [Exponent(p) for p in ps]
     with Stopwatch() as sw:
         for trial in range(families):
             rng = rng_for(seed, trial, 1)
             n = int(rng.integers(2, max_n + 1))
             fs = random_atoms(seed, trial, n, grid)
-            for p in ps:
-                exp = Exponent(p)
-                sf = lp_ell2_norm(fs, exp)
-                mean = rademacher_pnorm_exact(fs, exp)
-                r = mean / sf
+            means = rademacher_pnorms_exact(fs, exps)
+            for p, exp, mean in zip(ps, exps, means):
+                r = mean / lp_ell2_norm(fs, exp)
                 stats[p].append(r)
                 bound = calibration.CALIBRATION["squarefunc"].get(str(p), 1.0)
                 ok = (p < 2.0 or r >= 1.0 - EXACT_SIDE_TOL) and (
@@ -195,27 +208,22 @@ def type_cotype_suite(
     grid = Grid.over(0, 4, -5)
     rows = []
     stats: Dict[str, List[float]] = {}
+    exps_cotype = [Exponent(p) for p in ps_cotype]
+    exps_type = [Exponent(p) for p in ps_type]
+    cal = calibration.CALIBRATION["type_cotype"]
     with Stopwatch() as sw:
         for trial in range(families):
             rng = rng_for(seed, trial, 2)
             n = int(rng.integers(2, max_n + 1))
             fs = random_atoms(seed, trial, n, grid)
-            cal = calibration.CALIBRATION["type_cotype"]
-            for p in ps_cotype:
-                r = cotype2_ratio(fs, Exponent(p))
-                stats.setdefault(f"cotype_p{p}", []).append(r)
-                bound = cal[f"cotype_p{p}"]
-                rows.append({"trial": trial, "seed": seed, "kind": "cotype",
-                             "n": n, "p": p, "ratio": r, "bound": bound,
-                             "pass": r <= bound * (1 + WINDOW_SLACK)})
-            for p in ps_type:
-                r = type2_ratio(fs, Exponent(p))
-                stats.setdefault(f"type_p{p}", []).append(r)
-                bound = cal[f"type_p{p}"]
-                rows.append({"trial": trial, "seed": seed, "kind": "type",
-                             "n": n, "p": p, "ratio": r, "bound": bound,
-                             "pass": r <= bound * (1 + WINDOW_SLACK)})
-    cal = calibration.CALIBRATION["type_cotype"]
+            cotype, type2 = type_cotype_ratios(fs, exps_cotype, exps_type)
+            for kind, kps, ratios in (("cotype", ps_cotype, cotype), ("type", ps_type, type2)):
+                for p, r in zip(kps, ratios):
+                    stats.setdefault(f"{kind}_p{p}", []).append(r)
+                    bound = cal[f"{kind}_p{p}"]
+                    rows.append({"trial": trial, "seed": seed, "kind": kind,
+                                 "n": n, "p": p, "ratio": r, "bound": bound,
+                                 "pass": r <= bound * (1 + WINDOW_SLACK)})
     metrics, assertions = {}, {}
     recorded = _is_recorded_run(seed, "type_cotype", families=families)
     for key, vals in stats.items():
@@ -246,21 +254,19 @@ def lacunary_suite(
     cal_window = calibration.CALIBRATION["lacunary"][f"p{p}"]
     rows, ratios = [], []
     with Stopwatch() as sw:
-        for trial in range(trials):
-            a = complex_gaussian(rng_for(seed, trial, 3), n_freqs)
-            val = lacunary_pnorm(a, freqs, exp, step_log2=grid_log2)
-            r = val / float(np.linalg.norm(a))
+        coeffs = [complex_gaussian(rng_for(seed, trial, 3), n_freqs) for trial in range(trials)]
+        vals, twos = lacunary_pnorms(coeffs, freqs, [exp, Exponent(2.0)], step_log2=grid_log2)
+        for trial, a, val, two in zip(range(trials), coeffs, vals, twos):
+            l2 = float(np.linalg.norm(a))
+            r = val / l2
             ratios.append(r)
             rows.append({"trial": trial, "seed": seed, "n": n_freqs, "p": p,
                          "ratio": r, "bound": cal_window["hi"],
                          "pass": cal_window["lo"] * (1 - WINDOW_SLACK)
                          <= r
-                         <= cal_window["hi"] * (1 + WINDOW_SLACK)})
-            # orthonormality: at p = 2 the ratio is 1 up to rounding
-            two = lacunary_pnorm(a, freqs, Exponent(2.0), step_log2=grid_log2) / float(
-                np.linalg.norm(a)
-            )
-            rows[-1]["ratio_p2"] = two
+                         <= cal_window["hi"] * (1 + WINDOW_SLACK),
+                         # orthonormality: at p = 2 the ratio is 1 up to rounding
+                         "ratio_p2": two / l2})
     lo, hi = min(ratios), max(ratios)
     p2_dev = max(abs(row["ratio_p2"] - 1.0) for row in rows)
     metrics = {"ratio_min": lo, "ratio_max": hi, "p2_deviation": p2_dev}
@@ -307,17 +313,17 @@ def rdf_suite(
     intervals = _band_partition(grid, bands)
     rows, stats = [], {p: [] for p in ps}
     plancherel_dev = 0.0
+    two = Exponent(2.0)
+    exps = [Exponent(p) for p in ps]
     with Stopwatch() as sw:
         for trial in range(corpus):
             f = SampledFunction(
                 grid, complex_gaussian(rng_for(seed, trial, 4), grid.count)
             )
-            two = Exponent(2.0)
-            sq2 = square_function_norm(f, intervals, two)
+            sq2, *sqs = square_function_norms(f, intervals, [two, *exps])
             plancherel_dev = max(plancherel_dev, abs(sq2 - lp_norm(f, two)))
-            for p in ps:
-                exp = Exponent(p)
-                r = square_function_norm(f, intervals, exp) / lp_norm(f, exp)
+            for p, exp, sq in zip(ps, exps, sqs):
+                r = sq / lp_norm(f, exp)
                 stats[p].append(r)
                 rows.append({"trial": trial, "seed": seed, "p": p, "ratio": r})
     cal = calibration.CALIBRATION["rdf"]
@@ -351,26 +357,38 @@ def isometry_suite(
     """Translation/modulation norm preservation and s-independence of the modulus."""
     grid = Grid.over(0, span, grid_log2)
     ps = [Exponent(x) for x in (1.5, 2.0, 3.0, 4.0)]
+    nyq = 2 ** (-grid.step_log2 - 1)
     worst_norm, worst_mod = 0.0, 0.0
     rows = []
     with Stopwatch() as sw:
-        for trial in range(triples):
-            rng = rng_for(seed, trial, 5)
-            g = SampledFunction(grid, complex_gaussian(rng, grid.count))
-            t = int(rng.integers(-2 * grid.count, 2 * grid.count)) * grid.step_fraction
-            nyq = 2 ** (-grid.step_log2 - 1)
-            s = Fraction(int(rng.integers(-nyq + 1, nyq)), 1)
-            shifted = time_freq_shift(g, t, s)
-            tr_only = np.abs(
-                time_freq_shift(g, t, Fraction(0)).values
-            )
-            worst_mod = max(worst_mod, float(np.abs(np.abs(shifted.values) - tr_only).max()))
-            for p in ps:
-                base = lp_norm(g, p)
-                dev = abs(lp_norm(shifted, p) - base) / base
-                worst_norm = max(worst_norm, dev)
-            if trial < 50:
-                rows.append({"trial": trial, "worst_norm": worst_norm, "worst_mod": worst_mod})
+        for start in range(0, triples, ISOMETRY_CHUNK):
+            chunk = range(start, min(start + ISOMETRY_CHUNK, triples))
+            values, phases = [], []
+            for trial in chunk:
+                rng = rng_for(seed, trial, 5)
+                values.append(complex_gaussian(rng, grid.count))
+                cells = int(rng.integers(-2 * grid.count, 2 * grid.count))
+                s = Fraction(int(rng.integers(-nyq + 1, nyq)), 1)
+                phases.append(modulation_phase(grid.shifted(cells), s))
+            # translating g moves its grid origin and keeps its values, so the
+            # translate's modulus is |g| and only the phase depends on t
+            g = np.array(values)
+            phases = np.array(phases)
+            mods = phase_samples(phases[:, :1], phases[:, 1:], grid.count)
+            shifted = g * mods  # both operands named: no in-place temporary
+            g_abs, shifted_abs = np.abs(g), np.abs(shifted)
+            mod_devs = np.abs(shifted_abs - g_abs).max(axis=1)
+            norm_devs = np.array([
+                [abs(n - b) / b for n, b in zip(moduli_norms(shifted_abs, grid.step, p),
+                                                moduli_norms(g_abs, grid.step, p))]
+                for p in ps
+            ]).max(axis=0)
+            for trial, mod_dev, norm_dev in zip(chunk, mod_devs, norm_devs):
+                worst_mod = max(worst_mod, float(mod_dev))
+                worst_norm = max(worst_norm, float(norm_dev))
+                if trial < 50:
+                    rows.append({"trial": trial, "worst_norm": worst_norm,
+                                 "worst_mod": worst_mod})
     metrics = {"max_norm_deviation": worst_norm, "max_modulus_deviation": worst_mod}
     assertions = {
         "isometry": worst_norm <= 1e-12,

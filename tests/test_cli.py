@@ -1,6 +1,9 @@
 """Command-line front door: exit codes, determinism, config handling."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +305,112 @@ class TestRecordedSeedMetrics:
                            "--seed", "11", "--tol", "3e-16")
         assert (got["max_contraction_ratio"], got["max_reconstruction_error"],
                 got["max_iterations"]) == (0.12946689081911605, 2.9636587505445273e-16, 2)
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded without writing bytecode next to it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+WORKLOADS = _bench_workloads()
+
+# metric blocks of the benchmark's suites commands at the recorded seed
+SUITE_METRICS = {
+    "peaks": {
+        "J": 8,
+        "K": 8,
+        "growth_first": 1.0,
+        "growth_last": 2.0613307468920383,
+        "local_ratio_max": 1.1263118420183942,
+        "local_ratio_min": 0.7839329719721064,
+        "p": 1.5,
+        "ratio_max": 0.7497727582543653,
+        "ratio_min": 0.6022589783858535,
+        "trials": 200,
+    },
+    "cells": {
+        "K": 6,
+        "growth_threshold_n": 6,
+        "n_max": 8,
+        "p": 4.0,
+        "ratio_max": 1.7854494232464777,
+        "ratio_min": 1.378890791332187,
+        "separated_bound": 3.363585661014858,
+        "separated_norm": 1.681792830507429,
+        "trials": 200,
+    },
+    "khintchine": {
+        "ratio_max_p1.5": 1.0000000000000002,
+        "ratio_max_p2.0": 1.0000000000000002,
+        "ratio_max_p3.0": 1.1364088939063723,
+        "ratio_max_p4.0": 1.2538871933085838,
+        "ratio_min_p1.5": 0.9237150414728074,
+        "ratio_min_p2.0": 0.9999999999999997,
+        "ratio_min_p3.0": 0.9999999999999999,
+        "ratio_min_p4.0": 0.9999999999999999,
+    },
+    "squarefunc": {
+        "ratio_max_p1.5": 1.0,
+        "ratio_max_p2.0": 1.0000000000000002,
+        "ratio_max_p3.0": 1.122462048309373,
+        "ratio_max_p4.0": 1.1892071150027212,
+        "ratio_min_p1.5": 0.8908987181403393,
+        "ratio_min_p2.0": 0.9999999999999998,
+        "ratio_min_p3.0": 1.0,
+        "ratio_min_p4.0": 1.0,
+    },
+    "type-cotype": {
+        "cotype_p1.5_max": 1.0470462772943352,
+        "cotype_p2.0_max": 1.03529557908913,
+        "type_p2.0_max": 1.0000000000000002,
+        "type_p3.0_max": 1.076475857035066,
+        "type_p4.0_max": 1.1420268758457843,
+    },
+    "lacunary": {
+        "p2_deviation": 1.1102230246251565e-15,
+        "ratio_max": 1.1696624512942448,
+        "ratio_min": 1.1341147947167853,
+    },
+    "rdf": {
+        "c_observed_p3.0": 0.9350780690451802,
+        "c_observed_p4.0": 0.8879505984841907,
+        "plancherel_deviation": 8.881784197001252e-16,
+    },
+    "isometry": {
+        "max_modulus_deviation": 8.881784197001252e-16,
+        "max_norm_deviation": 2.376432742653809e-16,
+    },
+    "rdf_g7_s8": {
+        "c_observed_p3.0": 0.9313131758538333,
+        "c_observed_p4.0": 0.8811206655426719,
+        "plancherel_deviation": 8.881784197001252e-16,
+    },
+}
+
+
+class TestRecordedSeedSuites:
+    """The suites commands of the benchmark at the recorded seed, compared exactly."""
+
+    def commands(self, tmp_path):
+        return WORKLOADS.suites(tmp_path, WORKLOADS.RECORDED_SEED)
+
+    def test_every_command_is_pinned(self, tmp_path):
+        assert [c.label for c in self.commands(tmp_path)] == list(SUITE_METRICS)
+
+    @pytest.mark.parametrize("label", list(SUITE_METRICS))
+    def test_metrics(self, tmp_path, capsys, label):
+        (cmd,) = [c for c in self.commands(tmp_path) if c.label == label]
+        assert run(list(cmd.argv)) == 0
+        assert json.loads(cmd.out.read_text())["metrics"] == SUITE_METRICS[label]
 
 
 class TestPointSetFile:

@@ -673,6 +673,37 @@ class TestNeumannAndReconstruction:
         assert rec.iterations == 1
         assert rec.relative_error > 1e-3
 
+    @staticmethod
+    def off_span_input(frame, ratio):
+        """A span element plus an off-span part of `ratio` times its norm."""
+        span = span_corpus(frame, 1, seed=15)[0]
+        bump = np.zeros(span.grid.count)
+        bump[-1] = 1.0
+        bump = SampledFunction(span.grid, bump)
+        off = bump - frame_operator(frame, bump).main
+        f = span + off * (ratio * lp_norm(span, P4) / lp_norm(off, P4))
+        rel = lp_norm(f - frame_operator(frame, f).main, P4) / lp_norm(f, P4)
+        assert rel == pytest.approx(ratio, rel=1e-3)
+        return f
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    def test_off_span_part_below_span_rtol(self, frame_504, tol):
+        # 2^-41 < SPAN_RTOL: a span input, so it meets tol against f (its
+        # error is the 4.5e-13 off-span part) or raises NoConvergence
+        f = self.off_span_input(frame_504, 2.0**-41)
+        if tol > 2.0**-41:
+            assert reconstruct(frame_504, f, tol).relative_error <= tol
+        else:
+            with pytest.raises(NoConvergence):
+                reconstruct(frame_504, f, tol)
+
+    def test_off_span_part_above_span_rtol(self, frame_504):
+        # 2^-39 > SPAN_RTOL: an off-span input, which stops on the projection
+        f = self.off_span_input(frame_504, 2.0**-39)
+        rec = reconstruct(frame_504, f, 1e-13)
+        assert rec.iterations == 1
+        assert rec.relative_error == pytest.approx(2.0**-39, rel=1e-3)
+
     def test_no_convergence_below_rounding_floor(self, frame_504):
         # this function's residual never reaches 1e-17 of its norm, so the
         # certified budget runs out
