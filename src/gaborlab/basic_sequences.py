@@ -39,12 +39,12 @@ from .grids import (
     SampledFunction,
     lp_norm,
     lp_norm_pth,
+    moduli_pth,
     modulate,
     restrict,
     translate,
 )
 from .rng import complex_gaussian, rng_for
-from .stochastic import moduli_pth
 
 
 @dataclass(frozen=True)

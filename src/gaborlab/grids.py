@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -192,16 +192,34 @@ def embed(f: SampledFunction, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, v)
 
 
+def moduli_pth(mods: np.ndarray, step: float, p: Exponent) -> np.ndarray:
+    """sum_i mods[r, i]^p * step for every row r: the p-mass of each row's
+    step function, given its moduli on cells of the given step."""
+    return (mods**p.p).sum(axis=1) * step
+
+
+def moduli_norms(mods: np.ndarray, step: float, p: Exponent) -> List[float]:
+    """The L^p norm of each row, each root taken as a Python float power
+    (numpy's array power can differ from it in the last bit)."""
+    return [float(x) ** (1.0 / p.p) for x in moduli_pth(mods, step, p)]
+
+
 def lp_norm(f: SampledFunction, p: Exponent) -> float:
     """Exact L^p(R) norm of the step function: (sum |v_i|^p * step)**(1/p)."""
-    a = np.abs(f.values)
-    return float((a**p.p).sum() * f.grid.step) ** (1.0 / p.p)
+    return moduli_norms(np.abs(f.values)[None], f.grid.step, p)[0]
 
 
 def lp_norm_pth(f: SampledFunction, p: Exponent) -> float:
     """The p-th power of lp_norm, computed directly."""
-    a = np.abs(f.values)
-    return float((a**p.p).sum() * f.grid.step)
+    return float(moduli_pth(np.abs(f.values)[None], f.grid.step, p)[0])
+
+
+def _translated(grid: Grid, t) -> Grid:
+    step = grid.step_fraction
+    q = _as_fraction(t, "t") / step
+    if q.denominator != 1:
+        raise NonAlignedShift(f"shift {t} is not a multiple of step {step}")
+    return grid.shifted(int(q))
 
 
 def translate(f: SampledFunction, t) -> SampledFunction:
@@ -212,11 +230,7 @@ def translate(f: SampledFunction, t) -> SampledFunction:
     The shift is realized by moving the grid origin; values are untouched, so
     translation is an exact isometry for every norm computed here.
     """
-    step = f.grid.step_fraction
-    q = _as_fraction(t, "t") / step
-    if q.denominator != 1:
-        raise NonAlignedShift(f"shift {t} is not a multiple of step {step}")
-    return SampledFunction(f.grid.shifted(int(q)), f.values)
+    return SampledFunction(_translated(f.grid, t), f.values)
 
 
 def _phase_base(s: Fraction, origin: Fraction) -> float:
@@ -246,18 +260,41 @@ def modulation_values(grid: Grid, s) -> np.ndarray:
     return phase_samples(*modulation_phase(grid, s), grid.count)
 
 
-def modulate(f: SampledFunction, s) -> SampledFunction:
-    """Multiply f by exp(2*pi*i*s*x) sampled at cell midpoints.
+def modulate_rows(values: np.ndarray, grids: Sequence[Grid], ss) -> np.ndarray:
+    """Row r of values, a function on grids[r], times exp(2*pi*i*ss[r]*x)
+    sampled at cell midpoints; the grids share one step and count.
 
     Requires |s| < 1/(2*step); beyond that bound the sampled exponential
     aliases onto a lower frequency.
+
+    The product's exponential operand is an unnamed temporary, which numpy
+    overwrites in place once it reaches 256 KiB (16384 cells), and an
+    in-place complex product can differ in the last bit.  A row therefore
+    gets the values of its one-row call when rows * count stays below 16384
+    or the call has one row.
     """
-    s_f = _as_fraction(s, "s")
-    if 2 * abs(s_f) * f.grid.step_fraction >= 1:
-        raise AliasedFrequency(
-            f"|s|={float(abs(s_f))} at or beyond Nyquist {0.5 / f.grid.step}"
-        )
-    return SampledFunction(f.grid, f.values * modulation_values(f.grid, s_f))
+    phases = []
+    for grid, s in zip(grids, ss):
+        s_f = _as_fraction(s, "s")
+        if 2 * abs(s_f) * grid.step_fraction >= 1:
+            raise AliasedFrequency(
+                f"|s|={float(abs(s_f))} at or beyond Nyquist {0.5 / grid.step}"
+            )
+        phases.append(modulation_phase(grid, s_f))
+    base, incr = np.array(phases).reshape(-1, 2, 1).transpose(1, 0, 2)
+    return values * phase_samples(base, incr, values.shape[1])
+
+
+def modulate(f: SampledFunction, s) -> SampledFunction:
+    """Multiply f by exp(2*pi*i*s*x) sampled at cell midpoints: the one-row
+    call of modulate_rows."""
+    return SampledFunction(f.grid, modulate_rows(f.values[None], [f.grid], [s])[0])
+
+
+def time_freq_shift_rows(values: np.ndarray, grid: Grid, ts, ss) -> np.ndarray:
+    """The values of the Gabor atoms x -> g_r(x - ts[r]) * exp(2*pi*i*ss[r]*x),
+    g_r row r of values on grid; atom r lives on grid moved by ts[r]."""
+    return modulate_rows(values, [_translated(grid, t) for t in ts], ss)
 
 
 def time_freq_shift(g: SampledFunction, t, s) -> SampledFunction:

@@ -6,10 +6,10 @@ constant 1 on one side: the lower constant is 1 for p >= 2 and the upper
 constant is 1 for p <= 2, which the tests assert exactly.
 
 Every signed p-mass || sum_j theta_j c_j v_j ||_p^p is formed by one kernel,
-combination_pth, from coefficient rows and a matrix of sampled values; its
-row reduction, moduli_pth, turns one array of moduli into the p-masses of
-every row.  The sign-flip extremes behind every unconditionality check are
-enumerated exactly for at most 12 functions and sampled otherwise.
+combination_pth, from coefficient rows and a matrix of sampled values, and
+reduced to one p-mass per row by grids.moduli_pth.  The sign-flip extremes
+behind every unconditionality check are enumerated exactly for at most 12
+functions and sampled otherwise.
 
 Each quantity has a kernel that takes a list of exponents (and, for the
 lacunary sums, a matrix of coefficient rows) and does the work shared by
@@ -27,12 +27,21 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import AliasedFrequency, NotLacunary, TooManyFunctions, ZeroFunction
-from .grids import Exponent, Grid, SampledFunction, lp_norm
+from .grids import (
+    Exponent,
+    Grid,
+    SampledFunction,
+    lp_norm,
+    moduli_norms,
+    moduli_pth,
+)
 from .rng import rng_for, sign_matrix
 
 EXACT_FUNCTION_CUTOFF = 12
 EXACT_SCALAR_CUTOFF = 20
-LACUNARY_ROWS = 16  # 256 KiB per complex array on the default 1024 cells
+# cells summed per lacunary chunk: 256 KiB per complex array, 16 rows of the
+# default 1024 cells, so memory grows with neither rows nor grid
+LACUNARY_CELLS = 16384
 
 
 def all_sign_patterns(n: int) -> np.ndarray:
@@ -40,18 +49,6 @@ def all_sign_patterns(n: int) -> np.ndarray:
     codes = np.arange(2**n, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(n)) & 1
     return bits.astype(np.int8) * 2 - 1
-
-
-def moduli_pth(mods: np.ndarray, step: float, p: Exponent) -> np.ndarray:
-    """sum_i mods[r, i]^p * step for every row r: the p-mass of each row's
-    step function, given its moduli on cells of the given step."""
-    return (mods**p.p).sum(axis=1) * step
-
-
-def moduli_norms(mods: np.ndarray, step: float, p: Exponent) -> List[float]:
-    """The L^p norm of each row, each root taken as a Python float power as
-    lp_norm takes it (numpy's array power can differ in the last bit)."""
-    return [float(x) ** (1.0 / p.p) for x in moduli_pth(mods, step, p)]
 
 
 def combination_pth(
@@ -214,8 +211,8 @@ def lacunary_pnorms(
     """lacunary_pnorm of every row of coeffs, one list of rows per p.
 
     Each exponential is sampled once for all rows, and one array of moduli
-    serves every exponent.  Rows are summed LACUNARY_ROWS at a time, so
-    memory does not grow with the number of rows.
+    serves every exponent.  Rows are summed in chunks of LACUNARY_CELLS
+    cells, so memory grows with neither the rows nor the grid.
     """
     rows = np.asarray(coeffs, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] != len(freqs):
@@ -228,8 +225,9 @@ def lacunary_pnorms(
     x = grid.midpoints()
     waves = [np.exp(2j * np.pi * s * x) for s in freqs]
     out: List[List[float]] = [[] for _ in ps]
-    for start in range(0, len(rows), LACUNARY_ROWS):
-        chunk = rows[start : start + LACUNARY_ROWS]
+    per_chunk = max(1, LACUNARY_CELLS // grid.count)
+    for start in range(0, len(rows), per_chunk):
+        chunk = rows[start : start + per_chunk]
         total = np.zeros((len(chunk), grid.count), dtype=np.complex128)
         for k, wave in enumerate(waves):
             total += chunk[:, k : k + 1] * wave

@@ -39,24 +39,28 @@ from .grids import (
     embed,
     lp_ell2_norm,
     lp_norm,
-    modulation_phase,
-    phase_samples,
+    moduli_norms,
+    time_freq_shift,
+    time_freq_shift_rows,
 )
 from .reports import Report, Stopwatch
 from .rng import complex_gaussian, rng_for
 from .stochastic import (
     khintchine_ratios,
     lacunary_pnorms,
-    moduli_norms,
     rademacher_pnorms_exact,
     type_cotype_ratios,
 )
 
 EXACT_SIDE_TOL = 1e-12
 WINDOW_SLACK = 1e-6  # absorbs cross-platform rounding in recorded windows
-# isometry trials per chunk: a (32, 256) complex array is 128 KiB, so memory
-# does not grow with the trial count
-ISOMETRY_CHUNK = 32
+# cells per isometry chunk: 32 trials of the default 256 cells, 128 KiB per
+# complex array, so memory grows with neither trials nor grid.  A chunk of
+# several trials stays below the 16384 cells at which numpy evaluates the
+# modulation product in place, and a grid of more than 4096 cells takes one
+# trial per chunk, so each product takes the path of that trial's
+# time_freq_shift, in place or not.
+ISOMETRY_CELLS = 8192
 
 
 def _is_recorded_run(seed: int, name: str, **shape) -> bool:
@@ -84,16 +88,14 @@ def random_atoms(
     """n random Gabor atoms: time-frequency shifts of a random unit-cell window."""
     rng = rng_for(seed, trial)
     cell = Grid(0, grid.step_log2, 2 ** (-grid.step_log2))
-    window = complex_gaussian(rng, cell.count)
+    window = SampledFunction(cell, complex_gaussian(rng, cell.count))
     nyq = 2 ** (-grid.step_log2 - 1)
-    shifts = []
+    out = []
     for _ in range(n):
-        t = int(rng.integers(0, span_units))
+        t = Fraction(int(rng.integers(0, span_units)))
         s = Fraction(int(rng.integers(-nyq + 1, nyq)), 2)
-        shifts.append((cell.shifted(t * cell.count), s))  # the cell moved by t
-    phases = np.array([modulation_phase(at, s) for at, s in shifts]).reshape(n, 2)
-    atoms = window * phase_samples(phases[:, :1], phases[:, 1:], cell.count)
-    return [embed(SampledFunction(at, row), grid) for (at, _), row in zip(shifts, atoms)]
+        out.append(embed(time_freq_shift(window, t, s), grid))
+    return out
 
 
 def khintchine_suite(
@@ -360,22 +362,21 @@ def isometry_suite(
     nyq = 2 ** (-grid.step_log2 - 1)
     worst_norm, worst_mod = 0.0, 0.0
     rows = []
+    per_chunk = max(1, ISOMETRY_CELLS // grid.count)
     with Stopwatch() as sw:
-        for start in range(0, triples, ISOMETRY_CHUNK):
-            chunk = range(start, min(start + ISOMETRY_CHUNK, triples))
-            values, phases = [], []
+        for start in range(0, triples, per_chunk):
+            chunk = range(start, min(start + per_chunk, triples))
+            values, ts, ss = [], [], []
             for trial in chunk:
                 rng = rng_for(seed, trial, 5)
                 values.append(complex_gaussian(rng, grid.count))
                 cells = int(rng.integers(-2 * grid.count, 2 * grid.count))
-                s = Fraction(int(rng.integers(-nyq + 1, nyq)), 1)
-                phases.append(modulation_phase(grid.shifted(cells), s))
-            # translating g moves its grid origin and keeps its values, so the
-            # translate's modulus is |g| and only the phase depends on t
+                ts.append(cells * grid.step_fraction)
+                ss.append(Fraction(int(rng.integers(-nyq + 1, nyq)), 1))
             g = np.array(values)
-            phases = np.array(phases)
-            mods = phase_samples(phases[:, :1], phases[:, 1:], grid.count)
-            shifted = g * mods  # both operands named: no in-place temporary
+            shifted = time_freq_shift_rows(g, grid, ts, ss)
+            # translating g moves its grid origin and keeps its values, so the
+            # translate's modulus is |g|
             g_abs, shifted_abs = np.abs(g), np.abs(shifted)
             mod_devs = np.abs(shifted_abs - g_abs).max(axis=1)
             norm_devs = np.array([

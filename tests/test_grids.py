@@ -17,9 +17,11 @@ from gaborlab.grids import (
     SampledFunction,
     lp_ell2_norm,
     lp_norm,
+    lp_norm_pth,
     modulate,
     restrict,
     time_freq_shift,
+    time_freq_shift_rows,
     translate,
 )
 from gaborlab.rng import complex_gaussian, rng_for
@@ -198,6 +200,47 @@ class TestTimeFreqShift:
         for s in (1, 7, Fraction(31, 2), -5):
             assert np.array_equal(np.abs(time_freq_shift(f, t, s).values), base) or \
                 np.allclose(np.abs(time_freq_shift(f, t, s).values), base, atol=1e-15)
+
+
+class TestRowKernels:
+    """The one-row calls take the float steps of the formulas written out,
+    below and from the 16384 cells (256 KiB) at which numpy evaluates a
+    product with an unnamed temporary in place."""
+
+    @pytest.mark.parametrize("step_log2", [-6, -13, -14, -15])
+    def test_modulate_matches_formula(self, step_log2):
+        g = Grid.over(-1, 1, step_log2)
+        f = random_fn(g, 14)
+        nyq = 2 ** (-step_log2 - 1)
+        for s in (Fraction(3, 2), Fraction(-nyq + 1), Fraction(nyq - 1, 3)):
+            base, incr = float((s * g.origin) % 1), float(s) * g.step
+            want = f.values * np.exp(2j * np.pi * (base + incr * (np.arange(g.count) + 0.5)))
+            assert np.array_equal(modulate(f, s).values, want)
+
+    @pytest.mark.parametrize("step_log2", [-6, -14])
+    def test_norms_match_formula(self, step_log2):
+        f = random_fn(Grid.over(0, 3, step_log2), 15)
+        for p in PS:
+            pth = float((np.abs(f.values) ** p.p).sum() * f.grid.step)
+            assert lp_norm_pth(f, p) == pth
+            assert lp_norm(f, p) == pth ** (1.0 / p.p)
+
+    def test_shift_rows_match_one_row_calls(self):
+        g = Grid.over(0, 2, -6)  # 10 rows of 128 cells: below 16384 cells
+        values = np.array([random_fn(g, 16, r).values for r in range(10)])
+        ts = [Fraction(r - 5, 4) for r in range(10)]
+        ss = [Fraction(3 * r - 14, 2) for r in range(10)]
+        rows = time_freq_shift_rows(values, g, ts, ss)
+        for row, v, t, s in zip(rows, values, ts, ss):
+            assert np.array_equal(row, time_freq_shift(SampledFunction(g, v), t, s).values)
+
+    def test_shift_rows_reject_aliased_and_unaligned(self):
+        g = Grid.over(0, 1, -3)  # Nyquist 4
+        values = np.ones((2, g.count), dtype=complex)
+        with pytest.raises(AliasedFrequency):
+            time_freq_shift_rows(values, g, [0, 1], [1, -4])
+        with pytest.raises(NonAlignedShift):
+            time_freq_shift_rows(values, g, [0, Fraction(1, 16)], [1, 1])
 
 
 class TestLpEll2:

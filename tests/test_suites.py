@@ -3,7 +3,9 @@
 Each oracle below draws from the same per-trial streams as its suite and
 evaluates every trial on its own with the public one-function, one-exponent
 calls (time_freq_shift, lp_norm, restrict, khintchine_ratio, ...).  The
-suite's rows and metrics must equal the oracle's bit for bit.
+suite's rows and metrics must equal the oracle's bit for bit, on the default
+grids and on one of 16384 cells or more, where numpy evaluates a product of
+256 KiB in place.
 """
 
 from fractions import Fraction
@@ -30,7 +32,6 @@ from gaborlab.grids import (
     Exponent,
     Grid,
     SampledFunction,
-    embed,
     lp_ell2_norm,
     lp_norm,
     lp_norm_pth,
@@ -62,30 +63,6 @@ SEED = 77
 ATOM_GRID = Grid.over(0, 4, -5)
 
 
-def atoms_oracle(seed, trial, n, grid, span_units=3):
-    rng = rng_for(seed, trial)
-    cell = Grid(0, grid.step_log2, 2 ** (-grid.step_log2))
-    window = SampledFunction(cell, complex_gaussian(rng, cell.count))
-    nyq = 2 ** (-grid.step_log2 - 1)
-    out = []
-    for _ in range(n):
-        t = Fraction(int(rng.integers(0, span_units)))
-        s = Fraction(int(rng.integers(-nyq + 1, nyq)), 2)
-        out.append(embed(time_freq_shift(window, t, s), grid))
-    return out
-
-
-def test_random_atoms():
-    for trial in range(20):
-        n = trial % 11
-        got = random_atoms(SEED, trial, n, ATOM_GRID)
-        want = atoms_oracle(SEED, trial, n, ATOM_GRID)
-        assert len(got) == n
-        for f, g in zip(got, want):
-            assert f.grid == g.grid
-            assert np.array_equal(f.values, g.values)
-
-
 def test_khintchine():
     ps = (1.5, 2.0, 3.0, 4.0)
     want = []
@@ -103,7 +80,7 @@ def test_squarefunc():
     want = []
     for trial in range(8):
         n = int(rng_for(SEED, trial, 1).integers(2, 11))
-        fs = atoms_oracle(SEED, trial, n, ATOM_GRID)
+        fs = random_atoms(SEED, trial, n, ATOM_GRID)
         for p in ps:
             exp = Exponent(p)
             want.append((trial, n, p, rademacher_pnorm_exact(fs, exp) / lp_ell2_norm(fs, exp)))
@@ -115,23 +92,25 @@ def test_type_cotype():
     want = []
     for trial in range(8):
         n = int(rng_for(SEED, trial, 2).integers(2, 11))
-        fs = atoms_oracle(SEED, trial, n, ATOM_GRID)
+        fs = random_atoms(SEED, trial, n, ATOM_GRID)
         want += [(trial, "cotype", n, p, cotype2_ratio(fs, Exponent(p))) for p in (1.5, 2.0)]
         want += [(trial, "type", n, p, type2_ratio(fs, Exponent(p))) for p in (2.0, 3.0, 4.0)]
     _, rows = type_cotype_suite(SEED, families=8)
     assert [(r["trial"], r["kind"], r["n"], r["p"], r["ratio"]) for r in rows] == want
 
 
-def test_lacunary():
-    # 40 trials: two full row chunks of the kernel and a partial one
+@pytest.mark.parametrize("grid_log2, trials", [(-10, 40), (-14, 3)])
+def test_lacunary(grid_log2, trials):
+    # 40 trials on 1024 cells: two full chunks of the kernel and a partial one
     freqs = [2**j for j in range(9)]
     want = []
-    for trial in range(40):
+    for trial in range(trials):
         a = complex_gaussian(rng_for(SEED, trial, 3), 9)
         l2 = float(np.linalg.norm(a))
-        want.append((trial, lacunary_pnorm(a, freqs, Exponent(4.0)) / l2,
-                     lacunary_pnorm(a, freqs, Exponent(2.0)) / l2))
-    _, rows = lacunary_suite(SEED, trials=40)
+        want.append((trial,
+                     lacunary_pnorm(a, freqs, Exponent(4.0), step_log2=grid_log2) / l2,
+                     lacunary_pnorm(a, freqs, Exponent(2.0), step_log2=grid_log2) / l2))
+    _, rows = lacunary_suite(SEED, trials=trials, grid_log2=grid_log2)
     assert [(r["trial"], r["ratio"], r["ratio_p2"]) for r in rows] == want
 
 
@@ -153,15 +132,15 @@ def test_rdf(grid_log2):
     assert report.metrics["plancherel_deviation"] == plancherel
 
 
-def test_isometry_all_triples():
-    # all 1000 triples, the last chunk partial; from 64 trials a chunk's
-    # arrays reach 256 KiB, where numpy reuses an unnamed temporary in place,
-    # and an inline modulation product then changes some products
-    grid = Grid.over(0, 4, -6)
+@pytest.mark.parametrize("grid_log2, span, triples", [(-6, 4, 1000), (-11, 4, 5), (-12, 4, 5)])
+def test_isometry(grid_log2, span, triples):
+    # all 1000 triples of the default grid, the last chunk partial; chunks of
+    # 8192 cells; 16384 cells, where one trial's product is evaluated in place
+    grid = Grid.over(0, span, grid_log2)
     ps = [Exponent(x) for x in (1.5, 2.0, 3.0, 4.0)]
     nyq = 2 ** (-grid.step_log2 - 1)
     worst_norm, worst_mod, want = 0.0, 0.0, []
-    for trial in range(1000):
+    for trial in range(triples):
         rng = rng_for(SEED, trial, 5)
         g = SampledFunction(grid, complex_gaussian(rng, grid.count))
         t = int(rng.integers(-2 * grid.count, 2 * grid.count)) * grid.step_fraction
@@ -174,7 +153,7 @@ def test_isometry_all_triples():
             worst_norm = max(worst_norm, abs(lp_norm(shifted, p) - base) / base)
         if trial < 50:
             want.append({"trial": trial, "worst_norm": worst_norm, "worst_mod": worst_mod})
-    report, rows = isometry_suite(SEED)
+    report, rows = isometry_suite(SEED, triples, grid_log2, span)
     assert rows == want
     assert report.metrics == {"max_norm_deviation": worst_norm,
                               "max_modulus_deviation": worst_mod}
