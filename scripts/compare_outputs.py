@@ -2,8 +2,9 @@
 
     python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--seed N]
 
-Runs every command of `bench/workloads.py`, the set-up builds of each
-workload included, as a `gaborlab` subprocess: once with PARENT_SRC and once
+Runs every command of `bench/workloads.py` at the given seed, the set-up
+builds of each workload included, and the GATE_SHAPES commands below at the
+recorded seed, each as a `gaborlab` subprocess: once with PARENT_SRC and once
 with CHANGE_SRC on `PYTHONPATH`, each side in its own directory under the
 same relative paths, so that echoed paths match.  It compares the exit codes,
 stdout (the printed report) and the JSON reports without `wall_time_s`,
@@ -25,6 +26,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLI_ENTRY = "import sys; from gaborlab.cli import main; sys.exit(main())"
 WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]*')
+# suites runs at the recorded seed off the benchmark's shapes, where the
+# recorded windows switch on or off: trial prefixes of the recorded runs (which
+# keep the windows of lacunary, peaks and cells and drop the others') and
+# more trials than recorded
+GATE_SHAPES = [
+    ("counterexample", "--family", "peaks", "--p", "1.5", "--trials", "5"),
+    ("counterexample", "--family", "peaks", "--p", "1.5", "--trials", "250"),
+    ("counterexample", "--family", "cells", "--p", "4", "--trials", "5"),
+    ("counterexample", "--family", "cells", "--p", "4", "--trials", "250"),
+    ("inequalities", "--suite", "lacunary", "--trials", "40"),
+    ("inequalities", "--suite", "lacunary", "--trials", "120"),
+    ("inequalities", "--suite", "squarefunc", "--trials", "8"),
+    ("inequalities", "--suite", "type-cotype", "--trials", "8"),
+    ("inequalities", "--suite", "rdf", "--trials", "20"),
+]
 
 sys.dont_write_bytecode = True  # leave bench/ as it is
 sys.path.insert(0, str(ROOT / "bench"))
@@ -32,7 +48,8 @@ import workloads  # noqa: E402
 
 
 def commands(side: Path, seed: int) -> list:
-    """Every workload's set-up and pass commands, inputs written under side."""
+    """Every workload's set-up and pass commands, inputs written under side,
+    then the GATE_SHAPES commands."""
     here = os.getcwd()
     os.chdir(side)
     try:
@@ -41,6 +58,13 @@ def commands(side: Path, seed: int) -> list:
             Path(name).mkdir()
             setup, passes = workloads.prepare(name, Path(name), seed)
             out += setup + passes
+        Path("gates").mkdir()
+        for argv in GATE_SHAPES:
+            label = f"gate_{argv[2]}_{argv[-1]}"
+            report, csv = Path("gates") / f"{label}.json", Path("gates") / f"{label}.csv"
+            argv += ("--seed", str(workloads.RECORDED_SEED), "--out", str(report),
+                     "--csv", str(csv))
+            out.append(workloads.Command(label, argv, report, csv))
         return out
     finally:
         os.chdir(here)

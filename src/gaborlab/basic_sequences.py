@@ -219,24 +219,6 @@ def peaks_decomposition_check(
     return {"cell_mass": cell_mass, "outside_sup": outside, **fam_mass}
 
 
-@dataclass
-class EquivalenceReport:
-    """Observed window of computed/predicted ratios over seeded trials."""
-
-    trials: int
-    ratio_min: float
-    ratio_max: float
-    extras: Dict[str, float]
-
-    def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            **self.extras,
-        }
-
-
 def peaks_grid(J: int, K: int) -> Grid:
     """Grid resolving the peaks window, its translates and its modulations."""
     step = min(-K, -J, -(J + 2))  # Nyquist for 2^J requires step < 2^-(J+1)
@@ -250,12 +232,13 @@ def verify_peaks(
     K: int,
     trials: int,
     seed: int,
-) -> Tuple[EquivalenceReport, List[dict]]:
+) -> Tuple[List[dict], Tuple[float, float]]:
     """Ratio of synthesized to predicted norms over seeded coefficient draws.
 
     Also forms, for each trial and unit cell, the ratio of the cell's p-mass
     to its local prediction, and runs the exact interval-decomposition check
-    on the first trial.
+    on the first trial.  Returns the per-trial rows and the (min, max) window
+    of the local ratios.
     """
     grid = peaks_grid(J, K)
     head = weights.normalized_head(K, p)
@@ -266,15 +249,12 @@ def verify_peaks(
     if not 0 <= lo <= hi <= system.hull.count:
         raise GridTooSmall(f"[1, {K + 1}) not contained in the hull")
     rows: List[dict] = []
-    r_lo, r_hi = np.inf, -np.inf
-    l_lo, l_hi = np.inf, -np.inf
+    local: List[float] = []
     for trial in range(trials):
         a = complex_gaussian(rng_for(seed, trial), J)
         phi = synthesize(system, a)
         computed = lp_norm(phi, p)
         predicted = peaks_predicted_norm(a, head, p)
-        ratio = computed / predicted
-        r_lo, r_hi = min(r_lo, ratio), max(r_hi, ratio)
         cell_masses = moduli_pth(
             np.abs(phi.values[lo:hi]).reshape(K, -1), system.hull.step, p
         )
@@ -282,21 +262,15 @@ def verify_peaks(
             peaks_local_predictions(a, head.c, p), cell_masses
         ):
             if local_pred > 0:
-                lr = float(cell_mass) / local_pred
-                l_lo, l_hi = min(l_lo, lr), max(l_hi, lr)
+                local.append(float(cell_mass) / local_pred)
         if trial == 0:
             for k in range(1, K + 1):
                 peaks_decomposition_check(phi, k, J, p)
         rows.append(
             {"trial": trial, "seed": seed, "computed": computed,
-             "predicted": predicted, "ratio": ratio}
+             "predicted": predicted, "ratio": computed / predicted}
         )
-    report = EquivalenceReport(
-        trials, float(r_lo), float(r_hi),
-        {"local_ratio_min": float(l_lo), "local_ratio_max": float(l_hi),
-         "J": J, "K": K, "p": p.p},
-    )
-    return report, rows
+    return rows, (min(local), max(local))
 
 
 def weight_growth_ratios(weights: WeightSequence, p: Exponent, n_max: int) -> np.ndarray:
@@ -387,28 +361,22 @@ def verify_cells(
     n_max: int,
     trials: int,
     seed: int,
-) -> Tuple[EquivalenceReport, List[dict]]:
+) -> List[dict]:
     """Ratio of || sum a_j g(.-j) ||_p^p to the predicted mass over seeded draws."""
     grid = cells_grid(K, n_max)
     window = cells_window(c, p, K, Grid.over(0, K + 1, -(K + 2)))
     slices = _translate_slices(window, n_max, grid)
     rows: List[dict] = []
-    r_lo, r_hi = np.inf, -np.inf
     for trial in range(trials):
         a = complex_gaussian(rng_for(seed, trial), n_max)
         phi = _combine(window, a, slices, grid)
         computed = lp_norm_pth(phi, p)
         predicted = cells_predicted_mass(a, c, p)
-        ratio = computed / predicted
-        r_lo, r_hi = min(r_lo, ratio), max(r_hi, ratio)
         rows.append(
             {"trial": trial, "seed": seed, "computed": computed,
-             "predicted": predicted, "ratio": ratio}
+             "predicted": predicted, "ratio": computed / predicted}
         )
-    report = EquivalenceReport(
-        trials, float(r_lo), float(r_hi), {"K": K, "n_max": n_max, "p": p.p}
-    )
-    return report, rows
+    return rows
 
 
 def flat_cells_coefficients(K: int, p: Exponent) -> np.ndarray:

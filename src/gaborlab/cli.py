@@ -166,8 +166,8 @@ def cmd_build_frame(args) -> int:
             "window_summands_disjoint": cert["window_summands_disjoint"],
             "window_norm_identity": cert["window_norm_error"] <= 1e-10,
         },
+        wall_time_s=sw.elapsed,
     )
-    report.wall_time_s = sw.elapsed
     if cfg.get("frame_out"):
         with open(cfg["frame_out"], "w") as fh:
             json.dump(frame.to_json(), fh)
@@ -213,8 +213,8 @@ def cmd_verify_frame(args) -> int:
             "reconstruction_within_tol": max_rel <= tol,
             "synthesis_residual_below_q": max_residual <= frame.q + 1e-9,
         },
+        wall_time_s=sw.elapsed,
     )
-    report.wall_time_s = sw.elapsed
     return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
 
 

@@ -79,8 +79,10 @@ from .grids import (
     SampledFunction,
     lp_norm,
     lp_norm_pth,
+    moduli_pth,
     modulate,
     modulation_values,
+    pth_roots,
 )
 from .haar import (
     HaarIndex,
@@ -693,17 +695,6 @@ class Reconstructions:
         )
 
 
-def _pth_rows(values: np.ndarray, p: Exponent, step: float) -> np.ndarray:
-    """lp_norm_pth of every row."""
-    return (np.abs(values) ** p.p).sum(axis=1) * step
-
-
-def _root(pth: np.ndarray, p: Exponent) -> np.ndarray:
-    """pth ** (1/p) entry by entry as a Python float power, as lp_norm takes
-    it; numpy's array power can differ in the last bit."""
-    return np.array([float(x) ** (1.0 / p.p) for x in pth])
-
-
 def reconstruct_rows(
     frame: ConstructedFrame, values: np.ndarray, tol: float
 ) -> Reconstructions:
@@ -728,8 +719,14 @@ def reconstruct_rows(
     f = np.asarray(values, dtype=np.complex128)
     p, step = frame.p, frame.span_grid.step
 
+    def pth(x: np.ndarray) -> np.ndarray:
+        return moduli_pth(np.abs(x), step, p)
+
+    def roots(x: np.ndarray) -> np.ndarray:
+        return np.array(pth_roots(x, p))
+
     def norms(x: np.ndarray) -> np.ndarray:
-        return _root(_pth_rows(x, p, step), p)
+        return roots(pth(x))
 
     sf = frame_operator_rows(frame, f)
     y0 = sf.main
@@ -758,7 +755,7 @@ def reconstruct_rows(
             f"residual above {tol} after the certified budget of {budget} iterations"
         )
     image = frame_operator_rows(frame, y)
-    image_pth = _pth_rows(image.main - f, p, step)
+    image_pth = pth(image.main - f)
 
     def relative(x: np.ndarray) -> np.ndarray:
         return np.divide(x, norm, out=np.zeros_like(norm), where=norm != 0.0)
@@ -766,9 +763,9 @@ def reconstruct_rows(
     return Reconstructions(
         y,
         image,
-        relative(_root(image_pth, p)),
-        relative(_root(image_pth + image.error_pth, p)),
-        relative(_root(_pth_rows(sf.main - f, p, step) + sf.error_pth, p)),
+        relative(roots(image_pth)),
+        relative(roots(image_pth + image.error_pth)),
+        relative(roots(pth(sf.main - f) + sf.error_pth)),
         iterations,
     )
 

@@ -198,10 +198,15 @@ def moduli_pth(mods: np.ndarray, step: float, p: Exponent) -> np.ndarray:
     return (mods**p.p).sum(axis=1) * step
 
 
-def moduli_norms(mods: np.ndarray, step: float, p: Exponent) -> List[float]:
-    """The L^p norm of each row, each root taken as a Python float power
+def pth_roots(pth: np.ndarray, p: Exponent) -> List[float]:
+    """pth ** (1/p) entry by entry, each root taken as a Python float power
     (numpy's array power can differ from it in the last bit)."""
-    return [float(x) ** (1.0 / p.p) for x in moduli_pth(mods, step, p)]
+    return [float(x) ** (1.0 / p.p) for x in pth]
+
+
+def moduli_norms(mods: np.ndarray, step: float, p: Exponent) -> List[float]:
+    """The L^p norm of each row."""
+    return pth_roots(moduli_pth(mods, step, p), p)
 
 
 def lp_norm(f: SampledFunction, p: Exponent) -> float:

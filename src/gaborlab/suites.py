@@ -9,15 +9,21 @@ A suite runs as draw, kernel, reduce: it draws each trial's vectors from
 that trial's own stream, hands them to the array kernels of stochastic,
 fourier, grids and basic_sequences, which do the work shared by a trial's
 exponents and bands once (and, for lacunary and isometry, evaluate chunks
-of trials as (trials, cells) arrays), and folds the results into rows and
-extremes in trial order.  Every value is the one the single-call functions
-give for that trial, bit for bit.
+of trials as (trials, cells) arrays), and folds the results into rows in
+trial order; the extremes are the min and max of the rows' ratios.  Every
+value is the one the single-call functions give for that trial, bit for bit.
+
+The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
+(constant-1 sides, per row and per exponent's extremes), `_at_most`,
+`_at_least` and `_window_contains` (calibrated bounds with WINDOW_SLACK), and
+`_is_recorded_run` (whether the recorded windows apply).  Each Report is
+built whole, its wall time included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,23 +69,58 @@ WINDOW_SLACK = 1e-6  # absorbs cross-platform rounding in recorded windows
 ISOMETRY_CELLS = 8192
 
 
-def _is_recorded_run(seed: int, name: str, **shape) -> bool:
+def _is_recorded_run(seed: int, name: str, trials: Optional[int] = None,
+                     **shape) -> bool:
     """Calibrated regression assertions apply only to the recorded run.
 
     Hard inequalities with constant 1 hold for every seed and are always
     asserted; the recorded windows are properties of one fixed seeded corpus,
     so other corpora report their observed constants without being judged
-    against another corpus's extremes.
+    against another corpus's extremes.  Given trials, a prefix of the
+    recorded trial stream counts too: its trials are a subset of the
+    recorded ones, so its extremes lie inside the recorded window.
     """
     rec = calibration.RECORDED_CONFIG
-    return seed == rec["seed"] and all(
-        rec[name].get(key) == val for key, val in shape.items()
+    return (
+        seed == rec["seed"]
+        and all(rec[name].get(key) == val for key, val in shape.items())
+        and (trials is None or trials <= rec[name]["trials"])
     )
+
+
+def _at_most(value: float, bound: float) -> bool:
+    return value <= bound * (1 + WINDOW_SLACK)
+
+
+def _at_least(value: float, bound: float) -> bool:
+    return value >= bound * (1 - WINDOW_SLACK)
 
 
 def _window_contains(recorded: Sequence[float], lo: float, hi: float) -> bool:
     rlo, rhi = recorded
-    return lo >= rlo * (1 - WINDOW_SLACK) and hi <= rhi * (1 + WINDOW_SLACK)
+    return _at_least(lo, rlo) and _at_most(hi, rhi)
+
+
+def _on_side_of_one(p: float, r: float) -> bool:
+    """r is at least 1 for p >= 2 and at most 1 for p <= 2, up to EXACT_SIDE_TOL."""
+    return (p < 2.0 or r >= 1.0 - EXACT_SIDE_TOL) and (
+        p > 2.0 or r <= 1.0 + EXACT_SIDE_TOL
+    )
+
+
+def _side_of_one(stats: Dict[float, List[float]]) -> Tuple[dict, dict]:
+    """The min/max metrics of each exponent's ratios and the side-of-one
+    assertions on them: the min for p >= 2, the max for p <= 2."""
+    metrics, assertions = {}, {}
+    for p, vals in stats.items():
+        lo, hi = min(vals), max(vals)
+        metrics[f"ratio_min_p{p}"] = lo
+        metrics[f"ratio_max_p{p}"] = hi
+        if p >= 2.0:
+            assertions[f"lower_side_one_p{p}"] = lo >= 1.0 - EXACT_SIDE_TOL
+        if p <= 2.0:
+            assertions[f"upper_side_one_p{p}"] = hi <= 1.0 + EXACT_SIDE_TOL
+    return metrics, assertions
 
 
 def random_atoms(
@@ -115,29 +156,13 @@ def khintchine_suite(
             a = complex_gaussian(rng, n)
             for p, r in zip(ps, khintchine_ratios(a, exps)):
                 stats[p].append(r)
-                ok = (p < 2.0 or r >= 1.0 - EXACT_SIDE_TOL) and (
-                    p > 2.0 or r <= 1.0 + EXACT_SIDE_TOL
-                )
                 rows.append(
                     {"trial": trial, "seed": seed, "n": n, "p": p, "ratio": r,
-                     "bound": 1.0, "pass": ok}
+                     "bound": 1.0, "pass": _on_side_of_one(p, r)}
                 )
-    metrics, assertions = {}, {}
-    for p in ps:
-        lo, hi = min(stats[p]), max(stats[p])
-        metrics[f"ratio_min_p{p}"] = lo
-        metrics[f"ratio_max_p{p}"] = hi
-        if p >= 2.0:
-            assertions[f"lower_side_one_p{p}"] = lo >= 1.0 - EXACT_SIDE_TOL
-        if p <= 2.0:
-            assertions[f"upper_side_one_p{p}"] = hi <= 1.0 + EXACT_SIDE_TOL
-    report = Report(
-        "inequalities:khintchine",
-        {"seed": seed, "trials": trials, "ps": list(ps), "max_n": max_n},
-        metrics,
-        assertions,
-    )
-    report.wall_time_s = sw.elapsed
+    report = Report("inequalities:khintchine",
+                    {"seed": seed, "trials": trials, "ps": list(ps), "max_n": max_n},
+                    *_side_of_one(stats), wall_time_s=sw.elapsed)
     return report, rows
 
 
@@ -152,6 +177,7 @@ def squarefunc_suite(
     rows = []
     stats: Dict[float, List[float]] = {p: [] for p in ps}
     exps = [Exponent(p) for p in ps]
+    cal = calibration.CALIBRATION["squarefunc"]
     with Stopwatch() as sw:
         for trial in range(families):
             rng = rng_for(seed, trial, 1)
@@ -161,41 +187,22 @@ def squarefunc_suite(
             for p, exp, mean in zip(ps, exps, means):
                 r = mean / lp_ell2_norm(fs, exp)
                 stats[p].append(r)
-                bound = calibration.CALIBRATION["squarefunc"].get(str(p), 1.0)
-                ok = (p < 2.0 or r >= 1.0 - EXACT_SIDE_TOL) and (
-                    p > 2.0 or r <= 1.0 + EXACT_SIDE_TOL
-                )
                 rows.append(
                     {"trial": trial, "seed": seed, "n": n, "p": p, "ratio": r,
-                     "bound": bound, "pass": ok}
+                     "bound": cal.get(str(p), 1.0), "pass": _on_side_of_one(p, r)}
                 )
-    metrics, assertions = {}, {}
-    cal = calibration.CALIBRATION["squarefunc"]
-    recorded = _is_recorded_run(seed, "squarefunc", families=families, max_n=max_n)
-    for p in ps:
-        lo, hi = min(stats[p]), max(stats[p])
-        metrics[f"ratio_min_p{p}"] = lo
-        metrics[f"ratio_max_p{p}"] = hi
-        if p >= 2.0:
-            assertions[f"lower_side_one_p{p}"] = lo >= 1.0 - EXACT_SIDE_TOL
-            if recorded:
-                assertions[f"upper_calibrated_p{p}"] = hi <= cal[str(p)] * (
-                    1 + WINDOW_SLACK
-                )
-        if p <= 2.0:
-            assertions[f"upper_side_one_p{p}"] = hi <= 1.0 + EXACT_SIDE_TOL
-            if recorded:
-                assertions[f"lower_calibrated_p{p}"] = lo >= cal[str(p) + "_lo"] * (
-                    1 - WINDOW_SLACK
-                )
-    report = Report(
-        "inequalities:squarefunc",
-        {"seed": seed, "families": families, "ps": list(ps), "max_n": max_n},
-        metrics,
-        assertions,
-        {"squarefunc": cal},
-    )
-    report.wall_time_s = sw.elapsed
+    metrics, assertions = _side_of_one(stats)
+    if _is_recorded_run(seed, "squarefunc", families=families, max_n=max_n):
+        for p in ps:
+            if p >= 2.0:
+                assertions[f"upper_calibrated_p{p}"] = _at_most(
+                    metrics[f"ratio_max_p{p}"], cal[str(p)])
+            if p <= 2.0:
+                assertions[f"lower_calibrated_p{p}"] = _at_least(
+                    metrics[f"ratio_min_p{p}"], cal[str(p) + "_lo"])
+    report = Report("inequalities:squarefunc",
+                    {"seed": seed, "families": families, "ps": list(ps), "max_n": max_n},
+                    metrics, assertions, {"squarefunc": cal}, sw.elapsed)
     return report, rows
 
 
@@ -225,21 +232,14 @@ def type_cotype_suite(
                     bound = cal[f"{kind}_p{p}"]
                     rows.append({"trial": trial, "seed": seed, "kind": kind,
                                  "n": n, "p": p, "ratio": r, "bound": bound,
-                                 "pass": r <= bound * (1 + WINDOW_SLACK)})
-    metrics, assertions = {}, {}
-    recorded = _is_recorded_run(seed, "type_cotype", families=families)
-    for key, vals in stats.items():
-        metrics[f"{key}_max"] = max(vals)
-        if recorded:
-            assertions[f"{key}_within"] = max(vals) <= cal[key] * (1 + WINDOW_SLACK)
-    report = Report(
-        "inequalities:type_cotype",
-        {"seed": seed, "families": families},
-        metrics,
-        assertions,
-        {"type_cotype": cal},
-    )
-    report.wall_time_s = sw.elapsed
+                                 "pass": _at_most(r, bound)})
+    metrics = {f"{key}_max": max(vals) for key, vals in stats.items()}
+    assertions = {}
+    if _is_recorded_run(seed, "type_cotype", families=families):
+        assertions = {f"{key}_within": _at_most(max(vals), cal[key])
+                      for key, vals in stats.items()}
+    report = Report("inequalities:type_cotype", {"seed": seed, "families": families},
+                    metrics, assertions, {"type_cotype": cal}, sw.elapsed)
     return report, rows
 
 
@@ -254,41 +254,30 @@ def lacunary_suite(
     freqs = [2**j for j in range(n_freqs)]  # 1, 2, 4, ..., 256
     exp = Exponent(p)
     cal_window = calibration.CALIBRATION["lacunary"][f"p{p}"]
-    rows, ratios = [], []
+    window = (cal_window["lo"], cal_window["hi"])
+    rows = []
     with Stopwatch() as sw:
         coeffs = [complex_gaussian(rng_for(seed, trial, 3), n_freqs) for trial in range(trials)]
         vals, twos = lacunary_pnorms(coeffs, freqs, [exp, Exponent(2.0)], step_log2=grid_log2)
         for trial, a, val, two in zip(range(trials), coeffs, vals, twos):
             l2 = float(np.linalg.norm(a))
             r = val / l2
-            ratios.append(r)
             rows.append({"trial": trial, "seed": seed, "n": n_freqs, "p": p,
                          "ratio": r, "bound": cal_window["hi"],
-                         "pass": cal_window["lo"] * (1 - WINDOW_SLACK)
-                         <= r
-                         <= cal_window["hi"] * (1 + WINDOW_SLACK),
+                         "pass": _window_contains(window, r, r),
                          # orthonormality: at p = 2 the ratio is 1 up to rounding
                          "ratio_p2": two / l2})
+    ratios = [row["ratio"] for row in rows]
     lo, hi = min(ratios), max(ratios)
     p2_dev = max(abs(row["ratio_p2"] - 1.0) for row in rows)
     metrics = {"ratio_min": lo, "ratio_max": hi, "p2_deviation": p2_dev}
     assertions = {"p2_orthonormal": p2_dev <= 1e-10}
-    if _is_recorded_run(seed, "lacunary", p=p, n_freqs=n_freqs) and trials <= (
-        calibration.RECORDED_CONFIG["lacunary"]["trials"]
-    ):
-        # prefix subsets of the recorded trial stream stay inside the window
-        assertions["window"] = _window_contains(
-            (cal_window["lo"], cal_window["hi"]), lo, hi
-        )
-    report = Report(
-        "inequalities:lacunary",
-        {"seed": seed, "trials": trials, "p": p, "n_freqs": n_freqs,
-         "grid_log2": grid_log2},
-        metrics,
-        assertions,
-        {"lacunary": cal_window},
-    )
-    report.wall_time_s = sw.elapsed
+    if _is_recorded_run(seed, "lacunary", trials, p=p, n_freqs=n_freqs):
+        assertions["window"] = _window_contains(window, lo, hi)
+    report = Report("inequalities:lacunary",
+                    {"seed": seed, "trials": trials, "p": p, "n_freqs": n_freqs,
+                     "grid_log2": grid_log2},
+                    metrics, assertions, {"lacunary": cal_window}, sw.elapsed)
     return report, rows
 
 
@@ -341,15 +330,10 @@ def rdf_suite(
             assertions[f"c_within_1pct_p{p}"] = (
                 abs(c_obs - cal[f"p{p}"]) <= 0.01 * cal[f"p{p}"]
             )
-    report = Report(
-        "inequalities:rdf",
-        {"seed": seed, "corpus": corpus, "ps": list(ps), "bands": bands,
-         "grid_log2": grid_log2, "span": span},
-        metrics,
-        assertions,
-        {"rdf": cal},
-    )
-    report.wall_time_s = sw.elapsed
+    report = Report("inequalities:rdf",
+                    {"seed": seed, "corpus": corpus, "ps": list(ps), "bands": bands,
+                     "grid_log2": grid_log2, "span": span},
+                    metrics, assertions, {"rdf": cal}, sw.elapsed)
     return report, rows
 
 
@@ -395,13 +379,9 @@ def isometry_suite(
         "isometry": worst_norm <= 1e-12,
         "modulus_independent_of_s": worst_mod <= 1e-12,
     }
-    report = Report(
-        "isometry",
-        {"seed": seed, "triples": triples, "grid_log2": grid_log2, "span": span},
-        metrics,
-        assertions,
-    )
-    report.wall_time_s = sw.elapsed
+    report = Report("isometry",
+                    {"seed": seed, "triples": triples, "grid_log2": grid_log2, "span": span},
+                    metrics, assertions, wall_time_s=sw.elapsed)
     return report, rows
 
 
@@ -418,31 +398,21 @@ def peaks_suite(
     cal = calibration.CALIBRATION["peaks"]
     with Stopwatch() as sw:
         weights = WeightSequence.polynomial(alpha, exp, length=K)
-        rep, rows = verify_peaks(weights, exp, J, K, trials, seed)
+        rows, local = verify_peaks(weights, exp, J, K, trials, seed)
         growth = weight_growth_ratios(weights, exp, 64)
-    metrics = {
-        **rep.to_json(),
-        "growth_first": float(growth[0]),
-        "growth_last": float(growth[-1]),
-    }
+    ratios = [row["ratio"] for row in rows]
+    lo, hi = min(ratios), max(ratios)
+    metrics = {"trials": trials, "J": J, "K": K, "p": exp.p,
+               "ratio_min": lo, "ratio_max": hi,
+               "local_ratio_min": local[0], "local_ratio_max": local[1],
+               "growth_first": float(growth[0]), "growth_last": float(growth[-1])}
     assertions = {"growth_monotone": bool(np.all(np.diff(growth) > 0))}
-    if _is_recorded_run(seed, "peaks", p=p, J=J, K=K, alpha=alpha) and trials <= (
-        calibration.RECORDED_CONFIG["peaks"]["trials"]
-    ):
-        assertions["ratio_window"] = _window_contains(
-            cal["ratio"], rep.ratio_min, rep.ratio_max
-        )
-        assertions["local_window"] = _window_contains(
-            cal["local"], rep.extras["local_ratio_min"], rep.extras["local_ratio_max"]
-        )
-    report = Report(
-        "counterexample:peaks",
-        {"seed": seed, "trials": trials, "p": p, "J": J, "K": K, "alpha": alpha},
-        metrics,
-        assertions,
-        {"peaks": cal},
-    )
-    report.wall_time_s = sw.elapsed
+    if _is_recorded_run(seed, "peaks", trials, p=p, J=J, K=K, alpha=alpha):
+        assertions["ratio_window"] = _window_contains(cal["ratio"], lo, hi)
+        assertions["local_window"] = _window_contains(cal["local"], *local)
+    report = Report("counterexample:peaks",
+                    {"seed": seed, "trials": trials, "p": p, "J": J, "K": K, "alpha": alpha},
+                    metrics, assertions, {"peaks": cal}, sw.elapsed)
     return report, rows
 
 
@@ -458,29 +428,19 @@ def cells_suite(
     cal = calibration.CALIBRATION["cells"]
     with Stopwatch() as sw:
         c = flat_cells_coefficients(K, exp)
-        rep, rows = verify_cells(c, exp, K, n_max, trials, seed)
+        rows = verify_cells(c, exp, K, n_max, trials, seed)
         threshold = growth_threshold_scan(c, exp)
         sep_norm = separated_translates_norm(c, exp, K, n=8, separation=K + 1)
+    ratios = [row["ratio"] for row in rows]
+    lo, hi = min(ratios), max(ratios)
     bound = 2.0 * 8 ** (1.0 / p)
-    metrics = {
-        **rep.to_json(),
-        "growth_threshold_n": threshold,
-        "separated_norm": sep_norm,
-        "separated_bound": bound,
-    }
+    metrics = {"trials": trials, "K": K, "n_max": n_max, "p": exp.p,
+               "ratio_min": lo, "ratio_max": hi, "growth_threshold_n": threshold,
+               "separated_norm": sep_norm, "separated_bound": bound}
     assertions = {"separated_translates": sep_norm < bound}
-    if _is_recorded_run(seed, "cells", p=p, K=K, n_max=n_max) and trials <= (
-        calibration.RECORDED_CONFIG["cells"]["trials"]
-    ):
-        assertions["ratio_window"] = _window_contains(
-            cal["ratio"], rep.ratio_min, rep.ratio_max
-        )
-    report = Report(
-        "counterexample:cells",
-        {"seed": seed, "trials": trials, "p": p, "K": K, "n_max": n_max},
-        metrics,
-        assertions,
-        {"cells": cal},
-    )
-    report.wall_time_s = sw.elapsed
+    if _is_recorded_run(seed, "cells", trials, p=p, K=K, n_max=n_max):
+        assertions["ratio_window"] = _window_contains(cal["ratio"], lo, hi)
+    report = Report("counterexample:cells",
+                    {"seed": seed, "trials": trials, "p": p, "K": K, "n_max": n_max},
+                    metrics, assertions, {"cells": cal}, sw.elapsed)
     return report, rows

@@ -397,6 +397,30 @@ SUITE_METRICS = {
 }
 
 
+# assertion blocks of the same commands: every gate on, every gate passing
+SUITE_ASSERTIONS = {
+    "peaks": dict.fromkeys(["growth_monotone", "local_window", "ratio_window"], True),
+    "cells": dict.fromkeys(["ratio_window", "separated_translates"], True),
+    "khintchine": dict.fromkeys(
+        ["lower_side_one_p2.0", "lower_side_one_p3.0", "lower_side_one_p4.0",
+         "upper_side_one_p1.5", "upper_side_one_p2.0"], True),
+    "squarefunc": dict.fromkeys(
+        ["lower_calibrated_p1.5", "lower_calibrated_p2.0", "lower_side_one_p2.0",
+         "lower_side_one_p3.0", "lower_side_one_p4.0", "upper_calibrated_p2.0",
+         "upper_calibrated_p3.0", "upper_calibrated_p4.0", "upper_side_one_p1.5",
+         "upper_side_one_p2.0"], True),
+    "type-cotype": dict.fromkeys(
+        ["cotype_p1.5_within", "cotype_p2.0_within", "type_p2.0_within",
+         "type_p3.0_within", "type_p4.0_within"], True),
+    "lacunary": dict.fromkeys(["p2_orthonormal", "window"], True),
+    "rdf": dict.fromkeys(
+        ["c_within_1pct_p3.0", "c_within_1pct_p4.0", "plancherel_partition"], True),
+    "isometry": dict.fromkeys(["isometry", "modulus_independent_of_s"], True),
+    # off the recorded grid, so rdf's recorded constants are not asserted
+    "rdf_g7_s8": {"plancherel_partition": True},
+}
+
+
 class TestRecordedSeedSuites:
     """The suites commands of the benchmark at the recorded seed, compared exactly."""
 
@@ -404,13 +428,16 @@ class TestRecordedSeedSuites:
         return WORKLOADS.suites(tmp_path, WORKLOADS.RECORDED_SEED)
 
     def test_every_command_is_pinned(self, tmp_path):
-        assert [c.label for c in self.commands(tmp_path)] == list(SUITE_METRICS)
+        labels = [c.label for c in self.commands(tmp_path)]
+        assert labels == list(SUITE_METRICS) == list(SUITE_ASSERTIONS)
 
     @pytest.mark.parametrize("label", list(SUITE_METRICS))
     def test_metrics(self, tmp_path, capsys, label):
         (cmd,) = [c for c in self.commands(tmp_path) if c.label == label]
         assert run(list(cmd.argv)) == 0
-        assert json.loads(cmd.out.read_text())["metrics"] == SUITE_METRICS[label]
+        report = json.loads(cmd.out.read_text())
+        assert report["metrics"] == SUITE_METRICS[label]
+        assert report["assertions"] == SUITE_ASSERTIONS[label]
 
 
 class TestPointSetFile:

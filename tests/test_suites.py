@@ -5,7 +5,8 @@ evaluates every trial on its own with the public one-function, one-exponent
 calls (time_freq_shift, lp_norm, restrict, khintchine_ratio, ...).  The
 suite's rows and metrics must equal the oracle's bit for bit, on the default
 grids and on one of 16384 cells or more, where numpy evaluates a product of
-256 KiB in place.
+256 KiB in place.  The last test pins which assertions each gated suite makes
+at and around its recorded run.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gaborlab.calibration import RECORDED_CONFIG
 from gaborlab.basic_sequences import (
     WeightSequence,
     cells_combination,
@@ -203,3 +205,40 @@ def test_cells():
         want.append((trial, computed, predicted, computed / predicted))
     _, rows = cells_suite(SEED, trials=20)
     assert [(r["trial"], r["computed"], r["predicted"], r["ratio"]) for r in rows] == want
+
+
+SIDES = ["lower_side_one_p2.0", "lower_side_one_p3.0", "lower_side_one_p4.0",
+         "upper_side_one_p1.5", "upper_side_one_p2.0"]
+# suite, trial counts of (the recorded run, a prefix of it, more than it),
+# the assertions made everywhere, the recorded windows, and at which of the
+# four shapes (recorded, prefix, more, another seed) the windows are asserted
+GATED = {
+    "squarefunc": (squarefunc_suite, (50, 8, 60), SIDES,
+                   ["lower_calibrated_p1.5", "lower_calibrated_p2.0",
+                    "upper_calibrated_p2.0", "upper_calibrated_p3.0",
+                    "upper_calibrated_p4.0"], (True, False, False, False)),
+    "type_cotype": (type_cotype_suite, (50, 8, 60), [],
+                    ["cotype_p1.5_within", "cotype_p2.0_within", "type_p2.0_within",
+                     "type_p3.0_within", "type_p4.0_within"],
+                    (True, False, False, False)),
+    "lacunary": (lacunary_suite, (100, 40, 120), ["p2_orthonormal"], ["window"],
+                 (True, True, False, False)),
+    "rdf": (rdf_suite, (100, 20, 120), ["plancherel_partition"],
+            ["c_within_1pct_p3.0", "c_within_1pct_p4.0"], (True, False, False, False)),
+    "peaks": (peaks_suite, (200, 50, 250), ["growth_monotone"],
+              ["local_window", "ratio_window"], (True, True, False, False)),
+    "cells": (cells_suite, (200, 50, 250), ["separated_translates"],
+              ["ratio_window"], (True, True, False, False)),
+}
+
+
+SHAPES = ["recorded", "prefix", "more", "other_seed"]
+
+
+@pytest.mark.parametrize("shape", range(4), ids=SHAPES)
+@pytest.mark.parametrize("name", list(GATED))
+def test_gated_assertions(name, shape):
+    suite, (recorded, prefix, more), always, windows, gated = GATED[name]
+    seed = SEED if SHAPES[shape] == "other_seed" else RECORDED_CONFIG["seed"]
+    report, _ = suite(seed, (recorded, prefix, more, recorded)[shape])
+    assert report.assertions == dict.fromkeys(always + (windows if gated[shape] else []), True)
