@@ -275,9 +275,6 @@ def cmd_counterexample(args) -> int:
         raise ConfigError("counterexample requires --family peaks|cells")
     report, rows = _run_suite("family", family, FAMILIES[family], seed, cfg,
                               ["p", "J", "K", "n_max", "alpha"])
-    # the report echoes the merged flags, null where unset
-    report.config = {k: cfg.get(k) for k in ("family", "p", "trials", "seed",
-                                             "J", "K", "n_max")}
     return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
 
 

@@ -33,10 +33,6 @@ class SupportOutOfRange(GaborLabError):
     """Requested support lies outside the grid span."""
 
 
-class ZeroFunction(GaborLabError):
-    """An operation requiring a nonzero function received the zero function."""
-
-
 class TooManyFunctions(GaborLabError):
     """Exact sign-pattern enumeration requested beyond the enumeration cutoff."""
 

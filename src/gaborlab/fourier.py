@@ -7,8 +7,8 @@ and compose by interval intersection up to floating-point rounding.
 
 band_parts forms every band of one function from one spectrum, and
 square_function_norms evaluates the band square function at several
-exponents from one set of band parts; partial_sum and square_function_norm
-are their one-band and one-exponent calls.
+exponents from one set of band parts; partial_sum is the one-band call of
+band_parts.
 """
 
 from __future__ import annotations
@@ -71,10 +71,3 @@ def square_function_norms(
                 raise OverlappingIntervals(f"{a} overlaps {b}")
     parts = [SampledFunction(f.grid, row) for row in band_parts(f, intervals)]
     return [lp_ell2_norm(parts, p) for p in ps]
-
-
-def square_function_norm(
-    f: SampledFunction, intervals: Sequence[FrequencyInterval], p: Exponent
-) -> float:
-    """|| (sum_k |D_{I_k} f|^2)^(1/2) ||_p for pairwise disjoint bands, p >= 2."""
-    return square_function_norms(f, intervals, [p])[0]

@@ -352,9 +352,6 @@ class SparseWindow:
         # piece supports are certified pairwise disjoint, so the p-mass adds
         return float(sum(lp_norm_pth(f, p) for _, f in self.pieces))
 
-    def lp_norm(self, p: Exponent) -> float:
-        return self.lp_norm_pth(p) ** (1.0 / p.p)
-
 
 def _window_step(plan: BlockPlan, selection: TranslateSelection) -> int:
     max_scale = max(a.scale for a in block_atoms(plan))

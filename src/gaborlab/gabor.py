@@ -1,4 +1,4 @@
-"""Finite Gabor systems: atoms, synthesis and the square function.
+"""Finite Gabor systems: atoms and synthesis.
 
 A system is a window together with a finite ordered list of time-frequency
 points (t, s); the atom at (t, s) is x -> g(x - t) exp(2 pi i s x).
@@ -14,12 +14,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .grids import (
-    Exponent,
     Grid,
     SampledFunction,
     _as_fraction,
     embed,
-    lp_ell2_norm,
     time_freq_shift,
     translate,
 )
@@ -77,31 +75,17 @@ class GaborSystem:
         object.__setattr__(self, "atom_matrix", np.array(rows))
 
 
-def _coefficients(sys: GaborSystem, a: Sequence[complex]) -> np.ndarray:
-    vec = np.asarray(a, dtype=np.complex128)
-    if vec.shape != (len(sys.points),):
-        raise ValueError("coefficient vector length differs from point count")
-    return vec
-
-
 def synthesize(sys: GaborSystem, a: Sequence[complex]) -> SampledFunction:
     """The finite combination sum a_{ts} g(x - t) exp(2 pi i s x).
 
     a holds one coefficient per system point, in the order of sys.points.
     """
-    vec = _coefficients(sys, a)
+    vec = np.asarray(a, dtype=np.complex128)
+    if vec.shape != (len(sys.points),):
+        raise ValueError("coefficient vector length differs from point count")
     if not sys.points:
         return SampledFunction.zero(sys.window.grid)
     return SampledFunction(sys.hull, vec @ sys.atom_matrix)
-
-
-def square_function_equivalent(
-    sys: GaborSystem, a: Sequence[complex], p: Exponent
-) -> float:
-    """|| (sum |a_{ts}|^2 |atom|^2)^(1/2) ||_p, the square-function comparison."""
-    vec = _coefficients(sys, a)
-    fs = [SampledFunction(sys.hull, c * row) for c, row in zip(vec, sys.atom_matrix)]
-    return lp_ell2_norm(fs, p)
 
 
 def points_to_json(points: Sequence[TimeFreqPoint]) -> list:

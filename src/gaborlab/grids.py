@@ -54,9 +54,6 @@ class Exponent:
     def conjugate(self) -> float:
         return self.p / (self.p - 1.0)
 
-    def dual(self) -> "Exponent":
-        return Exponent(self.conjugate)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -156,23 +153,6 @@ class SampledFunction:
         return SampledFunction(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    def to_json(self) -> dict:
-        return {
-            "origin": float(self.grid.origin),
-            "step_log2": self.grid.step_log2,
-            "values": [[float(z.real), float(z.imag)] for z in self.values],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SampledFunction":
-        origin = Fraction(obj["origin"])
-        step = Fraction(1, 2 ** (-obj["step_log2"]))
-        grid = Grid.over(
-            origin, origin + len(obj["values"]) * step, obj["step_log2"]
-        )
-        vals = np.array([complex(re, im) for re, im in obj["values"]])
-        return cls(grid, vals)
 
 
 def _require_same_grid(f: SampledFunction, g: SampledFunction) -> None:

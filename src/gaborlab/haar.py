@@ -5,19 +5,23 @@ dyadic Haar functions at scales j >= 0.  An atom of scale j takes the values
 +-2^(j/p) on the two halves of its support, which makes ||h||_p = 1 exactly;
 the biorthogonal partner h* has the same shape normalized in the conjugate
 exponent, so <h, h*> = 1 and distinct atoms pair to zero.
+
+functional_layout gives a dual atom as its cell slices once, so a frame can
+apply every functional to many rows without resampling atoms, and
+unconditionality_bound gives the sign-flip constant K_p that block plans
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .errors import GridTooCoarse, SupportOutOfRange, ZeroFunction
+from .errors import GridTooCoarse, SupportOutOfRange
 from .grids import Exponent, Grid, SampledFunction
-from .stochastic import sign_flip_extremes
 
 
 @dataclass(frozen=True, order=True)
@@ -45,9 +49,6 @@ class HaarIndex:
         w = Fraction(1, 2**self.scale)
         lo = self.cell + self.position * w
         return lo, lo + w
-
-    def to_json(self) -> dict:
-        return {"cell": self.cell, "scale": self.scale, "position": self.position}
 
 
 def haar_indices(cells: Iterable[int], max_scale: int) -> List[HaarIndex]:
@@ -120,58 +121,6 @@ def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:
     return complex(
         (f.values[i:mid].sum() - f.values[mid:j].sum()) * amp * f.grid.step
     )
-
-
-def haar_expand(
-    f: SampledFunction, p: Exponent, cells: Iterable[int], max_scale: int
-) -> Dict[HaarIndex, complex]:
-    """Coefficients of f against every index over the given cells and scales."""
-    return {
-        idx: haar_functional(idx, f, p) for idx in haar_indices(cells, max_scale)
-    }
-
-
-def haar_reconstruct(
-    coeffs: Dict[HaarIndex, complex], p: Exponent, grid: Grid
-) -> SampledFunction:
-    """Sum of coeff * atom; inverts haar_expand at full grid scale."""
-    out = np.zeros(grid.count, dtype=np.complex128)
-    for idx, c in coeffs.items():
-        if c == 0:
-            continue
-        out += c * haar_function(idx, p, grid).values
-    return SampledFunction(grid, out)
-
-
-def span_cells(f: SampledFunction) -> range:
-    """Integer cells [n, n+1) meeting the grid span of f."""
-    cpu = 2 ** (-f.grid.step_log2)
-    lo = f.grid.origin_index // cpu
-    hi = -((-(f.grid.origin_index + f.grid.count)) // cpu)
-    return range(lo, hi)
-
-
-def haar_unconditionality_ratio(
-    f: SampledFunction, p: Exponent, trials: int, seed: int
-) -> float:
-    """Largest sign-flip norm ratio max_theta ||sum theta_k c_k h_k||_p / ||f||_p.
-
-    f is expanded in the full-scale Haar system of its grid, so the expansion
-    reproduces f exactly and the ratio for the all-plus pattern is 1.  The
-    patterns over the nonzero coefficients are those of sign_flip_extremes:
-    all of them for at most 12 coefficients, else `trials` seeded draws.
-    """
-    max_scale = -f.grid.step_log2 - 1
-    items = [
-        (idx, c)
-        for idx, c in haar_expand(f, p, span_cells(f), max_scale).items()
-        if c != 0
-    ]
-    if not items:
-        raise ZeroFunction("cannot form a ratio against the zero function")
-    atoms = np.array([haar_function(idx, p, f.grid).values for idx, _ in items])
-    coeffs = [c for _, c in items]
-    return sign_flip_extremes(coeffs, atoms, f.grid.step, p, trials, seed)[0]
 
 
 def unconditionality_bound(p: Exponent) -> float:

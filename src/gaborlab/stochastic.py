@@ -7,16 +7,12 @@ constant is 1 for p <= 2, which the tests assert exactly.
 
 Every signed p-mass || sum_j theta_j c_j v_j ||_p^p is formed by one kernel,
 combination_pth, from coefficient rows and a matrix of sampled values, and
-reduced to one p-mass per row by grids.moduli_pth.  The sign-flip extremes
-behind every unconditionality check are enumerated exactly for at most 12
-functions and sampled otherwise.
+reduced to one p-mass per row by grids.moduli_pth.
 
-Each quantity has a kernel that takes a list of exponents (and, for the
+Each quantity is a kernel that takes a list of exponents (and, for the
 lacunary sums, a matrix of coefficient rows) and does the work shared by
 them once: one sign-pattern product per family or scalar vector, one set of
-exponentials per frequency.  The single-exponent functions
-(khintchine_ratio, rademacher_*_exact, cotype2_ratio, type2_ratio,
-lacunary_pnorm) are one-element calls of those kernels.
+exponentials per frequency.  A single exponent or row is a one-element call.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AliasedFrequency, NotLacunary, TooManyFunctions, ZeroFunction
+from .errors import AliasedFrequency, NotLacunary, TooManyFunctions
 from .grids import (
     Exponent,
     Grid,
@@ -35,7 +31,6 @@ from .grids import (
     moduli_norms,
     moduli_pth,
 )
-from .rng import rng_for, sign_matrix
 
 EXACT_FUNCTION_CUTOFF = 12
 EXACT_SCALAR_CUTOFF = 20
@@ -84,35 +79,6 @@ def _pattern_pths(
     return [moduli_pth(mods, grid.step, p) for p in ps]
 
 
-def sign_flip_extremes(
-    coeffs: Sequence[complex],
-    mat: np.ndarray,
-    step: float,
-    p: Exponent,
-    trials: int,
-    seed: int,
-) -> Tuple[float, float]:
-    """Extremes over sign patterns of || sum theta_j c_j v_j ||_p / || sum c_j v_j ||_p.
-
-    Enumerates all 2^n patterns when n <= EXACT_FUNCTION_CUTOFF; otherwise
-    samples `trials` patterns from the seeded stream.  Row 0 is the identity
-    up to a global sign (all minus when enumerating, set to all plus when
-    sampling), which leaves the norm unchanged, so both extremes bracket 1.
-    """
-    vec = np.asarray(coeffs, dtype=np.complex128)
-    n = len(vec)
-    if n <= EXACT_FUNCTION_CUTOFF:
-        signs = all_sign_patterns(n)
-    else:
-        signs = sign_matrix(rng_for(seed), trials, n)
-        signs[0, :] = 1
-    pth = combination_pth(signs * vec, mat, step, p)
-    if pth[0] == 0.0:
-        raise ZeroFunction("base combination is the zero function")
-    ratios = (pth / pth[0]) ** (1.0 / p.p)
-    return float(ratios.max()), float(ratios.min())
-
-
 def rademacher_pnorms_exact(
     fs: Sequence[SampledFunction], ps: Sequence[Exponent]
 ) -> List[float]:
@@ -120,11 +86,6 @@ def rademacher_pnorms_exact(
     return [
         float(pth.mean()) ** (1.0 / p.p) for pth, p in zip(_pattern_pths(fs, ps), ps)
     ]
-
-
-def rademacher_pnorm_exact(fs: Sequence[SampledFunction], p: Exponent) -> float:
-    """(E || sum_j eps_j f_j ||_p^p)^(1/p) by full sign-pattern enumeration."""
-    return rademacher_pnorms_exact(fs, [p])[0]
 
 
 def rademacher_mean_norms_exact(
@@ -135,11 +96,6 @@ def rademacher_mean_norms_exact(
         float((pth ** (1.0 / p.p)).mean())
         for pth, p in zip(_pattern_pths(fs, ps), ps)
     ]
-
-
-def rademacher_mean_norm_exact(fs: Sequence[SampledFunction], p: Exponent) -> float:
-    """First moment E || sum_j eps_j f_j ||_p by full enumeration."""
-    return rademacher_mean_norms_exact(fs, [p])[0]
 
 
 def khintchine_ratios(a: Sequence[complex], ps: Sequence[Exponent]) -> List[float]:
@@ -156,18 +112,15 @@ def khintchine_ratios(a: Sequence[complex], ps: Sequence[Exponent]) -> List[floa
     return [float((mods**p.p).mean()) ** (1.0 / p.p) / l2 for p in ps]
 
 
-def khintchine_ratio(a: Sequence[complex], p: Exponent) -> float:
-    """(E |sum a_n eps_n|^p)^(1/p) divided by the l2 norm of a."""
-    return khintchine_ratios(a, [p])[0]
-
-
 def type_cotype_ratios(
     fs: Sequence[SampledFunction],
     ps_cotype: Sequence[Exponent],
     ps_type: Sequence[Exponent],
 ) -> Tuple[List[float], List[float]]:
-    """cotype2_ratio of fs at each p of ps_cotype and type2_ratio at each p of
-    ps_type, from one sign-pattern product and one ||f_j||_p per exponent."""
+    """The cotype-2 ratio (sum ||f_j||_p^2)^(1/2) / E || sum eps_j f_j ||_p at
+    each p <= 2 of ps_cotype and the type-2 ratio, its reciprocal, at each
+    p >= 2 of ps_type, from one sign-pattern product and one ||f_j||_p per
+    exponent."""
     if any(p.p > 2.0 for p in ps_cotype):
         raise ValueError("cotype-2 ratio is formed for p <= 2")
     if any(p.p < 2.0 for p in ps_type):
@@ -179,16 +132,6 @@ def type_cotype_ratios(
         [squares[p] / means[p] for p in ps_cotype],
         [means[p] / squares[p] for p in ps_type],
     )
-
-
-def cotype2_ratio(fs: Sequence[SampledFunction], p: Exponent) -> float:
-    """(sum ||f_j||_p^2)^(1/2) / E || sum eps_j f_j ||_p, for p <= 2."""
-    return type_cotype_ratios(fs, [p], [])[0][0]
-
-
-def type2_ratio(fs: Sequence[SampledFunction], p: Exponent) -> float:
-    """E || sum eps_j f_j ||_p / (sum ||f_j||_p^2)^(1/2), for p >= 2."""
-    return type_cotype_ratios(fs, [], [p])[1][0]
 
 
 def verify_lacunary(freqs: Sequence[int], min_ratio: float = 2.0) -> None:
@@ -208,7 +151,13 @@ def lacunary_pnorms(
     min_ratio: float = 2.0,
     step_log2: int = -10,
 ) -> List[List[float]]:
-    """lacunary_pnorm of every row of coeffs, one list of rows per p.
+    """(integral over [0,1] of |sum_n a_n exp(2 pi i s_n x)|^p)^(1/p) on a fine
+    grid for every row a of coeffs, one list of rows per p.
+
+    The frequencies must be positive integers with successive ratios at least
+    min_ratio, all below the grid Nyquist bound.  For even integer p the
+    midpoint Riemann sum is exact (every cross frequency stays on-grid);
+    for other p the value carries the usual midpoint quadrature error.
 
     Each exponential is sampled once for all rows, and one array of moduli
     serves every exponent.  Rows are summed in chunks of LACUNARY_CELLS
@@ -236,19 +185,3 @@ def lacunary_pnorms(
             norms += moduli_norms(mods, grid.step, p)
     return out
 
-
-def lacunary_pnorm(
-    a: Sequence[complex],
-    freqs: Sequence[int],
-    p: Exponent,
-    min_ratio: float = 2.0,
-    step_log2: int = -10,
-) -> float:
-    """(integral over [0,1] of |sum a_n exp(2 pi i s_n x)|^p)^(1/p) on a fine grid.
-
-    The frequencies must be positive integers with successive ratios at least
-    min_ratio, all below the grid Nyquist bound.  For even integer p the
-    midpoint Riemann sum is exact (every cross frequency stays on-grid);
-    for other p the value carries the usual midpoint quadrature error.
-    """
-    return lacunary_pnorms([a], freqs, [p], min_ratio, step_log2)[0][0]

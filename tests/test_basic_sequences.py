@@ -35,7 +35,7 @@ from gaborlab.grids import (
     restrict,
 )
 from gaborlab.rng import complex_gaussian, rng_for
-from gaborlab.stochastic import sign_flip_extremes
+from gaborlab.stochastic import all_sign_patterns, combination_pth
 
 P15 = Exponent(1.5)
 P4 = Exponent(4.0)
@@ -207,9 +207,11 @@ class TestPeaksVerification:
         grid = peaks_grid(8, 8)
         window = peaks_window(head.c, P15, 8, grid)
         system = GaborSystem(window, peaks_lattice(8))
-        mx, mn = sign_flip_extremes(
-            a, system.atom_matrix, system.hull.step, P15, trials=256, seed=73
-        )
+        # all 2^8 patterns; row 0, all minus, has the norm of a
+        pth = combination_pth(all_sign_patterns(8) * a, system.atom_matrix,
+                              system.hull.step, P15)
+        ratios = (pth / pth[0]) ** (1.0 / P15.p)
+        mx, mn = ratios.max(), ratios.min()
         lo, hi = CALIBRATION["peaks"]["ratio"]
         spread = hi / lo
         assert mx <= spread * (1 + 1e-9)

@@ -221,6 +221,22 @@ class TestConfigFile:
         assert payload["config"]["trials"] == 15
         assert payload["config"]["seed"] == 5
 
+    def test_counterexample_echoes_alpha(self, tmp_path, capsys):
+        # the report and stdout carry the suite's own config, alpha included;
+        # sum_{j<=n} j^-alpha / n^(p/2) grows only for alpha < 1 - p/2, so
+        # alpha = 0.3 fails growth_monotone and exits 1
+        metrics = []
+        for alpha, exit_code in ((0.1, 0), (0.3, 1)):
+            out = tmp_path / f"a{alpha}.json"
+            code = run(["counterexample", "--family", "peaks", "--trials", "5",
+                        "--seed", "3", "--alpha", str(alpha), "--out", str(out)])
+            printed = json.loads(capsys.readouterr().out)
+            assert code == exit_code
+            for payload in (json.loads(out.read_text()), printed):
+                assert payload["config"]["alpha"] == alpha
+            metrics.append(printed["metrics"])
+        assert metrics[0] != metrics[1]
+
 
 class TestFramePipeline:
     def test_build_then_verify(self, tmp_path, capsys):

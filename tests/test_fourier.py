@@ -9,7 +9,7 @@ from gaborlab.fourier import (
     FrequencyInterval,
     grid_frequencies,
     partial_sum,
-    square_function_norm,
+    square_function_norms,
 )
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm, modulate
 from gaborlab.rng import complex_gaussian, rng_for
@@ -73,27 +73,27 @@ class TestSquareFunctionNorm:
     def test_single_full_interval(self):
         f = noise(65)
         for p in (2.0, 3.0):
-            got = square_function_norm(f, [FrequencyInterval(-40, 40)], Exponent(p))
+            got = square_function_norms(f, [FrequencyInterval(-40, 40)], [Exponent(p)])[0]
             assert got == pytest.approx(lp_norm(f, Exponent(p)), rel=1e-12)
 
     def test_p2_partition_is_plancherel(self):
         f = noise(66)
         bands = [FrequencyInterval(-32 + 8 * i, -24 + 8 * i) for i in range(8)]
-        got = square_function_norm(f, bands, Exponent(2.0))
+        got = square_function_norms(f, bands, [Exponent(2.0)])[0]
         assert got == pytest.approx(lp_norm(f, Exponent(2.0)), rel=1e-10)
 
     def test_rejects_overlap(self):
         f = noise(67)
         with pytest.raises(OverlappingIntervals):
-            square_function_norm(
+            square_function_norms(
                 f,
                 [FrequencyInterval(0, 2), FrequencyInterval(1, 3)],
-                Exponent(3.0),
+                [Exponent(3.0)],
             )
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            square_function_norm(noise(68), [FrequencyInterval(0, 1)], Exponent(1.5))
+            square_function_norms(noise(68), [FrequencyInterval(0, 1)], [Exponent(1.5)])
 
 
 class TestGridFrequencies:

@@ -405,7 +405,7 @@ class TestWindow:
         assert len(window.pieces) == 1
         offset, piece = window.pieces[0]
         assert offset == -4
-        assert window.lp_norm(P4) == pytest.approx(1.0, abs=1e-12)
+        assert window.lp_norm_pth(P4) == pytest.approx(1.0, abs=1e-12)
 
     def test_acceptance_window_norm_identity(self):
         plan = plan_from_sizes(P4, (72, 144, 288))
@@ -433,7 +433,7 @@ class TestWindow:
         window = build_window(plan, sel)
         grid = Grid.over(-20, 1, window.step_log2)
         dense = window_on_grid(window, grid)
-        assert lp_norm(dense, P4) == pytest.approx(window.lp_norm(P4), rel=1e-12)
+        assert lp_norm_pth(dense, P4) == pytest.approx(window.lp_norm_pth(P4), rel=1e-12)
 
     def test_dense_materialization_too_small(self):
         frame = tiny_frame()

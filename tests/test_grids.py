@@ -54,13 +54,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0, 1, 4)
 
-    def test_json_roundtrip(self):
-        g = Grid.over(0, 2, -3)
-        f = random_fn(g, 3)
-        back = SampledFunction.from_json(f.to_json())
-        assert back.grid == f.grid
-        assert np.allclose(back.values, f.values)
-
 
 class TestLpNorm:
     def test_unit_indicator_any_p(self):

@@ -9,15 +9,13 @@ from gaborlab.errors import AliasedFrequency, NotLacunary, TooManyFunctions
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm
 from gaborlab.rng import complex_gaussian, rng_for
 from gaborlab.stochastic import (
-    EXACT_FUNCTION_CUTOFF,
     all_sign_patterns,
-    cotype2_ratio,
-    khintchine_ratio,
-    lacunary_pnorm,
-    rademacher_mean_norm_exact,
-    rademacher_pnorm_exact,
-    sign_flip_extremes,
-    type2_ratio,
+    combination_pth,
+    khintchine_ratios,
+    lacunary_pnorms,
+    rademacher_mean_norms_exact,
+    rademacher_pnorms_exact,
+    type_cotype_ratios,
 )
 
 GRID = Grid.over(0, 2, -4)
@@ -45,7 +43,7 @@ class TestExactEnumeration:
     def test_single_function(self):
         p = Exponent(3.0)
         (f,) = random_fns(1, 41)
-        assert rademacher_pnorm_exact([f], p) == pytest.approx(
+        assert rademacher_pnorms_exact([f], [p])[0] == pytest.approx(
             lp_norm(f, p), rel=1e-13
         )
 
@@ -53,7 +51,8 @@ class TestExactEnumeration:
         p = Exponent(2.5)
         f, g = disjoint_pair(p)
         expect = (lp_norm(f, p) ** p.p + lp_norm(g, p) ** p.p) ** (1 / p.p)
-        assert rademacher_pnorm_exact([f, g], p) == pytest.approx(expect, rel=1e-12)
+        got = rademacher_pnorms_exact([f, g], [p])[0]
+        assert got == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("p", [Exponent(1.5), Exponent(2.0), Exponent(4.0)])
     def test_square_function_sandwich_on_atoms(self, p):
@@ -61,7 +60,7 @@ class TestExactEnumeration:
 
         fs = random_fns(10, 42)
         sf = lp_ell2_norm(fs, p)
-        mean = rademacher_pnorm_exact(fs, p)
+        mean = rademacher_pnorms_exact(fs, [p])[0]
         if p.p >= 2.0:
             assert mean >= sf * (1 - 1e-12)
         if p.p <= 2.0:
@@ -69,12 +68,13 @@ class TestExactEnumeration:
 
     def test_cutoff(self):
         with pytest.raises(TooManyFunctions):
-            rademacher_pnorm_exact(random_fns(13, 43), Exponent(2.0))
+            rademacher_pnorms_exact(random_fns(13, 43), [Exponent(2.0)])
 
 
 class TestSignFlipExtremes:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force(self, n):
+        # combination_pth over every sign pattern against one lp_norm per pattern
         p = Exponent(3.0)
         mat = np.array([f.values for f in random_fns(n, 40)])
         c = complex_gaussian(rng_for(41, n), n)
@@ -83,25 +83,18 @@ class TestSignFlipExtremes:
             lp_norm(SampledFunction(GRID, (np.array(theta) * c) @ mat), p) / base
             for theta in itertools.product((-1, 1), repeat=n)
         ]
-        mx, mn = sign_flip_extremes(c, mat, GRID.step, p, trials=4, seed=1)
-        assert mx == pytest.approx(max(ratios), rel=1e-12)
-        assert mn == pytest.approx(min(ratios), rel=1e-12)
-
-    def test_sampled_branch_brackets_one(self):
-        n = EXACT_FUNCTION_CUTOFF + 1
-        mat = np.array([f.values for f in random_fns(n, 42)])
-        c = complex_gaussian(rng_for(43), n)
-        mx, mn = sign_flip_extremes(c, mat, GRID.step, Exponent(4.0), trials=64, seed=2)
-        assert mx >= 1.0 >= mn
-        assert mx > mn
+        pth = combination_pth(all_sign_patterns(n) * c, mat, GRID.step, p)
+        got = (pth / pth[0]) ** (1.0 / p.p)  # row 0, all minus, has the norm of c
+        assert got.max() == pytest.approx(max(ratios), rel=1e-12)
+        assert got.min() == pytest.approx(min(ratios), rel=1e-12)
 
 
 class TestKhintchine:
     def test_single_coefficient(self):
-        assert khintchine_ratio([1.0], Exponent(4.0)) == pytest.approx(1.0)
+        assert khintchine_ratios([1.0], [Exponent(4.0)])[0] == pytest.approx(1.0)
 
     def test_two_ones_p2_orthonormal(self):
-        assert khintchine_ratio([1.0, 1.0], Exponent(2.0)) == pytest.approx(
+        assert khintchine_ratios([1.0, 1.0], [Exponent(2.0)])[0] == pytest.approx(
             1.0, abs=1e-14
         )
 
@@ -110,7 +103,7 @@ class TestKhintchine:
         sums = [s1 + s2 for s1 in (1, -1) for s2 in (1, -1)]
         moment = (np.mean([abs(s) ** 4 for s in sums])) ** 0.25
         expect = moment / np.sqrt(2.0)
-        got = khintchine_ratio([1.0, 1.0], Exponent(4.0))
+        got = khintchine_ratios([1.0, 1.0], [Exponent(4.0)])[0]
         assert got == pytest.approx(expect, rel=1e-14)
         assert got >= 1.0
 
@@ -120,7 +113,7 @@ class TestKhintchine:
         for trial in range(25):
             n = int(rng.integers(1, 13))
             a = complex_gaussian(rng, n)
-            r = khintchine_ratio(a, Exponent(p))
+            r = khintchine_ratios(a, [Exponent(p)])[0]
             if p >= 2.0:
                 assert r >= 1.0 - 1e-12
             if p <= 2.0:
@@ -130,54 +123,57 @@ class TestKhintchine:
 class TestTypeCotype:
     def test_single_function_both_one(self):
         fs = random_fns(1, 48)
-        assert cotype2_ratio(fs, Exponent(1.5)) == pytest.approx(1.0, rel=1e-12)
-        assert type2_ratio(fs, Exponent(3.0)) == pytest.approx(1.0, rel=1e-12)
+        cotype, type_ = type_cotype_ratios(fs, [Exponent(1.5)], [Exponent(3.0)])
+        assert cotype[0] == pytest.approx(1.0, rel=1e-12)
+        assert type_[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_disjoint_supports_p2_parseval(self):
         f, g = disjoint_pair(Exponent(2.0))
-        assert cotype2_ratio([f, g], Exponent(2.0)) == pytest.approx(1.0, rel=1e-12)
-        assert type2_ratio([f, g], Exponent(2.0)) == pytest.approx(1.0, rel=1e-12)
+        cotype, type_ = type_cotype_ratios([f, g], [Exponent(2.0)], [Exponent(2.0)])
+        assert cotype[0] == pytest.approx(1.0, rel=1e-12)
+        assert type_[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_exponent_gating(self):
         fs = random_fns(2, 49)
         with pytest.raises(ValueError):
-            cotype2_ratio(fs, Exponent(3.0))
+            type_cotype_ratios(fs, [Exponent(3.0)], [])
         with pytest.raises(ValueError):
-            type2_ratio(fs, Exponent(1.5))
+            type_cotype_ratios(fs, [], [Exponent(1.5)])
 
 
 class TestLacunary:
     def test_single_term_modulus(self):
-        got = lacunary_pnorm([2.0 - 1.0j], [4], Exponent(3.0))
+        got = lacunary_pnorms([[2.0 - 1.0j]], [4], [Exponent(3.0)])[0][0]
         assert got == pytest.approx(abs(2.0 - 1.0j), rel=1e-12)
 
     def test_p2_orthonormality_exact(self):
         a = complex_gaussian(rng_for(50), 6)
         freqs = [1, 2, 4, 8, 16, 32]
-        got = lacunary_pnorm(a, freqs, Exponent(2.0))
+        got = lacunary_pnorms([a], freqs, [Exponent(2.0)])[0][0]
         assert got == pytest.approx(float(np.linalg.norm(a)), rel=1e-12)
 
     def test_even_p_grid_exactness(self):
         # p = 4 integrals stay on-grid, so two resolutions agree to rounding
         a = complex_gaussian(rng_for(51), 5)
         freqs = [1, 2, 4, 8, 16]
-        coarse = lacunary_pnorm(a, freqs, Exponent(4.0), step_log2=-7)
-        fine = lacunary_pnorm(a, freqs, Exponent(4.0), step_log2=-11)
+        coarse = lacunary_pnorms([a], freqs, [Exponent(4.0)], step_log2=-7)[0][0]
+        fine = lacunary_pnorms([a], freqs, [Exponent(4.0)], step_log2=-11)[0][0]
         assert coarse == pytest.approx(fine, rel=1e-12)
 
     def test_p2_orthonormality_without_gaps(self):
         # the p = 2 identity needs only distinct integer frequencies
         a = complex_gaussian(rng_for(53), 4)
-        got = lacunary_pnorm(a, [10, 11, 12, 13], Exponent(2.0), min_ratio=1.01)
+        rows = lacunary_pnorms([a], [10, 11, 12, 13], [Exponent(2.0)], min_ratio=1.01)
+        got = rows[0][0]
         assert got == pytest.approx(float(np.linalg.norm(a)), rel=1e-12)
 
     def test_rejects_non_lacunary(self):
         with pytest.raises(NotLacunary):
-            lacunary_pnorm([1.0, 1.0], [4, 6], Exponent(2.0))
+            lacunary_pnorms([[1.0, 1.0]], [4, 6], [Exponent(2.0)])
 
     def test_rejects_aliased(self):
         with pytest.raises(AliasedFrequency):
-            lacunary_pnorm([1.0, 1.0], [1, 1024], Exponent(2.0), step_log2=-10)
+            lacunary_pnorms([[1.0, 1.0]], [1, 1024], [Exponent(2.0)], step_log2=-10)
 
 
 class TestFirstMoment:
@@ -185,6 +181,5 @@ class TestFirstMoment:
         # Jensen: E||.|| <= (E||.||^p)^(1/p) for p >= 1
         p = Exponent(3.0)
         fs = random_fns(6, 52)
-        assert rademacher_mean_norm_exact(fs, p) <= rademacher_pnorm_exact(
-            fs, p
-        ) * (1 + 1e-12)
+        mean = rademacher_mean_norms_exact(fs, [p])[0]
+        assert mean <= rademacher_pnorms_exact(fs, [p])[0] * (1 + 1e-12)

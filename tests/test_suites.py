@@ -1,8 +1,10 @@
-"""The suites' array kernels against per-trial loops of the single-call functions.
+"""The suites' array kernels against per-trial loops of single calls.
 
 Each oracle below draws from the same per-trial streams as its suite and
-evaluates every trial on its own with the public one-function, one-exponent
-calls (time_freq_shift, lp_norm, restrict, khintchine_ratio, ...).  The
+evaluates every trial on its own: with the public one-function calls
+(time_freq_shift, lp_norm, restrict, ...) and with one-exponent, one-row
+calls of the kernels (khintchine_ratios(a, [p]), lacunary_pnorms([a], ...),
+...).  The
 suite's rows and metrics must equal the oracle's bit for bit, on the default
 grids and on one of 16384 cells or more, where numpy evaluates a product of
 256 KiB in place.  The last test pins which assertions each gated suite makes
@@ -28,7 +30,7 @@ from gaborlab.basic_sequences import (
     peaks_predicted_norm,
     peaks_window,
 )
-from gaborlab.fourier import square_function_norm
+from gaborlab.fourier import square_function_norms
 from gaborlab.gabor import GaborSystem, synthesize
 from gaborlab.grids import (
     Exponent,
@@ -42,11 +44,10 @@ from gaborlab.grids import (
 )
 from gaborlab.rng import complex_gaussian, rng_for
 from gaborlab.stochastic import (
-    cotype2_ratio,
-    khintchine_ratio,
-    lacunary_pnorm,
-    rademacher_pnorm_exact,
-    type2_ratio,
+    khintchine_ratios,
+    lacunary_pnorms,
+    rademacher_pnorms_exact,
+    type_cotype_ratios,
 )
 from gaborlab.suites import (
     _band_partition,
@@ -72,7 +73,7 @@ def test_khintchine():
         rng = rng_for(SEED, trial)
         n = int(rng.integers(1, 13))
         a = complex_gaussian(rng, n)
-        want += [(trial, n, p, khintchine_ratio(a, Exponent(p))) for p in ps]
+        want += [(trial, n, p, khintchine_ratios(a, [Exponent(p)])[0]) for p in ps]
     _, rows = khintchine_suite(SEED, trials=20)
     assert [(r["trial"], r["n"], r["p"], r["ratio"]) for r in rows] == want
 
@@ -85,7 +86,8 @@ def test_squarefunc():
         fs = random_atoms(SEED, trial, n, ATOM_GRID)
         for p in ps:
             exp = Exponent(p)
-            want.append((trial, n, p, rademacher_pnorm_exact(fs, exp) / lp_ell2_norm(fs, exp)))
+            mean = rademacher_pnorms_exact(fs, [exp])[0]
+            want.append((trial, n, p, mean / lp_ell2_norm(fs, exp)))
     _, rows = squarefunc_suite(SEED, families=8)
     assert [(r["trial"], r["n"], r["p"], r["ratio"]) for r in rows] == want
 
@@ -95,8 +97,10 @@ def test_type_cotype():
     for trial in range(8):
         n = int(rng_for(SEED, trial, 2).integers(2, 11))
         fs = random_atoms(SEED, trial, n, ATOM_GRID)
-        want += [(trial, "cotype", n, p, cotype2_ratio(fs, Exponent(p))) for p in (1.5, 2.0)]
-        want += [(trial, "type", n, p, type2_ratio(fs, Exponent(p))) for p in (2.0, 3.0, 4.0)]
+        want += [(trial, "cotype", n, p, type_cotype_ratios(fs, [Exponent(p)], [])[0][0])
+                 for p in (1.5, 2.0)]
+        want += [(trial, "type", n, p, type_cotype_ratios(fs, [], [Exponent(p)])[1][0])
+                 for p in (2.0, 3.0, 4.0)]
     _, rows = type_cotype_suite(SEED, families=8)
     assert [(r["trial"], r["kind"], r["n"], r["p"], r["ratio"]) for r in rows] == want
 
@@ -109,9 +113,9 @@ def test_lacunary(grid_log2, trials):
     for trial in range(trials):
         a = complex_gaussian(rng_for(SEED, trial, 3), 9)
         l2 = float(np.linalg.norm(a))
-        want.append((trial,
-                     lacunary_pnorm(a, freqs, Exponent(4.0), step_log2=grid_log2) / l2,
-                     lacunary_pnorm(a, freqs, Exponent(2.0), step_log2=grid_log2) / l2))
+        p4, p2 = (lacunary_pnorms([a], freqs, [Exponent(p)], step_log2=grid_log2)[0][0]
+                  for p in (4.0, 2.0))
+        want.append((trial, p4 / l2, p2 / l2))
     _, rows = lacunary_suite(SEED, trials=trials, grid_log2=grid_log2)
     assert [(r["trial"], r["ratio"], r["ratio_p2"]) for r in rows] == want
 
@@ -124,11 +128,12 @@ def test_rdf(grid_log2):
     for trial in range(10):
         f = SampledFunction(grid, complex_gaussian(rng_for(SEED, trial, 4), grid.count))
         two = Exponent(2.0)
-        plancherel = max(plancherel, abs(square_function_norm(f, intervals, two)
+        plancherel = max(plancherel, abs(square_function_norms(f, intervals, [two])[0]
                                          - lp_norm(f, two)))
         for p in (3.0, 4.0):
             exp = Exponent(p)
-            want.append((trial, p, square_function_norm(f, intervals, exp) / lp_norm(f, exp)))
+            sq = square_function_norms(f, intervals, [exp])[0]
+            want.append((trial, p, sq / lp_norm(f, exp)))
     report, rows = rdf_suite(SEED, corpus=10, grid_log2=grid_log2)
     assert [(r["trial"], r["p"], r["ratio"]) for r in rows] == want
     assert report.metrics["plancherel_deviation"] == plancherel
