@@ -41,6 +41,9 @@ GATE_SHAPES = [
     ("inequalities", "--suite", "squarefunc", "--trials", "8"),
     ("inequalities", "--suite", "type-cotype", "--trials", "8"),
     ("inequalities", "--suite", "rdf", "--trials", "20"),
+    # no workload verifies a modulated frame: the generic one frame-build writes
+    ("verify-frame", "--frame", "frame-build/build_p4_504_generic.frame.json",
+     "--corpus", "50"),
 ]
 
 sys.dont_write_bytecode = True  # leave bench/ as it is
@@ -61,7 +64,7 @@ def commands(side: Path, seed: int) -> list:
             out += setup + passes
         Path("gates").mkdir()
         for argv in GATE_SHAPES:
-            label = f"gate_{argv[2]}_{argv[-1]}"
+            label = f"gate_{Path(argv[2]).name.split('.')[0]}_{argv[-1]}"
             report, csv = Path("gates") / f"{label}.json", Path("gates") / f"{label}.csv"
             argv += ("--seed", str(workloads.RECORDED_SEED), "--out", str(report),
                      "--csv", str(csv))

@@ -44,6 +44,10 @@ from .suites import (
     type_cotype_suite,
 )
 
+# generated build-frame candidates may take 1 GiB: POINT_BITS per point (its
+# objects take 192 bytes on CPython 3.11) plus its translate's digits
+CANDIDATE_BITS, POINT_BITS = 2**33, 2**11
+
 
 def _read_json(path: str, flag: str, parse: Callable):
     """Load and parse a JSON input file; any failure is a config error."""
@@ -105,6 +109,19 @@ def _check_int_digits(selection) -> None:
             )
 
 
+def _check_candidate_bits(count: int, base: int, ratio: int) -> None:
+    """Refuse candidates base * ratio^n, n < count, past CANDIDATE_BITS before
+    any is made; their translates take about count * log2|base| +
+    log2|ratio| * count^2 / 2 bits."""
+    logs = [math.log2(max(abs(x), 1)) for x in (base, ratio)]
+    # the count test also keeps the estimate within the float range
+    if count > CANDIDATE_BITS // POINT_BITS or (
+        count * (POINT_BITS + logs[0]) + logs[1] * count**2 / 2 > CANDIDATE_BITS
+    ):
+        raise ConfigError(f"{count} candidates of base {base} and ratio {ratio} "
+                          f"take more than {CANDIDATE_BITS} bits")
+
+
 def _require_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ConfigError("stochastic commands require --seed")
@@ -134,14 +151,15 @@ def cmd_build_frame(args) -> int:
             else:
                 plan = plan_blocks(p, int(cfg.get("blocks", 3)),
                                    float(cfg.get("growth", 2.0)))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"block plan: {exc}") from None
         if cfg.get("lambda_file"):
             cands = _read_json(cfg["lambda_file"], "--lambda-file", points_from_json)
         else:
-            count = int(cfg.get("candidates", plan.total))
-            cands = spread_candidates(count, base=int(cfg.get("base", 4)),
-                                      ratio=int(cfg.get("ratio", 5)))
+            count, base, ratio = (_flag_value(key, cfg.get(key, default)) for key, default
+                                  in (("candidates", plan.total), ("base", 4), ("ratio", 5)))
+            _check_candidate_bits(count, base, ratio)
+            cands = spread_candidates(count, base=base, ratio=ratio)
         selection = select_translates(cands, plan)
         if cfg.get("frame_out"):
             _check_int_digits(selection)

@@ -61,7 +61,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,8 +92,8 @@ from .haar import (
     haar_indices,
     unconditionality_bound,
 )
-from .rng import complex_gaussian, rng_for, sign_matrix
-from .stochastic import combination_pth
+from .rng import complex_gaussian, rng_for
+from .stochastic import all_sign_patterns, combination_pth
 
 MAX_LEAD_SIZE = 10**6
 # reconstruct treats an input within this relative distance of its projection
@@ -338,53 +338,31 @@ def _first_overlap(intervals: List[tuple]) -> Optional[tuple]:
 
 @dataclass
 class SparseWindow:
-    """The window as placed pieces: (offset, local step function on [0, 1]).
+    """The window sum_k sum_{i in J_k} N_k^(-1/2) tau_{-t_i}(e_{-s_i} h_k), kept
+    as its K block rows.
 
     atoms holds the plan's K atoms sampled on [0, 1] at the window step, one
-    row per block; every piece is a scaled, possibly modulated copy of a row.
+    row per block.  Every piece is a scaled, possibly modulated copy of a row,
+    which pieces() places point by point from the plan and the selection.
     """
 
     step_log2: int
-    pieces: List[Tuple[Fraction, SampledFunction]]
     atoms: np.ndarray = field(repr=False)
+    plan: BlockPlan = field(repr=False)
+    selection: TranslateSelection = field(repr=False)
+
+    def pieces(self) -> Iterator[Tuple[Fraction, SampledFunction]]:
+        """(offset, local step function on [0, 1]) of every point, in point order."""
+        local = Grid.over(0, 1, self.step_log2)
+        for pt, k in zip(self.selection.points, self.plan.block_of_index()):
+            f = SampledFunction(local, self.atoms[k]) * (self.plan.sizes[k] ** -0.5)
+            if pt.s != 0:
+                f = modulate(f, -pt.s)
+            yield -pt.t, f
 
     def lp_norm_pth(self, p: Exponent) -> float:
         # piece supports are certified pairwise disjoint, so the p-mass adds
-        return float(sum(lp_norm_pth(f, p) for _, f in self.pieces))
-
-
-def _window_step(plan: BlockPlan, selection: TranslateSelection) -> int:
-    max_scale = max(a.scale for a in block_atoms(plan))
-    step = -(max_scale + 1)
-    smax = max((abs(pt.s) for pt in selection.points), default=Fraction(0))
-    # resolve relative modulations up to 2*max|s| strictly below Nyquist
-    while smax > 0 and 4 * smax * Fraction(1, 2**-step) >= 1:
-        step -= 1
-    return step
-
-
-def build_window(
-    plan: BlockPlan,
-    selection: TranslateSelection,
-    step_log2: Optional[int] = None,
-) -> SparseWindow:
-    """Assemble the window sum_k sum_{i in J_k} N_k^(-1/2) tau_{-t_i}(e_{-s_i} h_k)."""
-    if len(selection.points) != plan.total:
-        raise ValueError("selection size differs from the plan total")
-    if step_log2 is None:
-        step_log2 = _window_step(plan, selection)
-    atoms = block_atoms(plan)
-    block_of = plan.block_of_index()
-    local = Grid.over(0, 1, step_log2)
-    base = [haar_function(a, plan.p, local) for a in atoms]
-    pieces: List[Tuple[Fraction, SampledFunction]] = []
-    for i, pt in enumerate(selection.points):
-        k = int(block_of[i])
-        f = base[k] * (plan.sizes[k] ** -0.5)
-        if pt.s != 0:
-            f = modulate(f, -pt.s)
-        pieces.append((-pt.t, f))
-    return SparseWindow(step_log2, pieces, np.array([h.values for h in base]))
+        return float(sum(lp_norm_pth(f, p) for _, f in self.pieces()))
 
 
 def _place(out: np.ndarray, grid: Grid, at: Fraction, values: np.ndarray) -> None:
@@ -403,7 +381,7 @@ def window_on_grid(window: SparseWindow, grid: Grid) -> SampledFunction:
     if grid.step_log2 != window.step_log2:
         raise GridTooSmall("grid step differs from the window step")
     out = np.zeros(grid.count, dtype=np.complex128)
-    for offset, f in window.pieces:
+    for offset, f in window.pieces():
         _place(out, grid, offset + f.grid.origin, f.values)
     return SampledFunction(grid, out)
 
@@ -439,16 +417,20 @@ class ConstructedFrame:
         }
 
 
-def build_frame(
-    plan: BlockPlan,
-    selection: TranslateSelection,
-    step_log2: Optional[int] = None,
-) -> ConstructedFrame:
+def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFrame:
     """Window assembly plus the exact disjointness and norm certificates."""
-    window = build_window(plan, selection, step_log2)
+    if len(selection.points) != plan.total:
+        raise ValueError("selection size differs from the plan total")
     atoms = block_atoms(plan)
-    block_of = plan.block_of_index()
-    ok, detail, clear, summands_ok = certify_selection(selection, atoms, block_of)
+    step = -(max(a.scale for a in atoms) + 1)
+    smax = max((abs(pt.s) for pt in selection.points), default=Fraction(0))
+    # resolve relative modulations up to 2*max|s| strictly below Nyquist
+    while smax > 0 and 4 * smax * Fraction(1, 2**-step) >= 1:
+        step -= 1
+    span_grid = Grid.over(0, 1, step)
+    rows = np.array([haar_function(a, plan.p, span_grid).values for a in atoms])
+    window = SparseWindow(step, rows, plan, selection)
+    ok, detail, clear, summands_ok = certify_selection(selection, atoms, plan.block_of_index())
     q = plan.contraction
     norm_pth = window.lp_norm_pth(plan.p)
     certificate = {
@@ -461,18 +443,23 @@ def build_frame(
         "window_norm_error": abs(norm_pth - plan.block_sum),
         "q": q,
     }
-    span_grid = Grid.over(0, 1, window.step_log2)
     return ConstructedFrame(
         plan, selection, window, atoms, q, certificate, span_grid,
-        _block_error_weights(plan, window.atoms, span_grid.step),
+        _block_error_weights(plan, rows, span_grid.step),
         tuple(functional_layout(a, plan.p, span_grid) for a in atoms),
     )
 
 
 def frame_from_json(obj: dict) -> ConstructedFrame:
+    """The frame a to_json dict describes; raises ValueError if its stored
+    window step is not the one its plan and selection give."""
     plan = plan_from_sizes(Exponent(obj["plan"]["p"]), obj["plan"]["sizes"])
-    selection = TranslateSelection.from_json(obj["selection"])
-    return build_frame(plan, selection, obj["step_log2"])
+    frame = build_frame(plan, TranslateSelection.from_json(obj["selection"]))
+    step = frame.window.step_log2
+    if obj["step_log2"] != step:
+        raise ValueError(f"step_log2 {obj['step_log2']} is not the window step "
+                         f"{step} of the plan and selection")
+    return frame
 
 
 def _block_error_weights(
@@ -493,7 +480,7 @@ def _block_error_weights(
     """
     p = plan.p.p
     sizes = np.array(plan.sizes, dtype=np.float64)
-    unit_pth = np.array([float((np.abs(v) ** p).sum() * step) for v in atom_values])
+    unit_pth = moduli_pth(np.abs(atom_values), step, plan.p)
     counts = np.zeros((len(sizes), len(sizes)))
     for k, nk in enumerate(plan.sizes):
         for l, nl in enumerate(plan.sizes):
@@ -774,26 +761,21 @@ def reconstruct(
     return reconstruct_rows(frame, _on_span_grid(frame, f), tol)[0]
 
 
-def sign_flip_synthesis_max(
-    frame: ConstructedFrame,
-    f: SampledFunction,
-    patterns: int,
-    seed: int,
-    tol: float = 1e-8,
+def sign_flip_synthesis_sup(
+    frame: ConstructedFrame, f: SampledFunction, tol: float = 1e-8
 ) -> float:
-    """Max over sampled sign patterns of ||sum_j theta_j c_j u_j||_p / ||f||_p.
+    """Sup over all sign patterns theta of ||sum_j theta_j c_j u_j||_p / ||f||_p.
 
     c_j are the reconstruction coefficients g*_j(S^{-1} f).  Flipping signs
-    rescales each block's span contribution by the block's mean sign and
-    leaves every error piece's modulus unchanged, so the norm is evaluated
-    exactly from the layout.
+    rescales block k's span part by the block's mean sign m_k and leaves every
+    error piece's modulus unchanged.  So the p-mass is the p-mass of
+    sum_k m_k b_k h_k, convex in m over the cube [-1, 1]^K, plus a constant.
+    Its maximum is at one of the 2^K vertices, the block-constant patterns,
+    which are attained: 2^K evaluations give the supremum exactly.
     """
     image = reconstruct(frame, f, tol).image
-    sizes = np.array(frame.plan.sizes, dtype=np.float64)
-    onehot = frame.plan.block_of_index()[:, None] == np.arange(len(sizes))
-    signs = sign_matrix(rng_for(seed), patterns, frame.plan.total).astype(np.float64)
-    rows = (signs @ onehot / sizes) * image.coefficients
-    span_pth = combination_pth(rows, frame.window.atoms, frame.span_grid.step, frame.p)
+    rows = all_sign_patterns(len(frame.atoms)) * image.coefficients
+    span_pth = combination_pth(rows, frame.window.atoms, frame.span_grid.step, [frame.p])[0]
     worst = float((span_pth.max() + image.error_pth) ** (1.0 / frame.p.p))
     return worst / lp_norm(f, frame.p)
 

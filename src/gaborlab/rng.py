@@ -16,11 +16,6 @@ def rng_for(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sign_matrix(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
-    """trials x n matrix of +-1 entries."""
-    return rng.integers(0, 2, size=(trials, n)) * 2 - 1
-
-
 def complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     """Standard complex Gaussian vector (independent N(0, 1/2) parts)."""
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)

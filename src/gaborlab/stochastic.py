@@ -7,7 +7,7 @@ constant is 1 for p <= 2, which the tests assert exactly.
 
 Every signed p-mass || sum_j theta_j c_j v_j ||_p^p is formed by one kernel,
 combination_pth, from coefficient rows and a matrix of sampled values, and
-reduced to one p-mass per row by grids.moduli_pth.
+reduced to one p-mass per row and exponent by grids.moduli_pth.
 
 Each quantity is a kernel that takes a list of exponents (and, for the
 lacunary sums, a matrix of coefficient rows) and does the work shared by
@@ -47,13 +47,15 @@ def all_sign_patterns(n: int) -> np.ndarray:
 
 
 def combination_pth(
-    rows: np.ndarray, mat: np.ndarray, step: float, p: Exponent
-) -> np.ndarray:
-    """|| sum_j rows[r, j] v_j ||_p^p for every row r.
+    rows: np.ndarray, mat: np.ndarray, step: float, ps: Sequence[Exponent]
+) -> List[np.ndarray]:
+    """|| sum_j rows[r, j] v_j ||_p^p for every row r, one array per p, from
+    one product of the rows with mat.
 
     The v_j are the rows of mat: step functions on one grid of the given step.
     """
-    return moduli_pth(np.abs(rows @ mat), step, p)
+    mods = np.abs(rows @ mat)
+    return [moduli_pth(mods, step, p) for p in ps]
 
 
 def _value_matrix(fs: Sequence[SampledFunction]) -> Tuple[np.ndarray, Grid]:
@@ -75,8 +77,7 @@ def _pattern_pths(
     if n == 0:
         return [np.zeros(1) for _ in ps]
     mat, grid = _value_matrix(fs)
-    mods = np.abs(all_sign_patterns(n).astype(np.complex128) @ mat)
-    return [moduli_pth(mods, grid.step, p) for p in ps]
+    return combination_pth(all_sign_patterns(n), mat, grid.step, ps)
 
 
 def rademacher_pnorms_exact(

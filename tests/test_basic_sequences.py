@@ -209,7 +209,7 @@ class TestPeaksVerification:
         system = GaborSystem(window, peaks_lattice(8))
         # all 2^8 patterns; row 0, all minus, has the norm of a
         pth = combination_pth(all_sign_patterns(8) * a, system.atom_matrix,
-                              system.hull.step, P15)
+                              system.hull.step, [P15])[0]
         ratios = (pth / pth[0]) ** (1.0 / P15.p)
         mx, mn = ratios.max(), ratios.min()
         lo, hi = CALIBRATION["peaks"]["ratio"]

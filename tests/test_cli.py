@@ -24,6 +24,11 @@ FRAME_37 = json.dumps(
 )
 
 
+def _frame_37_with_step(step_log2):
+    """FRAME_37 with a stored window step its plan and selection do not give."""
+    return {"frame.json": json.dumps({**json.loads(FRAME_37), "step_log2": step_log2})}
+
+
 def _verify(*flags):
     """Files and argv of a verify-frame run on a real 37-point frame."""
     return ({"frame.json": FRAME_37},
@@ -43,6 +48,9 @@ MALFORMED_INPUTS = [
      ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
     ("frame_without_sizes", {"frame.json": FRAME_WITHOUT_SIZES},
      ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
+    *((f"frame_step_{step}", _frame_37_with_step(step),
+       ["verify-frame", "--seed", "1", "--frame", "frame.json"])
+      for step in (-40, 3)),
     ("sizes_not_integers", {}, ["build-frame", "--sizes", "37,x"]),
     ("p_one", {}, ["build-frame", "--p", "1"]),
     ("p_below_one", {},
@@ -50,6 +58,15 @@ MALFORMED_INPUTS = [
     ("p_nan", {}, ["build-frame", "--p", "nan"]),
     ("p_inf", {}, ["build-frame", "--p", "inf"]),
     ("zero_blocks", {}, ["build-frame", "--blocks", "0"]),
+    # plans whose float sizes overflow, and plans whose generated candidates
+    # would not fit in memory
+    ("growth_inf", {}, ["build-frame", "--growth", "inf"]),
+    ("growth_1e308", {}, ["build-frame", "--growth", "1e308"]),
+    ("blocks_2000", {}, ["build-frame", "--blocks", "2000"]),
+    ("blocks_70", {}, ["build-frame", "--blocks", "70"]),
+    ("sizes_1e22", {}, ["build-frame", "--sizes", str(10**22)]),
+    ("base_not_integer_in_config", {"cfg.json": '{"base": "x"}'},
+     ["build-frame", "--sizes", "37", "--config", "cfg.json"]),
     ("flag_not_for_family", {},
      ["counterexample", "--family", "cells", "--alpha", "0.1", "--seed", "1"]),
     ("flag_not_for_suite", {},

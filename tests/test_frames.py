@@ -26,7 +26,6 @@ from gaborlab.frames import (
     _certify_by_enumeration,
     block_atoms,
     build_frame,
-    build_window,
     certify_selection,
     error_pieces,
     error_pth_direct,
@@ -39,7 +38,7 @@ from gaborlab.frames import (
     reconstruct,
     reconstruct_rows,
     select_translates,
-    sign_flip_synthesis_max,
+    sign_flip_synthesis_sup,
     span_coefficients,
     span_corpus,
     spread_candidates,
@@ -48,7 +47,7 @@ from gaborlab.frames import (
 from gaborlab.gabor import TimeFreqPoint
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm, lp_norm_pth
 from gaborlab.haar import haar_indices
-from gaborlab.rng import rng_for, sign_matrix
+from gaborlab.stochastic import all_sign_patterns, combination_pth
 
 P4 = Exponent(4.0)
 
@@ -401,9 +400,8 @@ class TestWindow:
         # one size-one block: the window is one shifted Haar copy of norm 1
         plan = demo_plan((1,))
         sel = TranslateSelection((TimeFreqPoint(4, 0),))
-        window = build_window(plan, sel)
-        assert len(window.pieces) == 1
-        offset, piece = window.pieces[0]
+        window = build_frame(plan, sel).window
+        [(offset, piece)] = window.pieces()
         assert offset == -4
         assert window.lp_norm_pth(P4) == pytest.approx(1.0, abs=1e-12)
 
@@ -420,7 +418,7 @@ class TestWindow:
         total = frame.window.lp_norm_pth(P4)
         per_piece = sum(
             float((np.abs(f.values) ** 4).sum() * f.grid.step)
-            for _, f in frame.window.pieces
+            for _, f in frame.window.pieces()
         )
         assert total == pytest.approx(per_piece, rel=1e-14)
         assert frame.certificate["window_summands_disjoint"]
@@ -430,7 +428,7 @@ class TestWindow:
         sel = select_translates(
             [TimeFreqPoint(4, 0), TimeFreqPoint(20, 0)], plan
         )
-        window = build_window(plan, sel)
+        window = build_frame(plan, sel).window
         grid = Grid.over(-20, 1, window.step_log2)
         dense = window_on_grid(window, grid)
         assert lp_norm_pth(dense, P4) == pytest.approx(window.lp_norm_pth(P4), rel=1e-12)
@@ -444,7 +442,7 @@ class TestWindow:
     def test_dense_materialization_non_aligned(self):
         # a piece at -1/3 lies inside [-2, 2) but off every dyadic grid point
         sel = TranslateSelection((TimeFreqPoint(Fraction(1, 3), 0),))
-        window = build_window(demo_plan((1,)), sel)
+        window = build_frame(demo_plan((1,)), sel).window
         with pytest.raises(NonAlignedShift):
             window_on_grid(window, Grid.over(-2, 2, window.step_log2))
 
@@ -794,30 +792,48 @@ class TestNeumannAndReconstruction:
         frame = tiny_frame((80, 160))
         bound = (1 + frame.q) / (1 - frame.q)
         for f in span_corpus(frame, 5, seed=10):
-            worst = sign_flip_synthesis_max(frame, f, patterns=256, seed=11)
-            assert worst <= bound * (1 + 1e-9)
+            assert sign_flip_synthesis_sup(frame, f) <= bound * (1 + 1e-9)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize(
+        "sizes", [(3,), (2, 4), (1, 2, 4), (3, 9), (2, 3, 7), (4, 10)]
+    )
+    def test_sign_flip_sup_matches_brute_force(self, p, sizes):
+        # every one of the 2^n sign patterns, through its block mean signs
+        plan = BlockPlan(Exponent(p), sizes, require_condition=False)
+        frame = build_frame(plan, select_translates(spread_candidates(plan.total), plan))
+        onehot = plan.block_of_index()[:, None] == np.arange(len(sizes))
+        means = all_sign_patterns(plan.total) @ onehot / np.array(sizes, dtype=float)
+        for f in span_corpus(frame, 2, seed=14):
+            image = reconstruct(frame, f, 1e-8).image
+            span_pth = combination_pth(means * image.coefficients, frame.window.atoms,
+                                       frame.span_grid.step, [frame.p])[0]
+            worst = float((span_pth.max() + image.error_pth) ** (1.0 / p))
+            assert sign_flip_synthesis_sup(frame, f) == worst / lp_norm(f, frame.p)
 
     def test_sign_flip_direct_oracle(self):
-        # oracle: place signed pieces one by one and integrate, for the one
-        # pattern sign_flip_synthesis_max draws from the same seed
-        frame = tiny_frame((37,))
+        # oracle: place signed pieces one by one and integrate, at each of the
+        # 2^K block-constant patterns, and take the largest
+        frame = tiny_frame((55, 110))
         plan = frame.plan
         f = span_corpus(frame, 1, seed=12)[0]
         y = reconstruct(frame, f, 1e-8).solution
-        signs = sign_matrix(rng_for(13), 1, plan.total)[0]
         b = span_coefficients(frame, y)
         block_of = plan.block_of_index()
-        means = np.bincount(block_of, weights=signs, minlength=len(plan.sizes))
-        means = means / np.array(plan.sizes, dtype=float)
-        span_vals = (means * b) @ frame.window.atoms
-        span_pth = float((np.abs(span_vals) ** 4).sum() * frame.span_grid.step)
         step = frame.span_grid.step
-        err_pth = sum(
-            float((np.abs(signs[j] * vals) ** 4).sum() * step)
-            for _, j, _, vals in error_pieces(frame, y)
-        )
-        direct = (span_pth + err_pth) ** 0.25 / lp_norm(f, P4)
-        fast = sign_flip_synthesis_max(frame, f, patterns=1, seed=13)
+        pieces = [(j, vals) for _, j, _, vals in error_pieces(frame, y)]
+        direct = 0.0
+        for vertex in all_sign_patterns(len(plan.sizes)):
+            signs = vertex[block_of]
+            means = np.bincount(block_of, weights=signs, minlength=len(plan.sizes))
+            means = means / np.array(plan.sizes, dtype=float)
+            span_vals = (means * b) @ frame.window.atoms
+            span_pth = float((np.abs(span_vals) ** 4).sum() * step)
+            err_pth = sum(
+                float((np.abs(signs[j] * vals) ** 4).sum() * step) for j, vals in pieces
+            )
+            direct = max(direct, (span_pth + err_pth) ** 0.25 / lp_norm(f, P4))
+        fast = sign_flip_synthesis_sup(frame, f)
         assert fast == pytest.approx(direct, rel=1e-12)
         assert direct <= (1 + frame.q) / (1 - frame.q)
 

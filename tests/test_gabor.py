@@ -109,7 +109,7 @@ def flip_extremes(sys, a, p):
     """Largest and smallest || sum theta_j a_j atom_j ||_p / || sum a_j atom_j ||_p
     over all sign patterns theta; row 0, all minus, has the norm of a."""
     pth = combination_pth(all_sign_patterns(len(a)) * np.asarray(a), sys.atom_matrix,
-                          sys.hull.step, p)
+                          sys.hull.step, [p])[0]
     ratios = (pth / pth[0]) ** (1.0 / p.p)
     return ratios.max(), ratios.min()
 

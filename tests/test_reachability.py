@@ -18,7 +18,7 @@ PACKAGE = ROOT / "src" / "gaborlab"
 ORACLES = (
     ("window_on_grid", "dense oracle of the sparse window and its certified pieces"),
     ("frame_operator_dense", "dense oracle of frame_operator_rows and reconstruct_rows"),
-    ("sign_flip_synthesis_max", "sampled sign-flip bound, until an exact vertex supremum replaces it"),
+    ("sign_flip_synthesis_sup", "exact sign-flip supremum over the 2^K block-constant patterns; no command reports it yet"),
 )
 
 

@@ -83,7 +83,7 @@ class TestSignFlipExtremes:
             lp_norm(SampledFunction(GRID, (np.array(theta) * c) @ mat), p) / base
             for theta in itertools.product((-1, 1), repeat=n)
         ]
-        pth = combination_pth(all_sign_patterns(n) * c, mat, GRID.step, p)
+        pth = combination_pth(all_sign_patterns(n) * c, mat, GRID.step, [p])[0]
         got = (pth / pth[0]) ** (1.0 / p.p)  # row 0, all minus, has the norm of c
         assert got.max() == pytest.approx(max(ratios), rel=1e-12)
         assert got.min() == pytest.approx(min(ratios), rel=1e-12)
