@@ -1,10 +1,17 @@
 """Command-line front door: build frames, run verification suites, emit reports.
 
-Subcommands: build-frame, verify-frame, counterexample, inequalities.
-Configuration comes from an optional JSON file (--config) with flags taking
-precedence; stochastic commands require an explicit --seed.  Every command
-writes a JSON report whose metric block is byte-identical across reruns with
-the same configuration and seed, and exits 0 only if all assertions pass.
+Subcommands: build-frame, verify-frame, counterexample, inequalities.  Each
+flag is declared once, in FLAGS, with the one converter that reads its text
+and checks its range: --trials, --corpus, --J, --K, --n-max and --span at
+least 1, --seed at least 0, --tol positive and finite, --p finite and above
+1, --alpha finite and at least 0, --grid-log2 at most 0.  A JSON file given
+as --config is a list of flags: each key names a flag (n_max or n-max for
+--n-max) and each value is read as that flag's text.  A value is a string,
+or a number for a flag with a converter; flags on the command line win.  An
+unknown key, like any parse error, is a config error.  Stochastic commands
+require --seed.  Every command writes a JSON report whose metric block is
+byte-identical across reruns with the same configuration and seed, and exits
+0 only if all assertions pass.
 """
 
 from __future__ import annotations
@@ -58,29 +65,6 @@ def _read_json(path: str, flag: str, parse: Callable):
         raise ConfigError(f"{flag} {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _exponent(value) -> Exponent:
-    try:
-        return Exponent(float(value))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--p: {exc}") from None
-
-
-def _merge_config(args: argparse.Namespace, keys: List[str]) -> dict:
-    """Config file values overridden by set flags; output paths are checked here,
-    before any work runs."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg.update(_read_json(args.config, "--config", dict))
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    for key in ("out", "frame_out", "csv"):
-        if key in keys and cfg.get(key):
-            _check_writable(f"--{key.replace('_', '-')}", str(cfg[key]))
-    return cfg
-
-
 def _check_writable(flag: str, path: str) -> None:
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
@@ -122,12 +106,6 @@ def _check_candidate_bits(count: int, base: int, ratio: int) -> None:
                           f"take more than {CANDIDATE_BITS} bits")
 
 
-def _require_seed(cfg: dict) -> int:
-    if cfg.get("seed") is None:
-        raise ConfigError("stochastic commands require --seed")
-    return int(cfg["seed"])
-
-
 def _emit(report: Report, out: Optional[str], rows, csv_path: Optional[str]) -> int:
     if csv_path and rows is not None:
         write_csv(csv_path, rows)
@@ -140,35 +118,33 @@ def _emit(report: Report, out: Optional[str], rows, csv_path: Optional[str]) -> 
 
 
 def cmd_build_frame(args) -> int:
-    cfg = _merge_config(args, ["p", "blocks", "growth", "sizes", "candidates",
-                               "base", "ratio", "lambda_file", "out", "frame_out"])
-    p = _exponent(cfg.get("p", 4.0))
+    p = Exponent(4.0 if args.p is None else args.p)
     with Stopwatch() as sw:
         try:
-            if cfg.get("sizes"):
-                sizes = [int(x) for x in str(cfg["sizes"]).split(",")]
-                plan = plan_from_sizes(p, sizes)
+            if args.sizes:
+                plan = plan_from_sizes(p, [int(x) for x in args.sizes.split(",")])
             else:
-                plan = plan_blocks(p, int(cfg.get("blocks", 3)),
-                                   float(cfg.get("growth", 2.0)))
+                plan = plan_blocks(p, 3 if args.blocks is None else args.blocks,
+                                   2.0 if args.growth is None else args.growth)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"block plan: {exc}") from None
-        if cfg.get("lambda_file"):
-            cands = _read_json(cfg["lambda_file"], "--lambda-file", points_from_json)
+        if args.lambda_file:
+            cands = _read_json(args.lambda_file, "--lambda-file", points_from_json)
         else:
-            count, base, ratio = (_flag_value(key, cfg.get(key, default)) for key, default
-                                  in (("candidates", plan.total), ("base", 4), ("ratio", 5)))
+            count = plan.total if args.candidates is None else args.candidates
+            base = 4 if args.base is None else args.base
+            ratio = 5 if args.ratio is None else args.ratio
             _check_candidate_bits(count, base, ratio)
             cands = spread_candidates(count, base=base, ratio=ratio)
         selection = select_translates(cands, plan)
-        if cfg.get("frame_out"):
+        if args.frame_out:
             _check_int_digits(selection)
         frame = build_frame(plan, selection)
     cert = frame.certificate
     report = Report(
         "build-frame",
-        {k: cfg.get(k) for k in ("p", "blocks", "growth", "sizes", "base",
-                                 "ratio", "candidates", "lambda_file")},
+        {k: getattr(args, k) for k in ("p", "blocks", "growth", "sizes", "base",
+                                       "ratio", "candidates", "lambda_file")},
         {
             "q": frame.q,
             "sizes": list(plan.sizes),
@@ -186,10 +162,10 @@ def cmd_build_frame(args) -> int:
         },
         wall_time_s=sw.elapsed,
     )
-    if cfg.get("frame_out"):
-        with open(cfg["frame_out"], "w") as fh:
+    if args.frame_out:
+        with open(args.frame_out, "w") as fh:
             json.dump(frame.to_json(), fh)
-    return _emit(report, cfg.get("out"), None, None)
+    return _emit(report, args.out, None, None)
 
 
 def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
@@ -204,21 +180,15 @@ def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
 
 
 def cmd_verify_frame(args) -> int:
-    cfg = _merge_config(args, ["frame", "corpus", "seed", "tol", "out", "csv"])
-    seed = _require_seed(cfg)
-    if not cfg.get("frame"):
-        raise ConfigError("verify-frame requires --frame")
-    size = _flag_value("corpus", cfg.get("corpus", 50))
-    tol = _flag_value("tol", cfg.get("tol", 1e-8))
-    frame = _read_json(cfg["frame"], "--frame", frame_from_json)
+    frame = _read_json(args.frame, "--frame", frame_from_json)
     with Stopwatch() as sw:
-        columns = _corpus_columns(frame, size, seed, tol)
-        rows = [{"trial": i, "seed": seed, **{k: v[i] for k, v in columns.items()}}
-                for i in range(size)]
+        columns = _corpus_columns(frame, args.corpus, args.seed, args.tol)
+        rows = [{"trial": i, "seed": args.seed, **{k: v[i] for k, v in columns.items()}}
+                for i in range(args.corpus)]
         max_ratio, max_rel, max_residual, max_iters = (max(v) for v in columns.values())
     report = Report(
         "verify-frame",
-        {"frame": cfg["frame"], "corpus": size, "seed": seed, "tol": tol},
+        {"frame": args.frame, "corpus": args.corpus, "seed": args.seed, "tol": args.tol},
         {
             "q": frame.q,
             "max_contraction_ratio": max_ratio,
@@ -228,12 +198,12 @@ def cmd_verify_frame(args) -> int:
         },
         {
             "contraction_below_q": max_ratio <= frame.q + 1e-9,
-            "reconstruction_within_tol": max_rel <= tol,
+            "reconstruction_within_tol": max_rel <= args.tol,
             "synthesis_residual_below_q": max_residual <= frame.q + 1e-9,
         },
         wall_time_s=sw.elapsed,
     )
-    return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
+    return _emit(report, args.out, rows, args.csv)
 
 
 SUITES = {
@@ -248,126 +218,144 @@ SUITES = {
 FAMILIES = {"peaks": peaks_suite, "cells": cells_suite}
 
 
-def _flag_value(key: str, value):
-    """A numeric flag or config value, checked against the range it allows."""
-    if key == "p":
-        return _exponent(value).p
-    flag = f"--{key.replace('_', '-')}"
-    try:
-        out = float(value) if key in ("alpha", "tol") else int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-    if key in ("trials", "corpus") and out < 1:
-        raise ConfigError(f"{flag} must be at least 1, got {out}")
-    if key == "tol" and not 0 < out < math.inf:
-        raise ConfigError(f"{flag} must be positive and finite, got {out}")
-    return out
-
-
-def _run_suite(kind: str, name: str, suite: Callable, seed: int, cfg: dict,
-               keys: List[str]):
-    """Call a suite with the seed, --trials as its second parameter, and the
-    flags among keys that are set; a set flag the suite does not take is a
-    config error."""
+def cmd_suite(args) -> int:
+    """Run the chosen family or suite with the seed, --trials as its second
+    parameter and each set parameter flag by name; a set flag the suite does
+    not take is a config error."""
+    kind = "family" if "family" in args else "suite"
+    name = getattr(args, kind)
+    suite = {**FAMILIES, **SUITES}[name]
     params = inspect.signature(suite).parameters
-    args = [seed]
-    if cfg.get("trials") is not None:
-        args.append(_flag_value("trials", cfg["trials"]))
-    kwargs = {}
-    for key in keys:
-        if cfg.get(key) is None:
-            continue
+    kwargs = {key: getattr(args, key) for key in args.parameters
+              if getattr(args, key) is not None}
+    for key in kwargs:
         if key not in params:
-            flag = key.replace("_", "-")
-            raise ConfigError(f"--{flag} does not apply to {kind} {name!r}")
-        kwargs[key] = _flag_value(key, cfg[key])
-    return suite(*args, **kwargs)
+            raise ConfigError(f"--{key.replace('_', '-')} does not apply to {kind} {name!r}")
+    trials = [] if args.trials is None else [args.trials]
+    report, rows = suite(args.seed, *trials, **kwargs)
+    return _emit(report, args.out, rows, args.csv)
 
 
-def cmd_counterexample(args) -> int:
-    cfg = _merge_config(args, ["family", "p", "trials", "seed", "J", "K",
-                               "n_max", "alpha", "out", "csv"])
-    seed = _require_seed(cfg)
-    family = cfg.get("family")
-    if family not in FAMILIES:
-        raise ConfigError("counterexample requires --family peaks|cells")
-    report, rows = _run_suite("family", family, FAMILIES[family], seed, cfg,
-                              ["p", "J", "K", "n_max", "alpha"])
-    return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
+def _checked(read: Callable, rule: str = "", holds: Callable = lambda value: True):
+    """A flag's converter: read its text, then require holds(value)."""
+    def convert(text: str):
+        try:
+            value = read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    return convert
 
 
-def cmd_inequalities(args) -> int:
-    cfg = _merge_config(args, ["suite", "trials", "seed", "grid_log2", "span",
-                               "out", "csv"])
-    seed = _require_seed(cfg)
-    suite = cfg.get("suite")
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    report, rows = _run_suite("suite", suite, SUITES[suite], seed, cfg,
-                              ["grid_log2", "span"])
-    return _emit(report, cfg.get("out"), rows, cfg.get("csv"))
+COUNT = _checked(int, "at least 1", lambda n: n >= 1)
+
+# every flag, declared once with the converter that reads and range-checks its
+# text; in a --config file a number may stand for the text of a flag with a
+# converter, any other value must be a string
+FLAGS = {
+    "config": {"help": "JSON file of flags, {\"flag\": value}; command-line flags win"},
+    "p": {"type": _checked(lambda text: Exponent(float(text)).p)},
+    "blocks": {"type": int},
+    "growth": {"type": float},
+    "sizes": {"help": "comma-separated explicit block sizes"},
+    "candidates": {"type": int},
+    "base": {"type": int},
+    "ratio": {"type": int},
+    "lambda-file": {"help": "JSON file of candidate time-frequency points"},
+    "frame": {"required": True, "help": "serialized frame path"},
+    "frame-out": {"help": "serialized frame path"},
+    "corpus": {"type": COUNT, "default": 50},
+    "seed": {"type": _checked(int, "at least 0", lambda n: n >= 0), "required": True},
+    "tol": {"type": _checked(float, "positive and finite", lambda x: 0 < x < math.inf),
+            "default": 1e-8},
+    "family": {"choices": list(FAMILIES), "required": True},
+    "suite": {"choices": sorted(SUITES), "required": True},
+    "trials": {"type": COUNT},
+    "J": {"type": COUNT},
+    "K": {"type": COUNT},
+    "n-max": {"type": COUNT},
+    "alpha": {"type": _checked(float, "finite and at least 0",
+                               lambda a: 0 <= a < math.inf)},
+    "grid-log2": {"type": _checked(int, "at most 0", lambda n: n <= 0),
+                  "help": "log2 of the grid step"},
+    "span": {"type": COUNT, "help": "grid span in time units"},
+    "out": {"help": "JSON report path"},
+    "csv": {"help": "CSV path for the per-trial rows"},
+}
+
+# subcommand -> (run, help, flags, flags passed to the chosen suite by name)
+COMMANDS = {
+    "build-frame": (cmd_build_frame, "construct and certify a frame",
+                    ["config", "p", "blocks", "growth", "sizes", "candidates", "base",
+                     "ratio", "lambda-file", "out", "frame-out"], []),
+    "verify-frame": (cmd_verify_frame, "corpus contraction and reconstruction",
+                     ["config", "frame", "corpus", "seed", "tol", "out", "csv"], []),
+    "counterexample": (cmd_suite, "explicit window family checks",
+                       ["config", "family", "trials", "seed", "out", "csv"],
+                       ["p", "J", "K", "n-max", "alpha"]),
+    "inequalities": (cmd_suite, "inequality verification suites",
+                     ["config", "suite", "trials", "seed", "out", "csv"],
+                     ["grid-log2", "span"]),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every error is a config error."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gaborlab", description=__doc__)
+    parser = _Parser(prog="gaborlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    bf = sub.add_parser("build-frame", help="construct and certify a frame")
-    bf.add_argument("--config")
-    bf.add_argument("--p", type=float)
-    bf.add_argument("--blocks", type=int)
-    bf.add_argument("--growth", type=float)
-    bf.add_argument("--sizes", help="comma-separated explicit block sizes")
-    bf.add_argument("--candidates", type=int)
-    bf.add_argument("--base", type=int)
-    bf.add_argument("--ratio", type=int)
-    bf.add_argument("--lambda-file", help="JSON file of candidate time-frequency points")
-    bf.add_argument("--out", help="JSON report path")
-    bf.add_argument("--frame-out", help="serialized frame path")
-    bf.set_defaults(func=cmd_build_frame)
-
-    vf = sub.add_parser("verify-frame", help="corpus contraction and reconstruction")
-    vf.add_argument("--config")
-    vf.add_argument("--frame", help="serialized frame path")
-    vf.add_argument("--corpus", type=int)
-    vf.add_argument("--seed", type=int)
-    vf.add_argument("--tol", type=float)
-    vf.add_argument("--out")
-    vf.add_argument("--csv")
-    vf.set_defaults(func=cmd_verify_frame)
-
-    ce = sub.add_parser("counterexample", help="explicit window family checks")
-    ce.add_argument("--config")
-    ce.add_argument("--family", choices=["peaks", "cells"])
-    ce.add_argument("--p", type=float)
-    ce.add_argument("--trials", type=int)
-    ce.add_argument("--seed", type=int)
-    ce.add_argument("--J", type=int)
-    ce.add_argument("--K", type=int)
-    ce.add_argument("--n-max", type=int)
-    ce.add_argument("--alpha", type=float)
-    ce.add_argument("--out")
-    ce.add_argument("--csv")
-    ce.set_defaults(func=cmd_counterexample)
-
-    iq = sub.add_parser("inequalities", help="inequality verification suites")
-    iq.add_argument("--config")
-    iq.add_argument("--suite", choices=sorted(SUITES))
-    iq.add_argument("--trials", type=int)
-    iq.add_argument("--seed", type=int)
-    iq.add_argument("--grid-log2", type=int, help="log2 of the grid step")
-    iq.add_argument("--span", type=int, help="grid span in time units")
-    iq.add_argument("--out")
-    iq.add_argument("--csv")
-    iq.set_defaults(func=cmd_inequalities)
-
+    for command, (run, summary, flags, parameters) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", **FLAGS[flag])
+        group = cmd.add_argument_group("parameters of the chosen suite")
+        for flag in parameters:
+            group.add_argument(f"--{flag}", **FLAGS[flag])
+        cmd.set_defaults(func=run, parameters=[f.replace("-", "_") for f in parameters])
     return parser
 
 
+def _config_flags(path: str) -> List[str]:
+    """The flags a --config file holds, as --key=value."""
+    flags = []
+    for key, value in _read_json(path, "--config", dict).items():
+        flag = key.replace("_", "-")
+        if flag not in FLAGS:
+            raise ConfigError(f"--config {path}: no flag --{flag}")
+        number = "type" in FLAGS[flag]
+        if not isinstance(value, (str, int, float) if number else str):
+            raise ConfigError(f"--config {path}: --{flag} takes a string"
+                              f"{' or a number' if number else ''}, got {json.dumps(value)}")
+        flags.append(f"--{flag}={value}")
+    return flags
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """One parse of the command line with a --config file's flags put ahead of
+    it, so that a flag given on the command line wins; output paths are checked
+    here, before any work runs."""
+    config = _Parser(add_help=False)
+    config.add_argument("--config", **FLAGS["config"])
+    path = config.parse_known_args(argv)[0].config
+    if path:
+        argv = [*argv[:1], *_config_flags(path), *argv[1:]]
+    args = build_parser().parse_args(argv)
+    for key in ("out", "frame_out", "csv"):
+        if getattr(args, key, None):
+            _check_writable(f"--{key.replace('_', '-')}", getattr(args, key))
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

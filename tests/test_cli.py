@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,15 @@ def _verify(*flags):
     """Files and argv of a verify-frame run on a real 37-point frame."""
     return ({"frame.json": FRAME_37},
             ["verify-frame", "--seed", "1", "--frame", "frame.json", *flags])
+
+
+def _configured(config, *argv):
+    """Files and argv of a run whose --config file holds config."""
+    return {"cfg.json": json.dumps(config)}, [*argv, "--config", "cfg.json"]
+
+
+PEAKS = ["counterexample", "--family", "peaks", "--seed", "1"]
+CELLS = ["counterexample", "--family", "cells", "--seed", "1"]
 
 
 # (id, files written to the test directory, argv; *.json names live there)
@@ -98,6 +108,44 @@ MALFORMED_INPUTS = [
     ("frame_out_digit_limit", {},
      ["build-frame", "--p", "6", "--blocks", "2", "--ratio", str(10**100),
       "--frame-out", "f.json"]),
+    ("unknown_suite", {}, ["inequalities", "--suite", "nope", "--seed", "1"]),
+    # config values: each is read as its flag, and a path takes only a string
+    ("seed_not_integer_in_config", *_configured({"seed": "x"}, *PEAKS[:3])),
+    ("seed_fraction_in_config", *_configured({"seed": 1.7}, *PEAKS[:3])),
+    ("seed_bool_in_config", *_configured({"seed": True}, *PEAKS[:3])),
+    ("suite_list_in_config", *_configured({"suite": ["a"]}, "inequalities", "--seed", "1")),
+    ("family_list_in_config", *_configured({"family": ["peaks"]}, "counterexample",
+                                           "--seed", "1")),
+    ("out_list_in_config", *_configured({"out": ["x"]}, *PEAKS)),
+    ("out_number_in_config", *_configured({"out": 1}, *PEAKS)),
+    ("csv_number_in_config", *_configured({"csv": 2}, *PEAKS)),
+    ("frame_number_in_config", *_configured({"frame": 5}, "verify-frame", "--seed", "1")),
+    ("unknown_key_in_config", *_configured({"trails": 5}, *PEAKS)),
+    ("abbreviated_key_in_config", *_configured({"tri": 5}, *PEAKS)),
+    ("key_of_other_command_in_config", *_configured({"span": 4}, *PEAKS)),
+    # single-flag ranges
+    ("seed_negative", {}, [*PEAKS[:3], "--seed", "-1"]),
+    ("J_zero", {}, [*PEAKS, "--J", "0"]),
+    ("K_zero", {}, [*CELLS, "--K", "0"]),
+    ("n_max_zero", {}, [*CELLS, "--n-max", "0"]),
+    ("alpha_nan", {}, [*PEAKS, "--alpha", "nan"]),
+    ("alpha_negative", {}, [*PEAKS, "--alpha", "-1"]),
+    ("span_zero", {}, ["inequalities", "--suite", "rdf", "--seed", "1", "--span", "0"]),
+    ("grid_log2_positive", {},
+     ["inequalities", "--suite", "rdf", "--seed", "1", "--grid-log2", "5"]),
+    # parameters outside the family or suite's domain
+    ("peaks_J_above_K", {}, [*PEAKS, "--J", "12"]),
+    ("cells_K_1", {}, [*CELLS, "--K", "1"]),
+    ("cells_p_below_2", {}, [*CELLS, "--p", "1.5"]),
+    ("isometry_grid_log2_0", {},
+     ["inequalities", "--suite", "isometry", "--seed", "1", "--grid-log2", "0"]),
+    # grids past SUITE_CELLS are refused before any is made
+    *((f"{suite}_grid_log2_-40", {},
+       ["inequalities", "--suite", suite, "--seed", "1", "--grid-log2", "-40"])
+      for suite in ("rdf", "isometry", "lacunary")),
+    ("peaks_K_40", {}, [*PEAKS, "--J", "40", "--K", "40"]),
+    ("cells_K_40", {}, [*CELLS, "--K", "40"]),
+    ("cells_n_max_1e11", {}, [*CELLS, "--n-max", str(10**11)]),
 ]
 
 
@@ -118,26 +166,23 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in err
 
-    def test_unknown_suite(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["inequalities", "--suite", "nope", "--seed", "1"])
-        assert exc.value.code == 2
-        capsys.readouterr()
-
     @pytest.mark.parametrize(
         "files,argv",
         [case[1:] for case in MALFORMED_INPUTS],
         ids=[case[0] for case in MALFORMED_INPUTS],
     )
-    def test_malformed_input_is_config_error(self, tmp_path, capsys, files, argv):
+    def test_malformed_input_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                             files, argv):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
         code = run([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
     def test_digit_limit_writes_no_frame_file(self, tmp_path, capsys):
         frame_path = tmp_path / "f.json"
@@ -253,6 +298,73 @@ class TestConfigFile:
                 assert payload["config"]["alpha"] == alpha
             metrics.append(printed["metrics"])
         assert metrics[0] != metrics[1]
+
+
+# one run per subcommand and per family and suite: flags of the config's keys
+# and values, a value that reads as a number given both as a JSON number and
+# as a string
+CONFIG_RUNS = {
+    "build-frame": ("build-frame", {"p": 4, "sizes": "37", "ratio": 5}),
+    "verify-frame": ("verify-frame", {"frame": "frame.json", "corpus": 5, "seed": 3,
+                                      "tol": 1e-9}),
+    "peaks": ("counterexample", {"family": "peaks", "trials": 5, "seed": 3, "p": 1.5,
+                                 "J": 6, "alpha": 0.2}),
+    "cells": ("counterexample", {"family": "cells", "trials": "5", "seed": 3, "p": 4,
+                                 "K": 5, "n_max": 6}),
+    **{suite: ("inequalities", {"suite": suite, "trials": 5, "seed": 3})
+       for suite in ("khintchine", "squarefunc", "type-cotype")},
+    "lacunary": ("inequalities", {"suite": "lacunary", "trials": 5, "seed": 3,
+                                  "grid_log2": -11}),
+    "rdf": ("inequalities", {"suite": "rdf", "trials": 5, "seed": 3, "grid_log2": -5,
+                             "span": 4}),
+    "isometry": ("inequalities", {"suite": "isometry", "trials": 5, "seed": "3",
+                                  "grid-log2": "-5", "span": 2}),
+}
+
+# every flag of each subcommand
+COMMAND_FLAGS = {
+    "build-frame": ["config", "p", "blocks", "growth", "sizes", "candidates", "base",
+                    "ratio", "lambda-file", "out", "frame-out"],
+    "verify-frame": ["config", "frame", "corpus", "seed", "tol", "out", "csv"],
+    "counterexample": ["config", "family", "p", "trials", "seed", "J", "K", "n-max",
+                       "alpha", "out", "csv"],
+    "inequalities": ["config", "suite", "trials", "seed", "grid-log2", "span", "out",
+                     "csv"],
+}
+
+WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
+
+
+class TestConfigEqualsFlags:
+    @pytest.mark.parametrize("label", list(CONFIG_RUNS))
+    def test_config_file_reads_as_its_flags(self, tmp_path, monkeypatch, capsys, label):
+        command, config = CONFIG_RUNS[label]
+        (tmp_path / "frame.json").write_text(FRAME_37)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        flags = [text for key, value in config.items()
+                 for text in (f"--{key.replace('_', '-')}", str(value))]
+        printed = []
+        for argv in ([command, *flags], [command, "--config", "cfg.json"]):
+            code = run(argv)
+            printed.append((code, WALL_TIME.sub("", capsys.readouterr().out)))
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 0 and printed[0][1].startswith("{")
+
+    def test_config_number_echoes_as_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 4, "sizes": "37", "blocks": "2"}))
+        assert run(["build-frame", "--config", str(cfg)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["p"], config["blocks"], config["growth"]) == (4.0, 2, None)
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert listed == {"--help", *(f"--{flag}" for flag in COMMAND_FLAGS[command])}
 
 
 class TestFramePipeline:
