@@ -2,16 +2,16 @@
 
 Subcommands: build-frame, verify-frame, counterexample, inequalities.  Each
 flag is declared once, in FLAGS, with the one converter that reads its text
-and checks its range: --trials, --corpus, --J, --K, --n-max and --span at
-least 1, --seed at least 0, --tol positive and finite, --p finite and above
-1, --alpha finite and at least 0, --grid-log2 at most 0.  A JSON file given
-as --config is a list of flags: each key names a flag (n_max or n-max for
---n-max) and each value is read as that flag's text.  A value is a string,
-or a number for a flag with a converter; flags on the command line win.  An
-unknown key, like any parse error, is a config error.  Stochastic commands
-require --seed.  Every command writes a JSON report whose metric block is
-byte-identical across reruns with the same configuration and seed, and exits
-0 only if all assertions pass.
+and checks its range: --trials and --corpus from 1 to MAX_TRIALS, --J, --K,
+--n-max and --span at least 1, --seed at least 0, --tol positive and finite,
+--p finite and above 1, --alpha finite and at least 0, --grid-log2 at most 0.
+A JSON file given as --config is a list of flags: each key names a flag
+(n_max or n-max for --n-max) and each value is read as that flag's text.  A
+value is a string, or a number for a flag with a converter; flags on the
+command line win.  An unknown key, like any parse error, is a config error.
+Stochastic commands require --seed.  Every command writes a JSON report whose
+metric block is byte-identical across reruns with the same configuration and
+seed, and exits 0 only if all assertions pass.
 """
 
 from __future__ import annotations
@@ -26,30 +26,10 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from . import frames, reports, suites
 from .errors import ConfigError, GaborLabError
-from .frames import (
-    build_frame,
-    frame_from_json,
-    plan_blocks,
-    plan_from_sizes,
-    reconstruct_rows,
-    select_translates,
-    span_corpus,
-    spread_candidates,
-)
 from .gabor import points_from_json
 from .grids import Exponent
-from .reports import Report, Stopwatch, write_csv
-from .suites import (
-    cells_suite,
-    isometry_suite,
-    khintchine_suite,
-    lacunary_suite,
-    peaks_suite,
-    rdf_suite,
-    squarefunc_suite,
-    type_cotype_suite,
-)
 
 # generated build-frame candidates may take 1 GiB: POINT_BITS per point (its
 # objects take 192 bytes on CPython 3.11) plus its translate's digits
@@ -106,9 +86,9 @@ def _check_candidate_bits(count: int, base: int, ratio: int) -> None:
                           f"take more than {CANDIDATE_BITS} bits")
 
 
-def _emit(report: Report, out: Optional[str], rows, csv_path: Optional[str]) -> int:
+def _emit(report: reports.Report, out: Optional[str], rows, csv_path: Optional[str]) -> int:
     if csv_path and rows is not None:
-        write_csv(csv_path, rows)
+        reports.write_csv(csv_path, rows)
     payload = report.to_json()
     if out:
         report.write(out)
@@ -119,13 +99,13 @@ def _emit(report: Report, out: Optional[str], rows, csv_path: Optional[str]) -> 
 
 def cmd_build_frame(args) -> int:
     p = Exponent(4.0 if args.p is None else args.p)
-    with Stopwatch() as sw:
+    with reports.Stopwatch() as sw:
         try:
             if args.sizes:
-                plan = plan_from_sizes(p, [int(x) for x in args.sizes.split(",")])
+                plan = frames.plan_from_sizes(p, [int(x) for x in args.sizes.split(",")])
             else:
-                plan = plan_blocks(p, 3 if args.blocks is None else args.blocks,
-                                   2.0 if args.growth is None else args.growth)
+                plan = frames.plan_blocks(p, 3 if args.blocks is None else args.blocks,
+                                          2.0 if args.growth is None else args.growth)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"block plan: {exc}") from None
         if args.lambda_file:
@@ -135,13 +115,13 @@ def cmd_build_frame(args) -> int:
             base = 4 if args.base is None else args.base
             ratio = 5 if args.ratio is None else args.ratio
             _check_candidate_bits(count, base, ratio)
-            cands = spread_candidates(count, base=base, ratio=ratio)
-        selection = select_translates(cands, plan)
+            cands = frames.spread_candidates(count, base=base, ratio=ratio)
+        selection = frames.select_translates(cands, plan)
         if args.frame_out:
             _check_int_digits(selection)
-        frame = build_frame(plan, selection)
+        frame = frames.build_frame(plan, selection)
     cert = frame.certificate
-    report = Report(
+    report = reports.Report(
         "build-frame",
         {k: getattr(args, k) for k in ("p", "blocks", "growth", "sizes", "base",
                                        "ratio", "candidates", "lambda_file")},
@@ -171,8 +151,8 @@ def cmd_build_frame(args) -> int:
 def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
     """The per-trial verify-frame columns of the seeded span corpus, solved
     as one batch; the batch arrays are freed before the rows are built."""
-    corpus = np.array([f.values for f in span_corpus(frame, size, seed)])
-    rec = reconstruct_rows(frame, corpus, tol)
+    corpus = np.array([f.values for f in frames.span_corpus(frame, size, seed)])
+    rec = frames.reconstruct_rows(frame, corpus, tol)
     return {"contraction_ratio": rec.contraction_ratio.tolist(),
             "reconstruction_error": rec.relative_error.tolist(),
             "synthesis_residual": rec.synthesis_residual.tolist(),
@@ -180,13 +160,13 @@ def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
 
 
 def cmd_verify_frame(args) -> int:
-    frame = _read_json(args.frame, "--frame", frame_from_json)
-    with Stopwatch() as sw:
+    frame = _read_json(args.frame, "--frame", frames.frame_from_json)
+    with reports.Stopwatch() as sw:
         columns = _corpus_columns(frame, args.corpus, args.seed, args.tol)
         rows = [{"trial": i, "seed": args.seed, **{k: v[i] for k, v in columns.items()}}
                 for i in range(args.corpus)]
         max_ratio, max_rel, max_residual, max_iters = (max(v) for v in columns.values())
-    report = Report(
+    report = reports.Report(
         "verify-frame",
         {"frame": args.frame, "corpus": args.corpus, "seed": args.seed, "tol": args.tol},
         {
@@ -206,16 +186,10 @@ def cmd_verify_frame(args) -> int:
     return _emit(report, args.out, rows, args.csv)
 
 
-SUITES = {
-    "khintchine": khintchine_suite,
-    "squarefunc": squarefunc_suite,
-    "type-cotype": type_cotype_suite,
-    "lacunary": lacunary_suite,
-    "rdf": rdf_suite,
-    "isometry": isometry_suite,
-}
-
-FAMILIES = {"peaks": peaks_suite, "cells": cells_suite}
+# the names --suite and --family accept; cmd_suite looks the chosen one up in
+# suites only when it runs, so parsing a command executes no suite code
+SUITES = ("khintchine", "squarefunc", "type-cotype", "lacunary", "rdf", "isometry")
+FAMILIES = ("peaks", "cells")
 
 
 def cmd_suite(args) -> int:
@@ -224,7 +198,16 @@ def cmd_suite(args) -> int:
     not take is a config error."""
     kind = "family" if "family" in args else "suite"
     name = getattr(args, kind)
-    suite = {**FAMILIES, **SUITES}[name]
+    suite = {
+        "peaks": suites.peaks_suite,
+        "cells": suites.cells_suite,
+        "khintchine": suites.khintchine_suite,
+        "squarefunc": suites.squarefunc_suite,
+        "type-cotype": suites.type_cotype_suite,
+        "lacunary": suites.lacunary_suite,
+        "rdf": suites.rdf_suite,
+        "isometry": suites.isometry_suite,
+    }[name]
     params = inspect.signature(suite).parameters
     kwargs = {key: getattr(args, key) for key in args.parameters
               if getattr(args, key) is not None}
@@ -250,6 +233,10 @@ def _checked(read: Callable, rule: str = "", holds: Callable = lambda value: Tru
 
 
 COUNT = _checked(int, "at least 1", lambda n: n >= 1)
+# --trials and --corpus keep one row per trial in memory: at 10^4 trials the
+# largest, type-cotype, peaked at 56 MB in 21 s, so the cap stays near 200 MB
+MAX_TRIALS = 10**5
+TRIALS = _checked(int, f"from 1 to {MAX_TRIALS}", lambda n: 1 <= n <= MAX_TRIALS)
 
 # every flag, declared once with the converter that reads and range-checks its
 # text; in a --config file a number may stand for the text of a flag with a
@@ -266,13 +253,13 @@ FLAGS = {
     "lambda-file": {"help": "JSON file of candidate time-frequency points"},
     "frame": {"required": True, "help": "serialized frame path"},
     "frame-out": {"help": "serialized frame path"},
-    "corpus": {"type": COUNT, "default": 50},
+    "corpus": {"type": TRIALS, "default": 50},
     "seed": {"type": _checked(int, "at least 0", lambda n: n >= 0), "required": True},
     "tol": {"type": _checked(float, "positive and finite", lambda x: 0 < x < math.inf),
             "default": 1e-8},
     "family": {"choices": list(FAMILIES), "required": True},
     "suite": {"choices": sorted(SUITES), "required": True},
-    "trials": {"type": COUNT},
+    "trials": {"type": TRIALS},
     "J": {"type": COUNT},
     "K": {"type": COUNT},
     "n-max": {"type": COUNT},

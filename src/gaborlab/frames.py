@@ -21,7 +21,7 @@ forces every pairwise difference apart by more than the unit support length.
 Disjointness is checked exactly, never assumed: one certificate,
 certify_selection, runs once for every built or loaded frame.  When the
 growth rule holds and the atom supports lie in [0, 1) it settles the
-certificate in n - 1 exact Fraction comparisons; any other selection (a
+certificate in n - 1 exact integer comparisons; any other selection (a
 hand-edited frame or candidate file) falls back to enumerating all n^2
 difference intervals, scaled by the lcm of every denominator and compared as
 integers.  Both paths are exact for any rational input.  Translates are kept
@@ -65,6 +65,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import stochastic
 from .errors import (
     GridTooSmall,
     InfeasiblePlan,
@@ -93,7 +94,6 @@ from .haar import (
     unconditionality_bound,
 )
 from .rng import complex_gaussian, rng_for
-from .stochastic import all_sign_patterns, combination_pth
 
 MAX_LEAD_SIZE = 10**6
 # reconstruct treats an input within this relative distance of its projection
@@ -205,8 +205,7 @@ class TranslateSelection:
     points: Tuple[TimeFreqPoint, ...]
 
     def __post_init__(self):
-        mags = [abs(pt.t) for pt in self.points]
-        if any(b <= a for a, b in zip(mags, mags[1:])):
+        if not all(_grows(a.t, b.t) for a, b in pairwise(self.points)):
             raise ValueError("|t_i| must be strictly increasing")
 
     def to_json(self) -> list:
@@ -217,9 +216,16 @@ class TranslateSelection:
         return cls(tuple(points_from_json(obj)))
 
 
-def _meets_growth_rule(prev: Fraction, mag: Fraction) -> bool:
-    """The growth rule between consecutive magnitudes: |t_{i+1}| >= 4|t_i| + 4."""
-    return mag >= 4 * prev + 4
+def _grows(prev: Fraction, t: Fraction) -> bool:
+    """|t| > |prev|, compared as integers: |a| d > |c| b for t = a/b, prev = c/d."""
+    return abs(t.numerator) * prev.denominator > abs(prev.numerator) * t.denominator
+
+
+def _meets_growth_rule(prev: Fraction, t: Fraction) -> bool:
+    """The growth rule between consecutive translates, |t| >= 4|prev| + 4,
+    compared as integers: |a| d >= 4 (|c| + d) b for t = a/b, prev = c/d."""
+    return (abs(t.numerator) * prev.denominator
+            >= 4 * (abs(prev.numerator) + prev.denominator) * t.denominator)
 
 
 def select_translates(
@@ -241,12 +247,9 @@ def select_translates(
     disjoint too.  certify_selection checks exactly these two premises.
     """
     chosen: List[TimeFreqPoint] = []
-    prev: Optional[Fraction] = None
     for pt in candidates:
-        mag = abs(pt.t)
-        if prev is None or _meets_growth_rule(prev, mag):
+        if not chosen or _meets_growth_rule(chosen[-1].t, pt.t):
             chosen.append(pt)
-            prev = mag
             if len(chosen) == plan.total:
                 return TranslateSelection(tuple(chosen))
     raise InsufficientSpread(
@@ -269,13 +272,12 @@ def certify_selection(
 
     When consecutive magnitudes follow the growth rule |t_{i+1}| >= 4|t_i| + 4
     and every atom support lies in [0, 1), all three properties hold by the
-    argument in select_translates, so n - 1 exact Fraction comparisons settle
+    argument in select_translates, so n - 1 exact integer comparisons settle
     the certificate.  Any other selection (only a hand-edited frame or
     candidate file yields one) goes to _certify_by_enumeration, which is exact
     for every rational input.
     """
-    mags = [abs(pt.t) for pt in selection.points]
-    if all(_meets_growth_rule(a, b) for a, b in pairwise(mags)) and all(
+    if all(_meets_growth_rule(a.t, b.t) for a, b in pairwise(selection.points)) and all(
         0 <= lo and hi <= 1 for lo, hi in (a.support for a in atoms)
     ):
         return True, "pairwise disjoint", True, True
@@ -351,18 +353,30 @@ class SparseWindow:
     plan: BlockPlan = field(repr=False)
     selection: TranslateSelection = field(repr=False)
 
+    def _piece(self, local: Grid, k: int, s: Fraction) -> SampledFunction:
+        """Block k's atom row, scaled by N_k^(-1/2) and modulated by -s, on local."""
+        f = SampledFunction(local, self.atoms[k]) * (self.plan.sizes[k] ** -0.5)
+        return f if s == 0 else modulate(f, -s)
+
     def pieces(self) -> Iterator[Tuple[Fraction, SampledFunction]]:
         """(offset, local step function on [0, 1]) of every point, in point order."""
         local = Grid.over(0, 1, self.step_log2)
         for pt, k in zip(self.selection.points, self.plan.block_of_index()):
-            f = SampledFunction(local, self.atoms[k]) * (self.plan.sizes[k] ** -0.5)
-            if pt.s != 0:
-                f = modulate(f, -pt.s)
-            yield -pt.t, f
+            yield -pt.t, self._piece(local, k, pt.s)
 
     def lp_norm_pth(self, p: Exponent) -> float:
-        # piece supports are certified pairwise disjoint, so the p-mass adds
-        return float(sum(lp_norm_pth(f, p) for _, f in self.pieces()))
+        """The sum of the piece masses in point order.  Piece supports are
+        certified pairwise disjoint, so the p-mass adds; a piece depends only on
+        its block and modulation, so each distinct one is measured once."""
+        local = Grid.over(0, 1, self.step_log2)
+        mass: Dict[Tuple[int, int, int], float] = {}
+        masses = []
+        for pt, k in zip(self.selection.points, self.plan.block_of_index().tolist()):
+            key = (k, pt.s.numerator, pt.s.denominator)
+            if key not in mass:
+                mass[key] = lp_norm_pth(self._piece(local, k, pt.s), p)
+            masses.append(mass[key])
+        return float(sum(masses))
 
 
 def _place(out: np.ndarray, grid: Grid, at: Fraction, values: np.ndarray) -> None:
@@ -423,9 +437,10 @@ def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFr
         raise ValueError("selection size differs from the plan total")
     atoms = block_atoms(plan)
     step = -(max(a.scale for a in atoms) + 1)
-    smax = max((abs(pt.s) for pt in selection.points), default=Fraction(0))
-    # resolve relative modulations up to 2*max|s| strictly below Nyquist
-    while smax > 0 and 4 * smax * Fraction(1, 2**-step) >= 1:
+    # resolve relative modulations up to 2*max|s| strictly below Nyquist: refine
+    # until 4|s| < 2^-step, that is 4|a| < b 2^-step, for every s = a/b
+    while any(4 * abs(pt.s.numerator) >= pt.s.denominator << -step
+              for pt in selection.points):
         step -= 1
     span_grid = Grid.over(0, 1, step)
     rows = np.array([haar_function(a, plan.p, span_grid).values for a in atoms])
@@ -774,8 +789,9 @@ def sign_flip_synthesis_sup(
     which are attained: 2^K evaluations give the supremum exactly.
     """
     image = reconstruct(frame, f, tol).image
-    rows = all_sign_patterns(len(frame.atoms)) * image.coefficients
-    span_pth = combination_pth(rows, frame.window.atoms, frame.span_grid.step, [frame.p])[0]
+    rows = stochastic.all_sign_patterns(len(frame.atoms)) * image.coefficients
+    span_pth = stochastic.combination_pth(rows, frame.window.atoms, frame.span_grid.step,
+                                          [frame.p])[0]
     worst = float((span_pth.max() + image.error_pth) ** (1.0 / frame.p.p))
     return worst / lp_norm(f, frame.p)
 

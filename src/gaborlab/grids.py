@@ -30,7 +30,10 @@ from .errors import (
 )
 
 def _as_fraction(x, what: str = "value") -> Fraction:
-    """Convert ints, Fractions and binary floats to an exact Fraction."""
+    """Convert ints, Fractions and binary floats to an exact Fraction; a
+    Fraction is returned as it is."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, float):

@@ -1,14 +1,17 @@
 """Command-line front door: exit codes, determinism, config handling."""
 
+import ast
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gaborlab.cli import main
+from gaborlab.cli import MAX_TRIALS, main
 from gaborlab.frames import build_frame, plan_from_sizes, select_translates, spread_candidates
 from gaborlab.grids import Exponent
 from gaborlab.reports import Report
@@ -91,6 +94,15 @@ MALFORMED_INPUTS = [
       for family in ("peaks", "cells") for trials in ("0", "-1")),
     ("trials_zero_in_config", {"cfg.json": '{"trials": 0}'},
      ["inequalities", "--suite", "isometry", "--config", "cfg.json", "--seed", "1"]),
+    # trial counts past MAX_TRIALS are refused before any work
+    *((f"trials_above_cap_{suite}", {},
+       ["inequalities", "--suite", suite, "--trials", str(MAX_TRIALS + 1), "--seed", "1"])
+      for suite in ("khintchine", "squarefunc", "type-cotype", "lacunary", "rdf",
+                    "isometry")),
+    *((f"trials_above_cap_{family}", {},
+       ["counterexample", "--family", family, "--trials", str(MAX_TRIALS + 1), "--seed", "1"])
+      for family in ("peaks", "cells")),
+    ("corpus_above_cap", *_verify("--corpus", str(MAX_TRIALS + 1))),
     ("corpus_zero", *_verify("--corpus", "0")),
     ("corpus_negative", *_verify("--corpus", "-3")),
     ("tol_zero", *_verify("--tol", "0")),
@@ -213,6 +225,72 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert "InfeasiblePlan" in err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SUITE_MODULES = ["basic_sequences", "fourier", "stochastic", "suites"]
+# run the commands given as JSON in argv[1] through main in this interpreter,
+# then print their exit codes, the gaborlab modules in sys.modules and those
+# not yet executed
+IMPORT_SCOPE = """
+import contextlib, io, json, sys, types
+import gaborlab.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(gaborlab.cli.main(argv))
+modules = {name.removeprefix("gaborlab."): module for name, module in sys.modules.items()
+           if name.startswith("gaborlab.")}
+print(json.dumps([codes, list(modules),
+                  [name for name, module in modules.items() if type(module) is not types.ModuleType]]))
+"""
+
+
+def _bench_layers():
+    """The LAYERS tuple of bench/spans.py, which reads each from sys.modules."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+
+
+def _modules_after(tmp_path, *commands):
+    """(exit codes, gaborlab modules in sys.modules, those still unexecuted) of
+    a fresh interpreter after import gaborlab.cli and the commands."""
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", IMPORT_SCOPE, json.dumps(commands)],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout
+    codes, loaded, unexecuted = json.loads(out)
+    return codes, set(loaded), set(unexecuted)
+
+
+class TestImportScope:
+    """A command executes only the modules it uses; every module stays in
+    sys.modules for the benchmark's tracer."""
+
+    def test_import_registers_every_layer_and_executes_none_of_the_work(self, tmp_path):
+        _, loaded, unexecuted = _modules_after(tmp_path)
+        assert set(_bench_layers()) <= loaded
+        assert {"frames", *SUITE_MODULES} <= unexecuted
+
+    def test_frame_commands_leave_the_suites_unexecuted(self, tmp_path):
+        codes, _, unexecuted = _modules_after(
+            tmp_path, ["build-frame", "--p", "2.05", "--blocks", "3"])
+        assert codes == [3]
+        assert set(SUITE_MODULES) <= unexecuted
+        codes, _, unexecuted = _modules_after(
+            tmp_path, ["build-frame", "--sizes", "37", "--frame-out", "f.json"],
+            ["verify-frame", "--frame", "f.json", "--corpus", "5", "--seed", "1"])
+        assert codes == [0, 0]
+        assert "frames" not in unexecuted
+        assert set(SUITE_MODULES) <= unexecuted
+
+    def test_suite_command_leaves_frames_unexecuted(self, tmp_path):
+        codes, _, unexecuted = _modules_after(
+            tmp_path, ["inequalities", "--suite", "khintchine", "--trials", "5", "--seed", "1"])
+        assert codes == [0]
+        assert "suites" not in unexecuted
+        assert "frames" in unexecuted
 
 
 class TestDeterminism:

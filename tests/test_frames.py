@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import pairwise
@@ -389,6 +390,74 @@ class TestCertificatePaths:
         assert peak < 5 * 2**20
 
 
+# rationals of either sign with non-dyadic denominators
+RATIONALS = st.fractions(-60, 60, max_denominator=30)
+# a step onto, just past or just short of a boundary: exact equality included
+NUDGES = st.one_of(st.just(Fraction(0)),
+                   st.builds(Fraction, st.sampled_from((-1, 1)), st.integers(1, 10**6)))
+
+
+@st.composite
+def growth_pairs(draw):
+    """(prev, t): |t| on 4|prev| + 4, within a nudge of it, or anywhere."""
+    prev = draw(RATIONALS)
+    if draw(st.booleans()):
+        mag = 4 * abs(prev) + 4 + draw(NUDGES)
+    else:
+        mag = abs(draw(RATIONALS)) * 5
+    return prev, draw(SIGNS) * mag
+
+
+@st.composite
+def magnitude_pairs(draw):
+    """(a, b): |b| equal to |a|, within a nudge of it, or anywhere."""
+    a = draw(RATIONALS)
+    mag = abs(draw(RATIONALS)) if draw(st.booleans()) else abs(a) + draw(NUDGES)
+    return a, draw(SIGNS) * mag
+
+
+@st.composite
+def boundary_selections(draw):
+    """A demonstration plan and a selection whose every step lands on the
+    growth rule's boundary 4|t| + 4 or within a nudge of it."""
+    sizes = draw(SMALL_SIZES)
+    mags = [abs(draw(RATIONALS)) / 10]
+    while len(mags) < sum(sizes):
+        mags.append(4 * mags[-1] + 4 + draw(NUDGES))
+    points = tuple(TimeFreqPoint(draw(SIGNS) * m, 0) for m in mags)
+    return demo_plan(sizes), TranslateSelection(points)
+
+
+class TestExactBoundaries:
+    """The integer comparisons against their Fraction oracles, at equality."""
+
+    @PROPERTY
+    @given(growth_pairs())
+    def test_growth_rule_matches_fraction_oracle(self, pair):
+        prev, t = pair
+        assert frames._meets_growth_rule(prev, t) == (abs(t) >= 4 * abs(prev) + 4)
+
+    @PROPERTY
+    @given(magnitude_pairs())
+    def test_strict_increase_matches_fraction_oracle(self, pair):
+        a, b = pair
+        assert frames._grows(a, b) == (abs(b) > abs(a))
+        points = (TimeFreqPoint(a, 0), TimeFreqPoint(b, 0))
+        if abs(b) > abs(a):
+            TranslateSelection(points)
+        else:
+            with pytest.raises(ValueError):
+                TranslateSelection(points)
+
+    @PROPERTY
+    @given(boundary_selections())
+    def test_certificate_matches_enumeration_at_the_boundary(self, case):
+        plan, sel = case
+        atoms, block_of = block_atoms(plan), plan.block_of_index()
+        assert (certify_selection(sel, atoms, block_of)
+                == _certify_by_enumeration(sel, atoms, block_of))
+
+
 def tiny_frame(sizes=(37,), s_value=Fraction(0)):
     plan = plan_from_sizes(P4, sizes)
     cands = spread_candidates(plan.total, base=4, ratio=5, s_value=s_value)
@@ -422,6 +491,33 @@ class TestWindow:
         )
         assert total == pytest.approx(per_piece, rel=1e-14)
         assert frame.certificate["window_summands_disjoint"]
+
+    # the plans of the six benchmark frames: (p, block count or sizes, whether
+    # the selection is the generic one, seeded signs and s = k/16)
+    BENCH_PLANS = [(5.0, 3, False), (4.0, 3, False), (4.0, (72, 144, 288), False),
+                   (6.0, 4, False), (4.0, 4, False), (4.0, (72, 144, 288), True)]
+
+    @pytest.mark.parametrize("p,blocks,generic", BENCH_PLANS)
+    def test_window_mass_is_the_point_order_piece_sum(self, p, blocks, generic):
+        exp = Exponent(p)
+        if isinstance(blocks, tuple):
+            plan = plan_from_sizes(exp, blocks)
+        else:
+            plan = plan_blocks(exp, blocks)
+        if generic:
+            rng = random.Random(504)
+            cands = [TimeFreqPoint(rng.choice((-1, 1)) * 4 * 5**n,
+                                   Fraction(rng.randint(-8, 8), 16))
+                     for n in range(plan.total)]
+        else:
+            cands = spread_candidates(plan.total)
+        window = build_frame(plan, select_translates(cands, plan)).window
+        block_of = plan.block_of_index()
+        modulations = [{pt.s for pt, k in zip(window.selection.points, block_of) if k == b}
+                       for b in range(len(plan.sizes))]
+        assert all(len(m) > 1 for m in modulations) == generic
+        # bit for bit: one mass per distinct piece, summed in point order
+        assert window.lp_norm_pth(exp) == sum(lp_norm_pth(f, exp) for _, f in window.pieces())
 
     def test_dense_materialization_demo(self):
         plan = demo_plan((2,))
