@@ -1,6 +1,7 @@
 """Command-line front door: exit codes, determinism, config handling."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -661,6 +662,134 @@ class TestRecordedSeedSuites:
         report = json.loads(cmd.out.read_text())
         assert report["metrics"] == SUITE_METRICS[label]
         assert report["assertions"] == SUITE_ASSERTIONS[label]
+
+
+FRAME_BUILD_ASSERTIONS = dict.fromkeys(
+    ["difference_sets_clear_of_base", "difference_sets_disjoint", "q_below_one",
+     "window_norm_identity", "window_summands_disjoint"], True)
+FRAME_VERIFY_ASSERTIONS = dict.fromkeys(
+    ["contraction_below_q", "reconstruction_within_tol", "synthesis_residual_below_q"], True)
+BUILD_504 = {
+    "q": 0.4677071733467426,
+    "sizes": [72, 144, 288],
+    "total_points": 504,
+    "window_norm_error": 1.734723475976807e-16,
+    "window_norm_pth": 0.02430555555555538,
+    "window_norm_target": 0.024305555555555552,
+}
+BUILD_1020 = {
+    "q": 0.49815837311630357,
+    "sizes": [68, 136, 272, 544],
+    "total_points": 1020,
+    "window_norm_error": 6.38378239159465e-16,
+    "window_norm_pth": 0.027573529411764067,
+    "window_norm_target": 0.027573529411764705,
+}
+SHA_504 = "4cefea1fe6d4c72924167d5dac1ee7105cd4c14c0734ab4464fb2247b5ab21c8"
+SHA_1020 = "c3f9900264072220b4ea1a78be2d8dd9a09c55b4b5766458a92bffbd3d295d27"
+
+# (exit code, metric block, assertion block, sha256 of the frame file) of the
+# benchmark's frame commands at the recorded seed, set-up builds included
+FRAME_OUTPUTS = {
+    "build_p5_K3": (0, {
+        "q": 0.49664403271845536,
+        "sizes": [42, 84, 168],
+        "total_points": 294,
+        "window_norm_error": 2.168404344971009e-17,
+        "window_norm_pth": 0.005432041458722676,
+        "window_norm_target": 0.005432041458722654,
+    }, FRAME_BUILD_ASSERTIONS,
+        "417dfcefd6b0ad26a46db811031ee784c1dbffb09ba2ba56d3ced7c82d6502e1"),
+    "build_p4_K3": (0, {
+        "q": 0.49607837082461076,
+        "sizes": [64, 128, 256],
+        "total_points": 448,
+        "window_norm_error": 0.0,
+        "window_norm_pth": 0.02734375,
+        "window_norm_target": 0.02734375,
+    }, FRAME_BUILD_ASSERTIONS,
+        "c2f7f428e35d6b15c98074648b53d80af09ffcf539013498cf279da5860c49b1"),
+    "build_p4_504": (0, BUILD_504, FRAME_BUILD_ASSERTIONS, SHA_504),
+    "build_p6_K4": (0, {
+        "q": 0.49497337538955405,
+        "sizes": [37, 74, 148, 296],
+        "total_points": 555,
+        "window_norm_error": 1.1600963245594897e-17,
+        "window_norm_pth": 0.0009701424397370228,
+        "window_norm_target": 0.0009701424397370344,
+    }, FRAME_BUILD_ASSERTIONS,
+        "2aa92a986d18864a441a6367a8e62f1be2fa2668c59b46b9cc7df795ff1d63e2"),
+    "build_p4_K4": (0, BUILD_1020, FRAME_BUILD_ASSERTIONS, SHA_1020),
+    "build_p4_504_generic": (0, {
+        "q": 0.4677071733467426,
+        "sizes": [72, 144, 288],
+        "total_points": 504,
+        "window_norm_error": 1.942890293094024e-16,
+        "window_norm_pth": 0.024305555555555358,
+        "window_norm_target": 0.024305555555555552,
+    }, FRAME_BUILD_ASSERTIONS,
+        "1b4e434f86562380c586ef9b002c4bb69cd31a0864ab49ce606a384dc555d7fa"),
+    # InfeasiblePlan writes no report
+    "build_p2.05_K3_infeasible": (3, None, None, None),
+    "setup_frame_504": (0, BUILD_504, FRAME_BUILD_ASSERTIONS, SHA_504),
+    "setup_frame_1020": (0, BUILD_1020, FRAME_BUILD_ASSERTIONS, SHA_1020),
+    "verify_504_c50_a": (0, {
+        "max_contraction_ratio": 0.11172882247488174,
+        "max_iterations": 1,
+        "max_reconstruction_error": 2.537185083997503e-16,
+        "max_synthesis_residual": 0.11172882247488174,
+        "q": 0.4677071733467426,
+    }, FRAME_VERIFY_ASSERTIONS, None),
+    "verify_504_c50_b": (0, {
+        "max_contraction_ratio": 0.12551007154960256,
+        "max_iterations": 1,
+        "max_reconstruction_error": 4.168099263855419e-16,
+        "max_synthesis_residual": 0.12551007154960253,
+        "q": 0.4677071733467426,
+    }, FRAME_VERIFY_ASSERTIONS, None),
+    "verify_504_c2000": (0, {
+        "max_contraction_ratio": 0.13199153713089842,
+        "max_iterations": 1,
+        "max_reconstruction_error": 3.676477803584136e-16,
+        "max_synthesis_residual": 0.13199153713089842,
+        "q": 0.4677071733467426,
+    }, FRAME_VERIFY_ASSERTIONS, None),
+    "verify_1020_c50": (0, {
+        "max_contraction_ratio": 0.1267711870528993,
+        "max_iterations": 1,
+        "max_reconstruction_error": 3.449804349737623e-16,
+        "max_synthesis_residual": 0.1267711870528993,
+        "q": 0.49815837311630357,
+    }, FRAME_VERIFY_ASSERTIONS, None),
+}
+
+
+class TestRecordedSeedFrames:
+    """The frame commands of the benchmark at the recorded seed, set-up builds
+    included: metric and assertion blocks compared exactly, frame files by sha256."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        """FRAME_OUTPUTS' tuple of every command, each workload run in order
+        in its own directory."""
+        out = {}
+        for name in ("frame-build", "frame-verify"):
+            setup, passes = WORKLOADS.prepare(name, tmp_path_factory.mktemp(name),
+                                              WORKLOADS.RECORDED_SEED)
+            for cmd in setup + passes:
+                code = run(list(cmd.argv))
+                report = json.loads(cmd.out.read_text()) if cmd.out.exists() else {}
+                digest = (hashlib.sha256(cmd.frame_out.read_bytes()).hexdigest()
+                          if cmd.frame_out and cmd.frame_out.exists() else None)
+                out[cmd.label] = (code, report.get("metrics"), report.get("assertions"), digest)
+        return out
+
+    def test_every_command_is_pinned(self, outputs):
+        assert list(outputs) == list(FRAME_OUTPUTS)
+
+    @pytest.mark.parametrize("label", list(FRAME_OUTPUTS))
+    def test_outputs(self, outputs, label):
+        assert outputs[label] == FRAME_OUTPUTS[label]
 
 
 class TestPointSetFile:
