@@ -24,8 +24,6 @@ import os
 import sys
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from . import frames, reports, suites
 from .errors import ConfigError, GaborLabError
 from .gabor import points_from_json
@@ -151,8 +149,7 @@ def cmd_build_frame(args) -> int:
 def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
     """The per-trial verify-frame columns of the seeded span corpus, solved
     as one batch; the batch arrays are freed before the rows are built."""
-    corpus = np.array([f.values for f in frames.span_corpus(frame, size, seed)])
-    rec = frames.reconstruct_rows(frame, corpus, tol)
+    rec = frames.reconstruct_rows(frame, frames.span_corpus(frame, size, seed), tol)
     return {"contraction_ratio": rec.contraction_ratio.tolist(),
             "reconstruction_error": rec.relative_error.tolist(),
             "synthesis_residual": rec.synthesis_residual.tolist(),

@@ -32,20 +32,20 @@ Because the difference sets avoid the base-cell span, the error term of one
 application contributes nothing to the coefficient functionals of the next.
 reconstruct_rows therefore solves S y = f on the span V by the Neumann
 iteration, for a whole batch of functions at once: the rows of an (n, count)
-matrix on the span grid.  S f yields both the projection of f onto V and the
-contraction ratio, and the image S y of the converged iterate is the result.
-On V one application reproduces the input up to rounding, so most rows stop
-after one step, well inside the certified budget ceil(log tol / log q) + 1;
-near the rounding floor a row refines further until its image meets the
-tolerance against f, or the batch exhausts the budget.  Converged rows leave
-the batch, and each row takes exactly the floating-point steps it would take
-alone, so reconstruct (one function) is a one-row call of reconstruct_rows
-and frame_operator a one-row call of frame_operator_rows.  The coefficient
-functionals read the per-frame layout that build_frame computes once, each
-atom's (i, mid, j) cell slice and dual amplitude; span_coefficients, one
-haar_functional call per atom, is their test oracle.  The off-span error
-term is reported separately as the synthesis residual and checked against q
-rather than against the tolerance.
+matrix on the span grid, as span_corpus returns them.  S f yields both the
+projection of f onto V and the contraction ratio, and the image S y of the
+converged iterate is the result.  On V one application reproduces the input
+up to rounding, so most rows stop after one step, well inside the certified
+budget ceil(log tol / log q) + 1; near the rounding floor a row refines
+further until its image meets the tolerance against f, or the batch exhausts
+the budget.  Converged rows leave the batch, and each row takes exactly the
+floating-point steps it would take alone, so one function is solved as a
+one-row matrix; frame_operator_rows is the operator in the same form.  The
+coefficient functionals read the per-frame layout that build_frame computes
+once, each atom's (i, mid, j) cell slice and dual amplitude;
+span_coefficients, one haar_functional call per atom, is their test oracle.
+The off-span error term is reported separately as the synthesis residual and
+checked against q rather than against the tolerance.
 
 Translates need not be dyadic.  The certificate is exact for any rational
 translate, and the operator works on the atom rows of the span grid, so no
@@ -96,9 +96,9 @@ from .haar import (
 from .rng import complex_gaussian, rng_for
 
 MAX_LEAD_SIZE = 10**6
-# reconstruct treats an input within this relative distance of its projection
-# onto the span as a span input: far above the projection's rounding error
-# (a few ulps of the norm), far below any deliberate off-span component
+# reconstruct_rows treats an input within this relative distance of its
+# projection onto the span as a span input: far above the projection's rounding
+# error (a few ulps of the norm), far below any deliberate off-span component
 SPAN_RTOL = 2.0**-40
 
 
@@ -189,8 +189,11 @@ def plan_blocks(p: Exponent, num_blocks: int, growth: float = 2.0) -> BlockPlan:
 
 
 def plan_from_sizes(p: Exponent, sizes: Sequence[int]) -> BlockPlan:
-    """Plan with explicitly given block sizes (validated)."""
-    return BlockPlan(p, tuple(int(n) for n in sizes))
+    """Plan with explicitly given block sizes (validated).  A size that is not
+    an int is a ValueError: int() would truncate a float, and a bool is no size."""
+    if not all(type(n) is int for n in sizes):
+        raise ValueError(f"block sizes {sizes} are not all integers")
+    return BlockPlan(p, tuple(sizes))
 
 
 def block_atoms(plan: BlockPlan) -> List[HaarIndex]:
@@ -339,76 +342,19 @@ def _first_overlap(intervals: List[tuple]) -> Optional[tuple]:
 
 
 @dataclass
-class SparseWindow:
-    """The window sum_k sum_{i in J_k} N_k^(-1/2) tau_{-t_i}(e_{-s_i} h_k), kept
-    as its K block rows.
-
-    atoms holds the plan's K atoms sampled on [0, 1] at the window step, one
-    row per block.  Every piece is a scaled, possibly modulated copy of a row,
-    which pieces() places point by point from the plan and the selection.
-    """
-
-    step_log2: int
-    atoms: np.ndarray = field(repr=False)
-    plan: BlockPlan = field(repr=False)
-    selection: TranslateSelection = field(repr=False)
-
-    def _piece(self, local: Grid, k: int, s: Fraction) -> SampledFunction:
-        """Block k's atom row, scaled by N_k^(-1/2) and modulated by -s, on local."""
-        f = SampledFunction(local, self.atoms[k]) * (self.plan.sizes[k] ** -0.5)
-        return f if s == 0 else modulate(f, -s)
-
-    def pieces(self) -> Iterator[Tuple[Fraction, SampledFunction]]:
-        """(offset, local step function on [0, 1]) of every point, in point order."""
-        local = Grid.over(0, 1, self.step_log2)
-        for pt, k in zip(self.selection.points, self.plan.block_of_index()):
-            yield -pt.t, self._piece(local, k, pt.s)
-
-    def lp_norm_pth(self, p: Exponent) -> float:
-        """The sum of the piece masses in point order.  Piece supports are
-        certified pairwise disjoint, so the p-mass adds; a piece depends only on
-        its block and modulation, so each distinct one is measured once."""
-        local = Grid.over(0, 1, self.step_log2)
-        mass: Dict[Tuple[int, int, int], float] = {}
-        masses = []
-        for pt, k in zip(self.selection.points, self.plan.block_of_index().tolist()):
-            key = (k, pt.s.numerator, pt.s.denominator)
-            if key not in mass:
-                mass[key] = lp_norm_pth(self._piece(local, k, pt.s), p)
-            masses.append(mass[key])
-        return float(sum(masses))
-
-
-def _place(out: np.ndarray, grid: Grid, at: Fraction, values: np.ndarray) -> None:
-    """Add a piece whose first cell starts at x = at into the dense values of grid."""
-    start = at / grid.step_fraction - grid.origin_index
-    if start.denominator != 1:
-        raise NonAlignedShift(f"piece at {at} is not a multiple of the grid step")
-    if not (0 <= start and start + len(values) <= grid.count):
-        raise GridTooSmall(f"piece at {at} falls outside the grid")
-    out[int(start) : int(start) + len(values)] += values
-
-
-def window_on_grid(window: SparseWindow, grid: Grid) -> SampledFunction:
-    """Materialize the window densely; raises GridTooSmall if the span is short
-    and NonAlignedShift if a piece does not start on a grid point."""
-    if grid.step_log2 != window.step_log2:
-        raise GridTooSmall("grid step differs from the window step")
-    out = np.zeros(grid.count, dtype=np.complex128)
-    for offset, f in window.pieces():
-        _place(out, grid, offset + f.grid.origin, f.values)
-    return SampledFunction(grid, out)
-
-
-@dataclass
 class ConstructedFrame:
-    """A built frame: plan, selection, window, certificates and fast-path layout."""
+    """A built frame: plan, selection, window, certificates and fast-path layout.
+
+    The window sum_k sum_{i in J_k} N_k^(-1/2) tau_{-t_i}(e_{-s_i} h_k) is kept
+    as its K block rows: rows[k] is block k's atom sampled on span_grid, that
+    is on [0, 1] at the window step.  Every piece is a scaled, possibly
+    modulated copy of a row, which window_pieces places point by point.
+    """
 
     plan: BlockPlan
     selection: TranslateSelection
-    window: SparseWindow
     atoms: List[HaarIndex]
-    q: float
+    rows: np.ndarray = field(repr=False)
     certificate: dict
     span_grid: Grid
     # the f-independent error-term weight of each block's coefficient (see
@@ -421,14 +367,70 @@ class ConstructedFrame:
     def p(self) -> Exponent:
         return self.plan.p
 
+    @property
+    def q(self) -> float:
+        return self.certificate["q"]
+
     def to_json(self) -> dict:
         return {
             "plan": self.plan.to_json(),
             "selection": self.selection.to_json(),
-            "step_log2": self.window.step_log2,
+            "step_log2": self.span_grid.step_log2,
             "q": self.q,
             "certificate": self.certificate,
         }
+
+
+def _window_piece(local: Grid, row: np.ndarray, size: int, s: Fraction) -> SampledFunction:
+    """An atom row scaled by size^(-1/2) and modulated by -s, on local."""
+    f = SampledFunction(local, row) * (size ** -0.5)
+    return f if s == 0 else modulate(f, -s)
+
+
+def window_pieces(frame: ConstructedFrame) -> Iterator[Tuple[Fraction, SampledFunction]]:
+    """(offset, local step function on [0, 1]) of every point of the window,
+    in point order."""
+    sizes = frame.plan.sizes
+    for pt, k in zip(frame.selection.points, frame.plan.block_of_index()):
+        yield -pt.t, _window_piece(frame.span_grid, frame.rows[k], sizes[k], pt.s)
+
+
+def _window_norm_pth(
+    plan: BlockPlan, selection: TranslateSelection, rows: np.ndarray, local: Grid
+) -> float:
+    """The window's p-mass: the sum of the piece masses in point order.  Piece
+    supports are certified pairwise disjoint, so the p-mass adds; a piece
+    depends only on its block and modulation, so each distinct one is
+    measured once."""
+    mass: Dict[Tuple[int, int, int], float] = {}
+    masses = []
+    for pt, k in zip(selection.points, plan.block_of_index().tolist()):
+        key = (k, pt.s.numerator, pt.s.denominator)
+        if key not in mass:
+            mass[key] = lp_norm_pth(_window_piece(local, rows[k], plan.sizes[k], pt.s), plan.p)
+        masses.append(mass[key])
+    return float(sum(masses))
+
+
+def _place(out: np.ndarray, grid: Grid, at: Fraction, values: np.ndarray) -> None:
+    """Add a piece whose first cell starts at x = at into the dense values of grid."""
+    start = at / grid.step_fraction - grid.origin_index
+    if start.denominator != 1:
+        raise NonAlignedShift(f"piece at {at} is not a multiple of the grid step")
+    if not (0 <= start and start + len(values) <= grid.count):
+        raise GridTooSmall(f"piece at {at} falls outside the grid")
+    out[int(start) : int(start) + len(values)] += values
+
+
+def window_on_grid(frame: ConstructedFrame, grid: Grid) -> SampledFunction:
+    """Materialize the frame's window densely; raises GridTooSmall if the span
+    is short and NonAlignedShift if a piece does not start on a grid point."""
+    if grid.step_log2 != frame.span_grid.step_log2:
+        raise GridTooSmall("grid step differs from the window step")
+    out = np.zeros(grid.count, dtype=np.complex128)
+    for offset, f in window_pieces(frame):
+        _place(out, grid, offset + f.grid.origin, f.values)
+    return SampledFunction(grid, out)
 
 
 def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFrame:
@@ -444,10 +446,8 @@ def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFr
         step -= 1
     span_grid = Grid.over(0, 1, step)
     rows = np.array([haar_function(a, plan.p, span_grid).values for a in atoms])
-    window = SparseWindow(step, rows, plan, selection)
     ok, detail, clear, summands_ok = certify_selection(selection, atoms, plan.block_of_index())
-    q = plan.contraction
-    norm_pth = window.lp_norm_pth(plan.p)
+    norm_pth = _window_norm_pth(plan, selection, rows, span_grid)
     certificate = {
         "difference_sets_disjoint": ok,
         "difference_sets_detail": detail,
@@ -456,21 +456,22 @@ def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFr
         "window_norm_pth": norm_pth,
         "window_norm_target": plan.block_sum,
         "window_norm_error": abs(norm_pth - plan.block_sum),
-        "q": q,
+        "q": plan.contraction,
     }
     return ConstructedFrame(
-        plan, selection, window, atoms, q, certificate, span_grid,
+        plan, selection, atoms, rows, certificate, span_grid,
         _block_error_weights(plan, rows, span_grid.step),
         tuple(functional_layout(a, plan.p, span_grid) for a in atoms),
     )
 
 
 def frame_from_json(obj: dict) -> ConstructedFrame:
-    """The frame a to_json dict describes; raises ValueError if its stored
-    window step is not the one its plan and selection give."""
+    """The frame a to_json dict describes; raises ValueError if a block size is
+    not an integer, or if its stored window step is not the one its plan and
+    selection give."""
     plan = plan_from_sizes(Exponent(obj["plan"]["p"]), obj["plan"]["sizes"])
     frame = build_frame(plan, TranslateSelection.from_json(obj["selection"]))
-    step = frame.window.step_log2
+    step = frame.span_grid.step_log2
     if obj["step_log2"] != step:
         raise ValueError(f"step_log2 {obj['step_log2']} is not the window step "
                          f"{step} of the plan and selection")
@@ -496,10 +497,8 @@ def _block_error_weights(
     p = plan.p.p
     sizes = np.array(plan.sizes, dtype=np.float64)
     unit_pth = moduli_pth(np.abs(atom_values), step, plan.p)
-    counts = np.zeros((len(sizes), len(sizes)))
-    for k, nk in enumerate(plan.sizes):
-        for l, nl in enumerate(plan.sizes):
-            counts[k, l] = nk * nl - (nk if k == l else 0)
+    # ordered pairs of distinct points, each count exact below 2^53
+    counts = np.outer(sizes, sizes) - np.diag(sizes)
     amp_p = np.outer(sizes ** (-p / 2.0) * unit_pth, sizes ** (-p / 2.0))
     return (counts * amp_p).sum(axis=0)
 
@@ -513,33 +512,13 @@ def span_coefficients(frame: ConstructedFrame, f: SampledFunction) -> np.ndarray
 
 
 @dataclass
-class FrameImage:
-    """Result of applying the frame operator: span part plus off-span error mass."""
-
-    main: SampledFunction
-    error_pth: float
-    coefficients: np.ndarray
-
-    def deviation_from(self, f: SampledFunction, p: Exponent) -> float:
-        """|| S f - f ||_p; the error pieces live off the span of f, so masses add."""
-        return (lp_norm_pth(self.main - f, p) + self.error_pth) ** (1.0 / p.p)
-
-
-@dataclass
 class FrameImages:
-    """The frame operator applied to each row of a batch; [r] is row r's FrameImage."""
+    """The frame operator applied to each row of a batch: the span part of
+    each image and its off-span error mass."""
 
-    grid: Grid
     main: np.ndarray  # (n, count)
     error_pth: np.ndarray  # (n,)
     coefficients: np.ndarray  # (n, K)
-
-    def __getitem__(self, r: int) -> FrameImage:
-        return FrameImage(
-            SampledFunction(self.grid, self.main[r]),
-            float(self.error_pth[r]),
-            self.coefficients[r],
-        )
 
 
 def _reproduce(frame: ConstructedFrame, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -553,7 +532,7 @@ def _reproduce(frame: ConstructedFrame, values: np.ndarray) -> Tuple[np.ndarray,
         else:
             b[:, k] = (values[:, i:mid].sum(axis=1) - values[:, mid:j].sum(axis=1)) * amp * step
     main = np.zeros(values.shape, dtype=np.complex128)
-    for k, av in enumerate(frame.window.atoms):
+    for k, av in enumerate(frame.rows):
         main += b[:, k, None] * av
     return b, main
 
@@ -582,19 +561,7 @@ def frame_operator_rows(frame: ConstructedFrame, values: np.ndarray) -> FrameIma
     # a 1-D product per row: one matrix product may round differently
     mass = np.abs(b) ** frame.p.p
     error_pth = np.array([float(frame._pair_weight_by_block @ row) for row in mass])
-    return FrameImages(frame.span_grid, main, error_pth, b)
-
-
-def _on_span_grid(frame: ConstructedFrame, f: SampledFunction) -> np.ndarray:
-    """f's values as a one-row batch."""
-    if f.grid != frame.span_grid:
-        raise GridTooSmall("input must live on the frame's span grid")
-    return f.values[None, :]
-
-
-def frame_operator(frame: ConstructedFrame, f: SampledFunction) -> FrameImage:
-    """frame_operator_rows for one function f on the frame's span grid."""
-    return frame_operator_rows(frame, _on_span_grid(frame, f))[0]
+    return FrameImages(main, error_pth, b)
 
 
 def error_pieces(
@@ -608,11 +575,10 @@ def error_pieces(
     b = span_coefficients(frame, f)
     block_of = frame.plan.block_of_index()
     pts = frame.selection.points
-    local = frame.span_grid
     mod_cache: Dict[Fraction, np.ndarray] = {}
     for i, pi in enumerate(pts):
         k = int(block_of[i])
-        base = frame.window.atoms[k] * (frame.plan.sizes[k] ** -0.5)
+        base = frame.rows[k] * (frame.plan.sizes[k] ** -0.5)
         for j, pj in enumerate(pts):
             if i == j:
                 continue
@@ -623,7 +589,7 @@ def error_pieces(
             if pj.s != pi.s:
                 rel = pj.s - pi.s
                 if rel not in mod_cache:
-                    mod_cache[rel] = modulation_values(local, rel)
+                    mod_cache[rel] = modulation_values(frame.span_grid, rel)
                 vals = vals * mod_cache[rel]
             if pj.s != 0:
                 phase = float((pj.s * d) % 1)
@@ -647,34 +613,22 @@ def frame_operator_dense(
     """Materialize S f on an explicit grid (small frames only)."""
     if grid.step_log2 != frame.span_grid.step_log2:
         raise GridTooSmall("grid step differs from the frame step")
-    img = frame_operator(frame, f)
+    main = frame_operator_rows(frame, f.values[None, :]).main[0]
     out = np.zeros(grid.count, dtype=np.complex128)
-    _place(out, grid, img.main.grid.origin, img.main.values)
+    _place(out, grid, frame.span_grid.origin, main)
     for _, _, d, vals in error_pieces(frame, f):
         _place(out, grid, d, vals)
     return SampledFunction(grid, out)
 
 
 @dataclass
-class ReconstructionResult:
-    """The solution y of S y = y_0 (the projection of f) and its image S y.
+class Reconstructions:
+    """reconstruct_rows of a batch, one entry per row: the solution y of
+    S y = y_0 (the projection of f) and its image S y.
 
     image.main approximates f; the errors and the contraction ratio
     || S f - f ||_p are relative to || f ||_p (all 0 when f is zero).
     """
-
-    solution: SampledFunction
-    image: FrameImage
-    relative_error: float
-    synthesis_residual: float
-    contraction_ratio: float
-    iterations: int
-
-
-@dataclass
-class Reconstructions:
-    """reconstruct_rows of a batch, one entry per row; [r] is row r's
-    ReconstructionResult."""
 
     solution: np.ndarray  # (n, count)
     image: FrameImages
@@ -682,16 +636,6 @@ class Reconstructions:
     synthesis_residual: np.ndarray
     contraction_ratio: np.ndarray
     iterations: np.ndarray
-
-    def __getitem__(self, r: int) -> ReconstructionResult:
-        return ReconstructionResult(
-            SampledFunction(self.image.grid, self.solution[r]),
-            self.image[r],
-            float(self.relative_error[r]),
-            float(self.synthesis_residual[r]),
-            float(self.contraction_ratio[r]),
-            int(self.iterations[r]),
-        )
 
 
 def reconstruct_rows(
@@ -769,13 +713,6 @@ def reconstruct_rows(
     )
 
 
-def reconstruct(
-    frame: ConstructedFrame, f: SampledFunction, tol: float
-) -> ReconstructionResult:
-    """reconstruct_rows for one function f on the frame's span grid."""
-    return reconstruct_rows(frame, _on_span_grid(frame, f), tol)[0]
-
-
 def sign_flip_synthesis_sup(
     frame: ConstructedFrame, f: SampledFunction, tol: float = 1e-8
 ) -> float:
@@ -788,23 +725,19 @@ def sign_flip_synthesis_sup(
     Its maximum is at one of the 2^K vertices, the block-constant patterns,
     which are attained: 2^K evaluations give the supremum exactly.
     """
-    image = reconstruct(frame, f, tol).image
+    image = reconstruct_rows(frame, f.values[None, :], tol).image
     rows = stochastic.all_sign_patterns(len(frame.atoms)) * image.coefficients
-    span_pth = stochastic.combination_pth(rows, frame.window.atoms, frame.span_grid.step,
+    span_pth = stochastic.combination_pth(rows, frame.rows, frame.span_grid.step,
                                           [frame.p])[0]
-    worst = float((span_pth.max() + image.error_pth) ** (1.0 / frame.p.p))
+    worst = float((span_pth.max() + image.error_pth[0]) ** (1.0 / frame.p.p))
     return worst / lp_norm(f, frame.p)
 
 
-def span_corpus(
-    frame: ConstructedFrame, size: int, seed: int
-) -> List[SampledFunction]:
-    """Seeded random elements of the span of the plan's atoms."""
-    out = []
-    for trial in range(size):
-        coeffs = complex_gaussian(rng_for(seed, trial), len(frame.atoms))
-        out.append(SampledFunction(frame.span_grid, coeffs @ frame.window.atoms))
-    return out
+def span_corpus(frame: ConstructedFrame, size: int, seed: int) -> np.ndarray:
+    """Seeded random elements of the span of the plan's atoms, the rows of a
+    (size, count) matrix on the span grid."""
+    return np.array([complex_gaussian(rng_for(seed, trial), len(frame.atoms)) @ frame.rows
+                     for trial in range(size)])
 
 
 def spread_candidates(

@@ -11,7 +11,7 @@ fourier, grids and basic_sequences, which do the work shared by a trial's
 exponents and bands once (and, for lacunary and isometry, evaluate chunks
 of trials as (trials, cells) arrays), and folds the results into rows in
 trial order; the extremes are the min and max of the rows' ratios.  Every
-value is the one the single-call functions give for that trial, bit for bit.
+value is the one a per-trial evaluation gives, bit for bit (test_suites.py).
 
 The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 (constant-1 sides, per row and per exponent's extremes), `_at_most`,

@@ -34,6 +34,11 @@ def _frame_37_with_step(step_log2):
     return {"frame.json": json.dumps({**json.loads(FRAME_37), "step_log2": step_log2})}
 
 
+def _frame_37_with_sizes(sizes):
+    """FRAME_37 with its block sizes written as the JSON text sizes."""
+    return {"frame.json": FRAME_37.replace('"sizes": [37]', f'"sizes": {sizes}')}
+
+
 def _verify(*flags):
     """Files and argv of a verify-frame run on a real 37-point frame."""
     return ({"frame.json": FRAME_37},
@@ -65,6 +70,11 @@ MALFORMED_INPUTS = [
     *((f"frame_step_{step}", _frame_37_with_step(step),
        ["verify-frame", "--seed", "1", "--frame", "frame.json"])
       for step in (-40, 3)),
+    # block sizes that are not JSON integers: one overflows a float, one
+    # would be truncated to the frame's true size
+    *((f"frame_sizes_{sizes}", _frame_37_with_sizes(f"[{sizes}]"),
+       ["verify-frame", "--seed", "1", "--frame", "frame.json"])
+      for sizes in ("1e400", "37.9")),
     ("sizes_not_integers", {}, ["build-frame", "--sizes", "37,x"]),
     ("p_one", {}, ["build-frame", "--p", "1"]),
     ("p_below_one", {},

@@ -31,12 +31,10 @@ from gaborlab.frames import (
     error_pieces,
     error_pth_direct,
     frame_from_json,
-    frame_operator,
     frame_operator_dense,
     frame_operator_rows,
     plan_blocks,
     plan_from_sizes,
-    reconstruct,
     reconstruct_rows,
     select_translates,
     sign_flip_synthesis_sup,
@@ -44,6 +42,7 @@ from gaborlab.frames import (
     span_corpus,
     spread_candidates,
     window_on_grid,
+    window_pieces,
 )
 from gaborlab.gabor import TimeFreqPoint
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm, lp_norm_pth
@@ -108,6 +107,26 @@ def summands_oracle(selection, atoms, block_of):
 def demo_plan(sizes):
     """Plan for small demonstrations; skips the admissibility condition."""
     return BlockPlan(P4, tuple(sizes), require_condition=False)
+
+
+def span_functions(frame, size, seed):
+    """The rows of span_corpus as functions on the frame's span grid."""
+    return [SampledFunction(frame.span_grid, values)
+            for values in span_corpus(frame, size, seed)]
+
+
+def span_part(frame, f):
+    """The span part of S f: frame_operator_rows on the one-row matrix of f."""
+    return SampledFunction(frame.span_grid,
+                           frame_operator_rows(frame, f.values[None, :]).main[0])
+
+
+def deviations(frame, rows):
+    """|| S f - f ||_p of every row f of rows, from frame_operator_rows; the
+    error pieces live off the span of f, so the masses add."""
+    images, p = frame_operator_rows(frame, rows), frame.p
+    return [(lp_norm_pth(SampledFunction(frame.span_grid, main - f), p) + float(error))
+            ** (1.0 / p.p) for main, f, error in zip(images.main, rows, images.error_pth)]
 
 
 class TestBlockPlan:
@@ -367,7 +386,7 @@ class TestCertificatePaths:
             "(1, 0) [blocks 0, 0] and (2, 1) [blocks 0, 0]"
         )
         with pytest.raises(InsufficientSpread):
-            frame_operator(frame, span_corpus(frame, 1, seed=1)[0])
+            frame_operator_rows(frame, span_corpus(frame, 1, seed=1))
 
     def test_growth_rule_certificate_memory(self):
         # the enumeration peaked at 538 MiB here; the rule path needs n - 1
@@ -469,10 +488,10 @@ class TestWindow:
         # one size-one block: the window is one shifted Haar copy of norm 1
         plan = demo_plan((1,))
         sel = TranslateSelection((TimeFreqPoint(4, 0),))
-        window = build_frame(plan, sel).window
-        [(offset, piece)] = window.pieces()
+        frame = build_frame(plan, sel)
+        [(offset, piece)] = window_pieces(frame)
         assert offset == -4
-        assert window.lp_norm_pth(P4) == pytest.approx(1.0, abs=1e-12)
+        assert frame.certificate["window_norm_pth"] == pytest.approx(1.0, abs=1e-12)
 
     def test_acceptance_window_norm_identity(self):
         plan = plan_from_sizes(P4, (72, 144, 288))
@@ -480,14 +499,14 @@ class TestWindow:
             plan, select_translates(spread_candidates(504, base=4, ratio=5), plan)
         )
         assert frame.certificate["window_norm_error"] <= 1e-10
-        assert frame.window.lp_norm_pth(P4) == pytest.approx(7.0 / 288.0, abs=1e-10)
+        assert frame.certificate["window_norm_pth"] == pytest.approx(7.0 / 288.0, abs=1e-10)
 
     def test_summand_masses_add(self):
         frame = tiny_frame((37,), s_value=Fraction(1, 2))
-        total = frame.window.lp_norm_pth(P4)
+        total = frame.certificate["window_norm_pth"]
         per_piece = sum(
             float((np.abs(f.values) ** 4).sum() * f.grid.step)
-            for _, f in frame.window.pieces()
+            for _, f in window_pieces(frame)
         )
         assert total == pytest.approx(per_piece, rel=1e-14)
         assert frame.certificate["window_summands_disjoint"]
@@ -511,64 +530,63 @@ class TestWindow:
                      for n in range(plan.total)]
         else:
             cands = spread_candidates(plan.total)
-        window = build_frame(plan, select_translates(cands, plan)).window
+        frame = build_frame(plan, select_translates(cands, plan))
         block_of = plan.block_of_index()
-        modulations = [{pt.s for pt, k in zip(window.selection.points, block_of) if k == b}
+        modulations = [{pt.s for pt, k in zip(frame.selection.points, block_of) if k == b}
                        for b in range(len(plan.sizes))]
         assert all(len(m) > 1 for m in modulations) == generic
         # bit for bit: one mass per distinct piece, summed in point order
-        assert window.lp_norm_pth(exp) == sum(lp_norm_pth(f, exp) for _, f in window.pieces())
+        assert frame.certificate["window_norm_pth"] == sum(
+            lp_norm_pth(f, exp) for _, f in window_pieces(frame))
 
     def test_dense_materialization_demo(self):
         plan = demo_plan((2,))
         sel = select_translates(
             [TimeFreqPoint(4, 0), TimeFreqPoint(20, 0)], plan
         )
-        window = build_frame(plan, sel).window
-        grid = Grid.over(-20, 1, window.step_log2)
-        dense = window_on_grid(window, grid)
-        assert lp_norm_pth(dense, P4) == pytest.approx(window.lp_norm_pth(P4), rel=1e-12)
+        frame = build_frame(plan, sel)
+        grid = Grid.over(-20, 1, frame.span_grid.step_log2)
+        dense = window_on_grid(frame, grid)
+        assert lp_norm_pth(dense, P4) == pytest.approx(frame.certificate["window_norm_pth"],
+                                                      rel=1e-12)
 
     def test_dense_materialization_too_small(self):
         frame = tiny_frame()
-        grid = Grid.over(0, 1, frame.window.step_log2)
+        grid = Grid.over(0, 1, frame.span_grid.step_log2)
         with pytest.raises(GridTooSmall):
-            window_on_grid(frame.window, grid)
+            window_on_grid(frame, grid)
 
     def test_dense_materialization_non_aligned(self):
         # a piece at -1/3 lies inside [-2, 2) but off every dyadic grid point
         sel = TranslateSelection((TimeFreqPoint(Fraction(1, 3), 0),))
-        window = build_frame(demo_plan((1,)), sel).window
+        frame = build_frame(demo_plan((1,)), sel)
         with pytest.raises(NonAlignedShift):
-            window_on_grid(window, Grid.over(-2, 2, window.step_log2))
+            window_on_grid(frame, Grid.over(-2, 2, frame.span_grid.step_log2))
 
 
 class TestFrameOperator:
     def test_zero_in_zero_out(self):
         frame = tiny_frame()
-        z = SampledFunction.zero(frame.span_grid)
-        img = frame_operator(frame, z)
-        assert np.all(img.main.values == 0)
-        assert img.error_pth == 0.0
+        img = frame_operator_rows(frame, np.zeros((1, frame.span_grid.count)))
+        assert np.all(img.main == 0)
+        assert img.error_pth[0] == 0.0
 
     def test_main_term_reproduces_span_elements(self):
         frame = tiny_frame((80, 160))
-        for f in span_corpus(frame, 5, seed=3):
-            img = frame_operator(frame, f)
-            assert np.abs(img.main.values - f.values).max() <= 1e-12
+        rows = span_corpus(frame, 5, seed=3)
+        assert np.abs(frame_operator_rows(frame, rows).main - rows).max() <= 1e-12
 
     def test_contraction_on_corpus(self):
         frame = tiny_frame((80, 160))
-        worst = 0.0
-        for f in span_corpus(frame, 25, seed=4):
-            deviation = frame_operator(frame, f).deviation_from(f, P4)
-            worst = max(worst, deviation / lp_norm(f, P4))
+        rows = span_corpus(frame, 25, seed=4)
+        worst = max(deviation / lp_norm(SampledFunction(frame.span_grid, f), P4)
+                    for deviation, f in zip(deviations(frame, rows), rows))
         assert worst <= frame.q + 1e-9
 
     def test_error_mass_matches_direct_enumeration(self):
         frame = tiny_frame((80, 160), s_value=Fraction(1, 4))
-        f = span_corpus(frame, 1, seed=5)[0]
-        fast = frame_operator(frame, f).error_pth
+        f = span_functions(frame, 1, seed=5)[0]
+        fast = frame_operator_rows(frame, f.values[None, :]).error_pth[0]
         direct = error_pth_direct(frame, f)
         assert fast == pytest.approx(direct, rel=1e-9)
 
@@ -576,23 +594,23 @@ class TestFrameOperator:
         plan = demo_plan((2, 3))
         sel = select_translates(spread_candidates(5, base=4, ratio=5), plan)
         frame = build_frame(plan, sel)
-        f = span_corpus(frame, 1, seed=6)[0]
+        f = span_functions(frame, 1, seed=6)[0]
         lo = min(pj.t - pi.t for pi in sel.points for pj in sel.points)
         hi = max(pj.t - pi.t for pi in sel.points for pj in sel.points) + 1
         grid = Grid.over(lo, hi, frame.span_grid.step_log2)
         dense = frame_operator_dense(frame, f, grid)
-        img = frame_operator(frame, f)
-        total_pth = lp_norm_pth(img.main, P4) + img.error_pth
+        img = frame_operator_rows(frame, f.values[None, :])
+        total_pth = lp_norm_pth(span_part(frame, f), P4) + img.error_pth[0]
         assert lp_norm_pth(dense, P4) == pytest.approx(total_pth, rel=1e-9)
 
     def test_single_atom_plan_is_identity(self):
         plan = demo_plan((1,))
         sel = TranslateSelection((TimeFreqPoint(4, 0),))
         frame = build_frame(plan, sel)
-        f = span_corpus(frame, 1, seed=7)[0]
-        img = frame_operator(frame, f)
-        assert img.error_pth == 0.0
-        assert np.abs(img.main.values - f.values).max() <= 1e-12
+        f = span_corpus(frame, 1, seed=7)
+        img = frame_operator_rows(frame, f)
+        assert img.error_pth[0] == 0.0
+        assert np.abs(img.main - f).max() <= 1e-12
 
     def test_refuses_colliding_selection(self):
         # repeated differences collide exactly; the built frame must carry a
@@ -603,9 +621,9 @@ class TestFrameOperator:
         )
         frame = build_frame(plan, sel)
         assert frame.certificate["difference_sets_disjoint"] is False
-        f = span_corpus(frame, 1, seed=7)[0]
+        f = span_corpus(frame, 1, seed=7)
         with pytest.raises(InsufficientSpread):
-            frame_operator(frame, f)
+            frame_operator_rows(frame, f)
 
     def test_refuses_selection_without_base_clearance(self):
         # difference sets can be pairwise disjoint yet meet the base cell;
@@ -617,9 +635,9 @@ class TestFrameOperator:
         frame = build_frame(plan, sel)
         assert frame.certificate["difference_sets_disjoint"]
         assert not frame.certificate["difference_sets_clear_of_base"]
-        f = span_corpus(frame, 1, seed=7)[0]
+        f = span_corpus(frame, 1, seed=7)
         with pytest.raises(InsufficientSpread):
-            frame_operator(frame, f)
+            frame_operator_rows(frame, f)
 
 
 @st.composite
@@ -661,14 +679,15 @@ class TestOperatorProperties:
             assert images.error_pth[r] == pytest.approx(
                 error_pth_direct(frame, f), rel=1e-12
             )
-        f, img = SampledFunction(frame.span_grid, rows[0]), images[0]
+        f = SampledFunction(frame.span_grid, rows[0])
         diffs = [pj.t - pi.t for pi in frame.selection.points for pj in frame.selection.points]
         step = frame.span_grid.step_fraction
         if all((d / step).denominator == 1 for d in diffs):
             grid = Grid.over(min(diffs), max(diffs) + 1, frame.span_grid.step_log2)
             dense = frame_operator_dense(frame, f, grid)
             assert lp_norm_pth(dense, frame.p) == pytest.approx(
-                lp_norm_pth(img.main, frame.p) + img.error_pth, rel=1e-9
+                lp_norm_pth(SampledFunction(frame.span_grid, images.main[0]), frame.p)
+                + images.error_pth[0], rel=1e-9
             )
         else:
             grid = Grid.over(math.floor(min(diffs)), math.ceil(max(diffs)) + 1,
@@ -688,13 +707,13 @@ def frame_504():
 def neumann_oracle(frame, f, tol):
     """The per-function Neumann solve written out with span_coefficients and
     lp_norm: (solution, image span part, relative error, synthesis residual,
-    contraction ratio, iterations), each float rounded as reconstruct's."""
+    contraction ratio, iterations), each float rounded as reconstruct_rows'."""
     p = frame.p
 
     def apply(g):
         b = span_coefficients(frame, g)
         main = np.zeros(g.grid.count, dtype=np.complex128)
-        for coeff, av in zip(b, frame.window.atoms):
+        for coeff, av in zip(b, frame.rows):
             main += coeff * av
         error = float(frame._pair_weight_by_block @ (np.abs(b) ** p.p))
         return SampledFunction(g.grid, main), error
@@ -726,24 +745,25 @@ def neumann_oracle(frame, f, tol):
 class TestNeumannAndReconstruction:
     def test_result_reuses_operator_images(self):
         frame = tiny_frame((80, 160))
-        f = span_corpus(frame, 1, seed=14)[0]
-        rec = reconstruct(frame, f, 1e-8)
-        sf = frame_operator(frame, f)
-        image = frame_operator(frame, rec.solution)
-        assert np.array_equal(rec.image.main.values, image.main.values)
-        assert rec.image.error_pth == image.error_pth
-        assert rec.contraction_ratio == sf.deviation_from(f, P4) / lp_norm(f, P4)
-        assert rec.relative_error == lp_norm(image.main - f, P4) / lp_norm(f, P4)
+        rows = span_corpus(frame, 1, seed=14)
+        f = SampledFunction(frame.span_grid, rows[0])
+        rec = reconstruct_rows(frame, rows, 1e-8)
+        image = frame_operator_rows(frame, rec.solution)
+        assert np.array_equal(rec.image.main, image.main)
+        assert rec.image.error_pth[0] == image.error_pth[0]
+        assert rec.contraction_ratio[0] == deviations(frame, rows)[0] / lp_norm(f, P4)
+        assert rec.relative_error[0] == lp_norm(
+            SampledFunction(frame.span_grid, image.main[0]) - f, P4) / lp_norm(f, P4)
 
     def test_loop_refines_below_one_step(self, frame_504):
         # at tol 3e-16 one application leaves this function 3.08e-16 from f
         # (past tol, though within tol of the projection y_0), and the second
         # step brings it within tol: the loop earns its code
-        f = span_corpus(frame_504, 193, seed=11)[192]
-        rec = reconstruct(frame_504, f, 3e-16)
-        assert rec.iterations >= 2
-        assert rec.iterations <= math.ceil(math.log(3e-16) / math.log(frame_504.q)) + 1
-        assert rec.relative_error <= 3e-16
+        f = span_corpus(frame_504, 193, seed=11)[192:]
+        rec = reconstruct_rows(frame_504, f, 3e-16)
+        assert rec.iterations[0] >= 2
+        assert rec.iterations[0] <= math.ceil(math.log(3e-16) / math.log(frame_504.q)) + 1
+        assert rec.relative_error[0] <= 3e-16
 
     @pytest.mark.parametrize("tol", [3e-16, 1e-16, 1e-17])
     def test_span_input_meets_tol_or_raises(self, frame_504, tol):
@@ -751,32 +771,30 @@ class TestNeumannAndReconstruction:
         # raises NoConvergence; it never converges with a larger error
         for f in span_corpus(frame_504, 300, seed=11):
             try:
-                rec = reconstruct(frame_504, f, tol)
+                rec = reconstruct_rows(frame_504, f[None, :], tol)
             except NoConvergence:
                 continue
-            assert rec.relative_error <= tol
+            assert rec.relative_error[0] <= tol
 
     def test_off_span_input_stops_on_projection(self, frame_504):
         # a function with a real off-span part stops once S y meets the
         # projection y_0, and reports its (large) error against f
-        span = span_corpus(frame_504, 1, seed=15)[0]
-        bump = np.zeros(span.grid.count)
-        bump[-1] = 1.0  # the atoms are equal on the last two cells; f is not
-        f = SampledFunction(span.grid, span.values + bump)
-        rec = reconstruct(frame_504, f, 1e-12)
-        assert rec.iterations == 1
-        assert rec.relative_error > 1e-3
+        f = span_corpus(frame_504, 1, seed=15)
+        f[0, -1] += 1.0  # the atoms are equal on the last two cells; f is not
+        rec = reconstruct_rows(frame_504, f, 1e-12)
+        assert rec.iterations[0] == 1
+        assert rec.relative_error[0] > 1e-3
 
     @staticmethod
     def off_span_input(frame, ratio):
         """A span element plus an off-span part of `ratio` times its norm."""
-        span = span_corpus(frame, 1, seed=15)[0]
+        span = span_functions(frame, 1, seed=15)[0]
         bump = np.zeros(span.grid.count)
         bump[-1] = 1.0
         bump = SampledFunction(span.grid, bump)
-        off = bump - frame_operator(frame, bump).main
+        off = bump - span_part(frame, bump)
         f = span + off * (ratio * lp_norm(span, P4) / lp_norm(off, P4))
-        rel = lp_norm(f - frame_operator(frame, f).main, P4) / lp_norm(f, P4)
+        rel = lp_norm(f - span_part(frame, f), P4) / lp_norm(f, P4)
         assert rel == pytest.approx(ratio, rel=1e-3)
         return f
 
@@ -786,59 +804,57 @@ class TestNeumannAndReconstruction:
         # error is the 4.5e-13 off-span part) or raises NoConvergence
         f = self.off_span_input(frame_504, 2.0**-41)
         if tol > 2.0**-41:
-            assert reconstruct(frame_504, f, tol).relative_error <= tol
+            assert reconstruct_rows(frame_504, f.values[None, :], tol).relative_error[0] <= tol
         else:
             with pytest.raises(NoConvergence):
-                reconstruct(frame_504, f, tol)
+                reconstruct_rows(frame_504, f.values[None, :], tol)
 
     def test_off_span_part_above_span_rtol(self, frame_504):
         # 2^-39 > SPAN_RTOL: an off-span input, which stops on the projection
         f = self.off_span_input(frame_504, 2.0**-39)
-        rec = reconstruct(frame_504, f, 1e-13)
-        assert rec.iterations == 1
-        assert rec.relative_error == pytest.approx(2.0**-39, rel=1e-3)
+        rec = reconstruct_rows(frame_504, f.values[None, :], 1e-13)
+        assert rec.iterations[0] == 1
+        assert rec.relative_error[0] == pytest.approx(2.0**-39, rel=1e-3)
 
     def test_no_convergence_below_rounding_floor(self, frame_504):
         # this function's residual never reaches 1e-17 of its norm, so the
         # certified budget runs out
-        f = span_corpus(frame_504, 1, seed=2)[0]
+        f = span_corpus(frame_504, 1, seed=2)
         with pytest.raises(NoConvergence):
-            reconstruct(frame_504, f, 1e-17)
+            reconstruct_rows(frame_504, f, 1e-17)
 
     def test_batch_rows_match_one_row_calls(self, frame_504):
         # the zero function, the two-step reproducer, an off-span input and
         # ordinary span inputs, solved together, one by one and by the
         # per-function oracle
         corpus = span_corpus(frame_504, 193, seed=11)
-        off = corpus[0].values.copy()
+        off = corpus[0].copy()
         off[-1] += 1.0
-        rows = np.array([np.zeros_like(off), corpus[192].values, off,
-                         *(f.values for f in corpus[1:5])])
+        rows = np.array([np.zeros_like(off), corpus[192], off, *corpus[1:5]])
         batch = reconstruct_rows(frame_504, rows, 3e-16)
         assert batch.iterations.tolist()[:2] == [0, 2]
+
+        def scalars(rec, r):
+            return [rec.image.error_pth[r], rec.relative_error[r], rec.synthesis_residual[r],
+                    rec.contraction_ratio[r], rec.iterations[r]]
+
         for r, values in enumerate(rows):
-            one = reconstruct(frame_504, SampledFunction(frame_504.span_grid, values), 3e-16)
-            got = batch[r]
-            assert np.array_equal(got.solution.values, one.solution.values)
-            assert np.array_equal(got.image.main.values, one.image.main.values)
-            assert np.array_equal(got.image.coefficients, one.image.coefficients)
-            assert (got.image.error_pth, got.relative_error, got.synthesis_residual,
-                    got.contraction_ratio, got.iterations) == (
-                one.image.error_pth, one.relative_error, one.synthesis_residual,
-                one.contraction_ratio, one.iterations)
-            solution, main, *scalars = neumann_oracle(
+            one = reconstruct_rows(frame_504, values[None, :], 3e-16)
+            assert np.array_equal(batch.solution[r], one.solution[0])
+            assert np.array_equal(batch.image.main[r], one.image.main[0])
+            assert np.array_equal(batch.image.coefficients[r], one.image.coefficients[0])
+            assert scalars(batch, r) == scalars(one, 0)
+            solution, main, *oracle = neumann_oracle(
                 frame_504, SampledFunction(frame_504.span_grid, values), 3e-16)
-            assert np.array_equal(got.solution.values, solution)
-            assert np.array_equal(got.image.main.values, main)
-            assert [got.relative_error, got.synthesis_residual, got.contraction_ratio,
-                    got.iterations] == scalars
+            assert np.array_equal(batch.solution[r], solution)
+            assert np.array_equal(batch.image.main[r], main)
+            assert scalars(batch, r)[1:] == oracle
 
     def test_batch_with_unreachable_row_raises(self, frame_504):
-        stuck = span_corpus(frame_504, 1, seed=2)[0]
-        rows = np.array([*(f.values for f in span_corpus(frame_504, 3, seed=11)),
-                         stuck.values])
+        stuck = span_corpus(frame_504, 1, seed=2)
+        rows = np.array([*span_corpus(frame_504, 3, seed=11), *stuck])
         with pytest.raises(NoConvergence) as alone:
-            reconstruct(frame_504, stuck, 1e-17)
+            reconstruct_rows(frame_504, stuck, 1e-17)
         with pytest.raises(NoConvergence) as batch:
             reconstruct_rows(frame_504, rows, 1e-17)
         assert str(batch.value) == str(alone.value) == (
@@ -847,47 +863,43 @@ class TestNeumannAndReconstruction:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8])
     def test_nonpositive_tol_rejected(self, frame_504, tol):
-        rows = np.array([f.values for f in span_corpus(frame_504, 2, seed=3)])
         with pytest.raises(ValueError):
-            reconstruct_rows(frame_504, rows, tol)
+            reconstruct_rows(frame_504, span_corpus(frame_504, 2, seed=3), tol)
         with pytest.raises(ValueError):
-            reconstruct(frame_504, span_corpus(frame_504, 1, seed=3)[0], tol)
+            reconstruct_rows(frame_504, span_corpus(frame_504, 1, seed=3), tol)
 
     def test_zero_input(self):
         frame = tiny_frame()
-        z = SampledFunction.zero(frame.span_grid)
-        rec = reconstruct(frame, z, 1e-8)
-        assert rec.iterations == 0
-        assert rec.relative_error == 0.0 and rec.synthesis_residual == 0.0
+        rec = reconstruct_rows(frame, np.zeros((1, frame.span_grid.count)), 1e-8)
+        assert rec.iterations[0] == 0
+        assert rec.relative_error[0] == 0.0 and rec.synthesis_residual[0] == 0.0
 
     def test_single_atom_plan_one_iteration(self):
         plan = demo_plan((1,))
         sel = TranslateSelection((TimeFreqPoint(4, 0),))
         frame = build_frame(plan, sel)
-        f = span_corpus(frame, 1, seed=8)[0]
-        rec = reconstruct(frame, f, 1e-8)
-        assert rec.iterations == 1
-        assert np.abs(rec.solution.values - f.values).max() <= 1e-12
+        f = span_corpus(frame, 1, seed=8)
+        rec = reconstruct_rows(frame, f, 1e-8)
+        assert rec.iterations[0] == 1
+        assert np.abs(rec.solution - f).max() <= 1e-12
 
     def test_budget_formula(self, frame_504):
         budget = math.ceil(math.log(1e-8) / math.log(frame_504.q)) + 1
         assert budget == 26
-        f = span_corpus(frame_504, 1, seed=8)[0]
-        rec = reconstruct(frame_504, f, 1e-8)
-        assert rec.iterations <= budget
-        assert rec.relative_error <= 1e-8
+        rec = reconstruct_rows(frame_504, span_corpus(frame_504, 1, seed=8), 1e-8)
+        assert rec.iterations[0] <= budget
+        assert rec.relative_error[0] <= 1e-8
 
     def test_reconstruction_meets_tolerance(self):
         frame = tiny_frame((80, 160))
-        for f in span_corpus(frame, 10, seed=9):
-            rec = reconstruct(frame, f, 1e-8)
-            assert rec.relative_error <= 1e-8
-            assert rec.synthesis_residual <= frame.q + 1e-9
+        rec = reconstruct_rows(frame, span_corpus(frame, 10, seed=9), 1e-8)
+        assert np.all(rec.relative_error <= 1e-8)
+        assert np.all(rec.synthesis_residual <= frame.q + 1e-9)
 
     def test_sign_flipped_synthesis_bounded(self):
         frame = tiny_frame((80, 160))
         bound = (1 + frame.q) / (1 - frame.q)
-        for f in span_corpus(frame, 5, seed=10):
+        for f in span_functions(frame, 5, seed=10):
             assert sign_flip_synthesis_sup(frame, f) <= bound * (1 + 1e-9)
 
     @pytest.mark.parametrize("p", [3.0, 4.0])
@@ -900,11 +912,11 @@ class TestNeumannAndReconstruction:
         frame = build_frame(plan, select_translates(spread_candidates(plan.total), plan))
         onehot = plan.block_of_index()[:, None] == np.arange(len(sizes))
         means = all_sign_patterns(plan.total) @ onehot / np.array(sizes, dtype=float)
-        for f in span_corpus(frame, 2, seed=14):
-            image = reconstruct(frame, f, 1e-8).image
-            span_pth = combination_pth(means * image.coefficients, frame.window.atoms,
+        for f in span_functions(frame, 2, seed=14):
+            image = reconstruct_rows(frame, f.values[None, :], 1e-8).image
+            span_pth = combination_pth(means * image.coefficients, frame.rows,
                                        frame.span_grid.step, [frame.p])[0]
-            worst = float((span_pth.max() + image.error_pth) ** (1.0 / p))
+            worst = float((span_pth.max() + image.error_pth[0]) ** (1.0 / p))
             assert sign_flip_synthesis_sup(frame, f) == worst / lp_norm(f, frame.p)
 
     def test_sign_flip_direct_oracle(self):
@@ -912,8 +924,9 @@ class TestNeumannAndReconstruction:
         # 2^K block-constant patterns, and take the largest
         frame = tiny_frame((55, 110))
         plan = frame.plan
-        f = span_corpus(frame, 1, seed=12)[0]
-        y = reconstruct(frame, f, 1e-8).solution
+        f = span_functions(frame, 1, seed=12)[0]
+        y = SampledFunction(frame.span_grid,
+                            reconstruct_rows(frame, f.values[None, :], 1e-8).solution[0])
         b = span_coefficients(frame, y)
         block_of = plan.block_of_index()
         step = frame.span_grid.step
@@ -923,7 +936,7 @@ class TestNeumannAndReconstruction:
             signs = vertex[block_of]
             means = np.bincount(block_of, weights=signs, minlength=len(plan.sizes))
             means = means / np.array(plan.sizes, dtype=float)
-            span_vals = (means * b) @ frame.window.atoms
+            span_vals = (means * b) @ frame.rows
             span_pth = float((np.abs(span_vals) ** 4).sum() * step)
             err_pth = sum(
                 float((np.abs(signs[j] * vals) ** 4).sum() * step) for j, vals in pieces
@@ -959,7 +972,7 @@ class TestSerialization:
         assert back.plan == frame.plan
         assert back.selection == frame.selection
         assert back.certificate == frame.certificate
-        assert back.window.step_log2 == frame.window.step_log2
+        assert back.span_grid.step_log2 == frame.span_grid.step_log2
 
     def test_roundtrip_preserves_certificate(self):
         frame = tiny_frame((80, 160))

@@ -20,7 +20,7 @@ PACKAGE = ROOT / "src" / "gaborlab"
 
 # (name, why it stays although nothing in the package calls it)
 ORACLES = (
-    ("window_on_grid", "dense oracle of the sparse window and its certified pieces"),
+    ("window_on_grid", "dense oracle of the frame's window rows and window_pieces"),
     ("frame_operator_dense", "dense oracle of frame_operator_rows and reconstruct_rows"),
     ("sign_flip_synthesis_sup", "exact sign-flip supremum over the 2^K block-constant patterns; no command reports it yet"),
 )
