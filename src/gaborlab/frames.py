@@ -189,8 +189,8 @@ def plan_blocks(p: Exponent, num_blocks: int, growth: float = 2.0) -> BlockPlan:
 
 
 def plan_from_sizes(p: Exponent, sizes: Sequence[int]) -> BlockPlan:
-    """Plan with explicitly given block sizes (validated).  A size that is not
-    an int is a ValueError: int() would truncate a float, and a bool is no size."""
+    """Plan with explicitly given block sizes (validated).  Each size must be
+    an int: a float is refused, not truncated, and so is a bool."""
     if not all(type(n) is int for n in sizes):
         raise ValueError(f"block sizes {sizes} are not all integers")
     return BlockPlan(p, tuple(sizes))
