@@ -48,6 +48,9 @@ GATE_SHAPES = [
     # some rows take two
     ("verify-frame", "--frame", "frame-verify/setup_frame_504.frame.json",
      "--corpus", "300", "--tol", "3e-16"),
+    # no workload exits on a config error, whose path imports no numpy: its
+    # exit code and stderr line
+    ("inequalities", "--suite", "khintchine", "--trials", "0"),
 ]
 
 sys.dont_write_bytecode = True  # leave bench/ as it is

@@ -5,53 +5,35 @@ integrals, translations are grid-aligned isometries, and the frame
 construction carries an exactly verified disjointness certificate together
 with a contraction constant q < 1.
 
-The grids, Gabor systems and Haar atoms re-exported here load with the
-package.  Every other submodule is registered lazily and runs on first
-attribute access, so a command runs only the modules it uses: a frame command
-never compiles the suites, and a suite never compiles the frames.
+Importing the package runs only `errors`.  Every other submodule is
+registered lazily and runs on first attribute access, so a command runs only
+the modules it uses: a frame command never compiles the suites, a suite never
+compiles the frames, and numpy loads with the first array work, never for
+--help or a config error found while parsing.  The grids, Gabor systems and
+Haar atoms re-exported here load their module on first access.
 """
 
 import importlib.util
 import sys
 
 from .errors import GaborLabError
-from .grids import (
-    Exponent,
-    Grid,
-    SampledFunction,
-    lp_ell2_norm,
-    lp_norm,
-    modulate,
-    time_freq_shift,
-    translate,
-)
-from .gabor import GaborSystem, TimeFreqPoint, synthesize
-from .haar import HaarIndex, haar_function, haar_functional
 
-__all__ = [
-    "GaborLabError",
-    "Exponent",
-    "Grid",
-    "SampledFunction",
-    "lp_norm",
-    "lp_ell2_norm",
-    "translate",
-    "modulate",
-    "time_freq_shift",
-    "TimeFreqPoint",
-    "GaborSystem",
-    "synthesize",
-    "HaarIndex",
-    "haar_function",
-    "haar_functional",
-]
+# each re-exported name -> the module that owns it
+_EXPORTS = {
+    **dict.fromkeys(("Exponent", "Grid", "SampledFunction", "lp_norm", "lp_ell2_norm",
+                     "translate", "modulate", "time_freq_shift"), "grids"),
+    **dict.fromkeys(("TimeFreqPoint", "GaborSystem", "synthesize"), "gabor"),
+    **dict.fromkeys(("HaarIndex", "haar_function", "haar_functional"), "haar"),
+}
+
+__all__ = ["GaborLabError", *_EXPORTS]
 
 __version__ = "0.1.0"
 
 # the standard library's lazy-import recipe: each module is in sys.modules and
 # an attribute of the package from the start, and runs on first attribute access
-for _name in ("basic_sequences", "calibration", "fourier", "frames", "reports",
-              "rng", "stochastic", "suites"):
+for _name in ("basic_sequences", "calibration", "fourier", "frames", "gabor", "grids",
+              "haar", "reports", "rng", "stochastic", "suites"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
@@ -59,3 +41,10 @@ for _name in ("basic_sequences", "calibration", "fourier", "frames", "reports",
     _spec.loader.exec_module(_module)
     globals()[_name] = _module
 del _name, _spec, _module
+
+
+def __getattr__(name: str):
+    """A re-exported name, read from the module that owns it."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_EXPORTS[name]], name)

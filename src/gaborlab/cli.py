@@ -17,17 +17,14 @@ seed, and exits 0 only if all assertions pass.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
 import sys
 from typing import Callable, List, Optional
 
-from . import frames, reports, suites
+from . import frames, gabor, grids, reports, suites
 from .errors import ConfigError, GaborLabError
-from .gabor import points_from_json
-from .grids import Exponent
 
 # generated build-frame candidates may take 1 GiB: POINT_BITS per point (its
 # objects take 192 bytes on CPython 3.11) plus its translate's digits
@@ -96,7 +93,7 @@ def _emit(report: reports.Report, out: Optional[str], rows, csv_path: Optional[s
 
 
 def cmd_build_frame(args) -> int:
-    p = Exponent(4.0 if args.p is None else args.p)
+    p = grids.Exponent(4.0 if args.p is None else args.p)
     with reports.Stopwatch() as sw:
         try:
             if args.sizes:
@@ -107,7 +104,7 @@ def cmd_build_frame(args) -> int:
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"block plan: {exc}") from None
         if args.lambda_file:
-            cands = _read_json(args.lambda_file, "--lambda-file", points_from_json)
+            cands = _read_json(args.lambda_file, "--lambda-file", gabor.points_from_json)
         else:
             count = plan.total if args.candidates is None else args.candidates
             base = 4 if args.base is None else args.base
@@ -158,6 +155,10 @@ def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
 
 def cmd_verify_frame(args) -> int:
     frame = _read_json(args.frame, "--frame", frames.frame_from_json)
+    cells = frame.span_grid.count
+    if args.corpus * cells > MAX_CORPUS_ENTRIES:
+        raise ConfigError(f"--corpus {args.corpus} on a span grid of {cells} cells takes "
+                          f"more than {MAX_CORPUS_ENTRIES} entries")
     with reports.Stopwatch() as sw:
         columns = _corpus_columns(frame, args.corpus, args.seed, args.tol)
         rows = [{"trial": i, "seed": args.seed, **{k: v[i] for k, v in columns.items()}}
@@ -205,6 +206,10 @@ def cmd_suite(args) -> int:
         "rdf": suites.rdf_suite,
         "isometry": suites.isometry_suite,
     }[name]
+    # imported here, not with the module: parsing never needs it, and the
+    # suite's numpy has imported it by now
+    import inspect
+
     params = inspect.signature(suite).parameters
     kwargs = {key: getattr(args, key) for key in args.parameters
               if getattr(args, key) is not None}
@@ -234,13 +239,17 @@ COUNT = _checked(int, "at least 1", lambda n: n >= 1)
 # largest, type-cotype, peaked at 56 MB in 21 s, so the cap stays near 200 MB
 MAX_TRIALS = 10**5
 TRIALS = _checked(int, f"from 1 to {MAX_TRIALS}", lambda n: 1 <= n <= MAX_TRIALS)
+# verify-frame solves its corpus as (corpus, span cells) complex matrices, about
+# six at once: at 2^24 entries (2048 functions on 2^13 cells, or 16 on 2^20) it
+# peaked at 1.6 to 1.7 GB
+MAX_CORPUS_ENTRIES = 2**24
 
 # every flag, declared once with the converter that reads and range-checks its
 # text; in a --config file a number may stand for the text of a flag with a
 # converter, any other value must be a string
 FLAGS = {
     "config": {"help": "JSON file of flags, {\"flag\": value}; command-line flags win"},
-    "p": {"type": _checked(lambda text: Exponent(float(text)).p)},
+    "p": {"type": _checked(lambda text: grids.Exponent(float(text)).p)},
     "blocks": {"type": int},
     "growth": {"type": float},
     "sizes": {"help": "comma-separated explicit block sizes"},

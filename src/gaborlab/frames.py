@@ -78,6 +78,7 @@ from .grids import (
     Exponent,
     Grid,
     SampledFunction,
+    check_cells,
     lp_norm,
     lp_norm_pth,
     moduli_pth,
@@ -434,16 +435,20 @@ def window_on_grid(frame: ConstructedFrame, grid: Grid) -> SampledFunction:
 
 
 def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFrame:
-    """Window assembly plus the exact disjointness and norm certificates."""
+    """Window assembly plus the exact disjointness and norm certificates;
+    raises ConfigError if the span grid would have more than MAX_CELLS cells."""
     if len(selection.points) != plan.total:
         raise ValueError("selection size differs from the plan total")
     atoms = block_atoms(plan)
-    step = -(max(a.scale for a in atoms) + 1)
-    # resolve relative modulations up to 2*max|s| strictly below Nyquist: refine
-    # until 4|s| < 2^-step, that is 4|a| < b 2^-step, for every s = a/b
-    while any(4 * abs(pt.s.numerator) >= pt.s.denominator << -step
-              for pt in selection.points):
-        step -= 1
+    # the window step is 2^-m for the least m past every atom scale that
+    # resolves relative modulations up to 2*max|s| strictly below Nyquist:
+    # 4|s| < 2^m, that is 4|a| < b 2^m, or m at least the bit length of
+    # floor(4|a| / b), for every s = a/b; a span grid past MAX_CELLS cells is
+    # refused before any row is made
+    step = -max(max(a.scale for a in atoms) + 1,
+                *((4 * abs(pt.s.numerator) // pt.s.denominator).bit_length()
+                  for pt in selection.points))
+    check_cells(1, step)
     span_grid = Grid.over(0, 1, step)
     rows = np.array([haar_function(a, plan.p, span_grid).values for a in atoms])
     ok, detail, clear, summands_ok = certify_selection(selection, atoms, plan.block_of_index())

@@ -23,11 +23,26 @@ import numpy as np
 
 from .errors import (
     AliasedFrequency,
+    ConfigError,
     GridMismatch,
     GridTooSmall,
     NonAlignedGrid,
     NonAlignedShift,
 )
+
+# the suites and the frame commands refuse a grid of more than MAX_CELLS cells
+# before any work: at 2^20 cells rdf, the largest suite per cell, peaks near
+# 400 MB, and verify-frame --corpus 3 on a frame with that span grid at 340 MB
+MAX_CELLS = 2**20
+
+
+def check_cells(hi: int, step_log2: int) -> None:
+    """Refuse the grid [0, hi) of step 2^step_log2 past MAX_CELLS cells,
+    without forming 2^-step_log2 for a huge -step_log2."""
+    if -step_log2 > MAX_CELLS.bit_length() or hi * 2 ** -step_log2 > MAX_CELLS:
+        raise ConfigError(f"the grid [0, {hi}) of step 2^{step_log2} has more than "
+                          f"{MAX_CELLS} cells")
+
 
 def _as_fraction(x, what: str = "value") -> Fraction:
     """Convert ints, Fractions and binary floats to an exact Fraction; a

@@ -18,8 +18,8 @@ The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 `_at_least` and `_window_contains` (calibrated bounds with WINDOW_SLACK), and
 `_is_recorded_run` (whether the recorded windows apply).  Each Report is
 built whole, its wall time included.  Parameters outside a suite's domain,
-and grids of more than SUITE_CELLS cells (`_check_cells`), raise ConfigError
-before any work.
+and grids of more than `grids.MAX_CELLS` cells (`check_cells`), raise
+ConfigError before any work.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .grids import (
     Exponent,
     Grid,
     SampledFunction,
+    check_cells,
     embed,
     lp_ell2_norm,
     lp_norm,
@@ -70,17 +71,6 @@ WINDOW_SLACK = 1e-6  # absorbs cross-platform rounding in recorded windows
 # trial per chunk, so each product takes the path of that trial's
 # time_freq_shift, in place or not.
 ISOMETRY_CELLS = 8192
-# the suites refuse a grid of more than SUITE_CELLS cells before any work:
-# rdf, the largest per cell, peaks near 400 MB at 2^20 cells
-SUITE_CELLS = 2**20
-
-
-def _check_cells(hi: int, step_log2: int) -> None:
-    """Refuse the grid [0, hi) of step 2^step_log2 past SUITE_CELLS cells,
-    without forming 2^-step_log2 for a huge -step_log2."""
-    if -step_log2 > SUITE_CELLS.bit_length() or hi * 2 ** -step_log2 > SUITE_CELLS:
-        raise ConfigError(f"the grid [0, {hi}) of step 2^{step_log2} has more than "
-                          f"{SUITE_CELLS} cells")
 
 
 def _is_recorded_run(seed: int, name: str, trials: Optional[int] = None,
@@ -265,7 +255,7 @@ def lacunary_suite(
     grid_log2: int = -10,
 ) -> Tuple[Report, List[dict]]:
     """Lacunary exponential sums behave like sign sums: l2-comparable norms."""
-    _check_cells(1, grid_log2)
+    check_cells(1, grid_log2)
     freqs = [2**j for j in range(n_freqs)]  # 1, 2, 4, ..., 256
     exp = Exponent(p)
     cal_window = calibration.CALIBRATION["lacunary"][f"p{p}"]
@@ -315,7 +305,7 @@ def rdf_suite(
     span: int = 8,
 ) -> Tuple[Report, List[dict]]:
     """Band square-function norms against ||f||_p, with exact p = 2 identities."""
-    _check_cells(span, grid_log2)
+    check_cells(span, grid_log2)
     grid = Grid.over(0, span, grid_log2)
     intervals = _band_partition(grid, bands)
     rows, stats = [], {p: [] for p in ps}
@@ -360,7 +350,7 @@ def isometry_suite(
     if grid_log2 > -1:
         raise ConfigError(f"isometry draws modulations below the Nyquist bound "
                           f"2^(-grid_log2 - 1), which needs grid_log2 <= -1, got {grid_log2}")
-    _check_cells(span, grid_log2)
+    check_cells(span, grid_log2)
     grid = Grid.over(0, span, grid_log2)
     ps = [Exponent(x) for x in (1.5, 2.0, 3.0, 4.0)]
     nyq = 2 ** (-grid.step_log2 - 1)
@@ -417,7 +407,7 @@ def peaks_suite(
     if J > K:
         raise ConfigError(f"peaks weighs lattice point j by the window's tail weight "
                           f"w_j, j <= K, so J must be at most K, got J = {J}, K = {K}")
-    _check_cells(K + 2, min(-K, -(J + 2)))  # peaks_grid
+    check_cells(K + 2, min(-K, -(J + 2)))  # peaks_grid
     exp = Exponent(p)
     cal = calibration.CALIBRATION["peaks"]
     with Stopwatch() as sw:
@@ -449,7 +439,7 @@ def cells_suite(
 ) -> Tuple[Report, List[dict]]:
     """Cells window family (p > 2): translate combinations against predicted mass."""
     # cells_grid and the grid of separated_translates_norm
-    _check_cells(max(K + 1 + n_max, 9 * (K + 1)), -(K + 2))
+    check_cells(max(K + 1 + n_max, 9 * (K + 1)), -(K + 2))
     exp = Exponent(p)
     cal = calibration.CALIBRATION["cells"]
     with Stopwatch() as sw:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from gaborlab import cli
 from gaborlab.cli import MAX_TRIALS, main
 from gaborlab.frames import build_frame, plan_from_sizes, select_translates, spread_candidates
 from gaborlab.grids import Exponent
@@ -37,6 +38,17 @@ def _frame_37_with_step(step_log2):
 def _frame_37_with_sizes(sizes):
     """FRAME_37 with its block sizes written as the JSON text sizes."""
     return {"frame.json": FRAME_37.replace('"sizes": [37]', f'"sizes": {sizes}')}
+
+
+def _points_37_modulated(e):
+    """FRAME_37's points with every modulation s = 2^e, as JSON."""
+    return [[t, [2**e, 1]] for t, _ in json.loads(FRAME_37)["selection"]]
+
+
+def _frame_37_modulated(e):
+    """FRAME_37 with every modulation s = 2^e and the window step that gives."""
+    return {"frame.json": json.dumps({**json.loads(FRAME_37), "step_log2": -(e + 3),
+                                      "selection": _points_37_modulated(e)})}
 
 
 def _verify(*flags):
@@ -114,6 +126,14 @@ MALFORMED_INPUTS = [
        ["counterexample", "--family", family, "--trials", str(MAX_TRIALS + 1), "--seed", "1"])
       for family in ("peaks", "cells")),
     ("corpus_above_cap", *_verify("--corpus", str(MAX_TRIALS + 1))),
+    # span grids past grids.MAX_CELLS cells and corpus matrices past
+    # MAX_CORPUS_ENTRIES entries are refused before either is made
+    ("frame_s_2^30", _frame_37_modulated(30),
+     ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
+    ("lambda_s_2^30", {"lam.json": json.dumps(_points_37_modulated(30))},
+     ["build-frame", "--sizes", "37", "--lambda-file", "lam.json"]),
+    ("frame_s_2^10_corpus_10000", _frame_37_modulated(10),
+     ["verify-frame", "--seed", "1", "--frame", "frame.json", "--corpus", "10000"]),
     ("corpus_zero", *_verify("--corpus", "0")),
     ("corpus_negative", *_verify("--corpus", "-3")),
     ("tol_zero", *_verify("--tol", "0")),
@@ -162,7 +182,7 @@ MALFORMED_INPUTS = [
     ("cells_p_below_2", {}, [*CELLS, "--p", "1.5"]),
     ("isometry_grid_log2_0", {},
      ["inequalities", "--suite", "isometry", "--seed", "1", "--grid-log2", "0"]),
-    # grids past SUITE_CELLS are refused before any is made
+    # grids past grids.MAX_CELLS are refused before any is made
     *((f"{suite}_grid_log2_-40", {},
        ["inequalities", "--suite", suite, "--seed", "1", "--grid-log2", "-40"])
       for suite in ("rdf", "isometry", "lacunary")),
@@ -231,6 +251,19 @@ class TestExitCodes:
         assert run([*argv, "--tol", "1e-17"]) == 3
         assert "NoConvergence" in capsys.readouterr().err
 
+    def test_modulated_frame_within_the_caps_verifies(self, tmp_path, monkeypatch, capsys):
+        # s = 2^10 takes a span grid of 2^13 cells: 3 functions pass, and a
+        # corpus fills MAX_CORPUS_ENTRIES exactly before it is refused
+        path = tmp_path / "frame.json"
+        path.write_text(_frame_37_modulated(10)["frame.json"])
+        argv = ["verify-frame", "--seed", "1", "--frame", str(path), "--corpus"]
+        assert run([*argv, "3"]) == 0
+        monkeypatch.setattr(cli, "MAX_CORPUS_ENTRIES", 4 * 2**13)
+        assert run([*argv, "4"]) == 0
+        capsys.readouterr()
+        assert run([*argv, "5"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --corpus 5 ")
+
     def test_infeasible_plan_exit(self, capsys):
         code = run(["build-frame", "--p", "2.0", "--blocks", "1"])
         err = capsys.readouterr().err
@@ -240,20 +273,43 @@ class TestExitCodes:
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_MODULES = ["basic_sequences", "fourier", "stochastic", "suites"]
-# run the commands given as JSON in argv[1] through main in this interpreter,
-# then print their exit codes, the gaborlab modules in sys.modules and those
-# not yet executed
+# modules a command loads only once it does array work (numpy imports inspect)
+HEAVY = ["numpy", "inspect"]
+# run the commands given as JSON in argv[1] through main in this interpreter
+# (the exit code of --help is SystemExit's), then print their exit codes, the
+# gaborlab modules in sys.modules, those not yet executed and the HEAVY ones
+# loaded
 IMPORT_SCOPE = """
 import contextlib, io, json, sys, types
 import gaborlab.cli
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(gaborlab.cli.main(argv))
+        try:
+            codes.append(gaborlab.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
 modules = {name.removeprefix("gaborlab."): module for name, module in sys.modules.items()
            if name.startswith("gaborlab.")}
 print(json.dumps([codes, list(modules),
-                  [name for name, module in modules.items() if type(module) is not types.ModuleType]]))
+                  [name for name, module in modules.items() if type(module) is not types.ModuleType],
+                  [name for name in %r if name in sys.modules]]))
+""" % HEAVY
+# run the commands given as JSON in argv[1] and print, for each Stopwatch a
+# command starts, whether numpy was loaded by then
+STOPWATCH_SCOPE = """
+import contextlib, io, json, sys
+import gaborlab.cli, gaborlab.reports
+loaded, enter = [], gaborlab.reports.Stopwatch.__enter__
+def traced(self):
+    loaded.append("numpy" in sys.modules)
+    return enter(self)
+gaborlab.reports.Stopwatch.__enter__ = traced
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(gaborlab.cli.main(argv))
+print(json.dumps([codes, loaded]))
 """
 
 
@@ -264,15 +320,37 @@ def _bench_layers():
                 if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
 
 
-def _modules_after(tmp_path, *commands):
-    """(exit codes, gaborlab modules in sys.modules, those still unexecuted) of
-    a fresh interpreter after import gaborlab.cli and the commands."""
+def _run_script(tmp_path, script, commands):
+    """The JSON that script prints in a fresh interpreter run on commands."""
     path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
-    out = subprocess.run([sys.executable, "-c", IMPORT_SCOPE, json.dumps(commands)],
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True).stdout
-    codes, loaded, unexecuted = json.loads(out)
-    return codes, set(loaded), set(unexecuted)
+    return json.loads(out)
+
+
+def _modules_after(tmp_path, *commands):
+    """(exit codes, gaborlab modules in sys.modules, those still unexecuted,
+    HEAVY modules loaded) of a fresh interpreter after import gaborlab.cli and
+    the commands."""
+    codes, loaded, unexecuted, heavy = _run_script(tmp_path, IMPORT_SCOPE, commands)
+    return codes, set(loaded), set(unexecuted), heavy
+
+
+# config errors found while parsing: argparse's, a converter's (other than
+# --p's, which is grids.Exponent's), a --config file's and an output path's
+PARSE_ERRORS = [
+    ["inequalities", "--suite", "khintchine", "--seed", "-1"],
+    ["inequalities", "--suite", "khintchine", "--trials", "0", "--seed", "1"],
+    ["inequalities", "--suite", "khintchine"],
+    ["inequalities", "--suite", "nope", "--seed", "1"],
+    ["counterexample", "--family", "peaks", "--seed", "1", "--alpha", "nan"],
+    ["verify-frame", "--frame", "f.json", "--seed", "1", "--tol", "0"],
+    ["build-frame", "--blocks", "x"],
+    ["build-frame", "--config", "absent.json"],
+    ["build-frame", "--out", "/nonexistent/r.json"],
+    ["frobnicate"],
+]
 
 
 class TestImportScope:
@@ -280,16 +358,46 @@ class TestImportScope:
     sys.modules for the benchmark's tracer."""
 
     def test_import_registers_every_layer_and_executes_none_of_the_work(self, tmp_path):
-        _, loaded, unexecuted = _modules_after(tmp_path)
+        _, loaded, unexecuted, heavy = _modules_after(tmp_path)
         assert set(_bench_layers()) <= loaded
-        assert {"frames", *SUITE_MODULES} <= unexecuted
+        assert {"frames", "grids", "gabor", "haar", *SUITE_MODULES} <= unexecuted
+        assert heavy == []
+
+    def test_help_loads_neither_numpy_nor_inspect(self, tmp_path):
+        from gaborlab.cli import COMMANDS
+
+        codes, _, _, heavy = _modules_after(
+            tmp_path, ["--help"], *([command, "--help"] for command in COMMANDS))
+        assert codes == [0] * (len(COMMANDS) + 1)
+        assert heavy == []
+
+    def test_parse_errors_load_neither_numpy_nor_inspect(self, tmp_path):
+        codes, _, _, heavy = _modules_after(tmp_path, *PARSE_ERRORS)
+        assert codes == [2] * len(PARSE_ERRORS)
+        assert heavy == []
+
+    def test_re_exports_are_the_owning_modules_names(self):
+        import gaborlab
+
+        assert gaborlab.Exponent is gaborlab.grids.Exponent
+        assert all(getattr(gaborlab, name) is not None for name in gaborlab.__all__)
+        with pytest.raises(AttributeError):
+            gaborlab.no_such_name
+
+    def test_numpy_loads_before_each_frame_stopwatch(self, tmp_path):
+        # a report's wall_time_s leaves the numpy import out
+        codes, loaded = _run_script(tmp_path, STOPWATCH_SCOPE, [
+            ["build-frame", "--sizes", "37", "--frame-out", "f.json"],
+            ["verify-frame", "--frame", "f.json", "--corpus", "5", "--seed", "1"]])
+        assert codes == [0, 0]
+        assert loaded == [True, True]
 
     def test_frame_commands_leave_the_suites_unexecuted(self, tmp_path):
-        codes, _, unexecuted = _modules_after(
+        codes, _, unexecuted, _ = _modules_after(
             tmp_path, ["build-frame", "--p", "2.05", "--blocks", "3"])
         assert codes == [3]
         assert set(SUITE_MODULES) <= unexecuted
-        codes, _, unexecuted = _modules_after(
+        codes, _, unexecuted, _ = _modules_after(
             tmp_path, ["build-frame", "--sizes", "37", "--frame-out", "f.json"],
             ["verify-frame", "--frame", "f.json", "--corpus", "5", "--seed", "1"])
         assert codes == [0, 0]
@@ -297,7 +405,7 @@ class TestImportScope:
         assert set(SUITE_MODULES) <= unexecuted
 
     def test_suite_command_leaves_frames_unexecuted(self, tmp_path):
-        codes, _, unexecuted = _modules_after(
+        codes, _, unexecuted, _ = _modules_after(
             tmp_path, ["inequalities", "--suite", "khintchine", "--trials", "5", "--seed", "1"])
         assert codes == [0]
         assert "suites" not in unexecuted

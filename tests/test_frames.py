@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gaborlab import frames
 from gaborlab.errors import (
+    ConfigError,
     GridTooSmall,
     InfeasiblePlan,
     InsufficientSpread,
@@ -45,7 +46,7 @@ from gaborlab.frames import (
     window_pieces,
 )
 from gaborlab.gabor import TimeFreqPoint
-from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm, lp_norm_pth
+from gaborlab.grids import MAX_CELLS, Exponent, Grid, SampledFunction, lp_norm, lp_norm_pth
 from gaborlab.haar import haar_indices
 from gaborlab.stochastic import all_sign_patterns, combination_pth
 
@@ -538,6 +539,33 @@ class TestWindow:
         # bit for bit: one mass per distinct piece, summed in point order
         assert frame.certificate["window_norm_pth"] == sum(
             lp_norm_pth(f, exp) for _, f in window_pieces(frame))
+
+    @pytest.mark.parametrize("blocks", [1, 3, 8])
+    @pytest.mark.parametrize("s", [0, Fraction(1, 8), Fraction(1, 4), Fraction(-1, 2), 1,
+                                   Fraction(7, 3), Fraction(-255, 64), 2**9 - 1, 2**9,
+                                   Fraction(2**11 + 1, 3)])
+    def test_window_step_is_the_refinement_of_the_atom_step(self, blocks, s):
+        # the step refinement by one power of two at a time, from the finest
+        # atom's step until 4|s| < 2^-step for every modulation s
+        atoms = block_atoms(demo_plan((1,) * blocks))
+        step = -(max(a.scale for a in atoms) + 1)
+        while 4 * abs(s) >= Fraction(2) ** -step:
+            step -= 1
+        points = [TimeFreqPoint(pt.t, s if i == blocks // 2 else 0)
+                  for i, pt in enumerate(spread_candidates(blocks))]
+        frame = build_frame(demo_plan((1,) * blocks), TranslateSelection(tuple(points)))
+        assert frame.span_grid.step_log2 == step
+
+    def test_span_grid_past_max_cells_is_refused_before_any_row(self):
+        # s = 2^17 takes the window step 2^-20, the last step of at most
+        # MAX_CELLS cells; s = 2^18 and s = 2^30 go past it
+        plan = demo_plan((1,))
+        frame = build_frame(plan, TranslateSelection((TimeFreqPoint(4, 2**17),)))
+        assert frame.span_grid.count == MAX_CELLS
+        for e in (18, 30):
+            with mock.patch.object(frames, "haar_function", side_effect=AssertionError), \
+                    pytest.raises(ConfigError, match=f"more than {MAX_CELLS} cells"):
+                build_frame(plan, TranslateSelection((TimeFreqPoint(4, 2**e),)))
 
     def test_dense_materialization_demo(self):
         plan = demo_plan((2,))
