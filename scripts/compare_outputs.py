@@ -48,6 +48,10 @@ GATE_SHAPES = [
     # some rows take two
     ("verify-frame", "--frame", "frame-verify/setup_frame_504.frame.json",
      "--corpus", "300", "--tol", "3e-16"),
+    # no workload's corpus takes more than one chunk (grids.row_chunks): 5000
+    # functions on the 4 span cells of the 504-point frame take two
+    ("verify-frame", "--frame", "frame-verify/setup_frame_504.frame.json",
+     "--corpus", "5000"),
     # no workload exits on a config error, whose path imports no numpy: its
     # exit code and stderr line
     ("inequalities", "--suite", "khintchine", "--trials", "0"),

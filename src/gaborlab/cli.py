@@ -81,6 +81,25 @@ def _check_candidate_bits(count: int, base: int, ratio: int) -> None:
                           f"take more than {CANDIDATE_BITS} bits")
 
 
+def _write_json(path: str, obj: dict) -> None:
+    """Write the text of json.dump(obj, fh) through the C encoder, which only
+    json.dumps uses, a piece at a time: each value of obj, and each top-level
+    list in slices of 64 entries, so no piece holds a large frame's text."""
+    with open(path, "w") as fh:
+        fh.write("{")
+        for n, (key, value) in enumerate(obj.items()):
+            fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            if not isinstance(value, list):
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for start in range(0, len(value), 64):
+                fh.write(", " if start else "")
+                fh.write(json.dumps(value[start:start + 64])[1:-1])
+            fh.write("]")
+        fh.write("}")
+
+
 def _emit(report: reports.Report, out: Optional[str], rows, csv_path: Optional[str]) -> int:
     if csv_path and rows is not None:
         reports.write_csv(csv_path, rows)
@@ -138,19 +157,26 @@ def cmd_build_frame(args) -> int:
         wall_time_s=sw.elapsed,
     )
     if args.frame_out:
-        with open(args.frame_out, "w") as fh:
-            json.dump(frame.to_json(), fh)
+        _write_json(args.frame_out, frame.to_json())
     return _emit(report, args.out, None, None)
 
 
 def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
-    """The per-trial verify-frame columns of the seeded span corpus, solved
-    as one batch; the batch arrays are freed before the rows are built."""
-    rec = frames.reconstruct_rows(frame, frames.span_corpus(frame, size, seed), tol)
-    return {"contraction_ratio": rec.contraction_ratio.tolist(),
-            "reconstruction_error": rec.relative_error.tolist(),
-            "synthesis_residual": rec.synthesis_residual.tolist(),
-            "iterations": rec.iterations.tolist()}
+    """The per-trial verify-frame columns of the seeded span corpus, drawn and
+    solved one grids.row_chunks chunk of trials at a time, so memory holds
+    one chunk's arrays whatever the corpus size; each row is solved as it
+    would be alone, so the columns do not depend on the chunks."""
+    columns = {"contraction_ratio": [], "reconstruction_error": [],
+               "synthesis_residual": [], "iterations": []}
+    for chunk in grids.row_chunks(size, frame.span_grid.count):
+        corpus = frames.span_corpus(frame, chunk.stop - chunk.start, seed, chunk.start)
+        rec = frames.reconstruct_rows(frame, corpus, tol)
+        for column, values in zip(columns.values(), (
+                rec.contraction_ratio, rec.relative_error, rec.synthesis_residual,
+                rec.iterations)):
+            column += values.tolist()
+        del corpus, rec  # free this chunk's arrays before the next is drawn
+    return columns
 
 
 def cmd_verify_frame(args) -> int:
@@ -239,9 +265,9 @@ COUNT = _checked(int, "at least 1", lambda n: n >= 1)
 # largest, type-cotype, peaked at 56 MB in 21 s, so the cap stays near 200 MB
 MAX_TRIALS = 10**5
 TRIALS = _checked(int, f"from 1 to {MAX_TRIALS}", lambda n: 1 <= n <= MAX_TRIALS)
-# verify-frame solves its corpus as (corpus, span cells) complex matrices, about
-# six at once: at 2^24 entries (2048 functions on 2^13 cells, or 16 on 2^20) it
-# peaked at 1.6 to 1.7 GB
+# verify-frame solves its corpus one grids.row_chunks chunk at a time: at 2^24
+# entries (2048 functions on 2^13 cells, or 16 on 2^20) it peaked at 38 MB in
+# 3.7 s and 244 MB in 4.1 s, where the whole corpus at once took 1.6 to 1.7 GB
 MAX_CORPUS_ENTRIES = 2**24
 
 # every flag, declared once with the converter that reads and range-checks its

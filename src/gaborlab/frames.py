@@ -31,16 +31,18 @@ double-precision range, so no code path converts them to floats.
 Because the difference sets avoid the base-cell span, the error term of one
 application contributes nothing to the coefficient functionals of the next.
 reconstruct_rows therefore solves S y = f on the span V by the Neumann
-iteration, for a whole batch of functions at once: the rows of an (n, count)
-matrix on the span grid, as span_corpus returns them.  S f yields both the
-projection of f onto V and the contraction ratio, and the image S y of the
-converged iterate is the result.  On V one application reproduces the input
-up to rounding, so most rows stop after one step, well inside the certified
-budget ceil(log tol / log q) + 1; near the rounding floor a row refines
-further until its image meets the tolerance against f, or the batch exhausts
-the budget.  Converged rows leave the batch, and each row takes exactly the
-floating-point steps it would take alone, so one function is solved as a
-one-row matrix; frame_operator_rows is the operator in the same form.  The
+iteration, for a batch of functions at once: the rows of an (n, count)
+matrix on the span grid, as span_corpus returns them for a range of trials
+(verify-frame solves its corpus one grids.row_chunks chunk at a time).  S f
+yields both the projection of f onto V and the contraction ratio, and the
+image S y of the converged iterate is the result.  On V one application
+reproduces the input up to rounding, so most rows stop after one step, well
+inside the certified budget ceil(log tol / log q) + 1; near the rounding
+floor a row refines further until its image meets the tolerance against f,
+or the batch exhausts the budget.  Converged rows leave the batch, and each
+row takes exactly the floating-point steps it would take alone, so one
+function is solved as a one-row matrix, and the chunks of a corpus do not
+change its results; frame_operator_rows is the operator in the same form.  The
 coefficient functionals read the per-frame layout that build_frame computes
 once, each atom's (i, mid, j) cell slice and dual amplitude;
 span_coefficients, one haar_functional call per atom, is their test oracle.
@@ -738,11 +740,11 @@ def sign_flip_synthesis_sup(
     return worst / lp_norm(f, frame.p)
 
 
-def span_corpus(frame: ConstructedFrame, size: int, seed: int) -> np.ndarray:
-    """Seeded random elements of the span of the plan's atoms, the rows of a
-    (size, count) matrix on the span grid."""
+def span_corpus(frame: ConstructedFrame, size: int, seed: int, start: int = 0) -> np.ndarray:
+    """Seeded random elements of the span of the plan's atoms, trials start to
+    start + size - 1, the rows of a (size, count) matrix on the span grid."""
     return np.array([complex_gaussian(rng_for(seed, trial), len(frame.atoms)) @ frame.rows
-                     for trial in range(size)])
+                     for trial in range(start, start + size)])
 
 
 def spread_candidates(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,14 @@ from .errors import (
 
 # the suites and the frame commands refuse a grid of more than MAX_CELLS cells
 # before any work: at 2^20 cells rdf, the largest suite per cell, peaks near
-# 400 MB, and verify-frame --corpus 3 on a frame with that span grid at 340 MB
+# 400 MB, and verify-frame, which solves two or three functions at a time
+# there (see row_chunks), near 340 MB whatever its corpus
 MAX_CELLS = 2**20
+# the row-batched kernels (combination_pth's sign-pattern products, the
+# lacunary sums and verify-frame's corpus) take CHUNK_CELLS cells of rows at a
+# time (see row_chunks): 256 KiB per complex array, so their memory grows with
+# neither the rows nor, up to 8192 cells, the grid
+CHUNK_CELLS = 2**14
 
 
 def check_cells(hi: int, step_log2: int) -> None:
@@ -42,6 +48,22 @@ def check_cells(hi: int, step_log2: int) -> None:
     if -step_log2 > MAX_CELLS.bit_length() or hi * 2 ** -step_log2 > MAX_CELLS:
         raise ConfigError(f"the grid [0, {hi}) of step 2^{step_log2} has more than "
                           f"{MAX_CELLS} cells")
+
+
+def row_chunks(count: int, cells: int) -> Iterator[slice]:
+    """Consecutive slices covering rows 0 to count - 1 of a batch whose rows
+    have the given cells: CHUNK_CELLS // cells rows each, but at least two,
+    and a lone last row joins the chunk before it.  numpy multiplies a
+    one-row matrix through a vector product, whose bits can differ from
+    those of the same row in a matrix product; so a chunk has one row only
+    when the batch has one, and each row's product has the bits of the
+    whole batch's."""
+    per_chunk = max(2, CHUNK_CELLS // cells)
+    for start in range(0, count, per_chunk):
+        if start + per_chunk >= count - 1:
+            yield slice(start, count)
+            return
+        yield slice(start, start + per_chunk)
 
 
 def _as_fraction(x, what: str = "value") -> Fraction:

@@ -7,12 +7,14 @@ constant is 1 for p <= 2, which the tests assert exactly.
 
 Every signed p-mass || sum_j theta_j c_j v_j ||_p^p is formed by one kernel,
 combination_pth, from coefficient rows and a matrix of sampled values, and
-reduced to one p-mass per row and exponent by grids.moduli_pth.
+reduced to one p-mass per row and exponent by grids.moduli_pth, a chunk of
+rows at a time.
 
 Each quantity is a kernel that takes a list of exponents (and, for the
 lacunary sums, a matrix of coefficient rows) and does the work shared by
-them once: one sign-pattern product per family or scalar vector, one set of
-exponentials per frequency.  A single exponent or row is a one-element call.
+them once: one pass of sign-pattern products per family or scalar vector,
+one set of exponentials per frequency.  A single exponent or row is a
+one-element call.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from .grids import (
     lp_norm,
     moduli_norms,
     moduli_pth,
+    row_chunks,
 )
 
 EXACT_FUNCTION_CUTOFF = 12
 EXACT_SCALAR_CUTOFF = 20
-# cells summed per lacunary chunk: 256 KiB per complex array, 16 rows of the
-# default 1024 cells, so memory grows with neither rows nor grid
-LACUNARY_CELLS = 16384
 
 
 def all_sign_patterns(n: int) -> np.ndarray:
@@ -49,13 +49,20 @@ def all_sign_patterns(n: int) -> np.ndarray:
 def combination_pth(
     rows: np.ndarray, mat: np.ndarray, step: float, ps: Sequence[Exponent]
 ) -> List[np.ndarray]:
-    """|| sum_j rows[r, j] v_j ||_p^p for every row r, one array per p, from
-    one product of the rows with mat.
+    """|| sum_j rows[r, j] v_j ||_p^p for every row r, one array per p.
 
     The v_j are the rows of mat: step functions on one grid of the given step.
+    The rows are multiplied with mat and reduced one grids.row_chunks chunk
+    at a time into one vector per p, so memory grows with neither the rows
+    nor the grid; each entry has the bits of the one-shot
+    moduli_pth(np.abs(rows @ mat), step, p).
     """
-    mods = np.abs(rows @ mat)
-    return [moduli_pth(mods, step, p) for p in ps]
+    out = [np.empty(len(rows)) for _ in ps]
+    for chunk in row_chunks(len(rows), mat.shape[1]):
+        mods = np.abs(rows[chunk] @ mat)
+        for pth, p in zip(out, ps):
+            pth[chunk] = moduli_pth(mods, step, p)
+    return out
 
 
 def _value_matrix(fs: Sequence[SampledFunction]) -> Tuple[np.ndarray, Grid]:
@@ -70,7 +77,7 @@ def _pattern_pths(
     fs: Sequence[SampledFunction], ps: Sequence[Exponent]
 ) -> List[np.ndarray]:
     """|| sum_j eps_j f_j ||_p^p for every sign pattern eps, one array per p,
-    from one product of the patterns with the values (one zero for no fs)."""
+    from the products of the patterns with the values (one zero for no fs)."""
     n = len(fs)
     if n > EXACT_FUNCTION_CUTOFF:
         raise TooManyFunctions(f"{n} > {EXACT_FUNCTION_CUTOFF}")
@@ -161,8 +168,8 @@ def lacunary_pnorms(
     for other p the value carries the usual midpoint quadrature error.
 
     Each exponential is sampled once for all rows, and one array of moduli
-    serves every exponent.  Rows are summed in chunks of LACUNARY_CELLS
-    cells, so memory grows with neither the rows nor the grid.
+    serves every exponent.  Rows are summed one grids.row_chunks chunk at a
+    time, so memory grows with neither the rows nor the grid.
     """
     rows = np.asarray(coeffs, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] != len(freqs):
@@ -175,12 +182,10 @@ def lacunary_pnorms(
     x = grid.midpoints()
     waves = [np.exp(2j * np.pi * s * x) for s in freqs]
     out: List[List[float]] = [[] for _ in ps]
-    per_chunk = max(1, LACUNARY_CELLS // grid.count)
-    for start in range(0, len(rows), per_chunk):
-        chunk = rows[start : start + per_chunk]
-        total = np.zeros((len(chunk), grid.count), dtype=np.complex128)
+    for chunk in row_chunks(len(rows), grid.count):
+        total = np.zeros((chunk.stop - chunk.start, grid.count), dtype=np.complex128)
         for k, wave in enumerate(waves):
-            total += chunk[:, k : k + 1] * wave
+            total += rows[chunk, k : k + 1] * wave
         mods = np.abs(total)
         for norms, p in zip(out, ps):
             norms += moduli_norms(mods, grid.step, p)

@@ -8,14 +8,24 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaborlab import cli
 from gaborlab.cli import MAX_TRIALS, main
-from gaborlab.frames import build_frame, plan_from_sizes, select_translates, spread_candidates
-from gaborlab.grids import Exponent
+from gaborlab.frames import (
+    build_frame,
+    frame_from_json,
+    plan_from_sizes,
+    reconstruct_rows,
+    select_translates,
+    span_corpus,
+    spread_candidates,
+)
+from gaborlab.grids import CHUNK_CELLS, Exponent, row_chunks
 from gaborlab.reports import Report
 
 
@@ -612,6 +622,41 @@ class TestFramePipeline:
         header = csv_path.read_text().splitlines()[0]
         assert "contraction_ratio" in header
         assert len(csv_path.read_text().splitlines()) == 6
+
+
+class TestCorpusChunks:
+    """verify-frame's corpus, drawn and solved one chunk of trials at a time,
+    on the 37-point frame at s = 2^10: 2^13 span cells, two rows a chunk."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        frame = frame_from_json(json.loads(_frame_37_modulated(10)["frame.json"]))
+        assert CHUNK_CELLS // frame.span_grid.count == 2
+        return frame
+
+    def test_chunked_columns_equal_one_batch(self, frame):
+        # 9 trials take the chunks 2, 2, 2 and 3 (the lone last row joins)
+        assert len(list(row_chunks(9, frame.span_grid.count))) == 4
+        rec = reconstruct_rows(frame, span_corpus(frame, 9, 5), 1e-8)
+        want = [rec.contraction_ratio, rec.relative_error, rec.synthesis_residual,
+                rec.iterations]
+        got = cli._corpus_columns(frame, 9, 5, 1e-8)
+        assert [np.array(column).tobytes() for column in got.values()] == \
+            [column.tobytes() for column in want]
+
+    def test_traced_peak_stays_flat_in_the_corpus_size(self, frame):
+        # solving the whole corpus at once held about six corpus copies
+        copy = 64 * frame.span_grid.count * 16  # 64 complex rows: 8 MiB
+        peaks = []
+        for size in (64, 256):
+            tracemalloc.start()
+            try:
+                cli._corpus_columns(frame, size, 5, 1e-8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < copy / 2
+        assert peaks[1] - peaks[0] < copy / 32
 
 
 @pytest.fixture(scope="module")

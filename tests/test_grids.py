@@ -12,6 +12,7 @@ from gaborlab.errors import (
     NonAlignedShift,
 )
 from gaborlab.grids import (
+    CHUNK_CELLS,
     Exponent,
     Grid,
     SampledFunction,
@@ -20,6 +21,7 @@ from gaborlab.grids import (
     lp_norm_pth,
     modulate,
     restrict,
+    row_chunks,
     time_freq_shift,
     time_freq_shift_rows,
     translate,
@@ -234,6 +236,19 @@ class TestRowKernels:
             time_freq_shift_rows(values, g, [0, 1], [1, -4])
         with pytest.raises(NonAlignedShift):
             time_freq_shift_rows(values, g, [0, Fraction(1, 16)], [1, 1])
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("cells", [1, 5000, CHUNK_CELLS, 2**20])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 9, 16385])
+    def test_row_chunks_cover_the_batch_without_a_lone_row(self, count, cells):
+        per_chunk = max(2, CHUNK_CELLS // cells)
+        chunks = list(row_chunks(count, cells))
+        assert [i for c in chunks for i in range(c.start, c.stop)] == list(range(count))
+        sizes = [c.stop - c.start for c in chunks]
+        assert sizes[:-1] == [per_chunk] * (len(sizes) - 1)
+        # a chunk of one row only in a batch of one
+        assert all(min(2, count) <= size <= per_chunk + 1 for size in sizes[-1:])
 
 
 class TestLpEll2:

@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab.errors import AliasedFrequency, NotLacunary, TooManyFunctions
-from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm
+from gaborlab.grids import CHUNK_CELLS, Exponent, Grid, SampledFunction, lp_norm, moduli_pth
 from gaborlab.rng import complex_gaussian, rng_for
 from gaborlab.stochastic import (
+    EXACT_FUNCTION_CUTOFF,
     all_sign_patterns,
     combination_pth,
     khintchine_ratios,
@@ -87,6 +90,38 @@ class TestSignFlipExtremes:
         got = (pth / pth[0]) ** (1.0 / p.p)  # row 0, all minus, has the norm of c
         assert got.max() == pytest.approx(max(ratios), rel=1e-12)
         assert got.min() == pytest.approx(min(ratios), rel=1e-12)
+
+
+@st.composite
+def chunked_batches(draw):
+    """(rows, mat, ps): rows of cells below, at or above CHUNK_CELLS, and
+    about one, two or three chunks of them, give or take a row."""
+    cells = draw(st.one_of(st.integers(1, CHUNK_CELLS - 1), st.just(CHUNK_CELLS),
+                           st.integers(CHUNK_CELLS + 1, 2 * CHUNK_CELLS)))
+    per_chunk = max(2, CHUNK_CELLS // cells)
+    count = max(1, draw(st.integers(1, 3)) * per_chunk + draw(st.integers(-1, 1)))
+    n = draw(st.integers(1, EXACT_FUNCTION_CUTOFF))
+    rng = rng_for(draw(st.integers(0, 2**31)))
+    if draw(st.booleans()):
+        # sign patterns times coefficients, as the suites and frames form them
+        rows = np.where(rng.random((count, n)) < 0.5, -1, 1) * complex_gaussian(rng, n)
+    else:
+        rows = complex_gaussian(rng, count * n).reshape(count, n)
+    mat = complex_gaussian(rng, n * cells).reshape(n, cells)
+    ps = draw(st.lists(st.sampled_from([1.5, 2.0, 2.7, 3.0, 4.0]), min_size=1, max_size=3))
+    return rows, mat, [Exponent(p) for p in ps]
+
+
+class TestChunkedProducts:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(chunked_batches())
+    def test_chunks_keep_the_bits_of_one_product(self, batch):
+        # the oracle multiplies and reduces the whole batch at once
+        rows, mat, ps = batch
+        got = combination_pth(rows, mat, GRID.step, ps)
+        for pth, p in zip(got, ps):
+            want = moduli_pth(np.abs(rows @ mat), GRID.step, p)
+            assert pth.tobytes() == want.tobytes()
 
 
 class TestKhintchine:
