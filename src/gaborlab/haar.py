@@ -7,9 +7,9 @@ the biorthogonal partner h* has the same shape normalized in the conjugate
 exponent, so <h, h*> = 1 and distinct atoms pair to zero.
 
 functional_layout gives a dual atom as its cell slices once, so a frame can
-apply every functional to many rows without resampling atoms, and
-unconditionality_bound gives the sign-flip constant K_p that block plans
-read.
+apply every functional to many rows without resampling atoms.  The sign-flip
+constant K_p, unconditionality_bound, is defined in plans beside the block
+plans that read it, and re-exported here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .errors import GridTooCoarse, SupportOutOfRange
-from .grids import Exponent, Grid, SampledFunction
+from .grids import Grid, SampledFunction
+from .plans import Exponent, unconditionality_bound  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True, order=True)
@@ -121,13 +122,4 @@ def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:
     return complex(
         (f.values[i:mid].sum() - f.values[mid:j].sum()) * amp * f.grid.step
     )
-
-
-def unconditionality_bound(p: Exponent) -> float:
-    """The Haar sign-flip constant K_p = max(p-1, 1/(p-1)); block plans read it.
-
-    For p > 2 the maximum is p - 1 exactly, the K_p of the certified
-    contraction constant q.
-    """
-    return max(p.p - 1.0, 1.0 / (p.p - 1.0))
 

@@ -11,19 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from frame_oracles import error_pth_direct
 from gaborlab.calibration import RECORDED_CONFIG
 from gaborlab.cli import main as cli_main
-from gaborlab.frames import (
-    build_frame,
-    error_pth_direct,
-    frame_operator_rows,
-    plan_from_sizes,
-    reconstruct_rows,
-    select_translates,
-    span_corpus,
-    spread_candidates,
-)
+from gaborlab.frames import build_frame, select_translates, spread_candidates
 from gaborlab.grids import Exponent, SampledFunction, lp_norm, lp_norm_pth
+from gaborlab.operators import frame_operator_rows, reconstruct_rows, span_corpus
+from gaborlab.plans import plan_from_sizes
 from gaborlab.suites import (
     cells_suite,
     isometry_suite,

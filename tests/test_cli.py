@@ -16,16 +16,10 @@ import pytest
 
 from gaborlab import cli
 from gaborlab.cli import MAX_TRIALS, main
-from gaborlab.frames import (
-    build_frame,
-    frame_from_json,
-    plan_from_sizes,
-    reconstruct_rows,
-    select_translates,
-    span_corpus,
-    spread_candidates,
-)
+from gaborlab.frames import build_frame, frame_from_json, select_translates, spread_candidates
 from gaborlab.grids import CHUNK_CELLS, Exponent, row_chunks
+from gaborlab.operators import reconstruct_rows, span_corpus
+from gaborlab.plans import plan_from_sizes
 from gaborlab.reports import Report
 
 
@@ -347,8 +341,8 @@ def _modules_after(tmp_path, *commands):
     return codes, set(loaded), set(unexecuted), heavy
 
 
-# config errors found while parsing: argparse's, a converter's (other than
-# --p's, which is grids.Exponent's), a --config file's and an output path's
+# config errors found while parsing: argparse's, a converter's, a --config
+# file's and an output path's
 PARSE_ERRORS = [
     ["inequalities", "--suite", "khintchine", "--seed", "-1"],
     ["inequalities", "--suite", "khintchine", "--trials", "0", "--seed", "1"],
@@ -359,6 +353,8 @@ PARSE_ERRORS = [
     ["build-frame", "--blocks", "x"],
     ["build-frame", "--config", "absent.json"],
     ["build-frame", "--out", "/nonexistent/r.json"],
+    ["build-frame", "--p", "1"],
+    ["counterexample", "--family", "peaks", "--seed", "1", "--p", "nan"],
     ["frobnicate"],
 ]
 
@@ -390,6 +386,7 @@ class TestImportScope:
         import gaborlab
 
         assert gaborlab.Exponent is gaborlab.grids.Exponent
+        assert gaborlab.Exponent is gaborlab.plans.Exponent
         assert all(getattr(gaborlab, name) is not None for name in gaborlab.__all__)
         with pytest.raises(AttributeError):
             gaborlab.no_such_name
@@ -401,6 +398,25 @@ class TestImportScope:
             ["verify-frame", "--frame", "f.json", "--corpus", "5", "--seed", "1"]])
         assert codes == [0, 0]
         assert loaded == [True, True]
+
+    def test_refused_plans_run_no_array_code(self, tmp_path):
+        codes, _, unexecuted, heavy = _modules_after(
+            tmp_path, ["build-frame", "--p", "2.05", "--blocks", "3"],
+            ["build-frame", "--p", "3", "--sizes", "1,1"])
+        assert codes == [3, 3]
+        assert heavy == []
+        assert {"frames", "grids", "haar", "gabor", "operators"} <= unexecuted
+
+    def test_only_verify_frame_executes_the_operators(self, tmp_path):
+        codes, _, unexecuted, _ = _modules_after(
+            tmp_path, ["build-frame", "--sizes", "37", "--frame-out", "f.json"])
+        assert codes == [0]
+        assert {"operators", "stochastic"} <= unexecuted
+        codes, _, unexecuted, _ = _modules_after(
+            tmp_path, ["build-frame", "--sizes", "37", "--frame-out", "f.json"],
+            ["verify-frame", "--frame", "f.json", "--corpus", "5", "--seed", "1"])
+        assert codes == [0, 0]
+        assert "operators" not in unexecuted
 
     def test_frame_commands_leave_the_suites_unexecuted(self, tmp_path):
         codes, _, unexecuted, _ = _modules_after(

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaborlab import frames
+from frame_oracles import (
+    error_pieces,
+    error_pth_direct,
+    frame_operator_dense,
+    span_coefficients,
+    window_on_grid,
+    window_pieces,
+)
+from gaborlab import frames, operators
 from gaborlab.errors import (
     ConfigError,
     GridTooSmall,
@@ -23,31 +31,25 @@ from gaborlab.errors import (
     NonAlignedShift,
 )
 from gaborlab.frames import (
-    BlockPlan,
     TranslateSelection,
     _certify_by_enumeration,
     block_atoms,
     build_frame,
     certify_selection,
-    error_pieces,
-    error_pth_direct,
     frame_from_json,
-    frame_operator_dense,
-    frame_operator_rows,
-    plan_blocks,
-    plan_from_sizes,
-    reconstruct_rows,
     select_translates,
-    sign_flip_synthesis_sup,
-    span_coefficients,
-    span_corpus,
     spread_candidates,
-    window_on_grid,
-    window_pieces,
 )
 from gaborlab.gabor import TimeFreqPoint
 from gaborlab.grids import MAX_CELLS, Exponent, Grid, SampledFunction, lp_norm, lp_norm_pth
 from gaborlab.haar import haar_indices
+from gaborlab.operators import (
+    frame_operator_rows,
+    reconstruct_rows,
+    sign_flip_synthesis_sup,
+    span_corpus,
+)
+from gaborlab.plans import BlockPlan, plan_blocks, plan_from_sizes
 from gaborlab.stochastic import all_sign_patterns, combination_pth
 
 P4 = Exponent(4.0)
@@ -751,7 +753,7 @@ def neumann_oracle(frame, f, tol):
 
     y0, error0 = apply(f)
     base, norm = lp_norm(y0, p), lp_norm(f, p)
-    on_span = lp_norm(f - y0, p) <= frames.SPAN_RTOL * norm
+    on_span = lp_norm(f - y0, p) <= operators.SPAN_RTOL * norm
     y, n = y0, 0
     if base != 0.0:
         for n in range(1, math.ceil(math.log(tol) / math.log(frame.q)) + 2):
@@ -938,7 +940,7 @@ class TestNeumannAndReconstruction:
         # every one of the 2^n sign patterns, through its block mean signs
         plan = BlockPlan(Exponent(p), sizes, require_condition=False)
         frame = build_frame(plan, select_translates(spread_candidates(plan.total), plan))
-        onehot = plan.block_of_index()[:, None] == np.arange(len(sizes))
+        onehot = np.array(plan.block_of_index())[:, None] == np.arange(len(sizes))
         means = all_sign_patterns(plan.total) @ onehot / np.array(sizes, dtype=float)
         for f in span_functions(frame, 2, seed=14):
             image = reconstruct_rows(frame, f.values[None, :], 1e-8).image

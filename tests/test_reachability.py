@@ -20,8 +20,8 @@ PACKAGE = ROOT / "src" / "gaborlab"
 
 # (name, why it stays although nothing in the package calls it)
 ORACLES = (
-    ("window_on_grid", "dense oracle of the frame's window rows and window_pieces"),
-    ("frame_operator_dense", "dense oracle of frame_operator_rows and reconstruct_rows"),
+    ("haar_functional", "one dual-atom functional; the oracle (through tests/frame_oracles.py's span_coefficients) of the layouts the frame operator reads"),
+    ("modulation_values", "sampled exponential of tests/frame_oracles.py's error_pieces, the unreduced error-term oracle"),
     ("sign_flip_synthesis_sup", "exact sign-flip supremum over the 2^K block-constant patterns; no command reports it yet"),
 )
 
