@@ -7,7 +7,9 @@ builds of each workload included, and the GATE_SHAPES commands below (at the
 recorded seed, but for build-frame, which takes none), each as a `gaborlab`
 subprocess: once with PARENT_SRC and once with CHANGE_SRC on `PYTHONPATH`,
 each side in its own directory under the same relative paths, so that echoed
-paths match.  It compares the exit codes,
+paths match.  The EDITED_FRAMES files that some shapes read are hand edits of
+a set-up frame, written on each side just before the first command that
+reads them.  It compares the exit codes,
 stdout (the printed report) and the JSON reports without `wall_time_s`,
 stderr, the CSVs and the written frame files byte for byte, prints every
 difference, and exits 1 if there is one, else 0.  `bench/workloads.py` is
@@ -17,11 +19,13 @@ imported and never written.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,7 +65,25 @@ GATE_SHAPES = [
     # converter refuses (exit 2); the workloads refuse only plan_blocks' plan
     ("build-frame", "--p", "3", "--sizes", "1,1"),
     ("build-frame", "--p", "1"),
+    # no workload breaks the growth rule |t| >= 4|t_prev| + 4, so none reaches
+    # the n^2 enumeration certificate (frames._certify_by_enumeration): a
+    # frame it certifies (exit 0) and one whose named pairs overlap (exit 3)
+    ("verify-frame", "--frame", "gates/ratio4_504.frame.json", "--corpus", "50"),
+    ("verify-frame", "--frame", "gates/overlap_504.frame.json", "--corpus", "50"),
+    # no workload raises NoConvergence: a tolerance below the rounding floor
+    ("verify-frame", "--frame", "frame-verify/setup_frame_504.frame.json",
+     "--corpus", "50", "--tol", "1e-17"),
 ]
+# frames that break the growth rule; select_translates always keeps it, so no
+# --lambda-file yields one.  Each is frame-verify's 504-point frame with its
+# last translate t_503 set from t_501 and t_502, given as Fractions
+EDITED_SOURCE = "frame-verify/setup_frame_504.frame.json"
+EDITED_FRAMES = {
+    # 4|t_502| < 4|t_502| + 4, yet every difference set stays apart
+    "gates/ratio4_504.frame.json": lambda t501, t502: 4 * t502,
+    # t_503 - t_502 = t_502 - t_501: two difference sets coincide
+    "gates/overlap_504.frame.json": lambda t501, t502: 2 * t502 - t501,
+}
 
 sys.dont_write_bytecode = True  # leave bench/ as it is
 sys.path.insert(0, str(ROOT / "bench"))
@@ -94,12 +116,24 @@ def commands(side: Path, seed: int) -> list:
         os.chdir(here)
 
 
+def write_edited_frame(side: Path, path: str) -> None:
+    """EDITED_SOURCE under side with its last translate edited by EDITED_FRAMES[path]."""
+    frame = json.loads((side / EDITED_SOURCE).read_text())
+    points = frame["selection"]
+    t = EDITED_FRAMES[path](*(Fraction(*pt[0]) for pt in points[-3:-1]))
+    points[-1] = [[t.numerator, t.denominator], points[-1][1]]
+    (side / path).write_text(json.dumps(frame))
+
+
 def run_side(src: Path, side: Path, seed: int) -> dict:
     """Exit code, stdout, stderr and output files of every command, by label."""
     side.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     results = {}
     for cmd in commands(side, seed):
+        for path in EDITED_FRAMES:
+            if path in cmd.argv and not (side / path).exists():
+                write_edited_frame(side, path)
         done = subprocess.run([sys.executable, "-c", CLI_ENTRY, *cmd.argv], cwd=side,
                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         files = {}

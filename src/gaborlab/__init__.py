@@ -27,7 +27,7 @@ _EXPORTS = {
     **dict.fromkeys(("Grid", "SampledFunction", "lp_norm", "lp_ell2_norm",
                      "translate", "modulate", "time_freq_shift"), "grids"),
     **dict.fromkeys(("TimeFreqPoint", "GaborSystem", "synthesize"), "gabor"),
-    **dict.fromkeys(("HaarIndex", "haar_function", "haar_functional"), "haar"),
+    **dict.fromkeys(("HaarIndex", "haar_function"), "haar"),
 }
 
 __all__ = ["GaborLabError", *_EXPORTS]

@@ -17,6 +17,7 @@ seed, and exits 0 only if all assertions pass.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -385,6 +386,17 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; return its exit code: 0 when every assertion passed,
+    1 when one failed, 2 for a config error and 3 for any other GaborLabError.
+
+    argv=None reads sys.argv and marks the process entry (the `gaborlab`
+    script, `python -m gaborlab.cli`): the process ends once main returns.
+    Every output is written and closed by then, so main ends that call with
+    gc.freeze(), and the interpreter's exit-time collections skip the heap
+    that numpy's import left.  Exit still flushes stdio, runs atexit
+    handlers and tears down by reference count.  A caller that passes argv
+    (tests, an in-process benchmark) keeps its collector as it was.
+    """
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
@@ -394,6 +406,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GaborLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

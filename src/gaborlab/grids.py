@@ -265,11 +265,6 @@ def phase_samples(base, incr, count: int) -> np.ndarray:
     return np.exp(2j * np.pi * phases)
 
 
-def modulation_values(grid: Grid, s) -> np.ndarray:
-    """Midpoint samples of exp(2*pi*i*s*x) on the grid cells."""
-    return phase_samples(*modulation_phase(grid, s), grid.count)
-
-
 def modulate_rows(values: np.ndarray, grids: Sequence[Grid], ss) -> np.ndarray:
     """Row r of values, a function on grids[r], times exp(2*pi*i*ss[r]*x)
     sampled at cell midpoints; the grids share one step and count.

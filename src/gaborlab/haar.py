@@ -112,14 +112,3 @@ def functional_layout(
     if idx.scale == -1:
         return i, j, j, 1.0
     return i, i + (j - i) // 2, j, 2.0 ** (idx.scale / p.conjugate)
-
-
-def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:
-    """Coefficient functional: integral of f against the dual atom."""
-    i, mid, j, amp = functional_layout(idx, p, f.grid)
-    if mid == j:
-        return complex(f.values[i:j].sum() * f.grid.step)
-    return complex(
-        (f.values[i:mid].sum() - f.values[mid:j].sum()) * amp * f.grid.step
-    )
-

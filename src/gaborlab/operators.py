@@ -81,13 +81,13 @@ def frame_operator_rows(frame: ConstructedFrame, values: np.ndarray) -> FrameIma
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 2 or values.shape[1] != frame.span_grid.count:
         raise GridTooSmall("rows must live on the frame's span grid")
-    if not (
-        frame.certificate["difference_sets_disjoint"]
-        and frame.certificate["difference_sets_clear_of_base"]
-    ):
+    cert = frame.certificate
+    if not (cert["difference_sets_disjoint"] and cert["difference_sets_clear_of_base"]):
+        # a failed disjointness verdict names the overlapping pairs
+        named = "" if cert["difference_sets_disjoint"] else f": {cert['difference_sets_detail']}"
         raise InsufficientSpread(
             "selection lacks the disjointness/clearance certificates the "
-            "operator's mass accounting relies on"
+            f"operator's mass accounting relies on{named}"
         )
     b, main = _reproduce(frame, values)
     # a 1-D product per row: one matrix product may round differently

@@ -11,24 +11,34 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 
-def _jsonable(value):
-    import numpy as np
+# the types json and csv write as they are, whatever their value
+_PLAIN = (float, int, bool, str, type(None))
 
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+
+def _jsonable(value):
+    """value with each numpy scalar in it, at any depth of dicts, lists and
+    tuples, made the Python scalar it holds."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is None:
+        return value
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
     return value
 
 
@@ -78,13 +88,18 @@ class Stopwatch:
 
 
 def write_csv(path: str, rows: List[dict]) -> None:
+    """One CSV line per row under a header of the first row's keys, which
+    every row has."""
     if not rows:
         with open(path, "w"):
             pass
         return
-    keys = list(rows[0].keys())
+    keys = list(rows[0])
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(keys)
         for row in rows:
-            writer.writerow({k: _jsonable(v) for k, v in row.items()})
+            values = [row[k] for k in keys]
+            if not all(type(v) in _PLAIN for v in values):
+                values = _jsonable(values)
+            writer.writerow(values)

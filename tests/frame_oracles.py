@@ -7,7 +7,8 @@ window_on_grid for the window, error_pieces and error_pth_direct for the
 unreduced error term of the frame operator, and frame_operator_dense for the
 operator itself on an explicit grid.  span_coefficients applies one
 haar_functional per atom, the oracle of the batched functionals that
-operators reads from each frame's layout.  window_on_grid and
+operators reads from each frame's layout; error_pieces samples each relative
+modulation with modulation_values.  window_on_grid and
 frame_operator_dense raise NonAlignedShift for a piece that does not start
 on a grid point.
 """
@@ -21,9 +22,24 @@ import numpy as np
 
 from gaborlab.errors import GridTooSmall, NonAlignedShift
 from gaborlab.frames import ConstructedFrame, _window_piece
-from gaborlab.grids import Grid, SampledFunction, modulation_values
-from gaborlab.haar import haar_functional
+from gaborlab.grids import Exponent, Grid, SampledFunction, modulation_phase, phase_samples
+from gaborlab.haar import HaarIndex, functional_layout
 from gaborlab.operators import frame_operator_rows
+
+
+def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:
+    """Coefficient functional: integral of f against the dual atom."""
+    i, mid, j, amp = functional_layout(idx, p, f.grid)
+    if mid == j:
+        return complex(f.values[i:j].sum() * f.grid.step)
+    return complex(
+        (f.values[i:mid].sum() - f.values[mid:j].sum()) * amp * f.grid.step
+    )
+
+
+def modulation_values(grid: Grid, s) -> np.ndarray:
+    """Midpoint samples of exp(2*pi*i*s*x) on the grid cells."""
+    return phase_samples(*modulation_phase(grid, s), grid.count)
 
 
 def window_pieces(frame: ConstructedFrame) -> Iterator[Tuple[Fraction, SampledFunction]]:

@@ -1,6 +1,7 @@
 """Command-line front door: exit codes, determinism, config handling."""
 
 import ast
+import gc
 import hashlib
 import importlib.util
 import json
@@ -268,6 +269,24 @@ class TestExitCodes:
         assert run([*argv, "5"]) == 2
         assert capsys.readouterr().err.startswith("config error: --corpus 5 ")
 
+    @pytest.mark.parametrize("last,code,err", [
+        # 4 t_35 breaks the growth rule, yet the n^2 enumeration certifies it
+        (lambda t34, t35: 4 * t35, 0, ""),
+        # t_36 - t_35 = t_35 - t_34: the refusal names both pairs
+        (lambda t34, t35: 2 * t35 - t34, 3,
+         "error: InsufficientSpread: selection lacks the disjointness/clearance "
+         "certificates the operator's mass accounting relies on: overlap between the "
+         "difference sets of (i, j) = (35, 34) [blocks 0, 0] and (36, 35) [blocks 0, 0]\n"),
+    ], ids=["certified", "overlapping"])
+    def test_frame_off_the_growth_rule(self, tmp_path, capsys, last, code, err):
+        frame = json.loads(FRAME_37)
+        (t34, _), (t35, _), (_, s) = frame["selection"][-3:]
+        frame["selection"][-1] = [[last(t34[0], t35[0]), 1], s]
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame))
+        assert run(["verify-frame", "--frame", str(path), "--corpus", "5", "--seed", "1"]) == code
+        assert capsys.readouterr().err == err
+
     def test_infeasible_plan_exit(self, capsys):
         code = run(["build-frame", "--p", "2.0", "--blocks", "1"])
         err = capsys.readouterr().err
@@ -317,20 +336,30 @@ print(json.dumps([codes, loaded]))
 """
 
 
+def _bench_constant(module, name):
+    """The literal value of a module-level name of bench/<module>.py."""
+    tree = ast.parse((ROOT / "bench" / f"{module}.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and node.targets[0].id == name)
+
+
 def _bench_layers():
     """The LAYERS tuple of bench/spans.py, which reads each from sys.modules."""
-    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
-    return next(ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+    return _bench_constant("spans", "LAYERS")
+
+
+def _spawn(cwd, script, *argv):
+    """script run with argv in a fresh interpreter in cwd, on this tree's src."""
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
 
 
 def _run_script(tmp_path, script, commands):
     """The JSON that script prints in a fresh interpreter run on commands."""
-    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
-    out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+    done = _spawn(tmp_path, script, json.dumps(commands))
+    done.check_returncode()
+    return json.loads(done.stdout)
 
 
 def _modules_after(tmp_path, *commands):
@@ -436,6 +465,66 @@ class TestImportScope:
         assert codes == [0]
         assert "suites" not in unexecuted
         assert "frames" in unexecuted
+
+
+# the benchmark's process entry, which calls main() with argv=None
+CLI_ENTRY = _bench_constant("run", "CLI_ENTRY")
+# (argv, exit code) of each way a command ends: a suite and a frame build that
+# write every output, a config error, a refused plan and --help
+ENDINGS = [
+    (["build-frame", "--sizes", "37", "--out", "r.json", "--frame-out", "f.json"], 0),
+    (["inequalities", "--suite", "khintchine", "--trials", "5", "--seed", "1",
+      "--out", "r.json", "--csv", "rows.csv"], 0),
+    (["inequalities", "--suite", "khintchine", "--trials", "0", "--seed", "1"], 2),
+    (["build-frame", "--p", "2.05", "--blocks", "3", "--out", "r.json"], 3),
+    (["build-frame", "--help"], 0),
+]
+
+
+def _ending(cwd, code, out, err):
+    """(exit code, stdout, stderr, each written file) of a command run in cwd,
+    wall_time_s left out."""
+    files = {path.name: WALL_TIME.sub("", path.read_text()) for path in sorted(cwd.iterdir())}
+    return code, WALL_TIME.sub("", out), err, files
+
+
+class TestProcessEntry:
+    """main(argv=None) ends the process entry with gc.freeze(); a call with
+    argv leaves the collector as it was, and either way the outputs agree."""
+
+    def test_in_process_calls_leave_the_collector(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert gc.get_freeze_count() == 0
+        for argv, code in ENDINGS:
+            try:
+                assert main(argv) == code
+            except SystemExit as exc:
+                assert exc.code == code
+        assert gc.get_freeze_count() == 0
+
+    def test_the_process_entry_freezes_the_heap(self, tmp_path):
+        script = ("import gc; from gaborlab.cli import main; code = main(); "
+                  "print(code, gc.get_freeze_count() > 0)")
+        assert _spawn(tmp_path, script, "frobnicate").stdout == "2 True\n"
+
+    @pytest.mark.parametrize("argv,code", ENDINGS, ids=[
+        "build-frame", "suite-csv", "config-error", "refused-plan", "help"])
+    def test_spawned_entry_matches_an_in_process_call(self, tmp_path, monkeypatch, capsys,
+                                                      argv, code):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
+        spawned_dir, here = tmp_path / "spawned", tmp_path / "in-process"
+        for folder in (spawned_dir, here):
+            folder.mkdir()
+        done = _spawn(spawned_dir, CLI_ENTRY, *argv)
+        spawned = _ending(spawned_dir, done.returncode, done.stdout, done.stderr)
+        monkeypatch.chdir(here)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert spawned == _ending(here, got, captured.out, captured.err)
+        assert got == code
 
 
 class TestDeterminism:

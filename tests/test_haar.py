@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from frame_oracles import haar_functional
 from gaborlab.errors import GridTooCoarse, SupportOutOfRange
 from gaborlab.grids import Exponent, Grid, SampledFunction, lp_norm
-from gaborlab.haar import (
-    HaarIndex,
-    haar_function,
-    haar_functional,
-    haar_indices,
-)
+from gaborlab.haar import HaarIndex, haar_function, haar_indices
 from gaborlab.rng import complex_gaussian, rng_for
 
 GRID = Grid.over(-2, 3, -5)

@@ -20,8 +20,6 @@ PACKAGE = ROOT / "src" / "gaborlab"
 
 # (name, why it stays although nothing in the package calls it)
 ORACLES = (
-    ("haar_functional", "one dual-atom functional; the oracle (through tests/frame_oracles.py's span_coefficients) of the layouts the frame operator reads"),
-    ("modulation_values", "sampled exponential of tests/frame_oracles.py's error_pieces, the unreduced error-term oracle"),
     ("sign_flip_synthesis_sup", "exact sign-flip supremum over the 2^K block-constant patterns; no command reports it yet"),
 )
 
