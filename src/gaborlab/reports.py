@@ -88,8 +88,8 @@ class Stopwatch:
 
 
 def write_csv(path: str, rows: List[dict]) -> None:
-    """One CSV line per row under a header of the first row's keys, which
-    every row has."""
+    """One CSV line per row under a header of the first row's keys.  Every
+    row must have exactly those keys; a row with other keys raises."""
     if not rows:
         with open(path, "w"):
             pass
@@ -99,7 +99,6 @@ def write_csv(path: str, rows: List[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(keys)
         for row in rows:
-            values = [row[k] for k in keys]
-            if not all(type(v) in _PLAIN for v in values):
-                values = _jsonable(values)
-            writer.writerow(values)
+            if len(row) != len(keys):
+                raise ValueError(f"CSV row keys {sorted(row)} differ from the header {keys}")
+            writer.writerow(_jsonable([row[k] for k in keys]))

@@ -21,7 +21,7 @@ from gaborlab.frames import build_frame, frame_from_json, select_translates, spr
 from gaborlab.grids import CHUNK_CELLS, Exponent, row_chunks
 from gaborlab.operators import reconstruct_rows, span_corpus
 from gaborlab.plans import plan_from_sizes
-from gaborlab.reports import Report
+from gaborlab.reports import Report, write_csv
 
 
 def run(args):
@@ -492,16 +492,6 @@ class TestProcessEntry:
     """main(argv=None) ends the process entry with gc.freeze(); a call with
     argv leaves the collector as it was, and either way the outputs agree."""
 
-    def test_in_process_calls_leave_the_collector(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert gc.get_freeze_count() == 0
-        for argv, code in ENDINGS:
-            try:
-                assert main(argv) == code
-            except SystemExit as exc:
-                assert exc.code == code
-        assert gc.get_freeze_count() == 0
-
     def test_the_process_entry_freezes_the_heap(self, tmp_path):
         script = ("import gc; from gaborlab.cli import main; code = main(); "
                   "print(code, gc.get_freeze_count() > 0)")
@@ -525,6 +515,7 @@ class TestProcessEntry:
         captured = capsys.readouterr()
         assert spawned == _ending(here, got, captured.out, captured.err)
         assert got == code
+        assert gc.get_freeze_count() == 0  # an explicit-argv call keeps its collector
 
 
 class TestDeterminism:
@@ -1140,3 +1131,14 @@ class TestReportBlock:
         r = Report("cmd", {"seed": 1}, {"x": 1.0}, {"ok": True})
         r.wall_time_s = 123.0
         assert b"wall_time" not in r.metric_block()
+
+    def test_csv_writes_numpy_scalars_as_python_values(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_csv(str(path), [{"x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(True)},
+                              {"x": 0.25, "n": 4, "ok": False}])
+        assert path.read_bytes() == b"x,n,ok\r\n0.1,3,True\r\n0.25,4,False\r\n"
+
+    @pytest.mark.parametrize("row", [{"x": 1.0}, {"x": 1.0, "n": 2, "extra": 3}])
+    def test_csv_refuses_a_row_with_other_keys(self, tmp_path, row):
+        with pytest.raises(ValueError, match="differ from the header"):
+            write_csv(str(tmp_path / "rows.csv"), [{"x": 0.5, "n": 1}, row])
