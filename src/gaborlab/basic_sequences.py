@@ -39,8 +39,9 @@ from .grids import (
     SampledFunction,
     lp_norm,
     lp_norm_pth,
-    moduli_pth,
     modulate,
+    powers_pth,
+    pth_roots,
     restrict,
     translate,
 )
@@ -85,9 +86,12 @@ class WeightSequence:
         return cls.from_tail_weights(w, p, length)
 
     def normalized_head(self, count: int, p: Exponent) -> "WeightSequence":
-        """First `count` coefficients rescaled so that sum |c_k|^p = 1."""
+        """First `count` coefficients rescaled so that sum |c_k|^p = 1; a head
+        of p-mass 0 raises ValueError."""
         head = np.asarray(self.c[:count], dtype=complex)
         mass = float((np.abs(head) ** p.p).sum())
+        if mass == 0.0:
+            raise ValueError(f"the first {count} window coefficients are all 0")
         head = head / mass ** (1.0 / p.p)
         tails = np.flip(np.cumsum(np.flip(np.abs(head) ** p.p)))
         return WeightSequence(
@@ -226,22 +230,24 @@ def peaks_grid(J: int, K: int) -> Grid:
 
 
 def verify_peaks(
-    weights: WeightSequence,
+    head: WeightSequence,
     p: Exponent,
     J: int,
     K: int,
     trials: int,
     seed: int,
 ) -> Tuple[List[dict], Tuple[float, float]]:
-    """Ratio of synthesized to predicted norms over seeded coefficient draws.
+    """Ratio of synthesized to predicted norms over seeded coefficient draws,
+    for the window of the normalized head (WeightSequence.normalized_head)
+    of K coefficients.
 
     Also forms, for each trial and unit cell, the ratio of the cell's p-mass
     to its local prediction, and runs the exact interval-decomposition check
     on the first trial.  Returns the per-trial rows and the (min, max) window
-    of the local ratios.
+    of the local ratios.  Each trial raises |Phi_a| to the p-th power once,
+    for both its norm and its cell masses.
     """
     grid = peaks_grid(J, K)
-    head = weights.normalized_head(K, p)
     window = peaks_window(head.c, p, K, grid)
     system = GaborSystem(window, peaks_lattice(J))
     # the unit cells [k, k+1], k = 1..K, are the rows of one block of the hull
@@ -253,11 +259,11 @@ def verify_peaks(
     for trial in range(trials):
         a = complex_gaussian(rng_for(seed, trial), J)
         phi = synthesize(system, a)
-        computed = lp_norm(phi, p)
+        powers = np.abs(phi.values) ** p.p
+        computed = pth_roots(powers_pth(powers[None], system.hull.step), p)[0]
         predicted = peaks_predicted_norm(a, head, p)
-        cell_masses = moduli_pth(
-            np.abs(phi.values[lo:hi]).reshape(K, -1), system.hull.step, p
-        )
+        cell_masses = powers_pth(powers[lo:hi].reshape(K, -1), system.hull.step)
+        del powers  # freed before the next trial's arrays: a lower peak RSS
         for local_pred, cell_mass in zip(
             peaks_local_predictions(a, head.c, p), cell_masses
         ):

@@ -7,8 +7,8 @@ and compose by interval intersection up to floating-point rounding.
 
 band_parts forms every band of one function from one spectrum, and
 square_function_norms evaluates the band square function at several
-exponents from one set of band parts; partial_sum is the one-band call of
-band_parts.
+exponents from one set of band parts and one sum of their squared moduli
+(grids.lp_ell2_norm); partial_sum is the one-band call of band_parts.
 """
 
 from __future__ import annotations
@@ -70,4 +70,4 @@ def square_function_norms(
             if a.overlaps(b):
                 raise OverlappingIntervals(f"{a} overlaps {b}")
     parts = [SampledFunction(f.grid, row) for row in band_parts(f, intervals)]
-    return [lp_ell2_norm(parts, p) for p in ps]
+    return lp_ell2_norm(parts, ps)

@@ -9,6 +9,17 @@ Modulation is realized by midpoint sampling of the exponential, which keeps the
 pointwise modulus exact (the sampled factor is unimodular); integrals of a
 modulated step function against another function carry a quadrature error of
 order step * frequency, which callers are expected to record in reports.
+
+Shifts and modulations are exact integer arithmetic on the grid's 2^-m
+scale: a shift t = a/b moves the origin by a * 2^m / b cells, the Nyquist
+check compares 2|a| with b * 2^m, and the phase base of a frequency s = a/b
+is (a * origin_index mod b * 2^m) / (b * 2^m).  Python's int true division
+is correctly rounded, as float(Fraction) is, so each float is the one the
+exact rational gives, without building a Fraction.
+
+Every p-mass is formed by one kernel, powers_pth, from moduli already raised
+to the p-th power; moduli_pth raises them, and a caller that needs both the
+whole mass and the masses of pieces raises them once.
 """
 
 from __future__ import annotations
@@ -66,18 +77,24 @@ def row_chunks(count: int, cells: int) -> Iterator[slice]:
         yield slice(start, start + per_chunk)
 
 
+def _ratio(x, what: str = "value") -> Tuple[int, int]:
+    """The exact value of an int, a Fraction or a binary float as a pair of
+    ints (numerator, positive denominator)."""
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)
+    if isinstance(x, float):
+        if not np.isfinite(x):
+            raise ValueError(f"{what} must be finite, got {x!r}")
+        return x.as_integer_ratio()
+    raise TypeError(f"{what} must be a real number, got {type(x).__name__}")
+
+
 def _as_fraction(x, what: str = "value") -> Fraction:
     """Convert ints, Fractions and binary floats to an exact Fraction; a
     Fraction is returned as it is."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not np.isfinite(x):
-            raise ValueError(f"{what} must be finite, got {x!r}")
-        return Fraction(x)
-    raise TypeError(f"{what} must be a real number, got {type(x).__name__}")
+    return Fraction(*_ratio(x, what))
 
 
 @dataclass(frozen=True)
@@ -197,10 +214,17 @@ def embed(f: SampledFunction, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, v)
 
 
+def powers_pth(powers: np.ndarray, step: float) -> np.ndarray:
+    """sum_i powers[r, i] * step for every row r: the p-mass of each row's
+    step function, given its moduli on cells of the given step raised to the
+    p-th power."""
+    return powers.sum(axis=1) * step
+
+
 def moduli_pth(mods: np.ndarray, step: float, p: Exponent) -> np.ndarray:
     """sum_i mods[r, i]^p * step for every row r: the p-mass of each row's
     step function, given its moduli on cells of the given step."""
-    return (mods**p.p).sum(axis=1) * step
+    return powers_pth(mods**p.p, step)
 
 
 def pth_roots(pth: np.ndarray, p: Exponent) -> List[float]:
@@ -225,11 +249,12 @@ def lp_norm_pth(f: SampledFunction, p: Exponent) -> float:
 
 
 def _translated(grid: Grid, t) -> Grid:
-    step = grid.step_fraction
-    q = _as_fraction(t, "t") / step
-    if q.denominator != 1:
-        raise NonAlignedShift(f"shift {t} is not a multiple of step {step}")
-    return grid.shifted(int(q))
+    """grid moved by t, which must be a whole number of its cells."""
+    num, den = _ratio(t, "t")
+    cells, rest = divmod(num << -grid.step_log2, den)
+    if rest:
+        raise NonAlignedShift(f"shift {t} is not a multiple of step {grid.step_fraction}")
+    return grid.shifted(cells)
 
 
 def translate(f: SampledFunction, t) -> SampledFunction:
@@ -243,16 +268,16 @@ def translate(f: SampledFunction, t) -> SampledFunction:
     return SampledFunction(_translated(f.grid, t), f.values)
 
 
-def _phase_base(s: Fraction, origin: Fraction) -> float:
-    # reduce s*origin mod 1 exactly; keeps the phase accurate for huge origins
-    return float((s * origin) % 1)
-
-
 def modulation_phase(grid: Grid, s) -> Tuple[float, float]:
     """(base, incr): exp(2*pi*i*s*x) at the midpoint of cell i has the phase
-    base + incr * (i + 1/2) turns."""
-    s_f = _as_fraction(s, "s")
-    return _phase_base(s_f, grid.origin), float(s_f) * grid.step
+    base + incr * (i + 1/2) turns.
+
+    base is s * origin mod 1, reduced exactly in integers, which keeps the
+    phase accurate for huge origins.
+    """
+    num, den = _ratio(s, "s")
+    period = den << -grid.step_log2
+    return (num * grid.origin_index) % period / period, num / den * grid.step
 
 
 def phase_samples(base, incr, count: int) -> np.ndarray:
@@ -280,12 +305,12 @@ def modulate_rows(values: np.ndarray, grids: Sequence[Grid], ss) -> np.ndarray:
     """
     phases = []
     for grid, s in zip(grids, ss):
-        s_f = _as_fraction(s, "s")
-        if 2 * abs(s_f) * grid.step_fraction >= 1:
+        num, den = _ratio(s, "s")
+        if 2 * abs(num) >= den << -grid.step_log2:
             raise AliasedFrequency(
-                f"|s|={float(abs(s_f))} at or beyond Nyquist {0.5 / grid.step}"
+                f"|s|={abs(num) / den} at or beyond Nyquist {0.5 / grid.step}"
             )
-        phases.append(modulation_phase(grid, s_f))
+        phases.append(modulation_phase(grid, s))
     base, incr = np.array(phases).reshape(-1, 2, 1).transpose(1, 0, 2)
     return values * phase_samples(base, incr, values.shape[1])
 
@@ -307,8 +332,9 @@ def time_freq_shift(g: SampledFunction, t, s) -> SampledFunction:
     return modulate(translate(g, t), s)
 
 
-def lp_ell2_norm(fs: Sequence[SampledFunction], p: Exponent) -> float:
-    """Mixed norm || (sum_j |f_j|^2)^(1/2) ||_p of functions on one grid."""
+def lp_ell2_norm(fs: Sequence[SampledFunction], ps: Sequence[Exponent]) -> List[float]:
+    """Mixed norms || (sum_j |f_j|^2)^(1/2) ||_p of functions on one grid, one
+    per p, from one sum_j |f_j|^2."""
     if not fs:
         raise ValueError("need at least one function")
     g = fs[0].grid
@@ -318,7 +344,7 @@ def lp_ell2_norm(fs: Sequence[SampledFunction], p: Exponent) -> float:
     sq = np.zeros(g.count)
     for f in fs:
         sq += np.abs(f.values) ** 2
-    return float((sq ** (p.p / 2.0)).sum() * g.step) ** (1.0 / p.p)
+    return [pth_roots(powers_pth(sq[None] ** (p.p / 2.0), g.step), p)[0] for p in ps]
 
 
 def restrict(f: SampledFunction, lo, hi) -> SampledFunction:

@@ -1,7 +1,21 @@
 """Rademacher averages and the inequality toolbox built on them.
 
-Exact expectations enumerate all 2^n sign patterns (n <= 12 for function
-families, n <= 20 for scalar sums).  The Khintchine and square-function sandwiches hold with
+Exact expectations average over all 2^n sign patterns (n <= 12 for function
+families, n <= 20 for scalar sums), but multiply only half of them.  Pattern
+2^n - 1 - k of all_sign_patterns(n) is the negation of pattern k, so its
+product has the same moduli.  The products are formed for the 2^(n-1)
+patterns whose last sign is -1, the first half, and their values followed by
+the same values in reverse order are every pattern's, in all_sign_patterns
+order.  The bits are those of the full product: negation is exact, the
+kernel takes the same steps on a row and on its negation, and
+round-to-nearest is symmetric under negation, so the sums are exact
+negations.  A property test checks this against the one-shot product of all
+2^n patterns.  It holds wherever a row's product does not depend on the
+other rows multiplied with it, as on the platform the outputs were recorded
+on; under some other OpenBLAS kernels it does not, for the chunked full
+enumeration either (scripts/platforms.py reruns the test under them).
+
+The Khintchine and square-function sandwiches hold with
 constant 1 on one side: the lower constant is 1 for p >= 2 and the upper
 constant is 1 for p <= 2, which the tests assert exactly.
 
@@ -29,7 +43,6 @@ from .grids import (
     Exponent,
     Grid,
     SampledFunction,
-    lp_norm,
     moduli_norms,
     moduli_pth,
     row_chunks,
@@ -44,6 +57,20 @@ def all_sign_patterns(n: int) -> np.ndarray:
     codes = np.arange(2**n, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(n)) & 1
     return bits.astype(np.int8) * 2 - 1
+
+
+def _half_sign_patterns(n: int) -> np.ndarray:
+    """The first 2^(n-1) rows of all_sign_patterns(n), n >= 1: the patterns
+    whose last sign is -1."""
+    half = all_sign_patterns(n - 1)
+    return np.hstack([half, np.full((len(half), 1), -1, dtype=np.int8)])
+
+
+def _mirrored(half: np.ndarray) -> np.ndarray:
+    """Every sign pattern's value, in all_sign_patterns order, from the values
+    of the first half, for a value that depends on a pattern only through
+    the moduli of its product: pattern 2^n - 1 - k is -(pattern k)."""
+    return np.concatenate([half, half[::-1]])
 
 
 def combination_pth(
@@ -76,15 +103,22 @@ def _value_matrix(fs: Sequence[SampledFunction]) -> Tuple[np.ndarray, Grid]:
 def _pattern_pths(
     fs: Sequence[SampledFunction], ps: Sequence[Exponent]
 ) -> List[np.ndarray]:
-    """|| sum_j eps_j f_j ||_p^p for every sign pattern eps, one array per p,
-    from the products of the patterns with the values (one zero for no fs)."""
+    """|| sum_j eps_j f_j ||_p^p for every sign pattern eps of
+    all_sign_patterns(n), one array per p (one zero for no fs).
+
+    Only the half of the patterns whose last sign is -1 is multiplied with
+    the values; each of the other half is the negation of one of them, whose
+    product has the same moduli, so its p-mass is taken from the mirrored
+    half, bit for bit (see the module docstring).
+    """
     n = len(fs)
     if n > EXACT_FUNCTION_CUTOFF:
         raise TooManyFunctions(f"{n} > {EXACT_FUNCTION_CUTOFF}")
     if n == 0:
         return [np.zeros(1) for _ in ps]
     mat, grid = _value_matrix(fs)
-    return combination_pth(all_sign_patterns(n), mat, grid.step, ps)
+    return [_mirrored(pth)
+            for pth in combination_pth(_half_sign_patterns(n), mat, grid.step, ps)]
 
 
 def rademacher_pnorms_exact(
@@ -108,7 +142,13 @@ def rademacher_mean_norms_exact(
 
 def khintchine_ratios(a: Sequence[complex], ps: Sequence[Exponent]) -> List[float]:
     """(E |sum a_n eps_n|^p)^(1/p) / ||a||_2 for each p, from one product of
-    the sign patterns with a."""
+    half the sign patterns with a.
+
+    As in _pattern_pths, only the patterns whose last sign is -1 are
+    multiplied; the moduli of the others are those of their negations, so
+    the mirrored powers are every pattern's, and their mean has the bits of
+    the full enumeration's.
+    """
     n = len(a)
     if n > EXACT_SCALAR_CUTOFF:
         raise TooManyFunctions(f"{n} > {EXACT_SCALAR_CUTOFF}")
@@ -116,8 +156,8 @@ def khintchine_ratios(a: Sequence[complex], ps: Sequence[Exponent]) -> List[floa
     l2 = float(np.linalg.norm(arr))
     if l2 == 0.0:
         raise ValueError("zero coefficient vector")
-    mods = np.abs(all_sign_patterns(n).astype(np.complex128) @ arr)
-    return [float((mods**p.p).mean()) ** (1.0 / p.p) / l2 for p in ps]
+    mods = np.abs(_half_sign_patterns(n).astype(np.complex128) @ arr)
+    return [float(_mirrored(mods**p.p).mean()) ** (1.0 / p.p) / l2 for p in ps]
 
 
 def type_cotype_ratios(
@@ -127,15 +167,18 @@ def type_cotype_ratios(
 ) -> Tuple[List[float], List[float]]:
     """The cotype-2 ratio (sum ||f_j||_p^2)^(1/2) / E || sum eps_j f_j ||_p at
     each p <= 2 of ps_cotype and the type-2 ratio, its reciprocal, at each
-    p >= 2 of ps_type, from one sign-pattern product and one ||f_j||_p per
-    exponent."""
+    p >= 2 of ps_type, from one sign-pattern product and, per exponent, one
+    grids.moduli_norms over the stacked |f_j|."""
     if any(p.p > 2.0 for p in ps_cotype):
         raise ValueError("cotype-2 ratio is formed for p <= 2")
     if any(p.p < 2.0 for p in ps_type):
         raise ValueError("type-2 ratio is formed for p >= 2")
     ps = list(dict.fromkeys([*ps_cotype, *ps_type]))
     means = dict(zip(ps, rademacher_mean_norms_exact(fs, ps)))
-    squares = {p: float(np.sqrt(sum(lp_norm(f, p) ** 2 for f in fs))) for p in ps}
+    mat, grid = _value_matrix(fs)
+    mods = np.abs(mat)
+    squares = {p: float(np.sqrt(sum(x**2 for x in moduli_norms(mods, grid.step, p))))
+               for p in ps}
     return (
         [squares[p] / means[p] for p in ps_cotype],
         [means[p] / squares[p] for p in ps_type],

@@ -19,7 +19,12 @@ The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 `_is_recorded_run` (whether the recorded windows apply).  Each Report is
 built whole, its wall time included.  Parameters outside a suite's domain,
 and grids of more than `grids.MAX_CELLS` cells (`check_cells`), raise
-ConfigError before any work.
+ConfigError before any work; so does a peaks alpha so small that every
+window coefficient is 0.
+
+`basic_sequences` (with the `gabor` it imports) and `fourier` are bound as
+the package's lazy modules and run on first use: only the peaks and cells
+families run the one, and only rdf the other.
 """
 
 from __future__ import annotations
@@ -29,18 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import calibration
-from .basic_sequences import (
-    WeightSequence,
-    flat_cells_coefficients,
-    growth_threshold_scan,
-    separated_translates_norm,
-    verify_cells,
-    verify_peaks,
-    weight_growth_ratios,
-)
+from . import basic_sequences, calibration, fourier  # lazy: see the docstring
 from .errors import ConfigError
-from .fourier import FrequencyInterval, square_function_norms
 from .grids import (
     Exponent,
     Grid,
@@ -48,7 +43,6 @@ from .grids import (
     check_cells,
     embed,
     lp_ell2_norm,
-    lp_norm,
     moduli_norms,
     time_freq_shift,
     time_freq_shift_rows,
@@ -137,7 +131,7 @@ def random_atoms(
     nyq = 2 ** (-grid.step_log2 - 1)
     out = []
     for _ in range(n):
-        t = Fraction(int(rng.integers(0, span_units)))
+        t = int(rng.integers(0, span_units))
         s = Fraction(int(rng.integers(-nyq + 1, nyq)), 2)
         out.append(embed(time_freq_shift(window, t, s), grid))
     return out
@@ -188,8 +182,8 @@ def squarefunc_suite(
             n = int(rng.integers(2, max_n + 1))
             fs = random_atoms(seed, trial, n, grid)
             means = rademacher_pnorms_exact(fs, exps)
-            for p, exp, mean in zip(ps, exps, means):
-                r = mean / lp_ell2_norm(fs, exp)
+            for p, mean, square in zip(ps, means, lp_ell2_norm(fs, exps)):
+                r = mean / square
                 stats[p].append(r)
                 rows.append(
                     {"trial": trial, "seed": seed, "n": n, "p": p, "ratio": r,
@@ -286,12 +280,12 @@ def lacunary_suite(
     return report, rows
 
 
-def _band_partition(grid: Grid, bands: int) -> List[FrequencyInterval]:
+def _band_partition(grid: Grid, bands: int) -> List[fourier.FrequencyInterval]:
     span = grid.count * grid.step
     nyq = grid.count / (2 * span)
     width = 2 * nyq / bands
     return [
-        FrequencyInterval(-nyq + i * width, -nyq + (i + 1) * width)
+        fourier.FrequencyInterval(-nyq + i * width, -nyq + (i + 1) * width)
         for i in range(bands)
     ]
 
@@ -317,10 +311,12 @@ def rdf_suite(
             f = SampledFunction(
                 grid, complex_gaussian(rng_for(seed, trial, 4), grid.count)
             )
-            sq2, *sqs = square_function_norms(f, intervals, [two, *exps])
-            plancherel_dev = max(plancherel_dev, abs(sq2 - lp_norm(f, two)))
-            for p, exp, sq in zip(ps, exps, sqs):
-                r = sq / lp_norm(f, exp)
+            sq2, *sqs = fourier.square_function_norms(f, intervals, [two, *exps])
+            mods = np.abs(f.values)[None]
+            norm2, *norms = (moduli_norms(mods, grid.step, exp)[0] for exp in [two, *exps])
+            plancherel_dev = max(plancherel_dev, abs(sq2 - norm2))
+            for p, sq, norm in zip(ps, sqs, norms):
+                r = sq / norm
                 stats[p].append(r)
                 rows.append({"trial": trial, "seed": seed, "p": p, "ratio": r})
     cal = calibration.CALIBRATION["rdf"]
@@ -364,9 +360,9 @@ def isometry_suite(
             for trial in chunk:
                 rng = rng_for(seed, trial, 5)
                 values.append(complex_gaussian(rng, grid.count))
-                cells = int(rng.integers(-2 * grid.count, 2 * grid.count))
-                ts.append(cells * grid.step_fraction)
-                ss.append(Fraction(int(rng.integers(-nyq + 1, nyq)), 1))
+                # whole cells and whole frequencies: exact as float and int
+                ts.append(int(rng.integers(-2 * grid.count, 2 * grid.count)) * grid.step)
+                ss.append(int(rng.integers(-nyq + 1, nyq)))
             g = np.array(values)
             shifted = time_freq_shift_rows(g, grid, ts, ss)
             # translating g moves its grid origin and keeps its values, so the
@@ -411,9 +407,14 @@ def peaks_suite(
     exp = Exponent(p)
     cal = calibration.CALIBRATION["peaks"]
     with Stopwatch() as sw:
-        weights = WeightSequence.polynomial(alpha, exp, length=K)
-        rows, local = verify_peaks(weights, exp, J, K, trials, seed)
-        growth = weight_growth_ratios(weights, exp, 64)
+        weights = basic_sequences.WeightSequence.polynomial(alpha, exp, length=K)
+        try:
+            head = weights.normalized_head(K, exp)
+        except ValueError as exc:
+            # a tiny alpha rounds every tail weight (j + 1)^-alpha to 1.0
+            raise ConfigError(f"peaks at alpha = {alpha}: {exc}") from None
+        rows, local = basic_sequences.verify_peaks(head, exp, J, K, trials, seed)
+        growth = basic_sequences.weight_growth_ratios(weights, exp, 64)
     ratios = [row["ratio"] for row in rows]
     lo, hi = min(ratios), max(ratios)
     metrics = {"trials": trials, "J": J, "K": K, "p": exp.p,
@@ -443,13 +444,14 @@ def cells_suite(
     exp = Exponent(p)
     cal = calibration.CALIBRATION["cells"]
     with Stopwatch() as sw:
-        c = flat_cells_coefficients(K, exp)
+        c = basic_sequences.flat_cells_coefficients(K, exp)
         try:
-            threshold = growth_threshold_scan(c, exp)
+            threshold = basic_sequences.growth_threshold_scan(c, exp)
         except ValueError as exc:
             raise ConfigError(f"cells at p = {p}, K = {K}: {exc}") from None
-        rows = verify_cells(c, exp, K, n_max, trials, seed)
-        sep_norm = separated_translates_norm(c, exp, K, n=8, separation=K + 1)
+        rows = basic_sequences.verify_cells(c, exp, K, n_max, trials, seed)
+        sep_norm = basic_sequences.separated_translates_norm(c, exp, K, n=8,
+                                                             separation=K + 1)
     ratios = [row["ratio"] for row in rows]
     lo, hi = min(ratios), max(ratios)
     bound = 2.0 * 8 ** (1.0 / p)

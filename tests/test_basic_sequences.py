@@ -223,7 +223,7 @@ class TestPeaksVerification:
             cfg["alpha"], Exponent(cfg["p"]), length=cfg["K"]
         )
         rows, _ = verify_peaks(
-            weights,
+            weights.normalized_head(cfg["K"], Exponent(cfg["p"])),
             Exponent(cfg["p"]),
             cfg["J"],
             cfg["K"],

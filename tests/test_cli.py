@@ -1,9 +1,11 @@
 """Command-line front door: exit codes, determinism, config handling."""
 
 import ast
+import contextlib
 import gc
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -178,6 +180,9 @@ MALFORMED_INPUTS = [
     ("n_max_zero", {}, [*CELLS, "--n-max", "0"]),
     ("alpha_nan", {}, [*PEAKS, "--alpha", "nan"]),
     ("alpha_negative", {}, [*PEAKS, "--alpha", "-1"]),
+    # every tail weight (j + 1)^-alpha rounds to 1.0, so the window is 0
+    ("alpha_zero", {}, [*PEAKS, "--alpha", "0"]),
+    ("alpha_1e-17", {}, [*PEAKS, "--alpha", "1e-17"]),
     ("span_zero", {}, ["inequalities", "--suite", "rdf", "--seed", "1", "--span", "0"]),
     ("grid_log2_positive", {},
      ["inequalities", "--suite", "rdf", "--seed", "1", "--grid-log2", "5"]),
@@ -465,6 +470,16 @@ class TestImportScope:
         assert codes == [0]
         assert "suites" not in unexecuted
         assert "frames" in unexecuted
+
+    def test_suites_execute_only_the_modules_they_use(self, tmp_path):
+        codes, _, unexecuted, _ = _modules_after(
+            tmp_path, ["inequalities", "--suite", "khintchine", "--trials", "5", "--seed", "1"])
+        assert codes == [0]
+        assert {"basic_sequences", "fourier", "gabor"} <= unexecuted
+        codes, _, unexecuted, _ = _modules_after(
+            tmp_path, ["counterexample", "--family", "peaks", "--trials", "5", "--seed", "1"])
+        assert codes == [0]
+        assert "basic_sequences" not in unexecuted
 
 
 # the benchmark's process entry, which calls main() with argv=None
@@ -904,23 +919,48 @@ SUITE_ASSERTIONS = {
 }
 
 
+# sha256 of the per-trial CSV of the same commands
+SUITE_CSVS = {
+    "peaks": "09b4cd19c68f1880d713becdb3409df97b86a43a5db4791b7f96f9bf2269b8ff",
+    "cells": "70e72e87f380c57bfbdbd8bc47ad4d2522f9fb374e26e2165bf4af96393778b1",
+    "khintchine": "b97ff49d0196084bb5c2e12fe0a39166e6918f0f74ab056cd15b82ca7ecbf979",
+    "squarefunc": "524791ee838519c8752ea1c97689a38710e5651ed38da81a559cd05cf3136b5a",
+    "type-cotype": "9640fe2d93bf4a08386222cc2478d41be08ef961fe827ce40ca9a185be9b1671",
+    "lacunary": "8becec97e51a96f1c1dabe56542192df561d82392fc97ae4fddee3d728f9ab89",
+    "rdf": "d598d65d3036ecddc11ac5c68a35405d0201dde2257d1753cde739731ddccf56",
+    "isometry": "66764d20f275f7affb76fba35b9ab8ce154675c251a04a90246d9e8c8bbe7524",
+    "rdf_g7_s8": "8a8153dc3be662aa9017bd89f3fc6e2782bdeddec115d69a784c07c30d309897",
+}
+
+
 class TestRecordedSeedSuites:
-    """The suites commands of the benchmark at the recorded seed, compared exactly."""
+    """The suites commands of the benchmark at the recorded seed, compared
+    exactly: metric and assertion blocks, and each per-trial CSV by sha256."""
 
-    def commands(self, tmp_path):
-        return WORKLOADS.suites(tmp_path, WORKLOADS.RECORDED_SEED)
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        """(exit code, report, sha256 of the CSV) of every command, in order."""
+        out = {}
+        for cmd in WORKLOADS.suites(tmp_path_factory.mktemp("suites"), WORKLOADS.RECORDED_SEED):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run(list(cmd.argv))
+            out[cmd.label] = (code, json.loads(cmd.out.read_text()),
+                              hashlib.sha256(cmd.csv.read_bytes()).hexdigest())
+        return out
 
-    def test_every_command_is_pinned(self, tmp_path):
-        labels = [c.label for c in self.commands(tmp_path)]
-        assert labels == list(SUITE_METRICS) == list(SUITE_ASSERTIONS)
+    def test_every_command_is_pinned(self, outputs):
+        assert list(outputs) == list(SUITE_METRICS) == list(SUITE_ASSERTIONS) == list(SUITE_CSVS)
 
     @pytest.mark.parametrize("label", list(SUITE_METRICS))
-    def test_metrics(self, tmp_path, capsys, label):
-        (cmd,) = [c for c in self.commands(tmp_path) if c.label == label]
-        assert run(list(cmd.argv)) == 0
-        report = json.loads(cmd.out.read_text())
+    def test_metrics(self, outputs, label):
+        code, report, _ = outputs[label]
+        assert code == 0
         assert report["metrics"] == SUITE_METRICS[label]
         assert report["assertions"] == SUITE_ASSERTIONS[label]
+
+    @pytest.mark.parametrize("label", list(SUITE_CSVS))
+    def test_csv(self, outputs, label):
+        assert outputs[label][2] == SUITE_CSVS[label]
 
 
 FRAME_BUILD_ASSERTIONS = dict.fromkeys(

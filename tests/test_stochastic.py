@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaborlab.errors import AliasedFrequency, NotLacunary, TooManyFunctions
@@ -12,6 +12,7 @@ from gaborlab.grids import CHUNK_CELLS, Exponent, Grid, SampledFunction, lp_norm
 from gaborlab.rng import complex_gaussian, rng_for
 from gaborlab.stochastic import (
     EXACT_FUNCTION_CUTOFF,
+    _pattern_pths,
     all_sign_patterns,
     combination_pth,
     khintchine_ratios,
@@ -62,7 +63,7 @@ class TestExactEnumeration:
         from gaborlab.grids import lp_ell2_norm
 
         fs = random_fns(10, 42)
-        sf = lp_ell2_norm(fs, p)
+        sf = lp_ell2_norm(fs, [p])[0]
         mean = rademacher_pnorms_exact(fs, [p])[0]
         if p.p >= 2.0:
             assert mean >= sf * (1 - 1e-12)
@@ -122,6 +123,52 @@ class TestChunkedProducts:
         for pth, p in zip(got, ps):
             want = moduli_pth(np.abs(rows @ mat), GRID.step, p)
             assert pth.tobytes() == want.tobytes()
+
+
+def _family(n, count, step_log2, seed, ps):
+    """(fs, grid, ps): n complex Gaussian functions on a grid of count cells
+    of step 2^step_log2, the grid and the exponents."""
+    grid = Grid(0, step_log2, count)
+    rng = rng_for(seed)
+    return [SampledFunction(grid, complex_gaussian(rng, count)) for _ in range(n)], grid, ps
+
+
+@st.composite
+def sign_families(draw):
+    """_family of n = 0..12 functions on grids of 1 to 300 cells, so that the
+    products take one or many row chunks."""
+    return _family(draw(st.integers(0, EXACT_FUNCTION_CUTOFF)), draw(st.integers(1, 300)),
+                   draw(st.integers(-6, 0)), draw(st.integers(0, 2**31)),
+                   [Exponent(p) for p in draw(st.lists(
+                       st.sampled_from([1.5, 2.0, 2.7, 3.0, 4.0]), min_size=1, max_size=3))])
+
+
+class TestHalfEnumeration:
+    """Products of half the sign patterns, mirrored, against the one-shot
+    product of all 2^n patterns, compared by bytes."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(sign_families())
+    @example(_family(0, 5, -2, 1, [Exponent(1.5)]))
+    @example(_family(1, 5, -2, 2, [Exponent(3.0)]))
+    @example(_family(EXACT_FUNCTION_CUTOFF, 128, -5, 3, [Exponent(1.5), Exponent(4.0)]))
+    def test_half_keeps_the_bits_of_the_full_enumeration(self, family):
+        fs, grid, ps = family
+        n = len(fs)
+        mat = np.array([f.values for f in fs]).reshape(n, grid.count)
+        full = [moduli_pth(np.abs(all_sign_patterns(n) @ mat), grid.step, p) for p in ps]
+        for got, want in zip(_pattern_pths(fs, ps), full):
+            assert got.tobytes() == want.tobytes()
+        assert rademacher_pnorms_exact(fs, ps) == [
+            float(pth.mean()) ** (1.0 / p.p) for pth, p in zip(full, ps)]
+        assert rademacher_mean_norms_exact(fs, ps) == [
+            float((pth ** (1.0 / p.p)).mean()) for pth, p in zip(full, ps)]
+        if n:
+            a = mat[:, 0]
+            mods = np.abs(all_sign_patterns(n).astype(np.complex128) @ a)
+            assert khintchine_ratios(a, ps) == [
+                float((mods**p.p).mean()) ** (1.0 / p.p) / float(np.linalg.norm(a))
+                for p in ps]
 
 
 class TestKhintchine:

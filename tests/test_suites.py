@@ -87,7 +87,7 @@ def test_squarefunc():
         for p in ps:
             exp = Exponent(p)
             mean = rademacher_pnorms_exact(fs, [exp])[0]
-            want.append((trial, n, p, mean / lp_ell2_norm(fs, exp)))
+            want.append((trial, n, p, mean / lp_ell2_norm(fs, [exp])[0]))
     _, rows = squarefunc_suite(SEED, families=8)
     assert [(r["trial"], r["n"], r["p"], r["ratio"]) for r in rows] == want
 
