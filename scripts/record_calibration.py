@@ -8,59 +8,41 @@ Run after any intentional change to the seeded corpora.
 import json
 import sys
 
-from gaborlab import calibration
-from gaborlab.suites import (
-    cells_suite,
-    lacunary_suite,
-    peaks_suite,
-    rdf_suite,
-    squarefunc_suite,
-    type_cotype_suite,
-)
+from gaborlab import calibration, suites
 
 
 def record() -> dict:
-    """The CALIBRATION dict observed on the recorded runs."""
+    """The CALIBRATION dict observed on the recorded runs, each run as
+    suite(seed, **RECORDED_CONFIG[name])."""
     cfg = calibration.RECORDED_CONFIG
-    seed = cfg["seed"]
-    out = {}
 
-    rep, _ = squarefunc_suite(seed, families=cfg["squarefunc"]["families"])
-    out["squarefunc"] = {
-        "1.5": rep.metrics["ratio_max_p1.5"],
-        "1.5_lo": rep.metrics["ratio_min_p1.5"],
-        "2.0": rep.metrics["ratio_max_p2.0"],
-        "2.0_lo": rep.metrics["ratio_min_p2.0"],
-        "3.0": rep.metrics["ratio_max_p3.0"],
-        "4.0": rep.metrics["ratio_max_p4.0"],
-    }
+    def metrics(name: str) -> dict:
+        suite = getattr(suites, f"{name}_suite")
+        return suite(cfg["seed"], **cfg[name])[0].metrics
 
-    rep, _ = type_cotype_suite(seed, families=cfg["type_cotype"]["families"])
+    m = metrics("squarefunc")
+    out = {"squarefunc": {
+        "1.5": m["ratio_max_p1.5"],
+        "1.5_lo": m["ratio_min_p1.5"],
+        "2.0": m["ratio_max_p2.0"],
+        "2.0_lo": m["ratio_min_p2.0"],
+        "3.0": m["ratio_max_p3.0"],
+        "4.0": m["ratio_max_p4.0"],
+    }}
     out["type_cotype"] = {
-        k.removesuffix("_max"): v for k, v in rep.metrics.items()
+        k.removesuffix("_max"): v for k, v in metrics("type_cotype").items()
     }
-
-    rep, _ = lacunary_suite(seed, trials=cfg["lacunary"]["trials"])
-    out["lacunary"] = {
-        "p4.0": {"lo": rep.metrics["ratio_min"], "hi": rep.metrics["ratio_max"]}
-    }
-
-    rep, _ = rdf_suite(seed, corpus=cfg["rdf"]["corpus"])
-    out["rdf"] = {
-        "p3.0": rep.metrics["c_observed_p3.0"],
-        "p4.0": rep.metrics["c_observed_p4.0"],
-    }
-
-    pk = cfg["peaks"]
-    rep, _ = peaks_suite(seed, pk["trials"], pk["p"], pk["J"], pk["K"], pk["alpha"])
+    m = metrics("lacunary")
+    out["lacunary"] = {"p4.0": {"lo": m["ratio_min"], "hi": m["ratio_max"]}}
+    m = metrics("rdf")
+    out["rdf"] = {"p3.0": m["c_observed_p3.0"], "p4.0": m["c_observed_p4.0"]}
+    m = metrics("peaks")
     out["peaks"] = {
-        "ratio": [rep.metrics["ratio_min"], rep.metrics["ratio_max"]],
-        "local": [rep.metrics["local_ratio_min"], rep.metrics["local_ratio_max"]],
+        "ratio": [m["ratio_min"], m["ratio_max"]],
+        "local": [m["local_ratio_min"], m["local_ratio_max"]],
     }
-
-    cl = cfg["cells"]
-    rep, _ = cells_suite(seed, cl["trials"], cl["p"], cl["K"], cl["n_max"])
-    out["cells"] = {"ratio": [rep.metrics["ratio_min"], rep.metrics["ratio_max"]]}
+    m = metrics("cells")
+    out["cells"] = {"ratio": [m["ratio_min"], m["ratio_max"]]}
     return out
 
 

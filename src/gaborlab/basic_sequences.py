@@ -47,6 +47,11 @@ from .grids import (
 )
 from .rng import complex_gaussian, rng_for
 
+WEIGHT_HORIZON = 64  # WeightSequence.polynomial keeps w_j to j < 64 at least
+DECOMPOSITION_TOL = 1e-12  # peaks_decomposition_check's relative mass error
+# growth_threshold_scan looks for a ratio above 2 up to n = 512
+GROWTH_THRESHOLD, GROWTH_CAP = 2.0, 512
+
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -78,11 +83,9 @@ class WeightSequence:
         return cls(tuple(complex(x) for x in c), tuple(float(x) for x in arr))
 
     @classmethod
-    def polynomial(
-        cls, alpha: float, p: Exponent, length: int, horizon: int = 64
-    ) -> "WeightSequence":
+    def polynomial(cls, alpha: float, p: Exponent, length: int) -> "WeightSequence":
         """Weights w_j = j^-alpha, the slowly-decaying choice used in demos."""
-        w = [(j + 1.0) ** -alpha for j in range(max(horizon, length))]
+        w = [(j + 1.0) ** -alpha for j in range(max(WEIGHT_HORIZON, length))]
         return cls.from_tail_weights(w, p, length)
 
     def normalized_head(self, count: int, p: Exponent) -> "WeightSequence":
@@ -184,7 +187,7 @@ def peaks_interval_families(
 
 
 def peaks_decomposition_check(
-    phi: SampledFunction, k: int, J: int, p: Exponent, tol: float = 1e-12
+    phi: SampledFunction, k: int, J: int, p: Exponent
 ) -> Dict[str, float]:
     """Verify the interval families tile the mass of Phi_a on [k, k+1].
 
@@ -214,11 +217,11 @@ def peaks_decomposition_check(
         covered[i:j] = True
     outside = float(np.abs(cell.values[~covered]).max(initial=0.0))
     scale = max(cell_mass, 1.0)
-    if abs(total - cell_mass) > tol * scale:
+    if abs(total - cell_mass) > DECOMPOSITION_TOL * scale:
         raise AssertionError(
             f"family masses {total} do not reconstruct cell mass {cell_mass}"
         )
-    if outside > tol:
+    if outside > DECOMPOSITION_TOL:
         raise AssertionError(f"mass {outside} outside the decomposition")
     return {"cell_mass": cell_mass, "outside_sup": outside, **fam_mass}
 
@@ -293,9 +296,7 @@ def weight_growth_ratios(weights: WeightSequence, p: Exponent, n_max: int) -> np
 # ---------------------------------------------------------------------------
 
 
-def cells_window(
-    c: Sequence[complex], p: Exponent, K: int, grid: Grid
-) -> SampledFunction:
+def cells_window(c: Sequence[complex], K: int, grid: Grid) -> SampledFunction:
     """Window sum_{k=0..K} c_k e_{2^k} 1_[k, k+1], midpoint-sampled."""
     if grid.step_log2 > -(K + 2):
         raise GridTooCoarse(
@@ -370,7 +371,7 @@ def verify_cells(
 ) -> List[dict]:
     """Ratio of || sum a_j g(.-j) ||_p^p to the predicted mass over seeded draws."""
     grid = cells_grid(K, n_max)
-    window = cells_window(c, p, K, Grid.over(0, K + 1, -(K + 2)))
+    window = cells_window(c, K, Grid.over(0, K + 1, -(K + 2)))
     slices = _translate_slices(window, n_max, grid)
     rows: List[dict] = []
     for trial in range(trials):
@@ -400,14 +401,12 @@ def quadratic_mass_growth(c: Sequence[complex], p: Exponent, n_max: int) -> np.n
     return np.cumsum(terms) / np.arange(1, n_max + 1)
 
 
-def growth_threshold_scan(
-    c: Sequence[complex], p: Exponent, threshold: float = 2.0, n_cap: int = 512
-) -> int:
-    """Smallest n with the quadratic mass growth ratio above the threshold."""
-    ratios = quadratic_mass_growth(c, p, n_cap)
-    hits = np.nonzero(ratios > threshold)[0]
+def growth_threshold_scan(c: Sequence[complex], p: Exponent) -> int:
+    """Smallest n with the quadratic mass growth ratio above GROWTH_THRESHOLD."""
+    ratios = quadratic_mass_growth(c, p, GROWTH_CAP)
+    hits = np.nonzero(ratios > GROWTH_THRESHOLD)[0]
     if len(hits) == 0:
-        raise ValueError(f"ratio stays below {threshold} up to n = {n_cap}")
+        raise ValueError(f"ratio stays below {GROWTH_THRESHOLD} up to n = {GROWTH_CAP}")
     return int(hits[0]) + 1
 
 
@@ -422,7 +421,7 @@ def separated_translates_norm(
     if separation < K + 1:
         raise ValueError("separation below the window support length")
     grid = Grid.over(0, separation * n + K + 1, -(K + 2))
-    window = cells_window(c, p, K, Grid.over(0, K + 1, -(K + 2)))
+    window = cells_window(c, K, Grid.over(0, K + 1, -(K + 2)))
     a = np.zeros(separation * n)
     a[separation - 1 :: separation] = 1.0
     return lp_norm(cells_combination(window, a, grid), p)

@@ -39,13 +39,14 @@ CALIBRATION = {
     "cells": {"ratio": [1.378890791332187, 1.7854494232464777]},
 }
 
-# Seeds and shapes of the recorded runs; the regression suites re-run these.
+# The seed and each suite's keyword arguments of the recorded runs:
+# suite(seed, **RECORDED_CONFIG[name]) re-runs one.
 RECORDED_CONFIG = {
     "seed": 20260810,
-    "squarefunc": {"families": 50, "max_n": 10},
+    "squarefunc": {"families": 50},
     "type_cotype": {"families": 50},
-    "lacunary": {"trials": 100, "p": 4.0, "n_freqs": 9},
-    "rdf": {"corpus": 100, "ps": [3.0, 4.0], "bands": 8, "grid_log2": -6, "span": 8},
-    "peaks": {"p": 1.5, "J": 8, "K": 8, "trials": 200, "alpha": 0.1},
-    "cells": {"p": 4.0, "K": 6, "n_max": 8, "trials": 200},
+    "lacunary": {"trials": 100},
+    "rdf": {"corpus": 100, "grid_log2": -6, "span": 8},
+    "peaks": {"trials": 200, "p": 1.5, "J": 8, "K": 8, "alpha": 0.1},
+    "cells": {"trials": 200, "p": 4.0, "K": 6, "n_max": 8},
 }

@@ -16,11 +16,18 @@ value is the one a per-trial evaluation gives, bit for bit (test_suites.py).
 The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 (constant-1 sides, per row and per exponent's extremes), `_at_most`,
 `_at_least` and `_window_contains` (calibrated bounds with WINDOW_SLACK), and
-`_is_recorded_run` (whether the recorded windows apply).  Each Report is
-built whole, its wall time included.  Parameters outside a suite's domain,
-and grids of more than `grids.MAX_CELLS` cells (`check_cells`), raise
-ConfigError before any work; so does a peaks alpha so small that every
-window coefficient is 0.
+`_is_recorded_run` (whether the recorded windows apply, read from the config
+the report echoes).  Each Report is built whole, its wall time included.
+Parameters outside a suite's domain, and grids of more than `grids.MAX_CELLS`
+cells (`check_cells`), raise ConfigError before any work; so does a peaks
+alpha so small that every window coefficient is 0.
+
+A suite takes the seed and the parameters its command's flags set; its
+fixed shape is a module constant, which the report echoes all the same:
+PS (the exponents of khintchine, squarefunc and isometry), KHINTCHINE_MAX_N
+and ATOMS_MAX_N (the largest family sizes), COTYPE_PS and TYPE_PS,
+LACUNARY_P and LACUNARY_FREQS, RDF_PS and RDF_BANDS, and ATOM_SPAN (the time
+shifts of random_atoms).
 
 `basic_sequences` (with the `gabor` it imports) and `fourier` are bound as
 the package's lazy modules and run on first use: only the peaks and cells
@@ -30,7 +37,7 @@ families run the one, and only rdf the other.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,25 +72,31 @@ WINDOW_SLACK = 1e-6  # absorbs cross-platform rounding in recorded windows
 # trial per chunk, so each product takes the path of that trial's
 # time_freq_shift, in place or not.
 ISOMETRY_CELLS = 8192
+# the suites' fixed shapes, which no flag sets (see the module docstring)
+PS = (1.5, 2.0, 3.0, 4.0)
+KHINTCHINE_MAX_N, ATOMS_MAX_N = 12, 10
+COTYPE_PS, TYPE_PS = (1.5, 2.0), (2.0, 3.0, 4.0)
+LACUNARY_P, LACUNARY_FREQS = 4.0, 9
+RDF_PS, RDF_BANDS = (3.0, 4.0), 8
+ATOM_SPAN = 3  # random_atoms shifts by 0, 1 or 2 time units
 
 
-def _is_recorded_run(seed: int, name: str, trials: Optional[int] = None,
-                     **shape) -> bool:
+def _is_recorded_run(name: str, config: dict) -> bool:
     """Calibrated regression assertions apply only to the recorded run.
 
     Hard inequalities with constant 1 hold for every seed and are always
     asserted; the recorded windows are properties of one fixed seeded corpus,
     so other corpora report their observed constants without being judged
-    against another corpus's extremes.  Given trials, a prefix of the
-    recorded trial stream counts too: its trials are a subset of the
-    recorded ones, so its extremes lie inside the recorded window.
+    against another corpus's extremes.  config is the one the report echoes:
+    its seed and each keyword argument of the recorded run
+    (calibration.RECORDED_CONFIG[name]) must equal the recorded ones, but
+    trials may be fewer.  A prefix of the recorded trial stream draws a
+    subset of the recorded trials, so its extremes lie inside the window.
     """
     rec = calibration.RECORDED_CONFIG
-    return (
-        seed == rec["seed"]
-        and all(rec[name].get(key) == val for key, val in shape.items())
-        and (trials is None or trials <= rec[name]["trials"])
-    )
+    return config["seed"] == rec["seed"] and all(
+        config[key] <= val if key == "trials" else config[key] == val
+        for key, val in rec[name].items())
 
 
 def _at_most(value: float, bound: float) -> bool:
@@ -121,9 +134,7 @@ def _side_of_one(stats: Dict[float, List[float]]) -> Tuple[dict, dict]:
     return metrics, assertions
 
 
-def random_atoms(
-    seed: int, trial: int, n: int, grid: Grid, span_units: int = 3
-) -> List[SampledFunction]:
+def random_atoms(seed: int, trial: int, n: int, grid: Grid) -> List[SampledFunction]:
     """n random Gabor atoms: time-frequency shifts of a random unit-cell window."""
     rng = rng_for(seed, trial)
     cell = Grid(0, grid.step_log2, 2 ** (-grid.step_log2))
@@ -131,58 +142,49 @@ def random_atoms(
     nyq = 2 ** (-grid.step_log2 - 1)
     out = []
     for _ in range(n):
-        t = int(rng.integers(0, span_units))
+        t = int(rng.integers(0, ATOM_SPAN))
         s = Fraction(int(rng.integers(-nyq + 1, nyq)), 2)
         out.append(embed(time_freq_shift(window, t, s), grid))
     return out
 
 
-def khintchine_suite(
-    seed: int,
-    trials: int = 100,
-    ps: Sequence[float] = (1.5, 2.0, 3.0, 4.0),
-    max_n: int = 12,
-) -> Tuple[Report, List[dict]]:
+def khintchine_suite(seed: int, trials: int = 100) -> Tuple[Report, List[dict]]:
     """Exact-enumeration Khintchine ratios sit on the correct side of 1."""
     rows = []
-    stats: Dict[float, List[float]] = {p: [] for p in ps}
-    exps = [Exponent(p) for p in ps]
+    stats: Dict[float, List[float]] = {p: [] for p in PS}
+    exps = [Exponent(p) for p in PS]
     with Stopwatch() as sw:
         for trial in range(trials):
             rng = rng_for(seed, trial)
-            n = int(rng.integers(1, max_n + 1))
+            n = int(rng.integers(1, KHINTCHINE_MAX_N + 1))
             a = complex_gaussian(rng, n)
-            for p, r in zip(ps, khintchine_ratios(a, exps)):
+            for p, r in zip(PS, khintchine_ratios(a, exps)):
                 stats[p].append(r)
                 rows.append(
                     {"trial": trial, "seed": seed, "n": n, "p": p, "ratio": r,
                      "bound": 1.0, "pass": _on_side_of_one(p, r)}
                 )
     report = Report("inequalities:khintchine",
-                    {"seed": seed, "trials": trials, "ps": list(ps), "max_n": max_n},
+                    {"seed": seed, "trials": trials, "ps": list(PS),
+                     "max_n": KHINTCHINE_MAX_N},
                     *_side_of_one(stats), wall_time_s=sw.elapsed)
     return report, rows
 
 
-def squarefunc_suite(
-    seed: int,
-    families: int = 50,
-    ps: Sequence[float] = (1.5, 2.0, 3.0, 4.0),
-    max_n: int = 10,
-) -> Tuple[Report, List[dict]]:
+def squarefunc_suite(seed: int, families: int = 50) -> Tuple[Report, List[dict]]:
     """Exact Rademacher means against the square function, both sandwich sides."""
     grid = Grid.over(0, 4, -5)
     rows = []
-    stats: Dict[float, List[float]] = {p: [] for p in ps}
-    exps = [Exponent(p) for p in ps]
+    stats: Dict[float, List[float]] = {p: [] for p in PS}
+    exps = [Exponent(p) for p in PS]
     cal = calibration.CALIBRATION["squarefunc"]
     with Stopwatch() as sw:
         for trial in range(families):
             rng = rng_for(seed, trial, 1)
-            n = int(rng.integers(2, max_n + 1))
+            n = int(rng.integers(2, ATOMS_MAX_N + 1))
             fs = random_atoms(seed, trial, n, grid)
             means = rademacher_pnorms_exact(fs, exps)
-            for p, mean, square in zip(ps, means, lp_ell2_norm(fs, exps)):
+            for p, mean, square in zip(PS, means, lp_ell2_norm(fs, exps)):
                 r = mean / square
                 stats[p].append(r)
                 rows.append(
@@ -190,41 +192,35 @@ def squarefunc_suite(
                      "bound": cal.get(str(p), 1.0), "pass": _on_side_of_one(p, r)}
                 )
     metrics, assertions = _side_of_one(stats)
-    if _is_recorded_run(seed, "squarefunc", families=families, max_n=max_n):
-        for p in ps:
+    config = {"seed": seed, "families": families, "ps": list(PS), "max_n": ATOMS_MAX_N}
+    if _is_recorded_run("squarefunc", config):
+        for p in PS:
             if p >= 2.0:
                 assertions[f"upper_calibrated_p{p}"] = _at_most(
                     metrics[f"ratio_max_p{p}"], cal[str(p)])
             if p <= 2.0:
                 assertions[f"lower_calibrated_p{p}"] = _at_least(
                     metrics[f"ratio_min_p{p}"], cal[str(p) + "_lo"])
-    report = Report("inequalities:squarefunc",
-                    {"seed": seed, "families": families, "ps": list(ps), "max_n": max_n},
-                    metrics, assertions, {"squarefunc": cal}, sw.elapsed)
+    report = Report("inequalities:squarefunc", config, metrics, assertions,
+                    {"squarefunc": cal}, sw.elapsed)
     return report, rows
 
 
-def type_cotype_suite(
-    seed: int,
-    families: int = 50,
-    ps_cotype: Sequence[float] = (1.5, 2.0),
-    ps_type: Sequence[float] = (2.0, 3.0, 4.0),
-    max_n: int = 10,
-) -> Tuple[Report, List[dict]]:
+def type_cotype_suite(seed: int, families: int = 50) -> Tuple[Report, List[dict]]:
     """Cotype-2 and type-2 ratios stay within the recorded corpus constants."""
     grid = Grid.over(0, 4, -5)
     rows = []
     stats: Dict[str, List[float]] = {}
-    exps_cotype = [Exponent(p) for p in ps_cotype]
-    exps_type = [Exponent(p) for p in ps_type]
+    exps_cotype = [Exponent(p) for p in COTYPE_PS]
+    exps_type = [Exponent(p) for p in TYPE_PS]
     cal = calibration.CALIBRATION["type_cotype"]
     with Stopwatch() as sw:
         for trial in range(families):
             rng = rng_for(seed, trial, 2)
-            n = int(rng.integers(2, max_n + 1))
+            n = int(rng.integers(2, ATOMS_MAX_N + 1))
             fs = random_atoms(seed, trial, n, grid)
             cotype, type2 = type_cotype_ratios(fs, exps_cotype, exps_type)
-            for kind, kps, ratios in (("cotype", ps_cotype, cotype), ("type", ps_type, type2)):
+            for kind, kps, ratios in (("cotype", COTYPE_PS, cotype), ("type", TYPE_PS, type2)):
                 for p, r in zip(kps, ratios):
                     stats.setdefault(f"{kind}_p{p}", []).append(r)
                     bound = cal[f"{kind}_p{p}"]
@@ -233,23 +229,21 @@ def type_cotype_suite(
                                  "pass": _at_most(r, bound)})
     metrics = {f"{key}_max": max(vals) for key, vals in stats.items()}
     assertions = {}
-    if _is_recorded_run(seed, "type_cotype", families=families):
+    config = {"seed": seed, "families": families}
+    if _is_recorded_run("type_cotype", config):
         assertions = {f"{key}_within": _at_most(max(vals), cal[key])
                       for key, vals in stats.items()}
-    report = Report("inequalities:type_cotype", {"seed": seed, "families": families},
-                    metrics, assertions, {"type_cotype": cal}, sw.elapsed)
+    report = Report("inequalities:type_cotype", config, metrics, assertions,
+                    {"type_cotype": cal}, sw.elapsed)
     return report, rows
 
 
 def lacunary_suite(
-    seed: int,
-    trials: int = 100,
-    p: float = 4.0,
-    n_freqs: int = 9,
-    grid_log2: int = -10,
+    seed: int, trials: int = 100, grid_log2: int = -10
 ) -> Tuple[Report, List[dict]]:
     """Lacunary exponential sums behave like sign sums: l2-comparable norms."""
     check_cells(1, grid_log2)
+    p, n_freqs = LACUNARY_P, LACUNARY_FREQS
     freqs = [2**j for j in range(n_freqs)]  # 1, 2, 4, ..., 256
     exp = Exponent(p)
     cal_window = calibration.CALIBRATION["lacunary"][f"p{p}"]
@@ -271,12 +265,12 @@ def lacunary_suite(
     p2_dev = max(abs(row["ratio_p2"] - 1.0) for row in rows)
     metrics = {"ratio_min": lo, "ratio_max": hi, "p2_deviation": p2_dev}
     assertions = {"p2_orthonormal": p2_dev <= 1e-10}
-    if _is_recorded_run(seed, "lacunary", trials, p=p, n_freqs=n_freqs):
+    config = {"seed": seed, "trials": trials, "p": p, "n_freqs": n_freqs,
+              "grid_log2": grid_log2}
+    if _is_recorded_run("lacunary", config):
         assertions["window"] = _window_contains(window, lo, hi)
-    report = Report("inequalities:lacunary",
-                    {"seed": seed, "trials": trials, "p": p, "n_freqs": n_freqs,
-                     "grid_log2": grid_log2},
-                    metrics, assertions, {"lacunary": cal_window}, sw.elapsed)
+    report = Report("inequalities:lacunary", config, metrics, assertions,
+                    {"lacunary": cal_window}, sw.elapsed)
     return report, rows
 
 
@@ -291,21 +285,16 @@ def _band_partition(grid: Grid, bands: int) -> List[fourier.FrequencyInterval]:
 
 
 def rdf_suite(
-    seed: int,
-    corpus: int = 100,
-    ps: Sequence[float] = (3.0, 4.0),
-    bands: int = 8,
-    grid_log2: int = -6,
-    span: int = 8,
+    seed: int, corpus: int = 100, grid_log2: int = -6, span: int = 8
 ) -> Tuple[Report, List[dict]]:
     """Band square-function norms against ||f||_p, with exact p = 2 identities."""
     check_cells(span, grid_log2)
     grid = Grid.over(0, span, grid_log2)
-    intervals = _band_partition(grid, bands)
-    rows, stats = [], {p: [] for p in ps}
+    intervals = _band_partition(grid, RDF_BANDS)
+    rows, stats = [], {p: [] for p in RDF_PS}
     plancherel_dev = 0.0
     two = Exponent(2.0)
-    exps = [Exponent(p) for p in ps]
+    exps = [Exponent(p) for p in RDF_PS]
     with Stopwatch() as sw:
         for trial in range(corpus):
             f = SampledFunction(
@@ -315,16 +304,17 @@ def rdf_suite(
             mods = np.abs(f.values)[None]
             norm2, *norms = (moduli_norms(mods, grid.step, exp)[0] for exp in [two, *exps])
             plancherel_dev = max(plancherel_dev, abs(sq2 - norm2))
-            for p, sq, norm in zip(ps, sqs, norms):
+            for p, sq, norm in zip(RDF_PS, sqs, norms):
                 r = sq / norm
                 stats[p].append(r)
                 rows.append({"trial": trial, "seed": seed, "p": p, "ratio": r})
     cal = calibration.CALIBRATION["rdf"]
-    recorded_shape = _is_recorded_run(seed, "rdf", corpus=corpus, ps=list(ps),
-                                      bands=bands, grid_log2=grid_log2, span=span)
+    config = {"seed": seed, "corpus": corpus, "ps": list(RDF_PS), "bands": RDF_BANDS,
+              "grid_log2": grid_log2, "span": span}
+    recorded_shape = _is_recorded_run("rdf", config)
     metrics = {"plancherel_deviation": plancherel_dev}
     assertions = {"plancherel_partition": plancherel_dev <= 1e-10}
-    for p in ps:
+    for p in RDF_PS:
         c_obs = max(stats[p])
         metrics[f"c_observed_p{p}"] = c_obs
         if recorded_shape:
@@ -332,10 +322,8 @@ def rdf_suite(
             assertions[f"c_within_1pct_p{p}"] = (
                 abs(c_obs - cal[f"p{p}"]) <= 0.01 * cal[f"p{p}"]
             )
-    report = Report("inequalities:rdf",
-                    {"seed": seed, "corpus": corpus, "ps": list(ps), "bands": bands,
-                     "grid_log2": grid_log2, "span": span},
-                    metrics, assertions, {"rdf": cal}, sw.elapsed)
+    report = Report("inequalities:rdf", config, metrics, assertions, {"rdf": cal},
+                    sw.elapsed)
     return report, rows
 
 
@@ -348,7 +336,7 @@ def isometry_suite(
                           f"2^(-grid_log2 - 1), which needs grid_log2 <= -1, got {grid_log2}")
     check_cells(span, grid_log2)
     grid = Grid.over(0, span, grid_log2)
-    ps = [Exponent(x) for x in (1.5, 2.0, 3.0, 4.0)]
+    ps = [Exponent(x) for x in PS]
     nyq = 2 ** (-grid.step_log2 - 1)
     worst_norm, worst_mod = 0.0, 0.0
     rows = []
@@ -400,6 +388,8 @@ def peaks_suite(
     alpha: float = 0.1,
 ) -> Tuple[Report, List[dict]]:
     """Peaks window family (1 < p < 2): synthesized against predicted norms."""
+    if p >= 2:
+        raise ConfigError(f"peaks is the window family for 1 < p < 2, got p = {p}")
     if J > K:
         raise ConfigError(f"peaks weighs lattice point j by the window's tail weight "
                           f"w_j, j <= K, so J must be at most K, got J = {J}, K = {K}")
@@ -414,7 +404,8 @@ def peaks_suite(
             # a tiny alpha rounds every tail weight (j + 1)^-alpha to 1.0
             raise ConfigError(f"peaks at alpha = {alpha}: {exc}") from None
         rows, local = basic_sequences.verify_peaks(head, exp, J, K, trials, seed)
-        growth = basic_sequences.weight_growth_ratios(weights, exp, 64)
+        growth = basic_sequences.weight_growth_ratios(
+            weights, exp, basic_sequences.WEIGHT_HORIZON)
     ratios = [row["ratio"] for row in rows]
     lo, hi = min(ratios), max(ratios)
     metrics = {"trials": trials, "J": J, "K": K, "p": exp.p,
@@ -422,12 +413,12 @@ def peaks_suite(
                "local_ratio_min": local[0], "local_ratio_max": local[1],
                "growth_first": float(growth[0]), "growth_last": float(growth[-1])}
     assertions = {"growth_monotone": bool(np.all(np.diff(growth) > 0))}
-    if _is_recorded_run(seed, "peaks", trials, p=p, J=J, K=K, alpha=alpha):
+    config = {"seed": seed, "trials": trials, "p": p, "J": J, "K": K, "alpha": alpha}
+    if _is_recorded_run("peaks", config):
         assertions["ratio_window"] = _window_contains(cal["ratio"], lo, hi)
         assertions["local_window"] = _window_contains(cal["local"], *local)
-    report = Report("counterexample:peaks",
-                    {"seed": seed, "trials": trials, "p": p, "J": J, "K": K, "alpha": alpha},
-                    metrics, assertions, {"peaks": cal}, sw.elapsed)
+    report = Report("counterexample:peaks", config, metrics, assertions, {"peaks": cal},
+                    sw.elapsed)
     return report, rows
 
 
@@ -459,9 +450,9 @@ def cells_suite(
                "ratio_min": lo, "ratio_max": hi, "growth_threshold_n": threshold,
                "separated_norm": sep_norm, "separated_bound": bound}
     assertions = {"separated_translates": sep_norm < bound}
-    if _is_recorded_run(seed, "cells", trials, p=p, K=K, n_max=n_max):
+    config = {"seed": seed, "trials": trials, "p": p, "K": K, "n_max": n_max}
+    if _is_recorded_run("cells", config):
         assertions["ratio_window"] = _window_contains(cal["ratio"], lo, hi)
-    report = Report("counterexample:cells",
-                    {"seed": seed, "trials": trials, "p": p, "K": K, "n_max": n_max},
-                    metrics, assertions, {"cells": cal}, sw.elapsed)
+    report = Report("counterexample:cells", config, metrics, assertions, {"cells": cal},
+                    sw.elapsed)
     return report, rows

@@ -43,12 +43,12 @@ P4 = Exponent(4.0)
 
 class TestWeightSequence:
     def test_polynomial_weights_normalized(self):
-        w = WeightSequence.polynomial(0.1, P15, length=8, horizon=64)
+        w = WeightSequence.polynomial(0.1, P15, length=8)
         assert w.w[0] == 1.0
         assert np.all(np.diff(w.w) <= 0)
 
     def test_tail_weight_identity(self):
-        w = WeightSequence.polynomial(0.25, P15, length=64, horizon=64)
+        w = WeightSequence.polynomial(0.25, P15, length=64)
         # sum_{k >= j} |c_k|^p telescopes back to w_j (up to the horizon tail)
         mags = np.abs(np.array(w.c)) ** P15.p
         tails = np.flip(np.cumsum(np.flip(mags)))
@@ -237,7 +237,7 @@ class TestPeaksVerification:
         assert len(rows) == 50
 
     def test_growth_ratio_monotone(self):
-        w = WeightSequence.polynomial(0.1, P15, length=8, horizon=64)
+        w = WeightSequence.polynomial(0.1, P15, length=8)
         ratios = weight_growth_ratios(w, P15, 64)
         assert np.all(np.diff(ratios) > 0)
 
@@ -245,25 +245,25 @@ class TestPeaksVerification:
 class TestCellsWindow:
     def test_single_coefficient(self):
         grid = cells_grid(0, 1)
-        g = cells_window([1.0], P4, K=0, grid=grid)
+        g = cells_window([1.0], K=0, grid=grid)
         assert lp_norm(g, P4) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(np.abs(g.values[: 2**2]), 1.0)
 
     def test_normalized_norm_one(self):
         c = flat_cells_coefficients(6, P4)
-        g = cells_window(c, P4, 6, Grid.over(0, 7, -8))
+        g = cells_window(c, 6, Grid.over(0, 7, -8))
         assert lp_norm(g, P4) ** 4 == pytest.approx(1.0, abs=1e-10)
 
     def test_pointwise_modulus_is_coefficient_profile(self):
         c = flat_cells_coefficients(3, P4)
-        g = cells_window(c, P4, 3, Grid.over(0, 4, -5))
+        g = cells_window(c, 3, Grid.over(0, 4, -5))
         for k in range(4):
             seg = restrict(g, k, k + 1)
             assert np.allclose(np.abs(seg.values), abs(c[k]), atol=1e-12)
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
-            cells_window([1.0] * 7, P4, 6, Grid.over(0, 7, -6))
+            cells_window([1.0] * 7, 6, Grid.over(0, 7, -6))
 
 
 class TestCellsPrediction:
@@ -271,7 +271,7 @@ class TestCellsPrediction:
         # a = e_1 shifts the window by one cell: both sides equal sum |c_k|^p
         c = flat_cells_coefficients(6, P4)
         grid = cells_grid(6, 1)
-        window = cells_window(c, P4, 6, Grid.over(0, 7, -8))
+        window = cells_window(c, 6, Grid.over(0, 7, -8))
         phi = cells_combination(window, [1.0], grid)
         computed = lp_norm_pth(phi, P4)
         predicted = cells_predicted_mass([1.0], c, P4)
@@ -283,7 +283,7 @@ class TestCellsPrediction:
         c = flat_cells_coefficients(4, P4)
         n = 3
         grid = cells_grid(4, n)
-        window = cells_window(c, P4, 4, Grid.over(0, 5, -6))
+        window = cells_window(c, 4, Grid.over(0, 5, -6))
         a = complex_gaussian(rng_for(72), n)
         phi = cells_combination(window, a, grid)
         l = 4
@@ -315,7 +315,7 @@ class TestCellsVerification:
 
     def test_growth_threshold_scan(self):
         c = flat_cells_coefficients(6, P4)
-        n_star = growth_threshold_scan(c, P4, threshold=2.0)
+        n_star = growth_threshold_scan(c, P4)
         ratios = quadratic_mass_growth(c, P4, n_star)
         assert ratios[-1] > 2.0
         assert np.all(ratios[:-1] <= 2.0)

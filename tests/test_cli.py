@@ -188,6 +188,10 @@ MALFORMED_INPUTS = [
      ["inequalities", "--suite", "rdf", "--seed", "1", "--grid-log2", "5"]),
     # parameters outside the family or suite's domain
     ("peaks_J_above_K", {}, [*PEAKS, "--J", "12"]),
+    # peaks is the family for 1 < p < 2: at p near 2000 and above, the local
+    # predictions overflow
+    ("peaks_p_2", {}, [*PEAKS, "--p", "2"]),
+    ("peaks_p_1e300", {}, [*PEAKS, "--p", "1e300"]),
     ("cells_K_1", {}, [*CELLS, "--K", "1"]),
     ("cells_p_below_2", {}, [*CELLS, "--p", "1.5"]),
     ("isometry_grid_log2_0", {},

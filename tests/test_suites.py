@@ -200,7 +200,7 @@ def test_peaks_local_predictions_by_cell():
 def test_cells():
     p, K, n_max = Exponent(4.0), 6, 8
     c = flat_cells_coefficients(K, p)
-    window = cells_window(c, p, K, Grid.over(0, K + 1, -(K + 2)))
+    window = cells_window(c, K, Grid.over(0, K + 1, -(K + 2)))
     grid = cells_grid(K, n_max)
     want = []
     for trial in range(20):
@@ -247,3 +247,21 @@ def test_gated_assertions(name, shape):
     seed = SEED if SHAPES[shape] == "other_seed" else RECORDED_CONFIG["seed"]
     report, _ = suite(seed, (recorded, prefix, more, recorded)[shape])
     assert report.assertions == dict.fromkeys(always + (windows if gated[shape] else []), True)
+
+
+# one keyword argument of a recorded run other than its trials, changed
+OFF_RECORD = [("rdf", "grid_log2", -5), ("rdf", "span", 4), ("peaks", "p", 1.6),
+              ("peaks", "J", 7), ("peaks", "K", 9), ("peaks", "alpha", 0.3),
+              ("cells", "p", 3.0), ("cells", "K", 5), ("cells", "n_max", 7)]
+
+
+@pytest.mark.parametrize("name,key,value", OFF_RECORD,
+                         ids=[f"{name}-{key}" for name, key, _ in OFF_RECORD])
+def test_other_config_drops_the_windows(name, key, value):
+    """At the recorded seed and trials, a change to any other key of the
+    recorded run drops the recorded windows and keeps the other assertions
+    (at alpha = 0.3 the growth ratios are not monotone)."""
+    suite, _, always, _, _ = GATED[name]
+    report, _ = suite(RECORDED_CONFIG["seed"], **{**RECORDED_CONFIG[name], key: value})
+    assert report.config[key] == value
+    assert sorted(report.assertions) == sorted(always)
