@@ -3,8 +3,9 @@
     python3 scripts/platforms.py [SRC]
 
 Runs PINNED, the tests that compare outputs by bytes (the benchmark's
-suites and frame commands at the recorded seed, the recorded calibration,
-and the half sign-pattern enumeration against the full one), in one child
+suites and frame commands at the recorded seed, their reports and CSVs, the
+recorded calibration, the half sign-pattern enumeration against the full
+one, and the keyed streams against numpy's one-stream path), in one child
 pytest process per setting: the environment as it is, then each of
 SETTINGS.  A setting is a set of environment variables of the child only:
 `OPENBLAS_NUM_THREADS`, `OPENBLAS_CORETYPE` (another OpenBLAS kernel, for a
@@ -33,6 +34,7 @@ PINNED = [
     "tests/test_cli.py::TestRecordedSeedFrames",
     "tests/test_calibration.py",
     "tests/test_stochastic.py::TestHalfEnumeration",
+    "tests/test_rng.py",
 ]
 OPENBLAS_SETTINGS = [
     {"OPENBLAS_NUM_THREADS": "1"},

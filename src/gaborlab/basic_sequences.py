@@ -45,7 +45,7 @@ from .grids import (
     restrict,
     translate,
 )
-from .rng import complex_gaussian, rng_for
+from .rng import complex_vectors
 
 WEIGHT_HORIZON = 64  # WeightSequence.polynomial keeps w_j to j < 64 at least
 DECOMPOSITION_TOL = 1e-12  # peaks_decomposition_check's relative mass error
@@ -259,8 +259,7 @@ def verify_peaks(
         raise GridTooSmall(f"[1, {K + 1}) not contained in the hull")
     rows: List[dict] = []
     local: List[float] = []
-    for trial in range(trials):
-        a = complex_gaussian(rng_for(seed, trial), J)
+    for trial, a in complex_vectors(seed, range(trials), J):
         phi = synthesize(system, a)
         powers = np.abs(phi.values) ** p.p
         computed = pth_roots(powers_pth(powers[None], system.hull.step), p)[0]
@@ -374,8 +373,7 @@ def verify_cells(
     window = cells_window(c, K, Grid.over(0, K + 1, -(K + 2)))
     slices = _translate_slices(window, n_max, grid)
     rows: List[dict] = []
-    for trial in range(trials):
-        a = complex_gaussian(rng_for(seed, trial), n_max)
+    for trial, a in complex_vectors(seed, range(trials), n_max):
         phi = _combine(window, a, slices, grid)
         computed = lp_norm_pth(phi, p)
         predicted = cells_predicted_mass(a, c, p)

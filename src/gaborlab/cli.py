@@ -2,9 +2,10 @@
 
 Subcommands: build-frame, verify-frame, counterexample, inequalities.  Each
 flag is declared once, in FLAGS, with the one converter that reads its text
-and checks its range: --trials and --corpus from 1 to MAX_TRIALS, --J, --K,
---n-max and --span at least 1, --seed at least 0, --tol positive and finite,
---p finite and above 1, --alpha finite and at least 0, --grid-log2 at most 0.
+and checks its range: --trials and --corpus from 1 to MAX_TRIALS,
+--candidates, --J, --K, --n-max and --span at least 1, --seed at least 0,
+--tol positive and finite, --p finite and above 1, --alpha finite and at
+least 0, --grid-log2 at most 0.
 A JSON file given as --config is a list of flags: each key names a flag
 (n_max or n-max for --n-max) and each value is read as that flag's text.  A
 value is a string, or a number for a flag with a converter; flags on the
@@ -200,8 +201,10 @@ def cmd_verify_frame(args) -> int:
     _execute(operators)  # outside wall_time_s, like the frame load
     with reports.Stopwatch() as sw:
         columns = _corpus_columns(frame, args.corpus, args.seed, args.tol)
-        rows = [{"trial": i, "seed": args.seed, **{k: v[i] for k, v in columns.items()}}
-                for i in range(args.corpus)]
+        # each row is made as the CSV is written: a list of them held about
+        # 0.5 MB at --corpus 2000
+        rows = ({"trial": i, "seed": args.seed, **{k: v[i] for k, v in columns.items()}}
+                for i in range(args.corpus))
         max_ratio, max_rel, max_residual, max_iters = (max(v) for v in columns.values())
     report = reports.Report(
         "verify-frame",
@@ -292,7 +295,7 @@ FLAGS = {
     "blocks": {"type": int},
     "growth": {"type": float},
     "sizes": {"help": "comma-separated explicit block sizes"},
-    "candidates": {"type": int},
+    "candidates": {"type": COUNT},
     "base": {"type": int},
     "ratio": {"type": int},
     "lambda-file": {"help": "JSON file of candidate time-frequency points"},

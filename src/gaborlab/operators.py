@@ -35,7 +35,7 @@ from . import stochastic
 from .errors import GridTooSmall, InsufficientSpread, NoConvergence
 from .frames import ConstructedFrame
 from .grids import SampledFunction, lp_norm, moduli_pth, pth_roots
-from .rng import complex_gaussian, rng_for
+from .rng import complex_rows
 
 # reconstruct_rows treats an input within this relative distance of its
 # projection onto the span as a span input: far above the projection's rounding
@@ -210,6 +210,11 @@ def sign_flip_synthesis_sup(
 
 def span_corpus(frame: ConstructedFrame, size: int, seed: int, start: int = 0) -> np.ndarray:
     """Seeded random elements of the span of the plan's atoms, trials start to
-    start + size - 1, the rows of a (size, count) matrix on the span grid."""
-    return np.array([complex_gaussian(rng_for(seed, trial), len(frame.atoms)) @ frame.rows
-                     for trial in range(start, start + size)])
+    start + size - 1, the rows of a (size, count) matrix on the span grid.
+    Each row is its coefficients' own product with frame.rows: a matrix
+    product of all rows at once could differ from it in the last bits."""
+    coefficients = complex_rows(seed, range(start, start + size), len(frame.atoms))
+    corpus = np.empty((size, frame.span_grid.count), dtype=np.complex128)
+    for c, row in zip(coefficients, corpus):
+        np.matmul(c, frame.rows, out=row)
+    return corpus

@@ -14,7 +14,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from itertools import chain
+from typing import Dict, Iterable
 
 
 # the types json and csv write as they are, whatever their value
@@ -87,18 +88,21 @@ class Stopwatch:
         return False
 
 
-def write_csv(path: str, rows: List[dict]) -> None:
+def write_csv(path: str, rows: Iterable[dict]) -> None:
     """One CSV line per row under a header of the first row's keys.  Every
-    row must have exactly those keys; a row with other keys raises."""
-    if not rows:
+    row must have exactly those keys; a row with other keys raises.  rows is
+    read once, so it may make each row as it is written."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         with open(path, "w"):
             pass
         return
-    keys = list(rows[0])
+    keys = list(first)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(keys)
-        for row in rows:
+        for row in chain([first], rows):
             if len(row) != len(keys):
                 raise ValueError(f"CSV row keys {sorted(row)} differ from the header {keys}")
             writer.writerow(_jsonable([row[k] for k in keys]))

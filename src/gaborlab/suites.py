@@ -6,12 +6,16 @@ inequalities with constant 1 where available, recorded calibration windows
 otherwise) and returns a Report plus per-trial rows for CSV output.
 
 A suite runs as draw, kernel, reduce: it draws each trial's vectors from
-that trial's own stream, hands them to the array kernels of stochastic,
-fourier, grids and basic_sequences, which do the work shared by a trial's
-exponents and bands once (and, for lacunary and isometry, evaluate chunks
-of trials as (trials, cells) arrays), and folds the results into rows in
-trial order; the extremes are the min and max of the rows' ratios.  Every
-value is the one a per-trial evaluation gives, bit for bit (test_suites.py).
+that trial's own stream (seed, trial, *indices), the streams of all its
+trials keyed in one pass (rng.streams); lacunary, which draws only complex
+Gaussian vectors, takes them as the rows of one array (rng.complex_rows),
+and isometry draws a chunk's normals into the rows of one.  It hands them
+to the array kernels of stochastic, fourier, grids and basic_sequences,
+which do the work shared by a trial's exponents and bands once (and, for
+lacunary and isometry, evaluate chunks of trials as (trials, cells)
+arrays), and folds the results into rows in trial order; the extremes are
+the min and max of the rows' ratios.  Every value is the one a per-trial
+evaluation gives, bit for bit (test_suites.py).
 
 The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 (constant-1 sides, per row and per exponent's extremes), `_at_most`,
@@ -19,8 +23,9 @@ The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 `_is_recorded_run` (whether the recorded windows apply, read from the config
 the report echoes).  Each Report is built whole, its wall time included.
 Parameters outside a suite's domain, and grids of more than `grids.MAX_CELLS`
-cells (`check_cells`), raise ConfigError before any work; so does a peaks
-alpha so small that every window coefficient is 0.
+cells (`check_cells`), raise ConfigError before any work; so do a peaks
+alpha so small that every window coefficient is 0, and a peaks (p, alpha)
+whose growth ratios do not rise over WEIGHT_HORIZON.
 
 A suite takes the seed and the parameters its command's flags set; its
 fixed shape is a module constant, which the report echoes all the same:
@@ -29,19 +34,22 @@ and ATOMS_MAX_N (the largest family sizes), COTYPE_PS and TYPE_PS,
 LACUNARY_P and LACUNARY_FREQS, RDF_PS and RDF_BANDS, and ATOM_SPAN (the time
 shifts of random_atoms).
 
-`basic_sequences` (with the `gabor` it imports) and `fourier` are bound as
-the package's lazy modules and run on first use: only the peaks and cells
-families run the one, and only rdf the other.
+`basic_sequences` (with the `gabor` it imports), `fourier` and
+`stochastic` are bound as the package's lazy modules and run on first use:
+only the peaks and cells families run `basic_sequences`, only rdf runs
+`fourier`, and only khintchine, squarefunc, type-cotype and lacunary run
+`stochastic`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import basic_sequences, calibration, fourier  # lazy: see the docstring
+from . import basic_sequences, calibration, fourier, stochastic  # lazy: see the docstring
 from .errors import ConfigError
 from .grids import (
     Exponent,
@@ -55,13 +63,7 @@ from .grids import (
     time_freq_shift_rows,
 )
 from .reports import Report, Stopwatch
-from .rng import complex_gaussian, rng_for
-from .stochastic import (
-    khintchine_ratios,
-    lacunary_pnorms,
-    rademacher_pnorms_exact,
-    type_cotype_ratios,
-)
+from .rng import complex_gaussian, complex_pairs, complex_rows, streams
 
 EXACT_SIDE_TOL = 1e-12
 WINDOW_SLACK = 1e-6  # absorbs cross-platform rounding in recorded windows
@@ -134,9 +136,9 @@ def _side_of_one(stats: Dict[float, List[float]]) -> Tuple[dict, dict]:
     return metrics, assertions
 
 
-def random_atoms(seed: int, trial: int, n: int, grid: Grid) -> List[SampledFunction]:
-    """n random Gabor atoms: time-frequency shifts of a random unit-cell window."""
-    rng = rng_for(seed, trial)
+def random_atoms(rng: np.random.Generator, n: int, grid: Grid) -> List[SampledFunction]:
+    """n random Gabor atoms: time-frequency shifts of a random unit-cell window,
+    drawn from rng (a trial's stream (seed, trial))."""
     cell = Grid(0, grid.step_log2, 2 ** (-grid.step_log2))
     window = SampledFunction(cell, complex_gaussian(rng, cell.count))
     nyq = 2 ** (-grid.step_log2 - 1)
@@ -154,11 +156,10 @@ def khintchine_suite(seed: int, trials: int = 100) -> Tuple[Report, List[dict]]:
     stats: Dict[float, List[float]] = {p: [] for p in PS}
     exps = [Exponent(p) for p in PS]
     with Stopwatch() as sw:
-        for trial in range(trials):
-            rng = rng_for(seed, trial)
+        for trial, rng in enumerate(streams(seed, range(trials))):
             n = int(rng.integers(1, KHINTCHINE_MAX_N + 1))
             a = complex_gaussian(rng, n)
-            for p, r in zip(PS, khintchine_ratios(a, exps)):
+            for p, r in zip(PS, stochastic.khintchine_ratios(a, exps)):
                 stats[p].append(r)
                 rows.append(
                     {"trial": trial, "seed": seed, "n": n, "p": p, "ratio": r,
@@ -179,11 +180,11 @@ def squarefunc_suite(seed: int, families: int = 50) -> Tuple[Report, List[dict]]
     exps = [Exponent(p) for p in PS]
     cal = calibration.CALIBRATION["squarefunc"]
     with Stopwatch() as sw:
-        for trial in range(families):
-            rng = rng_for(seed, trial, 1)
+        for trial, (rng, atoms_rng) in enumerate(zip(
+                streams(seed, range(families), 1), streams(seed, range(families)))):
             n = int(rng.integers(2, ATOMS_MAX_N + 1))
-            fs = random_atoms(seed, trial, n, grid)
-            means = rademacher_pnorms_exact(fs, exps)
+            fs = random_atoms(atoms_rng, n, grid)
+            means = stochastic.rademacher_pnorms_exact(fs, exps)
             for p, mean, square in zip(PS, means, lp_ell2_norm(fs, exps)):
                 r = mean / square
                 stats[p].append(r)
@@ -215,11 +216,11 @@ def type_cotype_suite(seed: int, families: int = 50) -> Tuple[Report, List[dict]
     exps_type = [Exponent(p) for p in TYPE_PS]
     cal = calibration.CALIBRATION["type_cotype"]
     with Stopwatch() as sw:
-        for trial in range(families):
-            rng = rng_for(seed, trial, 2)
+        for trial, (rng, atoms_rng) in enumerate(zip(
+                streams(seed, range(families), 2), streams(seed, range(families)))):
             n = int(rng.integers(2, ATOMS_MAX_N + 1))
-            fs = random_atoms(seed, trial, n, grid)
-            cotype, type2 = type_cotype_ratios(fs, exps_cotype, exps_type)
+            fs = random_atoms(atoms_rng, n, grid)
+            cotype, type2 = stochastic.type_cotype_ratios(fs, exps_cotype, exps_type)
             for kind, kps, ratios in (("cotype", COTYPE_PS, cotype), ("type", TYPE_PS, type2)):
                 for p, r in zip(kps, ratios):
                     stats.setdefault(f"{kind}_p{p}", []).append(r)
@@ -250,8 +251,9 @@ def lacunary_suite(
     window = (cal_window["lo"], cal_window["hi"])
     rows = []
     with Stopwatch() as sw:
-        coeffs = [complex_gaussian(rng_for(seed, trial, 3), n_freqs) for trial in range(trials)]
-        vals, twos = lacunary_pnorms(coeffs, freqs, [exp, Exponent(2.0)], step_log2=grid_log2)
+        coeffs = complex_rows(seed, range(trials), n_freqs, 3)
+        vals, twos = stochastic.lacunary_pnorms(coeffs, freqs, [exp, Exponent(2.0)],
+                                                step_log2=grid_log2)
         for trial, a, val, two in zip(range(trials), coeffs, vals, twos):
             l2 = float(np.linalg.norm(a))
             r = val / l2
@@ -296,10 +298,10 @@ def rdf_suite(
     two = Exponent(2.0)
     exps = [Exponent(p) for p in RDF_PS]
     with Stopwatch() as sw:
-        for trial in range(corpus):
-            f = SampledFunction(
-                grid, complex_gaussian(rng_for(seed, trial, 4), grid.count)
-            )
+        # one function at a time: a grids.row_chunks batch of them (32 of the
+        # default 512 cells) raised the command's peak resident set by 1.2 MB
+        for trial, rng in enumerate(streams(seed, range(corpus), 4)):
+            f = SampledFunction(grid, complex_gaussian(rng, grid.count))
             sq2, *sqs = fourier.square_function_norms(f, intervals, [two, *exps])
             mods = np.abs(f.values)[None]
             norm2, *norms = (moduli_norms(mods, grid.step, exp)[0] for exp in [two, *exps])
@@ -341,17 +343,17 @@ def isometry_suite(
     worst_norm, worst_mod = 0.0, 0.0
     rows = []
     per_chunk = max(1, ISOMETRY_CELLS // grid.count)
+    rngs = streams(seed, range(triples), 5)
     with Stopwatch() as sw:
         for start in range(0, triples, per_chunk):
             chunk = range(start, min(start + per_chunk, triples))
-            values, ts, ss = [], [], []
-            for trial in chunk:
-                rng = rng_for(seed, trial, 5)
-                values.append(complex_gaussian(rng, grid.count))
+            normals, ts, ss = np.empty((len(chunk), 2, grid.count)), [], []
+            for rng, row in zip(islice(rngs, len(chunk)), normals):
+                rng.standard_normal(out=row)
                 # whole cells and whole frequencies: exact as float and int
                 ts.append(int(rng.integers(-2 * grid.count, 2 * grid.count)) * grid.step)
                 ss.append(int(rng.integers(-nyq + 1, nyq)))
-            g = np.array(values)
+            g = complex_pairs(normals)
             shifted = time_freq_shift_rows(g, grid, ts, ss)
             # translating g moves its grid origin and keeps its values, so the
             # translate's modulus is |g|
@@ -396,16 +398,22 @@ def peaks_suite(
     check_cells(K + 2, min(-K, -(J + 2)))  # peaks_grid
     exp = Exponent(p)
     cal = calibration.CALIBRATION["peaks"]
+    horizon = basic_sequences.WEIGHT_HORIZON
+    weights = basic_sequences.WeightSequence.polynomial(alpha, exp, length=K)
+    growth = basic_sequences.weight_growth_ratios(weights, exp, horizon)
+    if not np.all(np.diff(growth) > 0):
+        # (sum_{j <= n} (j + 1)^-alpha) / n^(p/2) grows like n^(1 - alpha - p/2)
+        raise ConfigError(
+            f"peaks at p = {p}, alpha = {alpha}: the growth ratios "
+            f"(sum_{{j <= n}} w_j) / n^(p/2), w_j = (j + 1)^-alpha, do not rise over "
+            f"n <= {horizon}; they rise as n grows only if p <= 2(1 - alpha)")
     with Stopwatch() as sw:
-        weights = basic_sequences.WeightSequence.polynomial(alpha, exp, length=K)
         try:
             head = weights.normalized_head(K, exp)
         except ValueError as exc:
             # a tiny alpha rounds every tail weight (j + 1)^-alpha to 1.0
             raise ConfigError(f"peaks at alpha = {alpha}: {exc}") from None
         rows, local = basic_sequences.verify_peaks(head, exp, J, K, trials, seed)
-        growth = basic_sequences.weight_growth_ratios(
-            weights, exp, basic_sequences.WEIGHT_HORIZON)
     ratios = [row["ratio"] for row in rows]
     lo, hi = min(ratios), max(ratios)
     metrics = {"trials": trials, "J": J, "K": K, "p": exp.p,

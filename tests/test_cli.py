@@ -101,6 +101,8 @@ MALFORMED_INPUTS = [
     ("p_nan", {}, ["build-frame", "--p", "nan"]),
     ("p_inf", {}, ["build-frame", "--p", "inf"]),
     ("zero_blocks", {}, ["build-frame", "--blocks", "0"]),
+    ("candidates_zero", {}, ["build-frame", "--candidates", "0"]),
+    ("candidates_negative", {}, ["build-frame", "--candidates", "-3"]),
     # plans whose float sizes overflow, and plans whose generated candidates
     # would not fit in memory
     ("growth_inf", {}, ["build-frame", "--growth", "inf"]),
@@ -192,6 +194,9 @@ MALFORMED_INPUTS = [
     # predictions overflow
     ("peaks_p_2", {}, [*PEAKS, "--p", "2"]),
     ("peaks_p_1e300", {}, [*PEAKS, "--p", "1e300"]),
+    # peaks needs rising growth ratios over WEIGHT_HORIZON, about p <= 2(1 - alpha)
+    *((f"peaks_p{p}_alpha{alpha}", {}, [*PEAKS, "--p", p, "--alpha", alpha])
+      for p, alpha in (("1.85", "0.1"), ("1.9", "0.1"), ("1.5", "0.3"), ("1.5", "0.9"))),
     ("cells_K_1", {}, [*CELLS, "--K", "1"]),
     ("cells_p_below_2", {}, [*CELLS, "--p", "1.5"]),
     ("isometry_grid_log2_0", {},
@@ -240,6 +245,11 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+    def test_peaks_growth_is_decided_on_the_horizon(self, capsys):
+        # 1.21 > 2(1 - 0.4), yet the ratios still rise over n <= WEIGHT_HORIZON
+        assert run([*PEAKS, "--p", "1.21", "--alpha", "0.4", "--trials", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["assertions"]["growth_monotone"]
 
     def test_digit_limit_writes_no_frame_file(self, tmp_path, capsys):
         frame_path = tmp_path / "f.json"
@@ -606,16 +616,14 @@ class TestConfigFile:
         assert payload["config"]["seed"] == 5
 
     def test_counterexample_echoes_alpha(self, tmp_path, capsys):
-        # the report and stdout carry the suite's own config, alpha included;
-        # sum_{j<=n} j^-alpha / n^(p/2) grows only for alpha < 1 - p/2, so
-        # alpha = 0.3 fails growth_monotone and exits 1
+        # the report and stdout carry the suite's own config, alpha included
         metrics = []
-        for alpha, exit_code in ((0.1, 0), (0.3, 1)):
+        for alpha in (0.1, 0.2):
             out = tmp_path / f"a{alpha}.json"
             code = run(["counterexample", "--family", "peaks", "--trials", "5",
                         "--seed", "3", "--alpha", str(alpha), "--out", str(out)])
             printed = json.loads(capsys.readouterr().out)
-            assert code == exit_code
+            assert code == 0
             for payload in (json.loads(out.read_text()), printed):
                 assert payload["config"]["alpha"] == alpha
             metrics.append(printed["metrics"])
@@ -1067,14 +1075,25 @@ FRAME_OUTPUTS = {
 }
 
 
+# sha256 of the per-trial CSV of each frame-verify command at the recorded seed
+FRAME_VERIFY_CSVS = {
+    "verify_504_c50_a": "9132127220bd8e016ecbe99de10028851afef317c5eb73b6cf974c0069f774f6",
+    "verify_504_c50_b": "e63da6c5f4e974d80fa9b1f10715a33f5753ae46c505556badee728069e26a8c",
+    "verify_504_c2000": "4d415c6d75e184115f59d417344ba5129b497be5421f0fb719b060c6594494ee",
+    "verify_1020_c50": "acbeb78066a935cfc8714607cae7fcf4b6a194fdae8cbed2730c19cedab528d8",
+}
+
+
 class TestRecordedSeedFrames:
     """The frame commands of the benchmark at the recorded seed, set-up builds
-    included: metric and assertion blocks compared exactly, frame files by sha256."""
+    included: metric and assertion blocks compared exactly, frame files and
+    per-trial CSVs by sha256."""
 
     @pytest.fixture(scope="class")
     def outputs(self, tmp_path_factory):
-        """FRAME_OUTPUTS' tuple of every command, each workload run in order
-        in its own directory."""
+        """FRAME_OUTPUTS' tuple and the sha256 of the CSV (None for a command
+        without one) of every command, each workload run in order in its own
+        directory."""
         out = {}
         for name in ("frame-build", "frame-verify"):
             setup, passes = WORKLOADS.prepare(name, tmp_path_factory.mktemp(name),
@@ -1084,15 +1103,22 @@ class TestRecordedSeedFrames:
                 report = json.loads(cmd.out.read_text()) if cmd.out.exists() else {}
                 digest = (hashlib.sha256(cmd.frame_out.read_bytes()).hexdigest()
                           if cmd.frame_out and cmd.frame_out.exists() else None)
-                out[cmd.label] = (code, report.get("metrics"), report.get("assertions"), digest)
+                csv = hashlib.sha256(cmd.csv.read_bytes()).hexdigest() if cmd.csv else None
+                out[cmd.label] = ((code, report.get("metrics"), report.get("assertions"),
+                                   digest), csv)
         return out
 
     def test_every_command_is_pinned(self, outputs):
         assert list(outputs) == list(FRAME_OUTPUTS)
+        assert [label for label, (_, csv) in outputs.items() if csv] == list(FRAME_VERIFY_CSVS)
 
     @pytest.mark.parametrize("label", list(FRAME_OUTPUTS))
     def test_outputs(self, outputs, label):
-        assert outputs[label] == FRAME_OUTPUTS[label]
+        assert outputs[label][0] == FRAME_OUTPUTS[label]
+
+    @pytest.mark.parametrize("label", list(FRAME_VERIFY_CSVS))
+    def test_csv(self, outputs, label):
+        assert outputs[label][1] == FRAME_VERIFY_CSVS[label]
 
 
 class TestPointSetFile:
