@@ -61,9 +61,15 @@ def _check_int_digits(selection) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
-    bound = 10**limit
+    # log2(10) > 3.321928, so an int of at most this many bits is below
+    # 10**limit; only a point with a longer one is compared exactly
+    bits = limit * 3321928 // 10**6
     for i, pt in enumerate(selection.points):
-        if any(abs(x.numerator) >= bound or x.denominator >= bound for x in (pt.t, pt.s)):
+        t, s = pt.t, pt.s
+        if max(t.numerator.bit_length(), t.denominator.bit_length(),
+               s.numerator.bit_length(), s.denominator.bit_length()) > bits and any(
+                abs(x) >= 10**limit
+                for x in (t.numerator, t.denominator, s.numerator, s.denominator)):
             raise ConfigError(
                 f"--frame-out: point {i} of the selection has more than {limit} "
                 "decimal digits, past Python's integer string conversion limit"
@@ -343,11 +349,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The gaborlab parser.  With only set to a command, the other commands'
+    subparsers get no flags, which a command line that starts with only
+    never reads."""
     parser = _Parser(prog="gaborlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (run, summary, flags, parameters) in COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
+        if only not in (None, command):
+            continue
         for flag in flags:
             cmd.add_argument(f"--{flag}", **FLAGS[flag])
         group = cmd.add_argument_group("parameters of the chosen suite")
@@ -375,13 +386,14 @@ def _config_flags(path: str) -> List[str]:
 def _parse_args(argv: List[str]) -> argparse.Namespace:
     """One parse of the command line with a --config file's flags put ahead of
     it, so that a flag given on the command line wins; output paths are checked
-    here, before any work runs."""
+    here, before any work runs.  Only the named command's flags are added; a
+    first argument that names no command (--help, a typo) gets every one."""
     config = _Parser(add_help=False)
     config.add_argument("--config", **FLAGS["config"])
     path = config.parse_known_args(argv)[0].config
     if path:
         argv = [*argv[:1], *_config_flags(path), *argv[1:]]
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     for key in ("out", "frame_out", "csv"):
         if getattr(args, key, None):
             _check_writable(f"--{key.replace('_', '-')}", getattr(args, key))
@@ -394,12 +406,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     argv=None reads sys.argv and marks the process entry (the `gaborlab`
     script, `python -m gaborlab.cli`): the process ends once main returns.
-    Every output is written and closed by then, so main ends that call with
-    gc.freeze(), and the interpreter's exit-time collections skip the heap
-    that numpy's import left.  Exit still flushes stdio, runs atexit
-    handlers and tears down by reference count.  A caller that passes argv
-    (tests, an in-process benchmark) keeps its collector as it was.
+    That call first turns the cyclic collector off (gc.disable()).  A
+    command's data hold no reference cycles, so the collector would find
+    only the few hundred objects that argparse and numpy's import leave,
+    the same count whatever the trials, corpus or points, while its passes
+    over numpy's import cost 3-5 ms.  Every output is written and closed
+    once main returns, so main ends that call with gc.freeze(), and the
+    interpreter's exit-time collections skip the heap that numpy's import
+    left.  Exit still flushes stdio, runs atexit handlers and tears down by
+    reference count.  A caller that passes argv (tests, an in-process
+    benchmark) keeps its collector as it was.
     """
+    if argv is None:
+        gc.disable()
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)

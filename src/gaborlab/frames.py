@@ -15,7 +15,8 @@ forces every pairwise difference apart by more than the unit support length.
 Disjointness is checked exactly, never assumed: one certificate,
 certify_selection, runs once for every built or loaded frame.  When the
 growth rule holds and the atom supports lie in [0, 1) it settles the
-certificate in n - 1 exact integer comparisons; any other selection (a
+certificate with the n - 1 exact integer comparisons that the selection
+made once, when it was constructed; any other selection (a
 hand-edited frame or candidate file) falls back to enumerating all n^2
 difference intervals, scaled by the lcm of every denominator and compared as
 integers.  Both paths are exact for any rational input.  Translates are kept
@@ -62,13 +63,21 @@ def block_atoms(plan: BlockPlan) -> List[HaarIndex]:
 
 @dataclass(frozen=True)
 class TranslateSelection:
-    """Selected points (t_i, s_i), |t_i| strictly increasing, exact rationals."""
+    """Selected points (t_i, s_i), |t_i| strictly increasing, exact rationals.
+
+    follows_growth_rule records whether every consecutive pair meets the
+    growth rule |t_{i+1}| >= 4|t_i| + 4, found in one pass at construction;
+    the rule implies strict growth, which is checked apart only when it fails.
+    """
 
     points: Tuple[TimeFreqPoint, ...]
+    follows_growth_rule: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(_grows(a.t, b.t) for a, b in pairwise(self.points)):
+        rule = all(_meets_growth_rule(a.t, b.t) for a, b in pairwise(self.points))
+        if not rule and not all(_grows(a.t, b.t) for a, b in pairwise(self.points)):
             raise ValueError("|t_i| must be strictly increasing")
+        object.__setattr__(self, "follows_growth_rule", rule)
 
     def to_json(self) -> list:
         return points_to_json(self.points)
@@ -134,12 +143,13 @@ def certify_selection(
 
     When consecutive magnitudes follow the growth rule |t_{i+1}| >= 4|t_i| + 4
     and every atom support lies in [0, 1), all three properties hold by the
-    argument in select_translates, so n - 1 exact integer comparisons settle
+    argument in select_translates, so the selection's follows_growth_rule,
+    found by n - 1 exact integer comparisons at its construction, settles
     the certificate.  Any other selection (only a hand-edited frame or
     candidate file yields one) goes to _certify_by_enumeration, which is exact
     for every rational input.
     """
-    if all(_meets_growth_rule(a.t, b.t) for a, b in pairwise(selection.points)) and all(
+    if selection.follows_growth_rule and all(
         0 <= lo and hi <= 1 for lo, hi in (a.support for a in atoms)
     ):
         return True, "pairwise disjoint", True, True

@@ -12,7 +12,9 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,10 +22,16 @@ import pytest
 from gaborlab import cli
 from gaborlab.cli import MAX_TRIALS, main
 from gaborlab.frames import build_frame, frame_from_json, select_translates, spread_candidates
+from gaborlab.gabor import TimeFreqPoint
 from gaborlab.grids import CHUNK_CELLS, Exponent, row_chunks
 from gaborlab.operators import reconstruct_rows, span_corpus
 from gaborlab.plans import plan_from_sizes
 from gaborlab.reports import Report, write_csv
+
+
+# Python's limit on the decimal digits of an int written as text (0: none,
+# before 3.10.7)
+DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run(args):
@@ -258,6 +266,25 @@ class TestExitCodes:
         assert code == 2
         assert "more than" in capsys.readouterr().err
         assert not frame_path.exists()
+
+    @pytest.mark.parametrize("t,s,refused", [
+        (10**DIGITS - 1, 0, False),
+        (-(10**DIGITS - 1), Fraction(1, 10**DIGITS - 1), False),
+        (2 ** (DIGITS * 3321928 // 10**6), 0, False),  # the bit screen's bound
+        (10**DIGITS, 0, True),
+        (-(10**DIGITS), 0, True),
+        (Fraction(1, 10**DIGITS), 0, True),
+        (4, Fraction(-(10**DIGITS), 3), True),
+        (4, Fraction(1, 10**DIGITS), True),
+    ], ids=["limit", "limit-negative-and-s", "bit-bound", "numerator", "negative",
+            "denominator", "s-numerator", "s-denominator"])
+    @pytest.mark.skipif(not DIGITS, reason="this Python writes ints of any length")
+    def test_digit_limit_is_exact(self, t, s, refused):
+        selection = SimpleNamespace(points=[TimeFreqPoint(4, 0), TimeFreqPoint(t, s)])
+        with contextlib.nullcontext() if not refused else pytest.raises(
+                cli.ConfigError, match="^--frame-out: point 1 of the selection has more "
+                                       f"than {DIGITS} decimal digits"):
+            cli._check_int_digits(selection)
 
     def test_span_corpus_never_converges_but_fails(self, tmp_path, capsys):
         # below 1e-15 a converged loop used to miss tol against f (exit 1);
@@ -517,14 +544,61 @@ def _ending(cwd, code, out, err):
     return code, WALL_TIME.sub("", out), err, files
 
 
+# run main() as the process entry and print on stderr, after the command's
+# own output: the exit code, whether the collector was on while main parsed,
+# whether it is on and the heap frozen once main returned, and the count of
+# unreachable objects the command left
+COLLECTOR_SCOPE = """
+import gc, sys
+import gaborlab.cli as cli
+parse, parsing = cli._parse_args, []
+def watched(argv):
+    parsing.append(gc.isenabled())
+    return parse(argv)
+cli._parse_args = watched
+code = cli.main()
+ended = [gc.isenabled(), gc.get_freeze_count() > 0]
+gc.unfreeze()
+print(code, *parsing, *ended, gc.collect(), file=sys.stderr)
+"""
+
+
+def _collector(cwd, *argv):
+    """COLLECTOR_SCOPE's line for a spawned command, as a list of strings."""
+    return _spawn(cwd, COLLECTOR_SCOPE, *argv).stderr.splitlines()[-1].split()
+
+
 class TestProcessEntry:
-    """main(argv=None) ends the process entry with gc.freeze(); a call with
-    argv leaves the collector as it was, and either way the outputs agree."""
+    """main(argv=None) runs the process entry with the cyclic collector off and
+    ends it with gc.freeze(); a call with argv leaves the collector as it was,
+    and either way the outputs agree."""
 
     def test_the_process_entry_freezes_the_heap(self, tmp_path):
-        script = ("import gc; from gaborlab.cli import main; code = main(); "
-                  "print(code, gc.get_freeze_count() > 0)")
-        assert _spawn(tmp_path, script, "frobnicate").stdout == "2 True\n"
+        # the collector is off from before the parse to the end
+        code, parsing, enabled, frozen, _ = _collector(tmp_path, "frobnicate")
+        assert (code, parsing, enabled, frozen) == ("2", "False", "False", "True")
+
+    @pytest.mark.parametrize("argv,sizes", [
+        ([*PEAKS, "--trials"], ("5", "400")),
+        (["verify-frame", "--seed", "1", "--frame", "frame.json", "--corpus"], ("5", "2000")),
+    ], ids=["peaks", "verify-frame"])
+    def test_uncollected_objects_do_not_grow_with_the_work(self, tmp_path, argv, sizes):
+        # with the collector off, a reference cycle made per trial would stay
+        # in memory to the end; a command leaves only a fixed set
+        (tmp_path / "frame.json").write_text(FRAME_37)
+        ends = [_collector(tmp_path, *argv, size) for size in sizes]
+        assert [end[0] for end in ends] == ["0", "0"]
+        assert ends[0][-1] == ends[1][-1]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_an_explicit_argv_keeps_the_collector(self, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["frobnicate"]) == 2
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("argv,code", ENDINGS, ids=[
         "build-frame", "suite-csv", "config-error", "refused-plan", "help"])
@@ -1119,6 +1193,56 @@ class TestRecordedSeedFrames:
     @pytest.mark.parametrize("label", list(FRAME_VERIFY_CSVS))
     def test_csv(self, outputs, label):
         assert outputs[label][1] == FRAME_VERIFY_CSVS[label]
+
+
+# every argv of the benchmark's pass commands, its outputs in the working
+# directory
+BENCH_ARGVS = {cmd.label: list(cmd.argv) for name, commands in WORKLOADS.COMMANDS.items()
+               for cmd in commands(Path("."), WORKLOADS.RECORDED_SEED)}
+
+
+class TestOneSubparserParse:
+    """_parse_args adds only the named command's flags, and parses as the
+    parser with every command's flags does: the same Namespace, the same
+    config error or the same --help."""
+
+    @pytest.mark.parametrize("files,argv", [
+        *(case[1:] for case in MALFORMED_INPUTS),
+        *(({}, argv) for argv in BENCH_ARGVS.values()),
+        *(({}, argv) for argv in ([], ["frobnicate"], ["--help"], ["--seed", "1"],
+                                  ["--x", "build-frame", "--p", "1"],
+                                  ["build-frame", "--help"], ["build-frame", "verify-frame"],
+                                  ["build-frame", "--seed", "1"])),
+    ], ids=[*(case[0] for case in MALFORMED_INPUTS), *BENCH_ARGVS, "empty", "typo",
+            "help", "flag-first", "flag-before-command", "command-help", "two-commands",
+            "other-command-flag"])
+    def test_matches_the_full_parser(self, tmp_path, monkeypatch, capsys, files, argv):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        build, asked = cli.build_parser, []
+
+        def outcome(full):
+            def parser(only=None):
+                asked.append(only)
+                return build(None if full else only)
+            monkeypatch.setattr(cli, "build_parser", parser)
+            try:
+                return vars(cli._parse_args(argv))
+            except cli.ConfigError as exc:
+                return str(exc)
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr().out
+
+        one = outcome(full=False)
+        # a --config file's errors come before any parser is built
+        assert asked in ([], [argv[0] if argv and argv[0] in cli.COMMANDS else None])
+        assert outcome(full=True) == one
+
+    def test_the_other_commands_get_no_flags(self):
+        with pytest.raises(cli.ConfigError, match="unrecognized arguments: --seed 1$"):
+            cli.build_parser("build-frame").parse_args(["verify-frame", "--seed", "1"])
 
 
 class TestPointSetFile:

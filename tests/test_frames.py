@@ -457,7 +457,11 @@ class TestExactBoundaries:
     @given(growth_pairs())
     def test_growth_rule_matches_fraction_oracle(self, pair):
         prev, t = pair
-        assert frames._meets_growth_rule(prev, t) == (abs(t) >= 4 * abs(prev) + 4)
+        rule = abs(t) >= 4 * abs(prev) + 4
+        assert frames._meets_growth_rule(prev, t) == rule
+        if abs(t) > abs(prev):
+            points = (TimeFreqPoint(prev, 0), TimeFreqPoint(t, 0))
+            assert TranslateSelection(points).follows_growth_rule == rule
 
     @PROPERTY
     @given(magnitude_pairs())
