@@ -1,0 +1,174 @@
+"""Print what the compared commands leave unrun in the gaborlab package.
+
+    python3 scripts/reach.py [SRC] [--seed N]
+
+Sets a line tracer (sys.settrace) on the package's files before gaborlab is
+imported, so module-level statements count too.  Then it runs every command
+of `scripts/compare_outputs.py` in this process, in a temporary directory:
+the benchmark's workloads with their set-up builds, then its GATE_SHAPES.
+Each goes through the process entry, `gaborlab.cli.main()` on `sys.argv`,
+with its printed report and stderr discarded.  For each module it prints
+the statements that no command executed, one line each, and then the
+functions that no command called.  Docstrings and `raise` statements are
+left out: most raise lines guard inputs that no compared command gives.  A
+compound statement (`if`, `for`, `def`, ...) counts by its header lines, and
+the body of an unrun statement or of a function never called is not listed.
+The package is imported from SRC, default this checkout's `src`.  The
+script writes only in its temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+import compare_outputs  # noqa: E402  (imports no gaborlab)
+
+SKIPPED = (ast.Raise, ast.Global, ast.Nonlocal)
+
+
+class Tracer:
+    """The lines executed and the functions called in the files under one
+    directory, keyed by (file, line); a function by its code's first line."""
+
+    def __init__(self, directory: Path):
+        self.prefix = str(directory) + os.sep
+        self.lines: Set[Tuple[str, int]] = set()
+        self.calls: Set[Tuple[str, int]] = set()
+
+    def __call__(self, frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(self.prefix):
+            return None
+        self.calls.add((code.co_filename, code.co_firstlineno))
+        return self._line
+
+    def _line(self, frame, event, arg):
+        if event == "line":
+            self.lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return self._line
+
+
+def _is_docstring(node: ast.stmt) -> bool:
+    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def _first_line(node: ast.stmt) -> int:
+    """The line a statement starts on, its decorators included: a function's
+    code starts there too."""
+    return min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+
+
+def _header(node: ast.stmt) -> range:
+    """The lines that execute a statement: all of a simple one, and the lines
+    before the body of a compound one."""
+    body = getattr(node, "body", None)
+    stop = body[0].lineno if isinstance(body, list) and body else node.end_lineno + 1
+    return range(_first_line(node), max(stop, node.lineno + 1))
+
+
+def unreached(path: Path, tracer: Tracer) -> Tuple[List[ast.stmt], List[str]]:
+    """The statements of path that ran on none of the traced lines, and the
+    functions that were never called, by qualified name."""
+    name, tree = str(path), ast.parse(path.read_text())
+    statements, functions = [], []
+
+    def walk(body: List[ast.stmt], scope: str) -> None:
+        for node in body:
+            if _is_docstring(node) or isinstance(node, SKIPPED):
+                continue
+            if not any((name, line) in tracer.lines for line in _header(node)):
+                statements.append(node)  # its body is unrun too, and not listed
+                continue
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (name, _first_line(node)) not in tracer.calls):
+                functions.append(scope + node.name)  # its body is not listed
+                continue
+            inner = scope + node.name + "." if hasattr(node, "name") else scope
+            for field in ("body", "orelse", "finalbody"):
+                walk(getattr(node, field, []), inner)
+            for handler in getattr(node, "handlers", []):
+                walk(handler.body, inner)
+            for case in getattr(node, "cases", []):
+                walk(case.body, inner)
+
+    walk(tree.body, "")
+    return statements, functions
+
+
+def run_commands(seed: int) -> Dict[str, int]:
+    """Run every compared command in this process; its exit code by label."""
+    from gaborlab.cli import main
+
+    codes = {}
+    here, argv = os.getcwd(), sys.argv
+    with tempfile.TemporaryDirectory() as tmp:
+        side = Path(tmp) / "side"
+        side.mkdir()
+        try:
+            os.chdir(side)
+            for cmd in compare_outputs.commands(side, seed):
+                for path in compare_outputs.EDITED_FRAMES:
+                    if path in cmd.argv and not (side / path).exists():
+                        compare_outputs.write_edited_frame(side, path)
+                sys.argv = ["gaborlab", *cmd.argv]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        codes[cmd.label] = main()
+                    except SystemExit as exc:  # argparse's refusals
+                        codes[cmd.label] = exc.code
+        finally:
+            sys.argv = argv
+            os.chdir(here)
+    return codes
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=str(ROOT / "src"),
+                        help="directory that holds the gaborlab package")
+    parser.add_argument("--seed", type=int, default=compare_outputs.workloads.RECORDED_SEED)
+    args = parser.parse_args()
+    package = Path(args.src).resolve() / "gaborlab"
+    sys.path.insert(0, str(package.parent))
+    tracer = Tracer(package)
+    sys.settrace(tracer)
+    try:
+        codes = run_commands(args.seed)
+    finally:
+        sys.settrace(None)
+    exits = Counter(codes.values())
+    print(f"seed {args.seed}: {len(codes)} commands in-process; by exit code: "
+          + ", ".join(f"{code}: {n}" for code, n in sorted(exits.items(), key=str)))
+    total = [0, 0]
+    for path in sorted(package.glob("*.py")):
+        statements, functions = unreached(path, tracer)
+        total[0] += len(statements)
+        total[1] += len(functions)
+        if not (statements or functions):
+            continue
+        lines = path.read_text().splitlines()
+        print(f"\n{path.relative_to(package.parent)}: {len(statements)} statements "
+              f"unrun, {len(functions)} functions not called")
+        for node in statements:
+            print(f"  {node.lineno:5d}  {lines[node.lineno - 1].strip()}")
+        if functions:
+            print("  not called: " + ", ".join(functions))
+    print(f"\n{total[0]} statements unrun, {total[1]} functions not called")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -37,6 +37,7 @@ from .grids import (
     Exponent,
     Grid,
     SampledFunction,
+    first_overlap,
     lp_norm,
     lp_norm_pth,
     modulate,
@@ -197,10 +198,10 @@ def peaks_decomposition_check(
     """
     families = peaks_interval_families(k, J)
     intervals = [iv for fam in families.values() for iv in fam]
-    intervals.sort()
-    for (alo, ahi), (blo, bhi) in zip(intervals, intervals[1:]):
-        if blo < ahi:
-            raise AssertionError(f"interval overlap: [{alo},{ahi}) and [{blo},{bhi})")
+    overlap = first_overlap(intervals)
+    if overlap is not None:
+        (alo, ahi), (blo, bhi) = overlap
+        raise AssertionError(f"interval overlap: [{alo},{ahi}) and [{blo},{bhi})")
     if intervals and (intervals[0][0] < k or intervals[-1][1] > k + 1):
         raise AssertionError("interval escapes the unit cell")
     cell = restrict(phi, Fraction(k), Fraction(k + 1))

@@ -19,7 +19,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import OverlappingIntervals
-from .grids import Exponent, Grid, SampledFunction, lp_ell2_norm
+from .grids import Exponent, Grid, SampledFunction, first_overlap, lp_ell2_norm
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class FrequencyInterval:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi})")
-
-    def overlaps(self, other: "FrequencyInterval") -> bool:
-        return self.lo < other.hi and other.lo < self.hi
 
 
 def grid_frequencies(grid: Grid) -> np.ndarray:
@@ -65,9 +62,9 @@ def square_function_norms(
     bands and p >= 2, from one set of band parts."""
     if any(p.p < 2.0 for p in ps):
         raise ValueError("the square-function bound is formed for p >= 2")
-    for i, a in enumerate(intervals):
-        for b in intervals[i + 1 :]:
-            if a.overlaps(b):
-                raise OverlappingIntervals(f"{a} overlaps {b}")
+    overlap = first_overlap([(iv.lo, iv.hi, k) for k, iv in enumerate(intervals)])
+    if overlap is not None:
+        a, b = (intervals[k] for _, _, k in overlap)
+        raise OverlappingIntervals(f"{a} overlaps {b}")
     parts = [SampledFunction(f.grid, row) for row in band_parts(f, intervals)]
     return lp_ell2_norm(parts, ps)

@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .grids import (
     Grid,
     SampledFunction,
     check_cells,
+    first_overlap,
     lp_norm_pth,
     moduli_pth,
     modulate,
@@ -189,8 +190,8 @@ def _certify_by_enumeration(
         # tj = ti always does, so the row is clear iff no other translate does
         meeting = bisect_left(ordered, den - lo) - bisect_right(ordered, -hi)
         clear = clear and meeting == 1
-    summands_ok = _first_overlap(summands) is None
-    overlap = _first_overlap(intervals)
+    summands_ok = first_overlap(summands) is None
+    overlap = first_overlap(intervals)
     if overlap is None:
         return True, "pairwise disjoint", clear, summands_ok
     pairs = " and ".join(
@@ -198,16 +199,6 @@ def _certify_by_enumeration(
     )
     detail = f"overlap between the difference sets of (i, j) = {pairs}"
     return False, detail, clear, summands_ok
-
-
-def _first_overlap(intervals: List[tuple]) -> Optional[tuple]:
-    """Sort half-open intervals (lo, hi, *tags) in place; return the first
-    overlapping neighbours."""
-    intervals.sort()
-    for a, b in pairwise(intervals):
-        if b[0] < a[1]:
-            return a, b
-    return None
 
 
 @dataclass
@@ -348,18 +339,10 @@ def _block_error_weights(
 
 
 
-def spread_candidates(
-    count: int,
-    base: int = 4,
-    ratio: int = 5,
-    alternate_signs: bool = False,
-    s_value: Fraction = Fraction(0),
-) -> List[TimeFreqPoint]:
-    """Geometric candidate translates (base * ratio^n, s), exact integers."""
-    pts = []
-    t = base
-    for n in range(count):
-        sign = -1 if (alternate_signs and n % 2) else 1
-        pts.append(TimeFreqPoint(Fraction(sign * t), s_value))
+def spread_candidates(count: int, base: int = 4, ratio: int = 5) -> List[TimeFreqPoint]:
+    """Geometric candidate translates (base * ratio^n, 0), exact integers."""
+    pts, t, s = [], base, Fraction(0)
+    for _ in range(count):
+        pts.append(TimeFreqPoint(Fraction(t), s))
         t *= ratio
     return pts

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from numbers import Rational
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +76,17 @@ def row_chunks(count: int, cells: int) -> Iterator[slice]:
             yield slice(start, count)
             return
         yield slice(start, start + per_chunk)
+
+
+def first_overlap(intervals: List[tuple]) -> Optional[tuple]:
+    """Sort half-open intervals (lo, hi, *tags) in place; return the first
+    overlapping neighbours.  Tags are compared on equal endpoints, so they
+    are indices, never the objects the intervals came from."""
+    intervals.sort()
+    for a, b in pairwise(intervals):
+        if b[0] < a[1]:
+            return a, b
+    return None
 
 
 def _ratio(x, what: str = "value") -> Tuple[int, int]:

@@ -1,9 +1,9 @@
 """Rademacher averages and the inequality toolbox built on them.
 
-Exact expectations average over all 2^n sign patterns (n <= 12 for function
-families, n <= 20 for scalar sums), but multiply only half of them.  Pattern
-2^n - 1 - k of all_sign_patterns(n) is the negation of pattern k, so its
-product has the same moduli.  The products are formed for the 2^(n-1)
+Exact expectations average over all 2^n sign patterns (n <= 12; a scalar
+sum is a family of one-cell functions), but multiply only half of them.
+Pattern 2^n - 1 - k of all_sign_patterns(n) is the negation of pattern k, so
+its product has the same moduli.  The products are formed for the 2^(n-1)
 patterns whose last sign is -1, the first half, and their values followed by
 the same values in reverse order are every pattern's, in all_sign_patterns
 order.  The bits are those of the full product: negation is exact, the
@@ -49,7 +49,7 @@ from .grids import (
 )
 
 EXACT_FUNCTION_CUTOFF = 12
-EXACT_SCALAR_CUTOFF = 20
+LACUNARY_RATIO = 2  # the least s_{n+1} / s_n of a lacunary sequence
 
 
 def all_sign_patterns(n: int) -> np.ndarray:
@@ -104,21 +104,27 @@ def _pattern_pths(
     fs: Sequence[SampledFunction], ps: Sequence[Exponent]
 ) -> List[np.ndarray]:
     """|| sum_j eps_j f_j ||_p^p for every sign pattern eps of
-    all_sign_patterns(n), one array per p (one zero for no fs).
+    all_sign_patterns(n), one array per p (one zero for no fs)."""
+    if not fs:
+        return [np.zeros(1) for _ in ps]
+    mat, grid = _value_matrix(fs)
+    return _mirrored_pths(mat, grid.step, ps)
+
+
+def _mirrored_pths(mat: np.ndarray, step: float, ps: Sequence[Exponent]) -> List[np.ndarray]:
+    """|| sum_j eps_j v_j ||_p^p for every sign pattern eps of
+    all_sign_patterns(n), v_j the n >= 1 rows of mat (step functions of the
+    given step), one array per p.
 
     Only the half of the patterns whose last sign is -1 is multiplied with
     the values; each of the other half is the negation of one of them, whose
     product has the same moduli, so its p-mass is taken from the mirrored
     half, bit for bit (see the module docstring).
     """
-    n = len(fs)
+    n = len(mat)
     if n > EXACT_FUNCTION_CUTOFF:
         raise TooManyFunctions(f"{n} > {EXACT_FUNCTION_CUTOFF}")
-    if n == 0:
-        return [np.zeros(1) for _ in ps]
-    mat, grid = _value_matrix(fs)
-    return [_mirrored(pth)
-            for pth in combination_pth(_half_sign_patterns(n), mat, grid.step, ps)]
+    return [_mirrored(pth) for pth in combination_pth(_half_sign_patterns(n), mat, step, ps)]
 
 
 def rademacher_pnorms_exact(
@@ -141,23 +147,15 @@ def rademacher_mean_norms_exact(
 
 
 def khintchine_ratios(a: Sequence[complex], ps: Sequence[Exponent]) -> List[float]:
-    """(E |sum a_n eps_n|^p)^(1/p) / ||a||_2 for each p, from one product of
-    half the sign patterns with a.
-
-    As in _pattern_pths, only the patterns whose last sign is -1 are
-    multiplied; the moduli of the others are those of their negations, so
-    the mirrored powers are every pattern's, and their mean has the bits of
-    the full enumeration's.
-    """
-    n = len(a)
-    if n > EXACT_SCALAR_CUTOFF:
-        raise TooManyFunctions(f"{n} > {EXACT_SCALAR_CUTOFF}")
+    """(E |sum a_n eps_n|^p)^(1/p) / ||a||_2 for each p, by exact enumeration
+    (_mirrored_pths): the a_n are the one-cell functions of an (n, 1) value
+    matrix of step 1."""
     arr = np.asarray(a, dtype=np.complex128)
     l2 = float(np.linalg.norm(arr))
     if l2 == 0.0:
         raise ValueError("zero coefficient vector")
-    mods = np.abs(_half_sign_patterns(n).astype(np.complex128) @ arr)
-    return [float(_mirrored(mods**p.p).mean()) ** (1.0 / p.p) / l2 for p in ps]
+    pths = _mirrored_pths(arr[:, None], 1.0, ps)
+    return [float(pth.mean()) ** (1.0 / p.p) / l2 for pth, p in zip(pths, ps)]
 
 
 def type_cotype_ratios(
@@ -185,28 +183,26 @@ def type_cotype_ratios(
     )
 
 
-def verify_lacunary(freqs: Sequence[int], min_ratio: float = 2.0) -> None:
-    """Check s_{n+1}/s_n >= min_ratio with exact integer arithmetic."""
+def verify_lacunary(freqs: Sequence[int]) -> None:
+    """Check s_{n+1}/s_n >= LACUNARY_RATIO with exact integer arithmetic."""
     if any(int(s) != s or s <= 0 for s in freqs):
         raise NotLacunary("frequencies must be positive integers")
-    r = Fraction(min_ratio)
     for a, b in zip(freqs, freqs[1:]):
-        if Fraction(int(b), int(a)) < r:
-            raise NotLacunary(f"ratio {b}/{a} below {min_ratio}")
+        if Fraction(int(b), int(a)) < LACUNARY_RATIO:
+            raise NotLacunary(f"ratio {b}/{a} below {LACUNARY_RATIO}")
 
 
 def lacunary_pnorms(
     coeffs: np.ndarray,
     freqs: Sequence[int],
     ps: Sequence[Exponent],
-    min_ratio: float = 2.0,
     step_log2: int = -10,
 ) -> List[List[float]]:
     """(integral over [0,1] of |sum_n a_n exp(2 pi i s_n x)|^p)^(1/p) on a fine
     grid for every row a of coeffs, one list of rows per p.
 
     The frequencies must be positive integers with successive ratios at least
-    min_ratio, all below the grid Nyquist bound.  For even integer p the
+    LACUNARY_RATIO, all below the grid Nyquist bound.  For even integer p the
     midpoint Riemann sum is exact (every cross frequency stays on-grid);
     for other p the value carries the usual midpoint quadrature error.
 
@@ -217,7 +213,7 @@ def lacunary_pnorms(
     rows = np.asarray(coeffs, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] != len(freqs):
         raise ValueError("coefficients and frequencies must have equal length")
-    verify_lacunary(freqs, min_ratio)
+    verify_lacunary(freqs)
     nyq = 2 ** (-step_log2 - 1)
     if max(freqs) >= nyq:
         raise AliasedFrequency(f"max frequency {max(freqs)} >= Nyquist {nyq}")

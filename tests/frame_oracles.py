@@ -10,21 +10,31 @@ haar_functional per atom, the oracle of the batched functionals that
 operators reads from each frame's layout; error_pieces samples each relative
 modulation with modulation_values.  window_on_grid and
 frame_operator_dense raise NonAlignedShift for a piece that does not start
-on a grid point.
+on a grid point.  candidates gives the signed or modulated translates that no
+command builds a frame on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from gaborlab.errors import GridTooSmall, NonAlignedShift
-from gaborlab.frames import ConstructedFrame, _window_piece
+from gaborlab.frames import ConstructedFrame, _window_piece, spread_candidates
+from gaborlab.gabor import TimeFreqPoint
 from gaborlab.grids import Exponent, Grid, SampledFunction, modulation_phase, phase_samples
 from gaborlab.haar import HaarIndex, functional_layout
 from gaborlab.operators import frame_operator_rows
+
+
+def candidates(count: int, base: int, ratio: int, alternate_signs: bool = False,
+               s: Fraction = Fraction(0)) -> List[TimeFreqPoint]:
+    """spread_candidates(count, base, ratio) at frequency s, with every
+    odd-numbered translate negated if alternate_signs."""
+    return [TimeFreqPoint(-pt.t if alternate_signs and n % 2 else pt.t, s)
+            for n, pt in enumerate(spread_candidates(count, base, ratio))]
 
 
 def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:

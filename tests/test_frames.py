@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frame_oracles import (
+    candidates,
     error_pieces,
     error_pth_direct,
     frame_operator_dense,
@@ -190,7 +191,7 @@ class TestSelectTranslates:
 
     def test_alternating_powers_of_four(self):
         plan = plan_from_sizes(P4, (37,))
-        cands = spread_candidates(80, base=4, ratio=4, alternate_signs=True)
+        cands = candidates(80, base=4, ratio=4, alternate_signs=True)
         sel = select_translates(cands, plan)
         ok = certify_selection(sel, block_atoms(plan), plan.block_of_index())[0]
         assert ok
@@ -200,7 +201,7 @@ class TestSelectTranslates:
         atoms = block_atoms(plan)
         block_of = plan.block_of_index()
         good = select_translates(
-            spread_candidates(plan.total, base=4, ratio=5, s_value=Fraction(1, 2)),
+            candidates(plan.total, base=4, ratio=5, s=Fraction(1, 2)),
             plan,
         )
         fast = certify_selection(good, atoms, block_of)[0]
@@ -484,9 +485,9 @@ class TestExactBoundaries:
                 == _certify_by_enumeration(sel, atoms, block_of))
 
 
-def tiny_frame(sizes=(37,), s_value=Fraction(0)):
+def tiny_frame(sizes=(37,), s=Fraction(0)):
     plan = plan_from_sizes(P4, sizes)
-    cands = spread_candidates(plan.total, base=4, ratio=5, s_value=s_value)
+    cands = candidates(plan.total, base=4, ratio=5, s=s)
     return build_frame(plan, select_translates(cands, plan))
 
 
@@ -509,7 +510,7 @@ class TestWindow:
         assert frame.certificate["window_norm_pth"] == pytest.approx(7.0 / 288.0, abs=1e-10)
 
     def test_summand_masses_add(self):
-        frame = tiny_frame((37,), s_value=Fraction(1, 2))
+        frame = tiny_frame((37,), s=Fraction(1, 2))
         total = frame.certificate["window_norm_pth"]
         per_piece = sum(
             float((np.abs(f.values) ** 4).sum() * f.grid.step)
@@ -618,7 +619,7 @@ class TestFrameOperator:
         assert worst <= frame.q + 1e-9
 
     def test_error_mass_matches_direct_enumeration(self):
-        frame = tiny_frame((80, 160), s_value=Fraction(1, 4))
+        frame = tiny_frame((80, 160), s=Fraction(1, 4))
         f = span_functions(frame, 1, seed=5)[0]
         fast = frame_operator_rows(frame, f.values[None, :]).error_pth[0]
         direct = error_pth_direct(frame, f)

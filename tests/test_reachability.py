@@ -41,10 +41,6 @@ KEPT_DEFAULTS = (
      "tests and bench/selftest.py build plans that fail the condition"),
     ("main", "argv",
      "None marks the process entry; tests and the in-process benchmark pass a list"),
-    ("spread_candidates", "alternate_signs", "tests build frames on signed translates"),
-    ("spread_candidates", "s_value", "tests build frames on modulated translates"),
-    ("lacunary_pnorms", "min_ratio",
-     "a test checks the p = 2 identity on frequencies without gaps"),
     ("sign_flip_synthesis_sup", "tol", "an ORACLES entry: nothing in the package calls it"),
 )
 

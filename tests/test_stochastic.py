@@ -242,13 +242,6 @@ class TestLacunary:
         fine = lacunary_pnorms([a], freqs, [Exponent(4.0)], step_log2=-11)[0][0]
         assert coarse == pytest.approx(fine, rel=1e-12)
 
-    def test_p2_orthonormality_without_gaps(self):
-        # the p = 2 identity needs only distinct integer frequencies
-        a = complex_gaussian(rng_for(53), 4)
-        rows = lacunary_pnorms([a], [10, 11, 12, 13], [Exponent(2.0)], min_ratio=1.01)
-        got = rows[0][0]
-        assert got == pytest.approx(float(np.linalg.norm(a)), rel=1e-12)
-
     def test_rejects_non_lacunary(self):
         with pytest.raises(NotLacunary):
             lacunary_pnorms([[1.0, 1.0]], [4, 6], [Exponent(2.0)])
