@@ -5,7 +5,9 @@
 Runs PINNED, the tests that compare outputs by bytes (the benchmark's
 suites and frame commands at the recorded seed, their reports and CSVs, the
 recorded calibration, the half sign-pattern enumeration against the full
-one, and the keyed streams against numpy's one-stream path), in one child
+one, and the keyed streams against numpy's one-stream path) and the exact
+references at p = 2 and 4, which allow an error bound that holds for any
+order of summation and so should pass under every setting, in one child
 pytest process per setting: the environment as it is, then each of
 SETTINGS.  A setting is a set of environment variables of the child only:
 `OPENBLAS_NUM_THREADS`, `OPENBLAS_CORETYPE` (another OpenBLAS kernel, for a
@@ -34,6 +36,7 @@ PINNED = [
     "tests/test_cli.py::TestRecordedSeedFrames",
     "tests/test_calibration.py",
     "tests/test_stochastic.py::TestHalfEnumeration",
+    "tests/test_stochastic.py::TestExactReferences",
     "tests/test_rng.py",
 ]
 OPENBLAS_SETTINGS = [

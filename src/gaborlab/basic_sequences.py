@@ -229,7 +229,7 @@ def peaks_decomposition_check(
 
 def peaks_grid(J: int, K: int) -> Grid:
     """Grid resolving the peaks window, its translates and its modulations."""
-    step = min(-K, -J, -(J + 2))  # Nyquist for 2^J requires step < 2^-(J+1)
+    step = min(-K, -(J + 2))  # Nyquist for 2^J requires step < 2^-(J+1)
     return Grid.over(0, K + 2, step)
 
 

@@ -5,9 +5,9 @@ q / L (L = grid span) lying in [lo, hi), treating the grid as one period.
 Because the mask is 0/1 on the discrete spectrum, projections are idempotent
 and compose by interval intersection up to floating-point rounding.
 
-band_parts forms every band of one function from one spectrum, and
-square_function_norms evaluates the band square function at several
-exponents from one set of band parts and one sum of their squared moduli
+band_parts forms every band of one function from one spectrum as one
+(intervals, cells) matrix, and square_function_norms evaluates the band
+square function at several exponents from it and the grid step
 (grids.lp_ell2_norm); partial_sum is the one-band call of band_parts.
 """
 
@@ -66,5 +66,4 @@ def square_function_norms(
     if overlap is not None:
         a, b = (intervals[k] for _, _, k in overlap)
         raise OverlappingIntervals(f"{a} overlaps {b}")
-    parts = [SampledFunction(f.grid, row) for row in band_parts(f, intervals)]
-    return lp_ell2_norm(parts, ps)
+    return lp_ell2_norm(band_parts(f, intervals), f.grid.step, ps)

@@ -19,7 +19,8 @@ exact rational gives, without building a Fraction.
 
 Every p-mass is formed by one kernel, powers_pth, from moduli already raised
 to the p-th power; moduli_pth raises them, and a caller that needs both the
-whole mass and the masses of pieces raises them once.
+whole mass and the masses of pieces raises them once.  A family of functions
+reaches lp_ell2_norm and moduli_pth as (values, step): its (n, cells) matrix.
 """
 
 from __future__ import annotations
@@ -344,19 +345,14 @@ def time_freq_shift(g: SampledFunction, t, s) -> SampledFunction:
     return modulate(translate(g, t), s)
 
 
-def lp_ell2_norm(fs: Sequence[SampledFunction], ps: Sequence[Exponent]) -> List[float]:
-    """Mixed norms || (sum_j |f_j|^2)^(1/2) ||_p of functions on one grid, one
-    per p, from one sum_j |f_j|^2."""
-    if not fs:
-        raise ValueError("need at least one function")
-    g = fs[0].grid
-    for f in fs[1:]:
-        if f.grid != g:
-            raise GridMismatch("all functions must share one grid")
-    sq = np.zeros(g.count)
-    for f in fs:
-        sq += np.abs(f.values) ** 2
-    return [pth_roots(powers_pth(sq[None] ** (p.p / 2.0), g.step), p)[0] for p in ps]
+def lp_ell2_norm(values: np.ndarray, step: float, ps: Sequence[Exponent]) -> List[float]:
+    """Mixed norms || (sum_j |v_j|^2)^(1/2) ||_p of the rows v_j of values, one
+    per p, from one sum_j |v_j|^2, added row by row whatever the layout of
+    values (numpy's axis-0 sum of a column-major matrix adds them pairwise)."""
+    sq = np.zeros(values.shape[1])
+    for row in values:
+        sq += np.abs(row) ** 2
+    return [pth_roots(powers_pth(sq[None] ** (p.p / 2.0), step), p)[0] for p in ps]
 
 
 def restrict(f: SampledFunction, lo, hi) -> SampledFunction:

@@ -64,15 +64,13 @@ def haar_indices(cells: Iterable[int], max_scale: int) -> List[HaarIndex]:
     return out
 
 
-def _check_resolution(idx: HaarIndex, grid: Grid) -> None:
-    needed = -(idx.scale + 1)  # half-support width 2^-(j+1)
-    if grid.step_log2 > min(needed, 0):
+def _cells(idx: HaarIndex, grid: Grid) -> Tuple[int, int, int]:
+    """(i, mid, j): the atom idx has the grid cells [i, j) as its support and
+    [i, mid) as its first half; the father has mid = j."""
+    if grid.step_log2 > min(-(idx.scale + 1), 0):  # half-support width 2^-(j+1)
         raise GridTooCoarse(
             f"step 2^{grid.step_log2} cannot resolve scale {idx.scale}"
         )
-
-
-def _support_slice(idx: HaarIndex, grid: Grid) -> tuple[int, int]:
     lo, hi = idx.support
     try:
         i = grid.index_of(lo)
@@ -81,21 +79,16 @@ def _support_slice(idx: HaarIndex, grid: Grid) -> tuple[int, int]:
         raise SupportOutOfRange(str(exc)) from exc
     if not (0 <= i < j <= grid.count):
         raise SupportOutOfRange(f"support [{lo}, {hi}) outside grid span")
-    return i, j
+    return i, (j if idx.scale == -1 else (i + j) // 2), j
 
 
 def haar_function(idx: HaarIndex, p: Exponent, grid: Grid) -> SampledFunction:
     """The L^p-normalized Haar atom as a step function on the grid."""
-    _check_resolution(idx, grid)
-    i, j = _support_slice(idx, grid)
+    i, mid, j = _cells(idx, grid)
+    amp = 1.0 if idx.scale == -1 else 2.0 ** (idx.scale / p.p)
     v = np.zeros(grid.count, dtype=np.complex128)
-    if idx.scale == -1:
-        v[i:j] = 1.0
-    else:
-        amp = 2.0 ** (idx.scale / p.p)
-        mid = (i + j) // 2
-        v[i:mid] = amp
-        v[mid:j] = -amp
+    v[i:mid] = amp
+    v[mid:j] = -amp
     return SampledFunction(grid, v)
 
 
@@ -107,8 +100,5 @@ def functional_layout(
     The dual atom is amp on the cells [i, mid) and -amp on [mid, j); the
     father has mid = j and amp = 1.
     """
-    _check_resolution(idx, grid)
-    i, j = _support_slice(idx, grid)
-    if idx.scale == -1:
-        return i, j, j, 1.0
-    return i, i + (j - i) // 2, j, 2.0 ** (idx.scale / p.conjugate)
+    i, mid, j = _cells(idx, grid)
+    return i, mid, j, 1.0 if idx.scale == -1 else 2.0 ** (idx.scale / p.conjugate)

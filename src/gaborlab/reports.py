@@ -24,7 +24,9 @@ _PLAIN = (float, int, bool, str, type(None))
 
 def _jsonable(value):
     """value with each numpy scalar in it, at any depth of dicts, lists and
-    tuples, made the Python scalar it holds."""
+    tuples, made the Python scalar it holds.  The CLI's commands hand over
+    Python scalars; the numpy branch is the report format's guard for any
+    other caller."""
     if type(value) in _PLAIN:
         return value
     if isinstance(value, dict):

@@ -24,6 +24,9 @@ combination_pth, from coefficient rows and a matrix of sampled values, and
 reduced to one p-mass per row and exponent by grids.moduli_pth, a chunk of
 rows at a time.
 
+A family of functions reaches every kernel as (values, step): an (n, cells)
+matrix whose rows are step functions on one grid of that step.
+
 Each quantity is a kernel that takes a list of exponents (and, for the
 lacunary sums, a matrix of coefficient rows) and does the work shared by
 them once: one pass of sign-pattern products per family or scalar vector,
@@ -39,14 +42,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import AliasedFrequency, NotLacunary, TooManyFunctions
-from .grids import (
-    Exponent,
-    Grid,
-    SampledFunction,
-    moduli_norms,
-    moduli_pth,
-    row_chunks,
-)
+from .grids import Exponent, Grid, moduli_norms, moduli_pth, row_chunks
 
 EXACT_FUNCTION_CUTOFF = 12
 LACUNARY_RATIO = 2  # the least s_{n+1} / s_n of a lacunary sequence
@@ -92,25 +88,6 @@ def combination_pth(
     return out
 
 
-def _value_matrix(fs: Sequence[SampledFunction]) -> Tuple[np.ndarray, Grid]:
-    grid = fs[0].grid
-    for f in fs[1:]:
-        if f.grid != grid:
-            raise ValueError("all functions must share one grid")
-    return np.array([f.values for f in fs]), grid
-
-
-def _pattern_pths(
-    fs: Sequence[SampledFunction], ps: Sequence[Exponent]
-) -> List[np.ndarray]:
-    """|| sum_j eps_j f_j ||_p^p for every sign pattern eps of
-    all_sign_patterns(n), one array per p (one zero for no fs)."""
-    if not fs:
-        return [np.zeros(1) for _ in ps]
-    mat, grid = _value_matrix(fs)
-    return _mirrored_pths(mat, grid.step, ps)
-
-
 def _mirrored_pths(mat: np.ndarray, step: float, ps: Sequence[Exponent]) -> List[np.ndarray]:
     """|| sum_j eps_j v_j ||_p^p for every sign pattern eps of
     all_sign_patterns(n), v_j the n >= 1 rows of mat (step functions of the
@@ -128,54 +105,55 @@ def _mirrored_pths(mat: np.ndarray, step: float, ps: Sequence[Exponent]) -> List
 
 
 def rademacher_pnorms_exact(
-    fs: Sequence[SampledFunction], ps: Sequence[Exponent]
+    values: np.ndarray, step: float, ps: Sequence[Exponent]
 ) -> List[float]:
-    """(E || sum_j eps_j f_j ||_p^p)^(1/p) for each p, by full enumeration."""
+    """(E || sum_j eps_j v_j ||_p^p)^(1/p) for each p, v_j the rows of values,
+    by full enumeration."""
     return [
-        float(pth.mean()) ** (1.0 / p.p) for pth, p in zip(_pattern_pths(fs, ps), ps)
+        float(pth.mean()) ** (1.0 / p.p)
+        for pth, p in zip(_mirrored_pths(values, step, ps), ps)
     ]
 
 
 def rademacher_mean_norms_exact(
-    fs: Sequence[SampledFunction], ps: Sequence[Exponent]
+    values: np.ndarray, step: float, ps: Sequence[Exponent]
 ) -> List[float]:
-    """First moments E || sum_j eps_j f_j ||_p for each p, by full enumeration."""
+    """First moments E || sum_j eps_j v_j ||_p for each p, v_j the rows of
+    values, by full enumeration."""
     return [
         float((pth ** (1.0 / p.p)).mean())
-        for pth, p in zip(_pattern_pths(fs, ps), ps)
+        for pth, p in zip(_mirrored_pths(values, step, ps), ps)
     ]
 
 
 def khintchine_ratios(a: Sequence[complex], ps: Sequence[Exponent]) -> List[float]:
-    """(E |sum a_n eps_n|^p)^(1/p) / ||a||_2 for each p, by exact enumeration
-    (_mirrored_pths): the a_n are the one-cell functions of an (n, 1) value
-    matrix of step 1."""
+    """(E |sum a_n eps_n|^p)^(1/p) / ||a||_2 for each p: rademacher_pnorms_exact
+    of the one-cell functions a_n, an (n, 1) value matrix of step 1."""
     arr = np.asarray(a, dtype=np.complex128)
     l2 = float(np.linalg.norm(arr))
     if l2 == 0.0:
         raise ValueError("zero coefficient vector")
-    pths = _mirrored_pths(arr[:, None], 1.0, ps)
-    return [float(pth.mean()) ** (1.0 / p.p) / l2 for pth, p in zip(pths, ps)]
+    return [r / l2 for r in rademacher_pnorms_exact(arr[:, None], 1.0, ps)]
 
 
 def type_cotype_ratios(
-    fs: Sequence[SampledFunction],
+    values: np.ndarray,
+    step: float,
     ps_cotype: Sequence[Exponent],
     ps_type: Sequence[Exponent],
 ) -> Tuple[List[float], List[float]]:
-    """The cotype-2 ratio (sum ||f_j||_p^2)^(1/2) / E || sum eps_j f_j ||_p at
+    """The cotype-2 ratio (sum ||v_j||_p^2)^(1/2) / E || sum eps_j v_j ||_p at
     each p <= 2 of ps_cotype and the type-2 ratio, its reciprocal, at each
-    p >= 2 of ps_type, from one sign-pattern product and, per exponent, one
-    grids.moduli_norms over the stacked |f_j|."""
+    p >= 2 of ps_type, v_j the rows of values, from one sign-pattern product
+    and, per exponent, one grids.moduli_norms over |values|."""
     if any(p.p > 2.0 for p in ps_cotype):
         raise ValueError("cotype-2 ratio is formed for p <= 2")
     if any(p.p < 2.0 for p in ps_type):
         raise ValueError("type-2 ratio is formed for p >= 2")
     ps = list(dict.fromkeys([*ps_cotype, *ps_type]))
-    means = dict(zip(ps, rademacher_mean_norms_exact(fs, ps)))
-    mat, grid = _value_matrix(fs)
-    mods = np.abs(mat)
-    squares = {p: float(np.sqrt(sum(x**2 for x in moduli_norms(mods, grid.step, p))))
+    means = dict(zip(ps, rademacher_mean_norms_exact(values, step, ps)))
+    mods = np.abs(values)
+    squares = {p: float(np.sqrt(sum(x**2 for x in moduli_norms(mods, step, p))))
                for p in ps}
     return (
         [squares[p] / means[p] for p in ps_cotype],

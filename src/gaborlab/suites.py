@@ -14,8 +14,10 @@ to the array kernels of stochastic, fourier, grids and basic_sequences,
 which do the work shared by a trial's exponents and bands once (and, for
 lacunary and isometry, evaluate chunks of trials as (trials, cells)
 arrays), and folds the results into rows in trial order; the extremes are
-the min and max of the rows' ratios.  Every value is the one a per-trial
-evaluation gives, bit for bit (test_suites.py).
+the min and max of the rows' ratios.  A family of functions reaches a kernel
+as (values, step): its (n, cells) value matrix, as random_atoms draws the
+atoms of squarefunc and type-cotype, and the grid step.  Every value is the
+one a per-trial evaluation gives, bit for bit (test_suites.py).
 
 The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 (constant-1 sides, per row and per exponent's extremes), `_at_most`,
@@ -56,10 +58,8 @@ from .grids import (
     Grid,
     SampledFunction,
     check_cells,
-    embed,
     lp_ell2_norm,
     moduli_norms,
-    time_freq_shift,
     time_freq_shift_rows,
 )
 from .reports import Report, Stopwatch
@@ -136,17 +136,23 @@ def _side_of_one(stats: Dict[float, List[float]]) -> Tuple[dict, dict]:
     return metrics, assertions
 
 
-def random_atoms(rng: np.random.Generator, n: int, grid: Grid) -> List[SampledFunction]:
-    """n random Gabor atoms: time-frequency shifts of a random unit-cell window,
-    drawn from rng (a trial's stream (seed, trial))."""
+def random_atoms(rng: np.random.Generator, n: int, grid: Grid) -> np.ndarray:
+    """The (n, grid.count) values of n random Gabor atoms: time-frequency shifts
+    of a random unit-cell window, drawn from rng (a trial's stream (seed,
+    trial)), the window first.  The shifts are one time_freq_shift_rows call,
+    below its 16384-cell in-place bound for the suites' families (at most
+    ATOMS_MAX_N windows of 32 cells), so each row has the bits of its atom's
+    time_freq_shift."""
     cell = Grid(0, grid.step_log2, 2 ** (-grid.step_log2))
-    window = SampledFunction(cell, complex_gaussian(rng, cell.count))
+    window = complex_gaussian(rng, cell.count)
     nyq = 2 ** (-grid.step_log2 - 1)
-    out = []
-    for _ in range(n):
-        t = int(rng.integers(0, ATOM_SPAN))
-        s = Fraction(int(rng.integers(-nyq + 1, nyq)), 2)
-        out.append(embed(time_freq_shift(window, t, s), grid))
+    ts, ss = zip(*[(int(rng.integers(0, ATOM_SPAN)),
+                    Fraction(int(rng.integers(-nyq + 1, nyq)), 2)) for _ in range(n)])
+    atoms = time_freq_shift_rows(np.tile(window, (n, 1)), cell, ts, ss)
+    out = np.zeros((n, grid.count), dtype=np.complex128)
+    for row, atom, t in zip(out, atoms, ts):
+        start = t * cell.count - grid.origin_index
+        row[start : start + cell.count] = atom
     return out
 
 
@@ -183,9 +189,9 @@ def squarefunc_suite(seed: int, families: int = 50) -> Tuple[Report, List[dict]]
         for trial, (rng, atoms_rng) in enumerate(zip(
                 streams(seed, range(families), 1), streams(seed, range(families)))):
             n = int(rng.integers(2, ATOMS_MAX_N + 1))
-            fs = random_atoms(atoms_rng, n, grid)
-            means = stochastic.rademacher_pnorms_exact(fs, exps)
-            for p, mean, square in zip(PS, means, lp_ell2_norm(fs, exps)):
+            values = random_atoms(atoms_rng, n, grid)
+            means = stochastic.rademacher_pnorms_exact(values, grid.step, exps)
+            for p, mean, square in zip(PS, means, lp_ell2_norm(values, grid.step, exps)):
                 r = mean / square
                 stats[p].append(r)
                 rows.append(
@@ -219,8 +225,9 @@ def type_cotype_suite(seed: int, families: int = 50) -> Tuple[Report, List[dict]
         for trial, (rng, atoms_rng) in enumerate(zip(
                 streams(seed, range(families), 2), streams(seed, range(families)))):
             n = int(rng.integers(2, ATOMS_MAX_N + 1))
-            fs = random_atoms(atoms_rng, n, grid)
-            cotype, type2 = stochastic.type_cotype_ratios(fs, exps_cotype, exps_type)
+            values = random_atoms(atoms_rng, n, grid)
+            cotype, type2 = stochastic.type_cotype_ratios(values, grid.step, exps_cotype,
+                                                          exps_type)
             for kind, kps, ratios in (("cotype", COTYPE_PS, cotype), ("type", TYPE_PS, type2)):
                 for p, r in zip(kps, ratios):
                     stats.setdefault(f"{kind}_p{p}", []).append(r)
@@ -401,7 +408,8 @@ def peaks_suite(
     horizon = basic_sequences.WEIGHT_HORIZON
     weights = basic_sequences.WeightSequence.polynomial(alpha, exp, length=K)
     growth = basic_sequences.weight_growth_ratios(weights, exp, horizon)
-    if not np.all(np.diff(growth) > 0):
+    growth_monotone = bool(np.all(np.diff(growth) > 0))
+    if not growth_monotone:
         # (sum_{j <= n} (j + 1)^-alpha) / n^(p/2) grows like n^(1 - alpha - p/2)
         raise ConfigError(
             f"peaks at p = {p}, alpha = {alpha}: the growth ratios "
@@ -420,7 +428,7 @@ def peaks_suite(
                "ratio_min": lo, "ratio_max": hi,
                "local_ratio_min": local[0], "local_ratio_max": local[1],
                "growth_first": float(growth[0]), "growth_last": float(growth[-1])}
-    assertions = {"growth_monotone": bool(np.all(np.diff(growth) > 0))}
+    assertions = {"growth_monotone": growth_monotone}
     config = {"seed": seed, "trials": trials, "p": p, "J": J, "K": K, "alpha": alpha}
     if _is_recorded_run("peaks", config):
         assertions["ratio_window"] = _window_contains(cal["ratio"], lo, hi)

@@ -44,8 +44,8 @@ def atom(sys, row):
 
 
 def scaled_atoms(sys, a):
-    """The terms a_{ts} times atom of a combination, as functions on the hull."""
-    return [SampledFunction(sys.hull, c * row) for c, row in zip(a, sys.atom_matrix)]
+    """The terms a_{ts} times atom of a combination, as a value matrix on the hull."""
+    return np.asarray(a)[:, None] * sys.atom_matrix
 
 
 class TestAtom:
@@ -143,7 +143,8 @@ class TestSquareFunction:
         p = Exponent(3.0)
         a = [2.0 - 1.0j]
         expect = abs(2.0 - 1.0j) * lp_norm(sys.window, p)
-        assert lp_ell2_norm(scaled_atoms(sys, a), [p])[0] == pytest.approx(expect, rel=1e-12)
+        got = lp_ell2_norm(scaled_atoms(sys, a), sys.hull.step, [p])[0]
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_disjoint_atoms_match_synthesis(self):
         sys = GaborSystem(
@@ -151,7 +152,7 @@ class TestSquareFunction:
         )
         p = Exponent(2.5)
         a = [1.0, -2.0]
-        assert lp_ell2_norm(scaled_atoms(sys, a), [p])[0] == pytest.approx(
+        assert lp_ell2_norm(scaled_atoms(sys, a), sys.hull.step, [p])[0] == pytest.approx(
             lp_norm(synthesize(sys, a), p), rel=1e-12
         )
 
@@ -168,7 +169,7 @@ class TestSquareFunction:
             if len(set(pts)) < len(pts):
                 continue
             sys = GaborSystem(window, pts)
-            results.append(lp_ell2_norm(scaled_atoms(sys, values), [p])[0])
+            results.append(lp_ell2_norm(scaled_atoms(sys, values), sys.hull.step, [p])[0])
         for r in results[1:]:
             assert r == pytest.approx(results[0], rel=1e-12)
 
@@ -177,9 +178,9 @@ class TestSquareFunction:
         # one-sided constant 1: lower for p >= 2, upper for p <= 2
         sys = small_system(8, seed=36)
         a = complex_gaussian(rng_for(37), len(sys.points))
-        fs = scaled_atoms(sys, a)
-        sf = lp_ell2_norm(fs, [p])[0]
-        mean = rademacher_pnorms_exact(fs, [p])[0]
+        values = scaled_atoms(sys, a)
+        sf = lp_ell2_norm(values, sys.hull.step, [p])[0]
+        mean = rademacher_pnorms_exact(values, sys.hull.step, [p])[0]
         if p.p >= 2.0:
             assert mean >= sf * (1 - 1e-12)
         if p.p <= 2.0:

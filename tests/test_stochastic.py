@@ -1,6 +1,7 @@
 """Rademacher averages, Khintchine ratios, type/cotype, lacunary sums."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaborlab.errors import AliasedFrequency, NotLacunary, TooManyFunctions
-from gaborlab.grids import CHUNK_CELLS, Exponent, Grid, SampledFunction, lp_norm, moduli_pth
+from gaborlab.grids import (
+    CHUNK_CELLS,
+    Exponent,
+    Grid,
+    SampledFunction,
+    lp_ell2_norm,
+    lp_norm,
+    moduli_pth,
+)
 from gaborlab.rng import complex_gaussian, rng_for
 from gaborlab.stochastic import (
     EXACT_FUNCTION_CUTOFF,
-    _pattern_pths,
+    _mirrored_pths,
     all_sign_patterns,
     combination_pth,
     khintchine_ratios,
@@ -21,8 +30,10 @@ from gaborlab.stochastic import (
     rademacher_pnorms_exact,
     type_cotype_ratios,
 )
+from gaborlab.suites import ATOMS_MAX_N, KHINTCHINE_MAX_N, random_atoms
 
 GRID = Grid.over(0, 2, -4)
+ATOM_GRID = Grid.over(0, 4, -5)  # the grid of squarefunc's families
 
 
 def random_fns(n, seed):
@@ -30,6 +41,10 @@ def random_fns(n, seed):
         SampledFunction(GRID, complex_gaussian(rng_for(seed, j), GRID.count))
         for j in range(n)
     ]
+
+
+def value_matrix(fs):
+    return np.array([f.values for f in fs])
 
 
 def disjoint_pair(p):
@@ -47,7 +62,7 @@ class TestExactEnumeration:
     def test_single_function(self):
         p = Exponent(3.0)
         (f,) = random_fns(1, 41)
-        assert rademacher_pnorms_exact([f], [p])[0] == pytest.approx(
+        assert rademacher_pnorms_exact(f.values[None], GRID.step, [p])[0] == pytest.approx(
             lp_norm(f, p), rel=1e-13
         )
 
@@ -55,16 +70,14 @@ class TestExactEnumeration:
         p = Exponent(2.5)
         f, g = disjoint_pair(p)
         expect = (lp_norm(f, p) ** p.p + lp_norm(g, p) ** p.p) ** (1 / p.p)
-        got = rademacher_pnorms_exact([f, g], [p])[0]
+        got = rademacher_pnorms_exact(value_matrix([f, g]), GRID.step, [p])[0]
         assert got == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("p", [Exponent(1.5), Exponent(2.0), Exponent(4.0)])
     def test_square_function_sandwich_on_atoms(self, p):
-        from gaborlab.grids import lp_ell2_norm
-
-        fs = random_fns(10, 42)
-        sf = lp_ell2_norm(fs, [p])[0]
-        mean = rademacher_pnorms_exact(fs, [p])[0]
+        mat = value_matrix(random_fns(10, 42))
+        sf = lp_ell2_norm(mat, GRID.step, [p])[0]
+        mean = rademacher_pnorms_exact(mat, GRID.step, [p])[0]
         if p.p >= 2.0:
             assert mean >= sf * (1 - 1e-12)
         if p.p <= 2.0:
@@ -72,7 +85,8 @@ class TestExactEnumeration:
 
     def test_cutoff(self):
         with pytest.raises(TooManyFunctions):
-            rademacher_pnorms_exact(random_fns(13, 43), [Exponent(2.0)])
+            rademacher_pnorms_exact(value_matrix(random_fns(13, 43)), GRID.step,
+                                    [Exponent(2.0)])
 
 
 class TestSignFlipExtremes:
@@ -80,7 +94,7 @@ class TestSignFlipExtremes:
     def test_matches_brute_force(self, n):
         # combination_pth over every sign pattern against one lp_norm per pattern
         p = Exponent(3.0)
-        mat = np.array([f.values for f in random_fns(n, 40)])
+        mat = value_matrix(random_fns(n, 40))
         c = complex_gaussian(rng_for(41, n), n)
         base = lp_norm(SampledFunction(GRID, c @ mat), p)
         ratios = [
@@ -126,18 +140,17 @@ class TestChunkedProducts:
 
 
 def _family(n, count, step_log2, seed, ps):
-    """(fs, grid, ps): n complex Gaussian functions on a grid of count cells
-    of step 2^step_log2, the grid and the exponents."""
-    grid = Grid(0, step_log2, count)
+    """(mat, step, ps): the (n, count) values of n complex Gaussian functions
+    on a grid of step 2^step_log2, the step and the exponents."""
     rng = rng_for(seed)
-    return [SampledFunction(grid, complex_gaussian(rng, count)) for _ in range(n)], grid, ps
+    return np.array([complex_gaussian(rng, count) for _ in range(n)]), 2.0**step_log2, ps
 
 
 @st.composite
 def sign_families(draw):
-    """_family of n = 0..12 functions on grids of 1 to 300 cells, so that the
+    """_family of n = 1..12 functions on grids of 1 to 300 cells, so that the
     products take one or many row chunks."""
-    return _family(draw(st.integers(0, EXACT_FUNCTION_CUTOFF)), draw(st.integers(1, 300)),
+    return _family(draw(st.integers(1, EXACT_FUNCTION_CUTOFF)), draw(st.integers(1, 300)),
                    draw(st.integers(-6, 0)), draw(st.integers(0, 2**31)),
                    [Exponent(p) for p in draw(st.lists(
                        st.sampled_from([1.5, 2.0, 2.7, 3.0, 4.0]), min_size=1, max_size=3))])
@@ -149,26 +162,23 @@ class TestHalfEnumeration:
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(sign_families())
-    @example(_family(0, 5, -2, 1, [Exponent(1.5)]))
     @example(_family(1, 5, -2, 2, [Exponent(3.0)]))
     @example(_family(EXACT_FUNCTION_CUTOFF, 128, -5, 3, [Exponent(1.5), Exponent(4.0)]))
     def test_half_keeps_the_bits_of_the_full_enumeration(self, family):
-        fs, grid, ps = family
-        n = len(fs)
-        mat = np.array([f.values for f in fs]).reshape(n, grid.count)
-        full = [moduli_pth(np.abs(all_sign_patterns(n) @ mat), grid.step, p) for p in ps]
-        for got, want in zip(_pattern_pths(fs, ps), full):
+        mat, step, ps = family
+        n = len(mat)
+        full = [moduli_pth(np.abs(all_sign_patterns(n) @ mat), step, p) for p in ps]
+        for got, want in zip(_mirrored_pths(mat, step, ps), full):
             assert got.tobytes() == want.tobytes()
-        assert rademacher_pnorms_exact(fs, ps) == [
+        assert rademacher_pnorms_exact(mat, step, ps) == [
             float(pth.mean()) ** (1.0 / p.p) for pth, p in zip(full, ps)]
-        assert rademacher_mean_norms_exact(fs, ps) == [
+        assert rademacher_mean_norms_exact(mat, step, ps) == [
             float((pth ** (1.0 / p.p)).mean()) for pth, p in zip(full, ps)]
-        if n:
-            a = mat[:, 0]
-            mods = np.abs(all_sign_patterns(n).astype(np.complex128) @ a)
-            assert khintchine_ratios(a, ps) == [
-                float((mods**p.p).mean()) ** (1.0 / p.p) / float(np.linalg.norm(a))
-                for p in ps]
+        a = mat[:, 0]
+        mods = np.abs(all_sign_patterns(n).astype(np.complex128) @ a)
+        assert khintchine_ratios(a, ps) == [
+            float((mods**p.p).mean()) ** (1.0 / p.p) / float(np.linalg.norm(a))
+            for p in ps]
 
 
 class TestKhintchine:
@@ -204,23 +214,24 @@ class TestKhintchine:
 
 class TestTypeCotype:
     def test_single_function_both_one(self):
-        fs = random_fns(1, 48)
-        cotype, type_ = type_cotype_ratios(fs, [Exponent(1.5)], [Exponent(3.0)])
+        mat = value_matrix(random_fns(1, 48))
+        cotype, type_ = type_cotype_ratios(mat, GRID.step, [Exponent(1.5)], [Exponent(3.0)])
         assert cotype[0] == pytest.approx(1.0, rel=1e-12)
         assert type_[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_disjoint_supports_p2_parseval(self):
         f, g = disjoint_pair(Exponent(2.0))
-        cotype, type_ = type_cotype_ratios([f, g], [Exponent(2.0)], [Exponent(2.0)])
+        cotype, type_ = type_cotype_ratios(value_matrix([f, g]), GRID.step, [Exponent(2.0)],
+                                           [Exponent(2.0)])
         assert cotype[0] == pytest.approx(1.0, rel=1e-12)
         assert type_[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_exponent_gating(self):
-        fs = random_fns(2, 49)
+        mat = value_matrix(random_fns(2, 49))
         with pytest.raises(ValueError):
-            type_cotype_ratios(fs, [Exponent(3.0)], [])
+            type_cotype_ratios(mat, GRID.step, [Exponent(3.0)], [])
         with pytest.raises(ValueError):
-            type_cotype_ratios(fs, [], [Exponent(1.5)])
+            type_cotype_ratios(mat, GRID.step, [], [Exponent(1.5)])
 
 
 class TestLacunary:
@@ -255,6 +266,118 @@ class TestFirstMoment:
     def test_mean_norm_vs_pth_moment(self):
         # Jensen: E||.|| <= (E||.||^p)^(1/p) for p >= 1
         p = Exponent(3.0)
-        fs = random_fns(6, 52)
-        mean = rademacher_mean_norms_exact(fs, [p])[0]
-        assert mean <= rademacher_pnorms_exact(fs, [p])[0] * (1 + 1e-12)
+        mat = value_matrix(random_fns(6, 52))
+        mean = rademacher_mean_norms_exact(mat, GRID.step, [p])[0]
+        assert mean <= rademacher_pnorms_exact(mat, GRID.step, [p])[0] * (1 + 1e-12)
+
+
+def exact_moments(values, step):
+    """(E ||S||_2^2, E ||S||_4^4, ||(sum_j |v_j|^2)^(1/2)||_4^4) for
+    S = sum_j eps_j v_j over independent signs, v_j the rows of values, as
+    Fractions exact from the float entries.  Pointwise E|S|^2 = sum_j |v_j|^2
+    and E|S|^4 = 2 (sum_j |v_j|^2)^2 + |sum_j v_j^2|^2 - 2 sum_j |v_j|^4; each
+    norm is step times a sum of these over the cells.  Every float is a
+    dyadic rational, so the entries are taken as Python ints over one power
+    of two."""
+    parts = np.concatenate([values.real, values.imag])
+    ratios = [x.as_integer_ratio() for x in parts.ravel().tolist()]
+    scale = max(den for _, den in ratios)
+    ints = np.array([num * (scale // den) for num, den in ratios], dtype=object)
+    re, im = np.split(ints.reshape(parts.shape), 2)
+    sq = re * re + im * im
+    a = sq.sum(axis=0)
+    squares = (re * re - im * im).sum(axis=0) ** 2 + (2 * re * im).sum(axis=0) ** 2
+    step = Fraction(step)
+    return (step * Fraction(int(a.sum()), scale**2),
+            step * Fraction(int((2 * a * a + squares - 2 * (sq * sq).sum(axis=0)).sum()),
+                            scale**4),
+            step * Fraction(int((a * a).sum()), scale**4))
+
+
+# The bounds below are counts of the unit roundoff u = 2^-53, the relative
+# error of one rounding, allowed between fl(r^p), r a kernel's value at p = 2
+# or 4, and the exact moment, by first-order error analysis for any order of
+# summation (so for any BLAS kernel or SIMD target).  A sum of N non-negative
+# terms is off by at most (N - 1) u relative; numpy's complex modulus and
+# power are budgeted 4 u each, Python's float root and power 1 u each; steps
+# and 1/2^n are powers of two, so they multiply exactly.  One more u covers
+# the second-order terms.  A bound of k u is below k ulps of the exact value.
+def rademacher_units(n, cells, p):
+    """rademacher_pnorms_exact over n functions of `cells` cells.  A signed
+    sum S(x) = sum_j eps_j v_j(x) is off by at most sqrt(2) (n - 1) u
+    sum_j |v_j(x)| (its real and imaginary parts separately), which moves
+    E|S|^p by p times that times E|S|^(p-1); by Hoelder and
+    E|S|^p >= (E|S|^2)^(p/2) = (sum_j |v_j|^2)^(p/2), that is at most
+    p sqrt(2n) (n - 1) u E|S|^p.  Then |S| and its p-th power (4p + 4), the
+    sums over the cells and the 2^n patterns, the root and the test's p-th
+    power (p + 1)."""
+    return (p * np.sqrt(2 * n) * (n - 1) + (4 * p + 4) + (cells - 1) + (2**n - 1)
+            + (p + 1) + 1)
+
+
+def ell2_units(n, cells, p):
+    """lp_ell2_norm over n functions: |v_j|^2 (4 + 4 + 1), their sum in row
+    order (n - 1), its (p/2)-th power (p/2 times that, plus 4), the sum over
+    the cells, the root and the test's p-th power (p + 1)."""
+    return p / 2 * (n + 8) + 4 + (cells - 1) + p + 2
+
+
+def khintchine_units(n, p):
+    """khintchine_ratios over n coefficients: the one-cell family's
+    rademacher_units, and ||a||_2 (half of |a|^2's n + 1, plus the square
+    root) and the division, each raised to the p-th power."""
+    return rademacher_units(n, 1, p) + p * ((n + 1) / 2 + 2)
+
+
+def assert_within(root, p, exact, units):
+    got = Fraction(float(root) ** p)
+    assert abs(got - exact) <= units * exact / 2**53, (float(got), float(exact))
+
+
+def check_family(values, step):
+    m2, m4, s4 = exact_moments(values, step)
+    n, cells = values.shape
+    r2, r4 = rademacher_pnorms_exact(values, step, [Exponent(2.0), Exponent(4.0)])
+    e2, e4 = lp_ell2_norm(values, step, [Exponent(2.0), Exponent(4.0)])
+    assert_within(r2, 2, m2, rademacher_units(n, cells, 2))
+    assert_within(r4, 4, m4, rademacher_units(n, cells, 4))
+    assert_within(e2, 2, m2, ell2_units(n, cells, 2))
+    assert_within(e4, 4, s4, ell2_units(n, cells, 4))
+
+
+def check_coefficients(a):
+    m2, m4, _ = exact_moments(np.asarray(a)[:, None], 1.0)
+    k2, k4 = khintchine_ratios(a, [Exponent(2.0), Exponent(4.0)])
+    assert_within(k2, 2, Fraction(1), khintchine_units(len(a), 2))
+    assert_within(k4, 4, m4 / m2**2, khintchine_units(len(a), 4))
+
+
+BENCH_SEEDS = (20260810, 4242)
+
+
+class TestExactReferences:
+    """The exact enumerations at p = 2 and 4 against closed-form moments,
+    within the error-analysis bounds above, on squarefunc's families and
+    khintchine's coefficient vectors."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(2, ATOMS_MAX_N), st.integers(0, 2**31))
+    def test_atom_families(self, n, seed):
+        check_family(random_atoms(rng_for(seed), n, ATOM_GRID), ATOM_GRID.step)
+
+    @pytest.mark.parametrize("seed", BENCH_SEEDS)
+    def test_squarefunc_families_at_bench_seeds(self, seed):
+        for trial in range(50):
+            n = int(rng_for(seed, trial, 1).integers(2, ATOMS_MAX_N + 1))
+            check_family(random_atoms(rng_for(seed, trial), n, ATOM_GRID), ATOM_GRID.step)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, KHINTCHINE_MAX_N), st.integers(0, 2**31))
+    def test_coefficient_vectors(self, n, seed):
+        check_coefficients(complex_gaussian(rng_for(seed), n))
+
+    @pytest.mark.parametrize("seed", BENCH_SEEDS)
+    def test_khintchine_draws_at_bench_seeds(self, seed):
+        for trial in range(100):
+            rng = rng_for(seed, trial)
+            check_coefficients(complex_gaussian(rng, int(rng.integers(1, KHINTCHINE_MAX_N + 1))))

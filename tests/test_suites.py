@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab.calibration import RECORDED_CONFIG
 from gaborlab.basic_sequences import (
@@ -36,6 +38,7 @@ from gaborlab.grids import (
     Exponent,
     Grid,
     SampledFunction,
+    embed,
     lp_ell2_norm,
     lp_norm,
     lp_norm_pth,
@@ -50,6 +53,8 @@ from gaborlab.stochastic import (
     type_cotype_ratios,
 )
 from gaborlab.suites import (
+    ATOM_SPAN,
+    ATOMS_MAX_N,
     _band_partition,
     cells_suite,
     isometry_suite,
@@ -78,16 +83,34 @@ def test_khintchine():
     assert [(r["trial"], r["n"], r["p"], r["ratio"]) for r in rows] == want
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, ATOMS_MAX_N), st.integers(0, 2**31), st.integers(-6, -1),
+       st.integers(-2, 0), st.integers(3, 5))
+def test_random_atoms_rows_are_single_atom_shifts(n, seed, step_log2, lo, hi):
+    # the oracle redraws the window and each (t, s) from the same stream and
+    # shifts the window one atom at a time
+    grid = Grid.over(lo, hi, step_log2)
+    got = random_atoms(rng_for(seed), n, grid)
+    rng = rng_for(seed)
+    cell = Grid(0, step_log2, 2**-step_log2)
+    window = SampledFunction(cell, complex_gaussian(rng, cell.count))
+    nyq = 2 ** (-step_log2 - 1)
+    for row in got:
+        t = int(rng.integers(0, ATOM_SPAN))
+        s = Fraction(int(rng.integers(-nyq + 1, nyq)), 2)
+        assert row.tobytes() == embed(time_freq_shift(window, t, s), grid).values.tobytes()
+
+
 def test_squarefunc():
     ps = (1.5, 2.0, 3.0, 4.0)
     want = []
     for trial in range(8):
         n = int(rng_for(SEED, trial, 1).integers(2, 11))
-        fs = random_atoms(rng_for(SEED, trial), n, ATOM_GRID)
+        values = random_atoms(rng_for(SEED, trial), n, ATOM_GRID)
         for p in ps:
             exp = Exponent(p)
-            mean = rademacher_pnorms_exact(fs, [exp])[0]
-            want.append((trial, n, p, mean / lp_ell2_norm(fs, [exp])[0]))
+            mean = rademacher_pnorms_exact(values, ATOM_GRID.step, [exp])[0]
+            want.append((trial, n, p, mean / lp_ell2_norm(values, ATOM_GRID.step, [exp])[0]))
     _, rows = squarefunc_suite(SEED, families=8)
     assert [(r["trial"], r["n"], r["p"], r["ratio"]) for r in rows] == want
 
@@ -96,10 +119,13 @@ def test_type_cotype():
     want = []
     for trial in range(8):
         n = int(rng_for(SEED, trial, 2).integers(2, 11))
-        fs = random_atoms(rng_for(SEED, trial), n, ATOM_GRID)
-        want += [(trial, "cotype", n, p, type_cotype_ratios(fs, [Exponent(p)], [])[0][0])
+        values = random_atoms(rng_for(SEED, trial), n, ATOM_GRID)
+        step = ATOM_GRID.step
+        want += [(trial, "cotype", n, p,
+                  type_cotype_ratios(values, step, [Exponent(p)], [])[0][0])
                  for p in (1.5, 2.0)]
-        want += [(trial, "type", n, p, type_cotype_ratios(fs, [], [Exponent(p)])[1][0])
+        want += [(trial, "type", n, p,
+                  type_cotype_ratios(values, step, [], [Exponent(p)])[1][0])
                  for p in (2.0, 3.0, 4.0)]
     _, rows = type_cotype_suite(SEED, families=8)
     assert [(r["trial"], r["kind"], r["n"], r["p"], r["ratio"]) for r in rows] == want
