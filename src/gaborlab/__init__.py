@@ -11,9 +11,12 @@ the modules it uses: a frame command never compiles the suites, a suite never
 compiles the frames, build-frame never compiles the frame operator
 (`operators`), and numpy loads with the first array work.  `plans` holds the
 exponent and the block plans without numpy, so --help, a config error found
-while parsing (--p's included) and a refused block plan load no numpy.  The
-exponent, grids, Gabor systems and Haar atoms re-exported here load their
-module on first access.
+while parsing (--p's included) and a refused block plan load no numpy.
+`grids`, `haar`, `gabor` and `frames` import numpy only where they make an
+array, so build-frame on an unmodulated selection (every s = 0) loads no
+numpy either; a modulated one loads it for its modulated pieces, and
+verify-frame with `operators`.  The exponent, grids, Gabor systems and Haar
+atoms re-exported here load their module on first access.
 """
 
 import importlib.util

@@ -137,8 +137,12 @@ def cmd_build_frame(args) -> int:
                                      2.0 if args.growth is None else args.growth)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"block plan: {exc}") from None
-    # frames runs here, before the stopwatch: it compiles before numpy loads
-    # (its run imports numpy), and neither counts in wall_time_s
+    # frames runs here, before the stopwatch, so that compiling it and the
+    # modules it imports does not count in wall_time_s.  Running it loads no
+    # numpy: an unmodulated build never loads it, and a modulated one (a
+    # --lambda-file with some s != 0) loads it at its first modulated piece,
+    # so that build's wall_time_s, outside the byte-stable metric block,
+    # includes the import
     _execute(frames)
     with reports.Stopwatch() as sw:
         if args.lambda_file:

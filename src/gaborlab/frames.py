@@ -25,10 +25,19 @@ double-precision range, so no code path converts them to floats.
 
 Translates need not be dyadic.  The certificate is exact for any rational
 translate, and the operator works on the atom rows of the span grid, so no
-product path places a piece at a translate.  build_frame also computes, once
-per frame, what the operator reads: each atom's (i, mid, j) cell slice and
-dual amplitude on the span grid, and the f-independent error-term weight of
+product path places a piece at a translate.  A frame makes what only the
+operator reads on first use, once: the atom rows, each atom's (i, mid, j)
+cell slice and dual amplitude, and the f-independent error-term weight of
 each block.
+
+build_frame makes no array for an unmodulated selection, so build-frame on one
+never loads numpy.  The modulus of an unmodulated piece is amp * N_k^(-1/2)
+on the atom's cells and 0 elsewhere, and _unmodulated_pth takes its p-mass in
+plain Python with the float operations of lp_norm_pth, except for the power:
+math.pow is libm's pow, which numpy's power is too, but on CPUs where numpy
+takes its AVX-512 loop for it; there the two can round a power 1 ulp apart.
+A modulated piece keeps lp_norm_pth, since numpy's SIMD cos, sin and hypot
+set its bits.
 """
 
 from __future__ import annotations
@@ -37,10 +46,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import pairwise
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InsufficientSpread
 from .gabor import TimeFreqPoint, points_from_json, points_to_json
@@ -52,8 +60,9 @@ from .grids import (
     lp_norm_pth,
     moduli_pth,
     modulate,
+    pairwise_sum,
 )
-from .haar import HaarIndex, functional_layout, haar_function, haar_indices
+from .haar import HaarIndex, haar_function, haar_indices, layout
 from .plans import BlockPlan, Exponent, plan_from_sizes
 
 
@@ -67,14 +76,18 @@ class TranslateSelection:
     """Selected points (t_i, s_i), |t_i| strictly increasing, exact rationals.
 
     follows_growth_rule records whether every consecutive pair meets the
-    growth rule |t_{i+1}| >= 4|t_i| + 4, found in one pass at construction;
-    the rule implies strict growth, which is checked apart only when it fails.
+    growth rule |t_{i+1}| >= 4|t_i| + 4.  Left None, it is found in one pass
+    at construction; the rule implies strict growth, which is checked apart
+    only when it fails.  select_translates, which tests every consecutive
+    pair as it keeps the later point, hands over True.
     """
 
     points: Tuple[TimeFreqPoint, ...]
-    follows_growth_rule: bool = field(init=False, repr=False, compare=False)
+    follows_growth_rule: Optional[bool] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.follows_growth_rule is not None:
+            return
         rule = all(_meets_growth_rule(a.t, b.t) for a, b in pairwise(self.points))
         if not rule and not all(_grows(a.t, b.t) for a, b in pairwise(self.points)):
             raise ValueError("|t_i| must be strictly increasing")
@@ -117,13 +130,18 @@ def select_translates(
     [0, 1), so the difference sets d + supp(h_k) are pairwise disjoint and
     clear of the base cell, and the window summands supp(h_k) - t_i are
     disjoint too.  certify_selection checks exactly these two premises.
+
+    A point is kept only once it meets the rule against the point kept
+    before it, so every consecutive pair of the selection has been tested
+    and met it: the selection's verdict is True, the value its construction
+    would find by testing the same pairs again, and it is handed over.
     """
     chosen: List[TimeFreqPoint] = []
     for pt in candidates:
         if not chosen or _meets_growth_rule(chosen[-1].t, pt.t):
             chosen.append(pt)
             if len(chosen) == plan.total:
-                return TranslateSelection(tuple(chosen))
+                return TranslateSelection(tuple(chosen), follows_growth_rule=True)
     raise InsufficientSpread(
         f"only {len(chosen)} of {plan.total} points reachable with "
         f"growth rule |t| >= 4|t_prev| + 4"
@@ -145,10 +163,10 @@ def certify_selection(
     When consecutive magnitudes follow the growth rule |t_{i+1}| >= 4|t_i| + 4
     and every atom support lies in [0, 1), all three properties hold by the
     argument in select_translates, so the selection's follows_growth_rule,
-    found by n - 1 exact integer comparisons at its construction, settles
-    the certificate.  Any other selection (only a hand-edited frame or
-    candidate file yields one) goes to _certify_by_enumeration, which is exact
-    for every rational input.
+    found by n - 1 exact integer comparisons (by select_translates as it
+    picks, or at construction), settles the certificate.  Any other
+    selection (only a hand-edited frame or candidate file yields one) goes
+    to _certify_by_enumeration, which is exact for every rational input.
     """
     if selection.follows_growth_rule and all(
         0 <= lo and hi <= 1 for lo, hi in (a.support for a in atoms)
@@ -208,20 +226,16 @@ class ConstructedFrame:
     The window sum_k sum_{i in J_k} N_k^(-1/2) tau_{-t_i}(e_{-s_i} h_k) is kept
     as its K block rows: rows[k] is block k's atom sampled on span_grid, that
     is on [0, 1] at the window step.  Every piece is a scaled, possibly
-    modulated copy of a row (_window_piece).
+    modulated copy of a row (_window_piece).  The rows, the functional
+    layouts and the block weights that the operator reads are made on first
+    use.
     """
 
     plan: BlockPlan
     selection: TranslateSelection
     atoms: List[HaarIndex]
-    rows: np.ndarray = field(repr=False)
     certificate: dict
     span_grid: Grid
-    # the f-independent error-term weight of each block's coefficient (see
-    # _block_error_weights)
-    _pair_weight_by_block: np.ndarray = field(repr=False)
-    # each atom's functional_layout (i, mid, j, amp) on span_grid
-    _functional_layout: Tuple[Tuple[int, int, int, float], ...] = field(repr=False)
 
     @property
     def p(self) -> Exponent:
@@ -230,6 +244,24 @@ class ConstructedFrame:
     @property
     def q(self) -> float:
         return self.certificate["q"]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The (K, span_grid.count) atom rows."""
+        import numpy as np
+
+        return np.array([haar_function(a, self.p, self.span_grid).values for a in self.atoms])
+
+    @cached_property
+    def _pair_weight_by_block(self) -> np.ndarray:
+        """The f-independent error-term weight of each block's coefficient
+        (see _block_error_weights)."""
+        return _block_error_weights(self.plan, self.rows, self.span_grid.step)
+
+    @cached_property
+    def _functional_layout(self) -> Tuple[Tuple[int, int, int, float], ...]:
+        """Each atom's dual atom (i, mid, j, amp) on span_grid, its layout at p'."""
+        return tuple(layout(a, self.p.conjugate, self.span_grid) for a in self.atoms)
 
     def to_json(self) -> dict:
         return {
@@ -247,19 +279,33 @@ def _window_piece(local: Grid, row: np.ndarray, size: int, s: Fraction) -> Sampl
     return f if s == 0 else modulate(f, -s)
 
 
+def _unmodulated_pth(atom: HaarIndex, p: Exponent, size: int, local: Grid) -> float:
+    """lp_norm_pth of the unmodulated piece _window_piece(local, row, size, 0),
+    row the atom on local, in plain Python: the modulus amp * size^(-1/2) on
+    the atom's cells, raised by math.pow, summed with 0 on every other cell
+    in numpy's order, times the step."""
+    i, _, j, amp = layout(atom, p.p, local)
+    power = math.pow(amp * size ** -0.5, p.p)
+    return pairwise_sum([0.0] * i + [power] * (j - i) + [0.0] * (local.count - j)) * local.step
+
+
 def _window_norm_pth(
-    plan: BlockPlan, selection: TranslateSelection, rows: np.ndarray, local: Grid
+    plan: BlockPlan, selection: TranslateSelection, atoms: Sequence[HaarIndex], local: Grid
 ) -> float:
     """The window's p-mass: the sum of the piece masses in point order.  Piece
     supports are certified pairwise disjoint, so the p-mass adds; a piece
     depends only on its block and modulation, so each distinct one is
-    measured once."""
+    measured once, an unmodulated one without numpy."""
     mass: Dict[Tuple[int, int, int], float] = {}
     masses = []
     for pt, k in zip(selection.points, plan.block_of_index()):
         key = (k, pt.s.numerator, pt.s.denominator)
         if key not in mass:
-            mass[key] = lp_norm_pth(_window_piece(local, rows[k], plan.sizes[k], pt.s), plan.p)
+            if pt.s == 0:
+                mass[key] = _unmodulated_pth(atoms[k], plan.p, plan.sizes[k], local)
+            else:
+                row = haar_function(atoms[k], plan.p, local).values
+                mass[key] = lp_norm_pth(_window_piece(local, row, plan.sizes[k], pt.s), plan.p)
         masses.append(mass[key])
     return float(sum(masses))
 
@@ -280,9 +326,8 @@ def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFr
                   for pt in selection.points))
     check_cells(1, step)
     span_grid = Grid.over(0, 1, step)
-    rows = np.array([haar_function(a, plan.p, span_grid).values for a in atoms])
     ok, detail, clear, summands_ok = certify_selection(selection, atoms, plan.block_of_index())
-    norm_pth = _window_norm_pth(plan, selection, rows, span_grid)
+    norm_pth = _window_norm_pth(plan, selection, atoms, span_grid)
     certificate = {
         "difference_sets_disjoint": ok,
         "difference_sets_detail": detail,
@@ -293,11 +338,7 @@ def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFr
         "window_norm_error": abs(norm_pth - plan.block_sum),
         "q": plan.contraction,
     }
-    return ConstructedFrame(
-        plan, selection, atoms, rows, certificate, span_grid,
-        _block_error_weights(plan, rows, span_grid.step),
-        tuple(functional_layout(a, plan.p, span_grid) for a in atoms),
-    )
+    return ConstructedFrame(plan, selection, atoms, certificate, span_grid)
 
 def frame_from_json(obj: dict) -> ConstructedFrame:
     """The frame a to_json dict describes; raises ValueError if a block size is
@@ -329,6 +370,8 @@ def _block_error_weights(
     without merging; the test oracle error_pth_direct walks the unreduced
     pieces instead.
     """
+    import numpy as np
+
     p = plan.p.p
     sizes = np.array(plan.sizes, dtype=np.float64)
     unit_pth = moduli_pth(np.abs(atom_values), step, plan.p)

@@ -3,6 +3,8 @@
 A system is a window together with a finite ordered list of time-frequency
 points (t, s); the atom at (t, s) is x -> g(x - t) exp(2 pi i s x).
 Coefficients are plain vectors with one entry per point, in point order.
+Points and their JSON form need no numpy: only a system's atoms and its
+synthesis import it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from .grids import (
     Grid,
@@ -61,6 +61,8 @@ class GaborSystem:
     atom_matrix: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, window: SampledFunction, points: Sequence[TimeFreqPoint]):
+        import numpy as np
+
         points = tuple(points)
         hull = window.grid
         if points:
@@ -80,6 +82,8 @@ def synthesize(sys: GaborSystem, a: Sequence[complex]) -> SampledFunction:
 
     a holds one coefficient per system point, in the order of sys.points.
     """
+    import numpy as np
+
     vec = np.asarray(a, dtype=np.complex128)
     if vec.shape != (len(sys.points),):
         raise ValueError("coefficient vector length differs from point count")

@@ -19,19 +19,24 @@ exact rational gives, without building a Fraction.
 
 Every p-mass is formed by one kernel, powers_pth, from moduli already raised
 to the p-th power; moduli_pth raises them, and a caller that needs both the
-whole mass and the masses of pieces raises them once.  A family of functions
-reaches lp_ell2_norm and moduli_pth as (values, step): its (n, cells) matrix.
+whole mass and the masses of pieces raises them once.  pairwise_sum is the
+kernel's row sum in plain Python, in numpy's order, for a caller that makes
+no array.  A family of functions reaches lp_ell2_norm and moduli_pth as
+(values, step): its (n, cells) matrix.
+
+The module imports numpy only inside the functions that make arrays, so the
+exact grid geometry (Grid, check_cells, first_overlap, exact ratios) runs
+without loading it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from numbers import Rational
 from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import (
     AliasedFrequency,
@@ -96,7 +101,7 @@ def _ratio(x, what: str = "value") -> Tuple[int, int]:
     if isinstance(x, Rational):
         return int(x.numerator), int(x.denominator)
     if isinstance(x, float):
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise ValueError(f"{what} must be finite, got {x!r}")
         return x.as_integer_ratio()
     raise TypeError(f"{what} must be a real number, got {type(x).__name__}")
@@ -153,6 +158,8 @@ class Grid:
         return self.origin_index * self.step_fraction
 
     def midpoints(self) -> np.ndarray:
+        import numpy as np
+
         return (float(self.origin) + (np.arange(self.count) + 0.5) * self.step)
 
     def index_of(self, x) -> int:
@@ -174,6 +181,8 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != (self.grid.count,):
             raise ValueError(
@@ -183,6 +192,8 @@ class SampledFunction:
 
     @classmethod
     def zero(cls, grid: Grid) -> "SampledFunction":
+        import numpy as np
+
         return cls(grid, np.zeros(grid.count, dtype=np.complex128))
 
     @classmethod
@@ -192,9 +203,9 @@ class SampledFunction:
         j = grid.index_of(hi)
         if not (0 <= i <= j <= grid.count):
             raise GridTooSmall(f"[{lo}, {hi}) not contained in the grid span")
-        v = np.zeros(grid.count, dtype=np.complex128)
-        v[i:j] = 1.0
-        return cls(grid, v)
+        f = cls.zero(grid)
+        f.values[i:j] = 1.0
+        return f
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         _require_same_grid(self, other)
@@ -222,9 +233,9 @@ def embed(f: SampledFunction, grid: Grid) -> SampledFunction:
     off = f.grid.origin_index - grid.origin_index
     if off < 0 or off + f.grid.count > grid.count:
         raise GridTooSmall("target grid does not contain the source span")
-    v = np.zeros(grid.count, dtype=np.complex128)
-    v[off : off + f.grid.count] = f.values
-    return SampledFunction(grid, v)
+    out = SampledFunction.zero(grid)
+    out.values[off : off + f.grid.count] = f.values
+    return out
 
 
 def powers_pth(powers: np.ndarray, step: float) -> np.ndarray:
@@ -232,6 +243,31 @@ def powers_pth(powers: np.ndarray, step: float) -> np.ndarray:
     step function, given its moduli on cells of the given step raised to the
     p-th power."""
     return powers.sum(axis=1) * step
+
+
+def pairwise_sum(terms: Sequence[float]) -> float:
+    """numpy's sum of a contiguous row of non-negative floats, as powers_pth
+    takes it, in plain Python and in numpy's order: fewer than 8 terms are
+    added in turn; up to 128, 8 running sums take the terms 8 at a time and
+    are added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    last n mod 8 terms in turn; past 128, the sums of two halves split at a
+    multiple of 8 are added."""
+    def total(lo: int, n: int) -> float:
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return total(lo, half) + total(lo + half, n - half)
+        end, out = lo + n - n % 8, 0.0
+        if n >= 8:
+            sums = terms[lo:lo + 8]
+            for start in range(lo + 8, end, 8):
+                sums = [a + b for a, b in zip(sums, terms[start:start + 8])]
+            out = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+                (sums[4] + sums[5]) + (sums[6] + sums[7]))
+        for x in terms[end:lo + n]:
+            out += x
+        return out
+
+    return total(0, len(terms))
 
 
 def moduli_pth(mods: np.ndarray, step: float, p: Exponent) -> np.ndarray:
@@ -253,12 +289,12 @@ def moduli_norms(mods: np.ndarray, step: float, p: Exponent) -> List[float]:
 
 def lp_norm(f: SampledFunction, p: Exponent) -> float:
     """Exact L^p(R) norm of the step function: (sum |v_i|^p * step)**(1/p)."""
-    return moduli_norms(np.abs(f.values)[None], f.grid.step, p)[0]
+    return moduli_norms(abs(f.values)[None], f.grid.step, p)[0]
 
 
 def lp_norm_pth(f: SampledFunction, p: Exponent) -> float:
     """The p-th power of lp_norm, computed directly."""
-    return float(moduli_pth(np.abs(f.values)[None], f.grid.step, p)[0])
+    return float(moduli_pth(abs(f.values)[None], f.grid.step, p)[0])
 
 
 def _translated(grid: Grid, t) -> Grid:
@@ -299,6 +335,8 @@ def phase_samples(base, incr, count: int) -> np.ndarray:
     base and incr are floats, or (rows, 1) columns giving one row of samples
     per (base, incr) pair with the same float operations.
     """
+    import numpy as np
+
     phases = base + incr * (np.arange(count) + 0.5)
     return np.exp(2j * np.pi * phases)
 
@@ -316,6 +354,8 @@ def modulate_rows(values: np.ndarray, grids: Sequence[Grid], ss) -> np.ndarray:
     gets the values of its one-row call when rows * count stays below 16384
     or the call has one row.
     """
+    import numpy as np
+
     phases = []
     for grid, s in zip(grids, ss):
         num, den = _ratio(s, "s")
@@ -349,9 +389,11 @@ def lp_ell2_norm(values: np.ndarray, step: float, ps: Sequence[Exponent]) -> Lis
     """Mixed norms || (sum_j |v_j|^2)^(1/2) ||_p of the rows v_j of values, one
     per p, from one sum_j |v_j|^2, added row by row whatever the layout of
     values (numpy's axis-0 sum of a column-major matrix adds them pairwise)."""
+    import numpy as np
+
     sq = np.zeros(values.shape[1])
     for row in values:
-        sq += np.abs(row) ** 2
+        sq += abs(row) ** 2
     return [pth_roots(powers_pth(sq[None] ** (p.p / 2.0), step), p)[0] for p in ps]
 
 

@@ -6,8 +6,10 @@ dyadic Haar functions at scales j >= 0.  An atom of scale j takes the values
 the biorthogonal partner h* has the same shape normalized in the conjugate
 exponent, so <h, h*> = 1 and distinct atoms pair to zero.
 
-functional_layout gives a dual atom as its cell slices once, so a frame can
-apply every functional to many rows without resampling atoms.  The sign-flip
+layout gives an atom normalized in any L^r as its cell slices and amplitude:
+haar_function samples it in L^p, and at r = p' it is the dual atom, which a
+frame lays out once to apply every functional to many rows without
+resampling atoms.  Only haar_function makes an array.  The sign-flip
 constant K_p, unconditionality_bound, is defined in plans beside the block
 plans that read it, and re-exported here.
 """
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
-
-import numpy as np
 
 from .errors import GridTooCoarse, SupportOutOfRange
 from .grids import Grid, SampledFunction
@@ -64,9 +64,10 @@ def haar_indices(cells: Iterable[int], max_scale: int) -> List[HaarIndex]:
     return out
 
 
-def _cells(idx: HaarIndex, grid: Grid) -> Tuple[int, int, int]:
-    """(i, mid, j): the atom idx has the grid cells [i, j) as its support and
-    [i, mid) as its first half; the father has mid = j."""
+def layout(idx: HaarIndex, r: float, grid: Grid) -> Tuple[int, int, int, float]:
+    """The atom idx normalized in L^r on grid as (i, mid, j, amp): amp on the
+    cells [i, mid) and -amp on [mid, j), amp = 2^(scale / r); the father has
+    mid = j and amp = 1."""
     if grid.step_log2 > min(-(idx.scale + 1), 0):  # half-support width 2^-(j+1)
         raise GridTooCoarse(
             f"step 2^{grid.step_log2} cannot resolve scale {idx.scale}"
@@ -79,26 +80,16 @@ def _cells(idx: HaarIndex, grid: Grid) -> Tuple[int, int, int]:
         raise SupportOutOfRange(str(exc)) from exc
     if not (0 <= i < j <= grid.count):
         raise SupportOutOfRange(f"support [{lo}, {hi}) outside grid span")
-    return i, (j if idx.scale == -1 else (i + j) // 2), j
+    if idx.scale == -1:
+        return i, j, j, 1.0
+    return i, (i + j) // 2, j, 2.0 ** (idx.scale / r)
 
 
 def haar_function(idx: HaarIndex, p: Exponent, grid: Grid) -> SampledFunction:
     """The L^p-normalized Haar atom as a step function on the grid."""
-    i, mid, j = _cells(idx, grid)
-    amp = 1.0 if idx.scale == -1 else 2.0 ** (idx.scale / p.p)
-    v = np.zeros(grid.count, dtype=np.complex128)
-    v[i:mid] = amp
-    v[mid:j] = -amp
-    return SampledFunction(grid, v)
+    i, mid, j, amp = layout(idx, p.p, grid)
+    f = SampledFunction.zero(grid)
+    f.values[i:mid] = amp
+    f.values[mid:j] = -amp
+    return f
 
-
-def functional_layout(
-    idx: HaarIndex, p: Exponent, grid: Grid
-) -> Tuple[int, int, int, float]:
-    """The dual atom of idx on grid as (i, mid, j, amp).
-
-    The dual atom is amp on the cells [i, mid) and -amp on [mid, j); the
-    father has mid = j and amp = 1.
-    """
-    i, mid, j = _cells(idx, grid)
-    return i, mid, j, 1.0 if idx.scale == -1 else 2.0 ** (idx.scale / p.conjugate)

@@ -15,8 +15,8 @@ or the batch exhausts the budget.  Converged rows leave the batch, and each
 row takes exactly the floating-point steps it would take alone, so one
 function is solved as a one-row matrix, and the chunks of a corpus do not
 change its results; frame_operator_rows is the operator in the same form.  The
-coefficient functionals read the per-frame layout that frames.build_frame
-computes once, each atom's (i, mid, j) cell slice and dual amplitude.  The
+coefficient functionals read the per-frame layout that the frame makes on
+first use, each atom's (i, mid, j) cell slice and dual amplitude.  The
 off-span error term is reported separately as the synthesis residual and
 checked against q rather than against the tolerance.
 

@@ -25,7 +25,9 @@ reduced to one p-mass per row and exponent by grids.moduli_pth, a chunk of
 rows at a time.
 
 A family of functions reaches every kernel as (values, step): an (n, cells)
-matrix whose rows are step functions on one grid of that step.
+matrix whose rows are step functions on one grid of that step.  An empty
+family (n = 0) has p-mass 0, as its one sign pattern sums to the zero
+function; grids.lp_ell2_norm gives it 0 too.
 
 Each quantity is a kernel that takes a list of exponents (and, for the
 lacunary sums, a matrix of coefficient rows) and does the work shared by
@@ -90,8 +92,8 @@ def combination_pth(
 
 def _mirrored_pths(mat: np.ndarray, step: float, ps: Sequence[Exponent]) -> List[np.ndarray]:
     """|| sum_j eps_j v_j ||_p^p for every sign pattern eps of
-    all_sign_patterns(n), v_j the n >= 1 rows of mat (step functions of the
-    given step), one array per p.
+    all_sign_patterns(n), v_j the n rows of mat (step functions of the given
+    step), one array per p; an empty family has one pattern, of p-mass 0.
 
     Only the half of the patterns whose last sign is -1 is multiplied with
     the values; each of the other half is the negation of one of them, whose
@@ -101,6 +103,8 @@ def _mirrored_pths(mat: np.ndarray, step: float, ps: Sequence[Exponent]) -> List
     n = len(mat)
     if n > EXACT_FUNCTION_CUTOFF:
         raise TooManyFunctions(f"{n} > {EXACT_FUNCTION_CUTOFF}")
+    if n == 0:  # one pattern, the empty one, its own negation: the zero function
+        return combination_pth(all_sign_patterns(0), mat, step, ps)
     return [_mirrored(pth) for pth in combination_pth(_half_sign_patterns(n), mat, step, ps)]
 
 
@@ -145,7 +149,9 @@ def type_cotype_ratios(
     """The cotype-2 ratio (sum ||v_j||_p^2)^(1/2) / E || sum eps_j v_j ||_p at
     each p <= 2 of ps_cotype and the type-2 ratio, its reciprocal, at each
     p >= 2 of ps_type, v_j the rows of values, from one sign-pattern product
-    and, per exponent, one grids.moduli_norms over |values|."""
+    and, per exponent, one grids.moduli_norms over |values|.  Raises
+    ValueError for a zero family (an empty one included), whose ratios are
+    0/0, as khintchine_ratios does for a zero vector."""
     if any(p.p > 2.0 for p in ps_cotype):
         raise ValueError("cotype-2 ratio is formed for p <= 2")
     if any(p.p < 2.0 for p in ps_type):
@@ -155,6 +161,8 @@ def type_cotype_ratios(
     mods = np.abs(values)
     squares = {p: float(np.sqrt(sum(x**2 for x in moduli_norms(mods, step, p))))
                for p in ps}
+    if not all((*means.values(), *squares.values())):
+        raise ValueError("zero family: its type and cotype ratios are 0/0")
     return (
         [squares[p] / means[p] for p in ps_cotype],
         [means[p] / squares[p] for p in ps_type],

@@ -25,7 +25,7 @@ from gaborlab.errors import GridTooSmall, NonAlignedShift
 from gaborlab.frames import ConstructedFrame, _window_piece, spread_candidates
 from gaborlab.gabor import TimeFreqPoint
 from gaborlab.grids import Exponent, Grid, SampledFunction, modulation_phase, phase_samples
-from gaborlab.haar import HaarIndex, functional_layout
+from gaborlab.haar import HaarIndex, layout
 from gaborlab.operators import frame_operator_rows
 
 
@@ -39,7 +39,7 @@ def candidates(count: int, base: int, ratio: int, alternate_signs: bool = False,
 
 def haar_functional(idx: HaarIndex, f: SampledFunction, p: Exponent) -> complex:
     """Coefficient functional: integral of f against the dual atom."""
-    i, mid, j, amp = functional_layout(idx, p, f.grid)
+    i, mid, j, amp = layout(idx, p.conjugate, f.grid)
     if mid == j:
         return complex(f.values[i:j].sum() * f.grid.step)
     return complex(

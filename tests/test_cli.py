@@ -342,12 +342,16 @@ class TestExitCodes:
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_MODULES = ["basic_sequences", "fourier", "stochastic", "suites"]
-# modules a command loads only once it does array work (numpy imports inspect)
-HEAVY = ["numpy", "inspect"]
+# modules a command loads only once it does array work (numpy imports inspect),
+# each with the module that is in sys.modules once it has executed: numpy's
+# compiled core, which numpy's own run imports, so that a numpy bound lazily
+# and not yet run does not count as loaded
+HEAVY = {"numpy": "numpy._core._multiarray_umath", "inspect": "inspect"}
+NUMPY_RAN = HEAVY["numpy"]
 # run the commands given as JSON in argv[1] through main in this interpreter
 # (the exit code of --help is SystemExit's), then print their exit codes, the
 # gaborlab modules in sys.modules, those not yet executed and the HEAVY ones
-# loaded
+# executed
 IMPORT_SCOPE = """
 import contextlib, io, json, sys, types
 import gaborlab.cli
@@ -362,24 +366,36 @@ modules = {name.removeprefix("gaborlab."): module for name, module in sys.module
            if name.startswith("gaborlab.")}
 print(json.dumps([codes, list(modules),
                   [name for name, module in modules.items() if type(module) is not types.ModuleType],
-                  [name for name in %r if name in sys.modules]]))
+                  [name for name, ran in %r.items() if ran in sys.modules]]))
 """ % HEAVY
 # run the commands given as JSON in argv[1] and print, for each Stopwatch a
-# command starts, whether numpy was loaded by then
+# command starts, whether numpy had executed when it started and when it stopped
 STOPWATCH_SCOPE = """
 import contextlib, io, json, sys
 import gaborlab.cli, gaborlab.reports
-loaded, enter = [], gaborlab.reports.Stopwatch.__enter__
-def traced(self):
-    loaded.append("numpy" in sys.modules)
+watch, seen = gaborlab.reports.Stopwatch, []
+enter, leave = watch.__enter__, watch.__exit__
+def entered(self):
+    seen.append([%(ran)r in sys.modules])
     return enter(self)
-gaborlab.reports.Stopwatch.__enter__ = traced
+def left(self, *exc):
+    seen[-1].append(%(ran)r in sys.modules)
+    return leave(self, *exc)
+watch.__enter__, watch.__exit__ = entered, left
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(gaborlab.cli.main(argv))
-print(json.dumps([codes, loaded]))
-"""
+print(json.dumps([codes, seen]))
+""" % {"ran": NUMPY_RAN}
+
+
+def _lambda_file(path, s):
+    """Write the 37 candidates (4 * 5^n, s) in points_to_json form, with every
+    other translate negated; return the path as text."""
+    path.write_text(json.dumps([[[(-1) ** n * 4 * 5**n, 1], [s.numerator, s.denominator]]
+                                for n in range(37)]))
+    return str(path)
 
 
 def _bench_constant(module, name):
@@ -467,12 +483,39 @@ class TestImportScope:
             gaborlab.no_such_name
 
     def test_numpy_loads_before_each_frame_stopwatch(self, tmp_path):
-        # a report's wall_time_s leaves the numpy import out
-        codes, loaded = _run_script(tmp_path, STOPWATCH_SCOPE, [
+        # [numpy executed when the stopwatch starts, when it stops] of each
+        # command: verify-frame's wall_time_s leaves the numpy import out, an
+        # unmodulated build executes no numpy at all, and a modulated one
+        # executes it inside its stopwatch
+        codes, seen = _run_script(tmp_path, STOPWATCH_SCOPE, [
             ["build-frame", "--sizes", "37", "--frame-out", "f.json"],
             ["verify-frame", "--frame", "f.json", "--corpus", "5", "--seed", "1"]])
         assert codes == [0, 0]
-        assert loaded == [True, True]
+        assert seen == [[False, False], [True, True]]
+        lam = _lambda_file(tmp_path / "lambda.json", Fraction(1, 16))
+        codes, seen = _run_script(tmp_path, STOPWATCH_SCOPE, [
+            ["build-frame", "--sizes", "37", "--lambda-file", lam]])
+        assert codes == [0]
+        assert seen == [[False, True]]
+
+    def test_unmodulated_builds_execute_no_numpy(self, tmp_path):
+        lam = _lambda_file(tmp_path / "lambda.json", Fraction(0))
+        codes, _, unexecuted, heavy = _modules_after(
+            tmp_path, ["build-frame", "--sizes", "37", "--frame-out", "f.json"],
+            ["build-frame", "--p", "4", "--blocks", "4", "--out", "r.json",
+             "--frame-out", "g.json"],
+            ["build-frame", "--sizes", "37", "--lambda-file", lam, "--frame-out", "h.json"])
+        assert codes == [0, 0, 0]
+        assert "numpy" not in heavy
+        assert "frames" not in unexecuted
+
+    def test_modulated_build_executes_numpy(self, tmp_path):
+        lam = _lambda_file(tmp_path / "lambda.json", Fraction(1, 16))
+        codes, _, _, heavy = _modules_after(
+            tmp_path, ["build-frame", "--sizes", "37", "--lambda-file", lam,
+                       "--frame-out", "f.json"])
+        assert codes == [0]
+        assert "numpy" in heavy
 
     def test_refused_plans_run_no_array_code(self, tmp_path):
         codes, _, unexecuted, heavy = _modules_after(

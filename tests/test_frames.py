@@ -42,8 +42,16 @@ from gaborlab.frames import (
     spread_candidates,
 )
 from gaborlab.gabor import TimeFreqPoint
-from gaborlab.grids import MAX_CELLS, Exponent, Grid, SampledFunction, lp_norm, lp_norm_pth
-from gaborlab.haar import haar_indices
+from gaborlab.grids import (
+    MAX_CELLS,
+    Exponent,
+    Grid,
+    SampledFunction,
+    lp_norm,
+    lp_norm_pth,
+    powers_pth,
+)
+from gaborlab.haar import haar_function, haar_indices
 from gaborlab.operators import (
     frame_operator_rows,
     reconstruct_rows,
@@ -308,6 +316,17 @@ class TestCertificateProperties:
 
     @PROPERTY
     @given(greedy_inputs())
+    def test_greedy_verdict_is_the_tested_one(self, case):
+        # select_translates hands its growth-rule verdict to the selection:
+        # the points must give the same verdict when tested afresh
+        plan, cands = case
+        sel = select_translates(cands, plan)
+        assert sel.follows_growth_rule is True
+        assert TranslateSelection(sel.points).follows_growth_rule is True
+        assert all(abs(b.t) >= 4 * abs(a.t) + 4 for a, b in pairwise(sel.points))
+
+    @PROPERTY
+    @given(greedy_inputs())
     def test_greedy_pick_always_certifies(self, case):
         plan, cands = case
         sel = select_translates(cands, plan)
@@ -485,6 +504,18 @@ class TestExactBoundaries:
                 == _certify_by_enumeration(sel, atoms, block_of))
 
 
+@st.composite
+def unmodulated_pieces(draw):
+    """An exponent p in (2, 8], one of the first K <= 9 block atoms, a block
+    size and a span grid on [0, 1) from the atoms' step to 2^8 times finer:
+    up to 4096 cells, so that spans past 128 cells take numpy's pairwise
+    split."""
+    p = Exponent(draw(st.floats(2.0, 8.0, exclude_min=True)))
+    atoms = block_atoms(demo_plan((1,) * draw(st.integers(1, 9))))
+    step = -(max(a.scale for a in atoms) + 1) - draw(st.integers(0, 8))
+    return p, draw(st.sampled_from(atoms)), draw(st.integers(1, 10**6)), Grid.over(0, 1, step)
+
+
 def tiny_frame(sizes=(37,), s=Fraction(0)):
     plan = plan_from_sizes(P4, sizes)
     cands = candidates(plan.total, base=4, ratio=5, s=s)
@@ -546,6 +577,25 @@ class TestWindow:
         # bit for bit: one mass per distinct piece, summed in point order
         assert frame.certificate["window_norm_pth"] == sum(
             lp_norm_pth(f, exp) for _, f in window_pieces(frame))
+
+    @PROPERTY
+    @given(unmodulated_pieces())
+    def test_unmodulated_piece_mass_is_lp_norm_pth(self, case):
+        # the plain-Python p-mass is lp_norm_pth of the piece with libm's pow
+        # (math.pow) for numpy's power: bit for bit against numpy's sum of
+        # libm's powers of numpy's moduli, and against lp_norm_pth itself
+        # wherever numpy's power is libm's.  Where numpy's power takes its
+        # AVX-512 loop it rounds some powers the other way, 1 ulp apart.
+        p, atom, size, grid = case
+        piece = frames._window_piece(grid, haar_function(atom, p, grid).values, size, 0)
+        pure = frames._unmodulated_pth(atom, p, size, grid)
+        mods = np.abs(piece.values)
+        libm = np.array([math.pow(m, p.p) for m in mods])
+        assert pure == float(powers_pth(libm[None], grid.step)[0])
+        powers = mods ** p.p
+        assert np.all(np.abs(powers - libm) <= np.spacing(libm))
+        if np.array_equal(powers, libm):
+            assert pure == lp_norm_pth(piece, p)
 
     @pytest.mark.parametrize("blocks", [1, 3, 8])
     @pytest.mark.parametrize("s", [0, Fraction(1, 8), Fraction(1, 4), Fraction(-1, 2), 1,

@@ -16,6 +16,8 @@ from gaborlab.grids import (
     lp_norm,
     lp_norm_pth,
     modulate,
+    pairwise_sum,
+    powers_pth,
     restrict,
     row_chunks,
     time_freq_shift,
@@ -80,6 +82,18 @@ class TestLpNorm:
         for trial in range(20):
             f, h = random_fn(g, 10, trial, 0), random_fn(g, 10, trial, 1)
             assert lp_norm(f + h, p) <= lp_norm(f, p) + lp_norm(h, p) + 1e-12
+
+
+class TestPairwiseSum:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 3000), st.integers(0, 2**32 - 1))
+    def test_is_the_row_sum_of_powers_pth(self, n, seed):
+        # terms of 24 orders of magnitude, a third of them 0, so that any
+        # other order of addition would show in the bits
+        rng = np.random.default_rng(seed)
+        terms = rng.random(n) * 10.0 ** rng.integers(-12, 12, n)
+        terms[rng.random(n) < 1 / 3] = 0.0
+        assert pairwise_sum(terms.tolist()) == float(powers_pth(terms[None], 1.0)[0])
 
 
 class TestTranslate:

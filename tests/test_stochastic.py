@@ -88,6 +88,20 @@ class TestExactEnumeration:
             rademacher_pnorms_exact(value_matrix(random_fns(13, 43)), GRID.step,
                                     [Exponent(2.0)])
 
+    def test_empty_family_has_mass_zero(self):
+        # the one sign pattern of no functions sums to the zero function, so
+        # every kernel gives 0, as lp_ell2_norm does; the ratios are 0/0
+        empty = np.zeros((0, GRID.count), dtype=np.complex128)
+        ps = [Exponent(1.5), Exponent(2.0), Exponent(4.0)]
+        assert rademacher_pnorms_exact(empty, GRID.step, ps) == [0.0] * 3
+        assert rademacher_mean_norms_exact(empty, GRID.step, ps) == [0.0] * 3
+        assert lp_ell2_norm(empty, GRID.step, ps) == [0.0] * 3
+        for family in (empty, np.zeros((2, GRID.count))):
+            with pytest.raises(ValueError, match="zero family"):
+                type_cotype_ratios(family, GRID.step, ps[:2], ps[1:])
+        with pytest.raises(ValueError, match="zero coefficient vector"):
+            khintchine_ratios([], ps)
+
 
 class TestSignFlipExtremes:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
