@@ -7,12 +7,13 @@ builds of each workload included, and the GATE_SHAPES commands below (at the
 recorded seed, but for build-frame, which takes none), each as a `gaborlab`
 subprocess: once with PARENT_SRC and once with CHANGE_SRC on `PYTHONPATH`,
 each side in its own directory under the same relative paths, so that echoed
-paths match.  The EDITED_FRAMES files that some shapes read are hand edits of
-a set-up frame, written on each side just before the first command that
-reads them.  It compares the exit codes,
+paths match.  The input files that some shapes read (EDITED_FRAMES, hand
+edits of a set-up frame, and GENERATED_INPUTS) are written on each side just
+before the first command that reads them.  It compares the exit codes,
 stdout (the printed report) and the JSON reports without `wall_time_s`,
-stderr, the CSVs and the written frame files byte for byte, prints every
-difference, and exits 1 if there is one, else 0.  `bench/workloads.py` is
+stderr (with the side's absolute path replaced), the CSVs and the written
+frame files byte for byte, prints every difference, and exits 1 if there is
+one, else 0.  `bench/workloads.py` is
 imported and never written.
 """
 
@@ -75,6 +76,23 @@ GATE_SHAPES = [
     # no workload raises NoConvergence: a tolerance below the rounding floor
     ("verify-frame", "--frame", "frame-verify/setup_frame_504.frame.json",
      "--corpus", "50", "--tol", "1e-17"),
+    # no workload builds K >= 5 blocks, whose unmodulated pieces on 8 span
+    # cells are the first to sum 8 or more terms (grids.pairwise_sum's
+    # accumulator loop)
+    ("build-frame", "--p", "4", "--blocks", "5"),
+    # one point at s = 32 makes the span grid 256 cells, so every unmodulated
+    # piece beside it sums past 128 terms (pairwise_sum's split)
+    ("build-frame", "--lambda-file", "gates/s32.lambda.json", "--p", "4",
+     "--sizes", "110,110,110"),
+    # 16 blocks: atoms up to scale 3, past what block_atoms enumerated cheaply
+    ("build-frame", "--p", "100", "--sizes", ",".join(["240"] * 16)),
+    # no workload reads --config: its flags with an underscore key and a
+    # number, and a --trials on the command line that wins over the file's
+    ("inequalities", "--config", "gates/rdf.config.json", "--trials", "3"),
+    # output paths refused before any work (exit 2): a directory, and a file
+    # in a missing folder; --out comes first, so it names the label
+    ("build-frame", "--out", "gates", "--p", "3"),
+    ("build-frame", "--out", "missing/report.json", "--p", "3"),
 ]
 # frames that break the growth rule; select_translates always keeps it, so no
 # --lambda-file yields one.  Each is frame-verify's 504-point frame with its
@@ -85,6 +103,12 @@ EDITED_FRAMES = {
     "gates/ratio4_504.frame.json": lambda t501, t502: 4 * t502,
     # t_503 - t_502 = t_502 - t_501: two difference sets coincide
     "gates/overlap_504.frame.json": lambda t501, t502: 2 * t502 - t501,
+}
+# the other inputs that some shapes read, as JSON: the 330 candidates
+# t = 4 * 5^n, each at s = 0 but the 100th, at s = 32; and a --config file
+GENERATED_INPUTS = {
+    "gates/s32.lambda.json": [[[4 * 5**n, 1], [32 if n == 100 else 0, 1]] for n in range(330)],
+    "gates/rdf.config.json": {"suite": "rdf", "grid_log2": -7, "span": 8, "trials": 50},
 }
 
 sys.dont_write_bytecode = True  # leave bench/ as it is
@@ -107,6 +131,9 @@ def commands(side: Path, seed: int) -> list:
         for argv in GATE_SHAPES:
             label = f"gate_{Path(argv[2]).name.split('.')[0]}_{argv[-1]}"
             report, csv = Path("gates") / f"{label}.json", Path("gates") / f"{label}.csv"
+            if "--out" in argv:  # refused: report is never written
+                out.append(workloads.Command(label, argv, report))
+                continue
             if argv[0] == "build-frame":  # takes neither a seed nor a CSV
                 out.append(workloads.Command(label, argv + ("--out", str(report)), report))
                 continue
@@ -118,13 +145,21 @@ def commands(side: Path, seed: int) -> list:
         os.chdir(here)
 
 
-def write_edited_frame(side: Path, path: str) -> None:
-    """EDITED_SOURCE under side with its last translate edited by EDITED_FRAMES[path]."""
-    frame = json.loads((side / EDITED_SOURCE).read_text())
-    points = frame["selection"]
-    t = EDITED_FRAMES[path](*(Fraction(*pt[0]) for pt in points[-3:-1]))
-    points[-1] = [[t.numerator, t.denominator], points[-1][1]]
-    (side / path).write_text(json.dumps(frame))
+def write_inputs(side: Path, argv) -> None:
+    """Write under side each input file that argv reads and that is not there
+    yet: an EDITED_FRAMES file is EDITED_SOURCE with its last translate
+    edited, a GENERATED_INPUTS file its JSON."""
+    for path in (*EDITED_FRAMES, *GENERATED_INPUTS):
+        if path not in argv or (side / path).exists():
+            continue
+        if path in GENERATED_INPUTS:
+            (side / path).write_text(json.dumps(GENERATED_INPUTS[path]))
+            continue
+        frame = json.loads((side / EDITED_SOURCE).read_text())
+        points = frame["selection"]
+        t = EDITED_FRAMES[path](*(Fraction(*pt[0]) for pt in points[-3:-1]))
+        points[-1] = [[t.numerator, t.denominator], points[-1][1]]
+        (side / path).write_text(json.dumps(frame))
 
 
 def run_side(src: Path, side: Path, seed: int) -> dict:
@@ -132,10 +167,10 @@ def run_side(src: Path, side: Path, seed: int) -> dict:
     side.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     results = {}
+    # a refused output path is echoed as an absolute path, which names the side
+    here = os.fsencode(side.resolve())
     for cmd in commands(side, seed):
-        for path in EDITED_FRAMES:
-            if path in cmd.argv and not (side / path).exists():
-                write_edited_frame(side, path)
+        write_inputs(side, cmd.argv)
         done = subprocess.run([sys.executable, "-c", CLI_ENTRY, *cmd.argv], cwd=side,
                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         files = {}
@@ -143,7 +178,7 @@ def run_side(src: Path, side: Path, seed: int) -> dict:
             data = (side / path).read_bytes() if (side / path).exists() else None
             files[str(path)] = WALL_TIME.sub(b"", data) if path == cmd.out and data else data
         stdout = WALL_TIME.sub(b"", done.stdout)
-        results[cmd.label] = (done.returncode, stdout, done.stderr, files)
+        results[cmd.label] = (done.returncode, stdout, done.stderr.replace(here, b"SIDE"), files)
     return results
 
 

@@ -62,13 +62,20 @@ from .grids import (
     modulate,
     pairwise_sum,
 )
-from .haar import HaarIndex, haar_function, haar_indices, layout
+from .haar import HaarIndex, haar_function, layout
 from .plans import BlockPlan, Exponent, plan_from_sizes
 
 
 def block_atoms(plan: BlockPlan) -> List[HaarIndex]:
-    """One Haar atom per block: base cell 0, increasing scale, fixed order."""
-    return haar_indices([0], max_scale=len(plan.sizes))[: len(plan.sizes)]
+    """One Haar atom per block on base cell 0: the father, then atom k at scale
+    j = k.bit_length() - 1 and position k - 2^j.  haar_indices([0], K) lists
+    the father, then the 2^j atoms of each scale j by position, so these are
+    its first K entries, made without the other 2^(K+1) - K."""
+    atoms = [HaarIndex(0)]
+    for k in range(1, len(plan.sizes)):
+        j = k.bit_length() - 1
+        atoms.append(HaarIndex(0, j, k - 2**j))
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -275,8 +282,7 @@ class ConstructedFrame:
 
 def _window_piece(local: Grid, row: np.ndarray, size: int, s: Fraction) -> SampledFunction:
     """An atom row scaled by size^(-1/2) and modulated by -s, on local."""
-    f = SampledFunction(local, row) * (size ** -0.5)
-    return f if s == 0 else modulate(f, -s)
+    return modulate(SampledFunction(local, row) * (size ** -0.5), -s)
 
 
 def _unmodulated_pth(atom: HaarIndex, p: Exponent, size: int, local: Grid) -> float:

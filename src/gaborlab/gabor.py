@@ -52,7 +52,8 @@ class GaborSystem:
 
     The hull (the smallest grid containing every translated copy of the
     window) and the atom matrix (one row per point, the atom on the hull) are
-    built once, on construction.
+    built once, on construction; an empty system's hull is the window's grid
+    and its matrix has shape (0, cells), so it synthesizes zero there.
     """
 
     window: SampledFunction
@@ -74,7 +75,7 @@ class GaborSystem:
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "hull", hull)
-        object.__setattr__(self, "atom_matrix", np.array(rows))
+        object.__setattr__(self, "atom_matrix", np.array(rows).reshape(len(points), hull.count))
 
 
 def synthesize(sys: GaborSystem, a: Sequence[complex]) -> SampledFunction:
@@ -87,8 +88,6 @@ def synthesize(sys: GaborSystem, a: Sequence[complex]) -> SampledFunction:
     vec = np.asarray(a, dtype=np.complex128)
     if vec.shape != (len(sys.points),):
         raise ValueError("coefficient vector length differs from point count")
-    if not sys.points:
-        return SampledFunction.zero(sys.window.grid)
     return SampledFunction(sys.hull, vec @ sys.atom_matrix)
 
 

@@ -9,9 +9,9 @@ exponent, so <h, h*> = 1 and distinct atoms pair to zero.
 layout gives an atom normalized in any L^r as its cell slices and amplitude:
 haar_function samples it in L^p, and at r = p' it is the dual atom, which a
 frame lays out once to apply every functional to many rows without
-resampling atoms.  Only haar_function makes an array.  The sign-flip
-constant K_p, unconditionality_bound, is defined in plans beside the block
-plans that read it, and re-exported here.
+resampling atoms.  Only haar_function makes an array.  haar_indices is the
+enumeration of the whole system up to a scale; frames.block_atoms makes its
+first K entries on cell 0 directly, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, List, Tuple
 
 from .errors import GridTooCoarse, SupportOutOfRange
 from .grids import Grid, SampledFunction
-from .plans import Exponent, unconditionality_bound  # noqa: F401  (re-exported)
+from .plans import Exponent
 
 
 @dataclass(frozen=True, order=True)

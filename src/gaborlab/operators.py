@@ -59,10 +59,8 @@ def _reproduce(frame: ConstructedFrame, values: np.ndarray) -> Tuple[np.ndarray,
     step = frame.span_grid.step
     b = np.empty((len(values), len(frame.atoms)), dtype=np.complex128)
     for k, (i, mid, j, amp) in enumerate(frame._functional_layout):
-        if mid == j:
-            b[:, k] = values[:, i:j].sum(axis=1) * step
-        else:
-            b[:, k] = (values[:, i:mid].sum(axis=1) - values[:, mid:j].sum(axis=1)) * amp * step
+        # the father has mid = j and amp = 1: its second sum is empty
+        b[:, k] = (values[:, i:mid].sum(axis=1) - values[:, mid:j].sum(axis=1)) * amp * step
     main = np.zeros(values.shape, dtype=np.complex128)
     for k, av in enumerate(frame.rows):
         main += b[:, k, None] * av

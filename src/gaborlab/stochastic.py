@@ -4,16 +4,17 @@ Exact expectations average over all 2^n sign patterns (n <= 12; a scalar
 sum is a family of one-cell functions), but multiply only half of them.
 Pattern 2^n - 1 - k of all_sign_patterns(n) is the negation of pattern k, so
 its product has the same moduli.  The products are formed for the 2^(n-1)
-patterns whose last sign is -1, the first half, and their values followed by
-the same values in reverse order are every pattern's, in all_sign_patterns
-order.  The bits are those of the full product: negation is exact, the
-kernel takes the same steps on a row and on its negation, and
-round-to-nearest is symmetric under negation, so the sums are exact
-negations.  A property test checks this against the one-shot product of all
-2^n patterns.  It holds wherever a row's product does not depend on the
-other rows multiplied with it, as on the platform the outputs were recorded
-on; under some other OpenBLAS kernels it does not, for the chunked full
-enumeration either (scripts/platforms.py reruns the test under them).
+patterns whose last sign is -1, the first half of all_sign_patterns(n), and
+their values followed by the same values in reverse order are every
+pattern's, in all_sign_patterns order.  The bits are those of the full
+product: negation is exact, the kernel takes the same steps on a row and on
+its negation, and round-to-nearest is symmetric under negation, so the sums
+are exact negations.  A property test checks this against the one-shot
+product of all 2^n patterns.  It holds wherever a row's product does not
+depend on the other rows multiplied with it, as on the platform the outputs
+were recorded on; under some other OpenBLAS kernels it does not, for the
+chunked full enumeration either (scripts/platforms.py reruns the test under
+them).
 
 The Khintchine and square-function sandwiches hold with
 constant 1 on one side: the lower constant is 1 for p >= 2 and the upper
@@ -57,13 +58,6 @@ def all_sign_patterns(n: int) -> np.ndarray:
     return bits.astype(np.int8) * 2 - 1
 
 
-def _half_sign_patterns(n: int) -> np.ndarray:
-    """The first 2^(n-1) rows of all_sign_patterns(n), n >= 1: the patterns
-    whose last sign is -1."""
-    half = all_sign_patterns(n - 1)
-    return np.hstack([half, np.full((len(half), 1), -1, dtype=np.int8)])
-
-
 def _mirrored(half: np.ndarray) -> np.ndarray:
     """Every sign pattern's value, in all_sign_patterns order, from the values
     of the first half, for a value that depends on a pattern only through
@@ -95,17 +89,18 @@ def _mirrored_pths(mat: np.ndarray, step: float, ps: Sequence[Exponent]) -> List
     all_sign_patterns(n), v_j the n rows of mat (step functions of the given
     step), one array per p; an empty family has one pattern, of p-mass 0.
 
-    Only the half of the patterns whose last sign is -1 is multiplied with
-    the values; each of the other half is the negation of one of them, whose
-    product has the same moduli, so its p-mass is taken from the mirrored
-    half, bit for bit (see the module docstring).
+    Only the first half of the patterns, those whose last sign is -1, is
+    multiplied with the values; each of the other half is the negation of
+    one of them, whose product has the same moduli, so its p-mass is taken
+    from the mirrored half, bit for bit (see the module docstring).
     """
     n = len(mat)
     if n > EXACT_FUNCTION_CUTOFF:
         raise TooManyFunctions(f"{n} > {EXACT_FUNCTION_CUTOFF}")
     if n == 0:  # one pattern, the empty one, its own negation: the zero function
         return combination_pth(all_sign_patterns(0), mat, step, ps)
-    return [_mirrored(pth) for pth in combination_pth(_half_sign_patterns(n), mat, step, ps)]
+    half = all_sign_patterns(n)[: 2 ** (n - 1)]
+    return [_mirrored(pth) for pth in combination_pth(half, mat, step, ps)]
 
 
 def rademacher_pnorms_exact(

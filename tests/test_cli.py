@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab import cli
 from gaborlab.cli import MAX_TRIALS, main
@@ -410,10 +413,10 @@ def _bench_layers():
     return _bench_constant("spans", "LAYERS")
 
 
-def _spawn(cwd, script, *argv):
+def _spawn(cwd, script, *argv, timeout=None):
     """script run with argv in a fresh interpreter in cwd, on this tree's src."""
     path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+    return subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
 
 
@@ -862,6 +865,14 @@ class TestFramePipeline:
         header = csv_path.read_text().splitlines()[0]
         assert "contraction_ratio" in header
         assert len(csv_path.read_text().splitlines()) == 6
+
+    def test_many_blocks_make_only_their_atoms(self, tmp_path):
+        # 40 blocks take the atoms up to scale 5, made in closed form; the
+        # Haar enumeration up to scale 40 would hold 2^41 atoms
+        done = _spawn(tmp_path, CLI_ENTRY, "build-frame", "--p", "100",
+                      "--sizes", ",".join(["240"] * 40), timeout=60)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["passed"] is True
 
 
 class TestCorpusChunks:
@@ -1379,3 +1390,54 @@ class TestReportBlock:
     def test_csv_refuses_a_row_with_other_keys(self, tmp_path, row):
         with pytest.raises(ValueError, match="differ from the header"):
             write_csv(str(tmp_path / "rows.csv"), [{"x": 0.5, "n": 1}, row])
+
+
+# the no-traceback property's values: small, edge and non-numeric text; the
+# flags that set how much work a run does take only small values, and the
+# path flags name an input file of the run's directory or a missing one
+ALPHABET = ("0", "1", "-1", str(10**30), "nan", "inf", "", "x")
+BOUNDED = {"trials": ("1", "2", "0", "-1", "x"), "corpus": ("1", "2", "0", "x"),
+           "span": ("1", "2", "0", "x"), "grid-log2": ("0", "-1", "-3", "1", "x")}
+INPUT_FILES = {"frame.json": FRAME_37, "lam.json": json.dumps(_points_37_modulated(0)),
+               "cfg.json": '{"seed": 1, "trials": 1}', "empty.json": ""}
+PATHS = (*INPUT_FILES, "missing.json")
+
+
+def _flag_values(flag):
+    if flag in BOUNDED:
+        return BOUNDED[flag]
+    if flag in ("config", "frame", "lambda-file"):
+        return PATHS
+    return (*cli.FLAGS[flag].get("choices", ()), *ALPHABET)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and some of its flags, each with a drawn value; the required
+    flags and --trials and --corpus are always given."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, flags, parameters = cli.COMMANDS[command]
+    always = [f for f in flags if cli.FLAGS[f].get("required") or f in ("trials", "corpus")]
+    chosen = draw(st.lists(st.sampled_from(flags + parameters), unique=True, max_size=4))
+    argv = [command]
+    for flag in [*always, *(f for f in chosen if f not in always)]:
+        argv += [f"--{flag}", draw(st.sampled_from(_flag_values(flag)))]
+    return argv
+
+
+class TestNoTraceback:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(command_lines())
+    def test_every_command_line_exits_with_a_documented_code(self, argv):
+        here = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in INPUT_FILES.items():
+                Path(tmp, name).write_text(text)
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+            finally:
+                os.chdir(here)
+        assert code in (0, 1, 2, 3)

@@ -597,6 +597,11 @@ class TestWindow:
         if np.array_equal(powers, libm):
             assert pure == lp_norm_pth(piece, p)
 
+    @pytest.mark.parametrize("blocks", range(1, 15))
+    def test_block_atoms_are_the_haar_enumeration_prefix(self, blocks):
+        # the closed form gives the first K atoms of cell 0's enumeration
+        assert block_atoms(demo_plan((1,) * blocks)) == haar_indices([0], blocks)[:blocks]
+
     @pytest.mark.parametrize("blocks", [1, 3, 8])
     @pytest.mark.parametrize("s", [0, Fraction(1, 8), Fraction(1, 4), Fraction(-1, 2), 1,
                                    Fraction(7, 3), Fraction(-255, 64), 2**9 - 1, 2**9,

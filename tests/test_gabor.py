@@ -76,6 +76,12 @@ class TestSynthesize:
         out = synthesize(sys, np.zeros(len(sys.points)))
         assert np.all(out.values == 0)
 
+    def test_empty_system_synthesizes_zero_on_the_window_grid(self):
+        sys = GaborSystem(bump_window(), [])
+        assert sys.atom_matrix.shape == (0, sys.window.grid.count)
+        out = synthesize(sys, [])
+        assert out.grid == sys.window.grid and np.all(out.values == 0)
+
     def test_disjoint_supports_add_in_pth_power(self):
         window = bump_window()
         pts = [TimeFreqPoint(0, 0), TimeFreqPoint(2, 3)]

@@ -33,6 +33,7 @@ PACKAGE = ROOT / "src" / "gaborlab"
 # (name, why it stays although nothing in the package calls it)
 ORACLES = (
     ("sign_flip_synthesis_sup", "exact sign-flip supremum over the 2^K block-constant patterns; no command reports it yet"),
+    ("haar_indices", "the Haar-system enumeration whose prefix frames.block_atoms makes in closed form"),
 )
 
 # (function, parameter, why it keeps a default that no call passes and no flag sets)
