@@ -39,9 +39,10 @@ import compare_outputs  # noqa: E402  (imports no gaborlab)
 
 SKIPPED = (ast.Raise, ast.Global, ast.Nonlocal)
 
-# what the compared commands leave unrun on purpose: (module, function by
-# qualified name, the first lines of its unrun statements without their
-# comments, or () for the function itself, why)
+# the one table of what the compared commands leave unrun on purpose, which
+# tests/test_reachability.py holds to: (module, function by qualified name,
+# the first lines of its unrun statements without their comments, or () for
+# the function itself, why)
 UNRUN_ON_PURPOSE = (
     ("rng", "rng_for", (),
      "oracle: the stream definition that the tests check the keyed streams against"),
@@ -58,11 +59,8 @@ UNRUN_ON_PURPOSE = (
     ("plans", "_Frozen.__repr__", (), "a plan's repr, for debugging"),
     ("plans", "_Frozen.__eq__", ("return NotImplemented",),
      "guard: a plan compared with another class"),
-    ("reports", "_jsonable", (
-        'np = sys.modules.get("numpy")', "if np is None:",
-        "if isinstance(value, np.floating):", "if isinstance(value, np.integer):",
-        "if isinstance(value, np.bool_):", "return value"),
-     "guard: every report value is a Python scalar, so no numpy scalar reaches it"),
+    ("cli", "_emit", ("os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",),
+     "guard: a reader that closes stdout early; no compared command closes it"),
     ("reports", "write_csv", ('with open(path, "w"):', "return"),
      "guard: no command writes a CSV of no rows"),
     ("cli", "_check_writable", ('problem = "not writable"',),

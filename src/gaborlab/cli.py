@@ -12,7 +12,8 @@ value is a string, or a number for a flag with a converter; flags on the
 command line win.  An unknown key, like any parse error, is a config error.
 Stochastic commands require --seed.  Every command writes a JSON report whose
 metric block is byte-identical across reruns with the same configuration and
-seed, and exits 0 only if all assertions pass.
+seed, and exits 0 only if all assertions pass; a reader that closes stdout
+early (`| head`) changes neither that code nor the empty stderr.
 """
 
 from __future__ import annotations
@@ -114,8 +115,10 @@ def _emit(report: reports.Report, out: Optional[str], rows, csv_path: Optional[s
     payload = report.to_json()
     if out:
         report.write(out)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    print()
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:  # the reader closed stdout: what is left goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 1
 
 
@@ -130,7 +133,7 @@ def cmd_build_frame(args) -> int:
     # exits here having loaded no numpy and compiled no frame code
     p = plans.Exponent(4.0 if args.p is None else args.p)
     try:
-        if args.sizes:
+        if args.sizes is not None:
             plan = plans.plan_from_sizes(p, [int(x) for x in args.sizes.split(",")])
         else:
             plan = plans.plan_blocks(p, 3 if args.blocks is None else args.blocks,
@@ -236,28 +239,19 @@ def cmd_verify_frame(args) -> int:
     return _emit(report, args.out, rows, args.csv)
 
 
-# the names --suite and --family accept; cmd_suite looks the chosen one up in
-# suites only when it runs, so parsing a command executes no suite code
+# the names --suite and --family accept; cmd_suite runs suites.<name>_suite,
+# '-' read as '_', looked up only when it runs, so parsing executes no suite code
 SUITES = ("khintchine", "squarefunc", "type-cotype", "lacunary", "rdf", "isometry")
 FAMILIES = ("peaks", "cells")
 
 
 def cmd_suite(args) -> int:
-    """Run the chosen family or suite with the seed, --trials as its second
-    parameter and each set parameter flag by name; a set flag the suite does
-    not take is a config error."""
+    """Run the chosen family or suite, suites.<name>_suite, with the seed,
+    --trials as its second parameter and each set parameter flag by name; a
+    set flag the suite does not take is a config error."""
     kind = "family" if "family" in args else "suite"
     name = getattr(args, kind)
-    suite = {
-        "peaks": suites.peaks_suite,
-        "cells": suites.cells_suite,
-        "khintchine": suites.khintchine_suite,
-        "squarefunc": suites.squarefunc_suite,
-        "type-cotype": suites.type_cotype_suite,
-        "lacunary": suites.lacunary_suite,
-        "rdf": suites.rdf_suite,
-        "isometry": suites.isometry_suite,
-    }[name]
+    suite = getattr(suites, f"{name.replace('-', '_')}_suite")
     # imported here, not with the module: parsing never needs it, and the
     # suite's numpy has imported it by now
     import inspect

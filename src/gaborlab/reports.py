@@ -4,45 +4,20 @@ A report carries the command, the echoed configuration, named metrics,
 per-assertion pass flags and the calibration constants in force.  The metric
 block serializes with sorted keys and repr-exact floats, so reruns with the
 same configuration and seed produce byte-identical blocks; wall time lives
-outside the block.
+outside the block.  A report's values are Python scalars, in dicts and lists,
+which json writes as they are; json refuses numpy's integers and bools, so
+a caller converts them.  The rows of write_csv may hold numpy scalars: csv
+writes each as the Python value it holds.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable
-
-
-# the types json and csv write as they are, whatever their value
-_PLAIN = (float, int, bool, str, type(None))
-
-
-def _jsonable(value):
-    """value with each numpy scalar in it, at any depth of dicts, lists and
-    tuples, made the Python scalar it holds.  The CLI's commands hand over
-    Python scalars; the numpy branch is the report format's guard for any
-    other caller."""
-    if type(value) in _PLAIN:
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
-    if np is None:
-        return value
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
 
 
 @dataclass
@@ -61,10 +36,10 @@ class Report:
     def metric_block(self) -> bytes:
         payload = {
             "command": self.command,
-            "config": _jsonable(self.config),
-            "metrics": _jsonable(self.metrics),
-            "assertions": _jsonable(self.assertions),
-            "calibration": _jsonable(self.calibration),
+            "config": self.config,
+            "metrics": self.metrics,
+            "assertions": self.assertions,
+            "calibration": self.calibration,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
@@ -107,4 +82,4 @@ def write_csv(path: str, rows: Iterable[dict]) -> None:
         for row in chain([first], rows):
             if len(row) != len(keys):
                 raise ValueError(f"CSV row keys {sorted(row)} differ from the header {keys}")
-            writer.writerow(_jsonable([row[k] for k in keys]))
+            writer.writerow([row[k] for k in keys])

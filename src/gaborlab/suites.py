@@ -26,8 +26,11 @@ The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 the report echoes).  Each Report is built whole, its wall time included.
 Parameters outside a suite's domain, and grids of more than `grids.MAX_CELLS`
 cells (`check_cells`), raise ConfigError before any work; so do a peaks
-alpha so small that every window coefficient is 0, and a peaks (p, alpha)
-whose growth ratios do not rise over WEIGHT_HORIZON.
+alpha so small that every window coefficient is 0, a peaks (p, alpha)
+whose growth ratios do not rise over WEIGHT_HORIZON, and a grid step too
+coarse for the top frequency of lacunary or isometry (the Nyquist bound).
+cells runs its computations with numpy's overflow raised, so a p whose p-th
+powers leave the float range raises ConfigError when they do.
 
 A suite takes the seed and the parameters its command's flags set; its
 fixed shape is a module constant, which the report echoes all the same:
@@ -250,6 +253,10 @@ def lacunary_suite(
     seed: int, trials: int = 100, grid_log2: int = -10
 ) -> Tuple[Report, List[dict]]:
     """Lacunary exponential sums behave like sign sums: l2-comparable norms."""
+    if grid_log2 > -LACUNARY_FREQS - 1:
+        raise ConfigError(f"lacunary's top frequency 2^{LACUNARY_FREQS - 1} must lie below "
+                          f"the Nyquist bound 2^(-grid_log2 - 1), which needs grid_log2 <= "
+                          f"{-LACUNARY_FREQS - 1}, got {grid_log2}")
     check_cells(1, grid_log2)
     p, n_freqs = LACUNARY_P, LACUNARY_FREQS
     freqs = [2**j for j in range(n_freqs)]  # 1, 2, 4, ..., 256
@@ -450,15 +457,19 @@ def cells_suite(
     check_cells(max(K + 1 + n_max, 9 * (K + 1)), -(K + 2))
     exp = Exponent(p)
     cal = calibration.CALIBRATION["cells"]
-    with Stopwatch() as sw:
-        c = basic_sequences.flat_cells_coefficients(K, exp)
-        try:
-            threshold = basic_sequences.growth_threshold_scan(c, exp)
-        except ValueError as exc:
-            raise ConfigError(f"cells at p = {p}, K = {K}: {exc}") from None
-        rows = basic_sequences.verify_cells(c, exp, K, n_max, trials, seed)
-        sep_norm = basic_sequences.separated_translates_norm(c, exp, K, n=8,
-                                                             separation=K + 1)
+    try:
+        with Stopwatch() as sw, np.errstate(over="raise"):
+            c = basic_sequences.flat_cells_coefficients(K, exp)
+            try:
+                threshold = basic_sequences.growth_threshold_scan(c, exp)
+            except ValueError as exc:
+                raise ConfigError(f"cells at p = {p}, K = {K}: {exc}") from None
+            rows = basic_sequences.verify_cells(c, exp, K, n_max, trials, seed)
+            sep_norm = basic_sequences.separated_translates_norm(c, exp, K, n=8,
+                                                                 separation=K + 1)
+    except FloatingPointError as exc:
+        raise ConfigError(f"cells at p = {p}: the p-th powers leave the float range "
+                          f"({exc})") from None
     ratios = [row["ratio"] for row in rows]
     lo, hi = min(ratios), max(ratios)
     bound = 2.0 * 8 ** (1.0 / p)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -106,6 +107,9 @@ MALFORMED_INPUTS = [
        ["verify-frame", "--seed", "1", "--frame", "frame.json"])
       for sizes in ("1e400", "37.9")),
     ("sizes_not_integers", {}, ["build-frame", "--sizes", "37,x"]),
+    # an empty --sizes is a plan of no integers, not the default plan
+    ("sizes_empty", {}, ["build-frame", "--sizes", ""]),
+    ("sizes_empty_in_config", *_configured({"sizes": ""}, "build-frame")),
     ("p_one", {}, ["build-frame", "--p", "1"]),
     ("p_below_one", {},
      ["counterexample", "--family", "cells", "--p", "0.5", "--seed", "1"]),
@@ -212,6 +216,14 @@ MALFORMED_INPUTS = [
     ("cells_p_below_2", {}, [*CELLS, "--p", "1.5"]),
     ("isometry_grid_log2_0", {},
      ["inequalities", "--suite", "isometry", "--seed", "1", "--grid-log2", "0"]),
+    # lacunary's top frequency 2^8 needs grid_log2 <= -10 to stay below Nyquist
+    *((f"lacunary_grid_log2_{grid_log2}", {},
+       ["inequalities", "--suite", "lacunary", "--seed", "1", "--grid-log2", grid_log2])
+      for grid_log2 in ("0", "-1", "-9")),
+    # cells' p-th powers overflow a float: at p = 400 in the trials, from
+    # p = 1000 in the growth scan too
+    *((f"cells_p_{p}", {}, [*CELLS, "--trials", "2", "--p", p])
+      for p in ("400", "1000", "1e30")),
     # grids past grids.MAX_CELLS are refused before any is made
     *((f"{suite}_grid_log2_-40", {},
        ["inequalities", "--suite", suite, "--seed", "1", "--grid-log2", "-40"])
@@ -413,11 +425,12 @@ def _bench_layers():
     return _bench_constant("spans", "LAYERS")
 
 
-def _spawn(cwd, script, *argv, timeout=None):
+def _spawn(cwd, script, *argv, timeout=None, stdout=subprocess.PIPE):
     """script run with argv in a fresh interpreter in cwd, on this tree's src."""
     path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+                          env=dict(os.environ, PYTHONPATH=path), stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
 
 
 def _run_script(tmp_path, script, commands):
@@ -1395,7 +1408,7 @@ class TestReportBlock:
 # the no-traceback property's values: small, edge and non-numeric text; the
 # flags that set how much work a run does take only small values, and the
 # path flags name an input file of the run's directory or a missing one
-ALPHABET = ("0", "1", "-1", str(10**30), "nan", "inf", "", "x")
+ALPHABET = ("0", "1", "-1", "400", str(10**30), "nan", "inf", "", "x")
 BOUNDED = {"trials": ("1", "2", "0", "-1", "x"), "corpus": ("1", "2", "0", "x"),
            "span": ("1", "2", "0", "x"), "grid-log2": ("0", "-1", "-3", "1", "x")}
 INPUT_FILES = {"frame.json": FRAME_37, "lam.json": json.dumps(_points_37_modulated(0)),
@@ -1436,8 +1449,27 @@ class TestNoTraceback:
             os.chdir(tmp)
             try:
                 with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
+                        contextlib.redirect_stderr(io.StringIO()), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
                     code = main(argv)
             finally:
                 os.chdir(here)
         assert code in (0, 1, 2, 3)
+        # an overflow or an invalid value that numpy only warns of
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["build-frame", "--sizes", "37"],
+        ["inequalities", "--suite", "khintchine", "--trials", "5", "--seed", "1"],
+    ], ids=["build", "suite"])
+    def test_a_closed_stdout_keeps_the_exit_code_and_stderr_empty(self, tmp_path, argv):
+        read, write = os.pipe()
+        os.close(read)  # no reader, so the child's first write to stdout fails
+        try:
+            done = _spawn(tmp_path, CLI_ENTRY, *argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, "")
