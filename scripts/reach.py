@@ -54,11 +54,11 @@ UNRUN_ON_PURPOSE = (
     ("grids", "SampledFunction.__sub__", (), "only the tests call it"),
     ("__init__", "__getattr__", (),
      "the package's re-exported names, which only the tests and acceptance criteria read"),
-    ("plans", "_Frozen.__setattr__", (), "guard: a frozen plan refuses assignment"),
-    ("plans", "_Frozen.__delattr__", (), "guard: a frozen plan refuses deletion"),
-    ("plans", "_Frozen.__repr__", (), "a plan's repr, for debugging"),
+    ("plans", "_Frozen.__setattr__", (), "guard: a frozen value refuses assignment"),
+    ("plans", "_Frozen.__delattr__", (), "guard: a frozen value refuses deletion"),
+    ("plans", "_Frozen.__repr__", (), "a frozen value's repr, for debugging"),
     ("plans", "_Frozen.__eq__", ("return NotImplemented",),
-     "guard: a plan compared with another class"),
+     "guard: a frozen value compared with a value of another class"),
     ("cli", "_emit", ("os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",),
      "guard: a reader that closes stdout early; no compared command closes it"),
     ("reports", "write_csv", ('with open(path, "w"):', "return"),

@@ -25,7 +25,6 @@ not drifted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -46,6 +45,7 @@ from .grids import (
     restrict,
     translate,
 )
+from .plans import _Frozen
 from .rng import complex_vectors
 
 WEIGHT_HORIZON = 64  # WeightSequence.polynomial keeps w_j to j < 64 at least
@@ -54,16 +54,17 @@ DECOMPOSITION_TOL = 1e-12  # peaks_decomposition_check's relative mass error
 GROWTH_THRESHOLD, GROWTH_CAP = 2.0, 512
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(_Frozen):
     """Window coefficients c_k with tail weights w_j = sum_{k >= j} |c_k|^p.
 
     c is indexed from the window's first cell; w is kept to a longer horizon
     than c so growth diagnostics can look past the window truncation.
     """
 
-    c: Tuple[complex, ...]
-    w: Tuple[float, ...]
+    _compared = ("c", "w")
+
+    def __init__(self, c: Tuple[complex, ...], w: Tuple[float, ...]):
+        vars(self).update(c=c, w=w)
 
     @classmethod
     def from_tail_weights(

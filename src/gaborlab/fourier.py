@@ -13,25 +13,24 @@ square function at several exponents from it and the grid step
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .errors import OverlappingIntervals
 from .grids import Exponent, Grid, SampledFunction, first_overlap, lp_ell2_norm
+from .plans import _Frozen
 
 
-@dataclass(frozen=True)
-class FrequencyInterval:
+class FrequencyInterval(_Frozen):
     """Half-open frequency band [lo, hi)."""
 
-    lo: float
-    hi: float
+    _compared = ("lo", "hi")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi})")
+    def __init__(self, lo: float, hi: float):
+        vars(self).update(lo=lo, hi=hi)
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi})")
 
 
 def grid_frequencies(grid: Grid) -> np.ndarray:

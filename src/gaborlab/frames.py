@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
@@ -63,7 +62,7 @@ from .grids import (
     pairwise_sum,
 )
 from .haar import HaarIndex, haar_function, layout
-from .plans import BlockPlan, Exponent, plan_from_sizes
+from .plans import BlockPlan, Exponent, _Frozen, plan_from_sizes
 
 
 def block_atoms(plan: BlockPlan) -> List[HaarIndex]:
@@ -78,27 +77,26 @@ def block_atoms(plan: BlockPlan) -> List[HaarIndex]:
     return atoms
 
 
-@dataclass(frozen=True)
-class TranslateSelection:
+class TranslateSelection(_Frozen):
     """Selected points (t_i, s_i), |t_i| strictly increasing, exact rationals.
 
     follows_growth_rule records whether every consecutive pair meets the
     growth rule |t_{i+1}| >= 4|t_i| + 4.  Left None, it is found in one pass
     at construction; the rule implies strict growth, which is checked apart
     only when it fails.  select_translates, which tests every consecutive
-    pair as it keeps the later point, hands over True.
+    pair as it keeps the later point, hands over True.  Selections compare,
+    hash and print by their points alone.
     """
 
-    points: Tuple[TimeFreqPoint, ...]
-    follows_growth_rule: Optional[bool] = field(default=None, repr=False, compare=False)
+    _compared = ("points",)
 
-    def __post_init__(self):
-        if self.follows_growth_rule is not None:
-            return
-        rule = all(_meets_growth_rule(a.t, b.t) for a, b in pairwise(self.points))
-        if not rule and not all(_grows(a.t, b.t) for a, b in pairwise(self.points)):
-            raise ValueError("|t_i| must be strictly increasing")
-        object.__setattr__(self, "follows_growth_rule", rule)
+    def __init__(self, points: Tuple[TimeFreqPoint, ...],
+                 follows_growth_rule: Optional[bool] = None):
+        if follows_growth_rule is None:
+            follows_growth_rule = all(_meets_growth_rule(a.t, b.t) for a, b in pairwise(points))
+            if not follows_growth_rule and not all(_grows(a.t, b.t) for a, b in pairwise(points)):
+                raise ValueError("|t_i| must be strictly increasing")
+        vars(self).update(points=points, follows_growth_rule=follows_growth_rule)
 
     def to_json(self) -> list:
         return points_to_json(self.points)
@@ -226,7 +224,6 @@ def _certify_by_enumeration(
     return False, detail, clear, summands_ok
 
 
-@dataclass
 class ConstructedFrame:
     """A built frame: plan, selection, window, certificates and fast-path layout.
 
@@ -238,11 +235,13 @@ class ConstructedFrame:
     use.
     """
 
-    plan: BlockPlan
-    selection: TranslateSelection
-    atoms: List[HaarIndex]
-    certificate: dict
-    span_grid: Grid
+    def __init__(self, plan: BlockPlan, selection: TranslateSelection,
+                 atoms: List[HaarIndex], certificate: dict, span_grid: Grid):
+        self.plan = plan
+        self.selection = selection
+        self.atoms = atoms
+        self.certificate = certificate
+        self.span_grid = span_grid
 
     @property
     def p(self) -> Exponent:

@@ -9,9 +9,8 @@ synthesis import it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .grids import (
     Grid,
@@ -21,18 +20,16 @@ from .grids import (
     time_freq_shift,
     translate,
 )
+from .plans import _Frozen
 
 
-@dataclass(frozen=True)
-class TimeFreqPoint:
+class TimeFreqPoint(_Frozen):
     """A point (t, s) of the time-frequency plane, stored exactly."""
 
-    t: Fraction
-    s: Fraction
+    _compared = ("t", "s")
 
     def __init__(self, t, s):
-        object.__setattr__(self, "t", _as_fraction(t, "t"))
-        object.__setattr__(self, "s", _as_fraction(s, "s"))
+        vars(self).update(t=_as_fraction(t, "t"), s=_as_fraction(s, "s"))
 
     def to_json(self) -> list:
         return [
@@ -46,20 +43,17 @@ class TimeFreqPoint:
         return cls(Fraction(tn, td), Fraction(sn, sd))
 
 
-@dataclass(frozen=True)
-class GaborSystem:
+class GaborSystem(_Frozen):
     """A window and a finite ordered point set; atoms share one common grid.
 
     The hull (the smallest grid containing every translated copy of the
     window) and the atom matrix (one row per point, the atom on the hull) are
     built once, on construction; an empty system's hull is the window's grid
     and its matrix has shape (0, cells), so it synthesizes zero there.
+    Systems compare, hash and print by window and points alone.
     """
 
-    window: SampledFunction
-    points: Tuple[TimeFreqPoint, ...]
-    hull: Grid = field(compare=False, repr=False)
-    atom_matrix: np.ndarray = field(compare=False, repr=False)
+    _compared = ("window", "points")
 
     def __init__(self, window: SampledFunction, points: Sequence[TimeFreqPoint]):
         import numpy as np
@@ -72,10 +66,8 @@ class GaborSystem:
             hi = max(g.origin_index + g.count for g in shifted)
             hull = Grid(lo, window.grid.step_log2, hi - lo)
         rows = [embed(time_freq_shift(window, pt.t, pt.s), hull).values for pt in points]
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "hull", hull)
-        object.__setattr__(self, "atom_matrix", np.array(rows).reshape(len(points), hull.count))
+        vars(self).update(window=window, points=points, hull=hull,
+                          atom_matrix=np.array(rows).reshape(len(points), hull.count))
 
 
 def synthesize(sys: GaborSystem, a: Sequence[complex]) -> SampledFunction:

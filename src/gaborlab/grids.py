@@ -32,7 +32,6 @@ without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from numbers import Rational
@@ -46,7 +45,7 @@ from .errors import (
     NonAlignedGrid,
     NonAlignedShift,
 )
-from .plans import Exponent  # re-exported: the exponent every norm here takes
+from .plans import Exponent, _Frozen  # Exponent re-exported: every norm here takes it
 
 # the suites and the frame commands refuse a grid of more than MAX_CELLS cells
 # before any work: at 2^20 cells rdf, the largest suite per cell, peaks near
@@ -115,8 +114,7 @@ def _as_fraction(x, what: str = "value") -> Fraction:
     return Fraction(*_ratio(x, what))
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(_Frozen):
     """Uniform dyadic grid: cells [origin + i*step, origin + (i+1)*step).
 
     ``step = 2**step_log2`` with ``step_log2 <= 0``, and the origin is an exact
@@ -124,14 +122,13 @@ class Grid:
     integer in the span a cell boundary and keeps shift alignment checks exact.
     """
 
-    origin_index: int
-    step_log2: int
-    count: int
+    _compared = ("origin_index", "step_log2", "count")
 
-    def __post_init__(self):
-        if self.step_log2 > 0:
+    def __init__(self, origin_index: int, step_log2: int, count: int):
+        vars(self).update(origin_index=origin_index, step_log2=step_log2, count=count)
+        if step_log2 > 0:
             raise ValueError("grid step must be 2**(-m) with m >= 0")
-        if self.count <= 0:
+        if count <= 0:
             raise ValueError("grid must contain at least one cell")
 
     @classmethod
@@ -173,22 +170,20 @@ class Grid:
         return Grid(self.origin_index + cells, self.step_log2, self.count)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
+class SampledFunction(_Frozen):
     """A complex step function on a Grid; values[i] is the constant on cell i."""
 
-    grid: Grid
-    values: np.ndarray
+    _compared = ("grid", "values")
 
-    def __post_init__(self):
+    def __init__(self, grid: Grid, values: np.ndarray):
         import numpy as np
 
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.grid.count,):
+        v = np.asarray(values, dtype=np.complex128)
+        if v.shape != (grid.count,):
             raise ValueError(
-                f"values shape {v.shape} does not match grid count {self.grid.count}"
+                f"values shape {v.shape} does not match grid count {grid.count}"
             )
-        object.__setattr__(self, "values", v)
+        vars(self).update(grid=grid, values=v)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SampledFunction":

@@ -16,32 +16,27 @@ first K entries on cell 0 directly, and the tests compare the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .errors import GridTooCoarse, SupportOutOfRange
 from .grids import Grid, SampledFunction
-from .plans import Exponent
+from .plans import Exponent, _Frozen
 
 
-@dataclass(frozen=True, order=True)
-class HaarIndex:
+class HaarIndex(_Frozen):
     """Index (cell, scale, position): scale -1 is the father 1_[n, n+1]."""
 
-    cell: int
-    scale: int = -1
-    position: int = 0
+    _compared = ("cell", "scale", "position")
 
-    def __post_init__(self):
-        if self.scale < -1:
+    def __init__(self, cell: int, scale: int = -1, position: int = 0):
+        vars(self).update(cell=cell, scale=scale, position=position)
+        if scale < -1:
             raise ValueError("scale must be >= -1")
-        if self.scale == -1 and self.position != 0:
+        if scale == -1 and position != 0:
             raise ValueError("father function has position 0")
-        if self.scale >= 0 and not (0 <= self.position < 2**self.scale):
-            raise ValueError(
-                f"position {self.position} outside [0, 2^{self.scale})"
-            )
+        if scale >= 0 and not (0 <= position < 2**scale):
+            raise ValueError(f"position {position} outside [0, 2^{scale})")
 
     @property
     def support(self) -> tuple[Fraction, Fraction]:

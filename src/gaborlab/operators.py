@@ -26,7 +26,6 @@ Only verify-frame runs this module; build-frame never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -43,14 +42,14 @@ from .rng import complex_rows
 SPAN_RTOL = 2.0**-40
 
 
-@dataclass
 class FrameImages:
     """The frame operator applied to each row of a batch: the span part of
     each image and its off-span error mass."""
 
-    main: np.ndarray  # (n, count)
-    error_pth: np.ndarray  # (n,)
-    coefficients: np.ndarray  # (n, K)
+    def __init__(self, main: np.ndarray, error_pth: np.ndarray, coefficients: np.ndarray):
+        self.main = main  # (n, count)
+        self.error_pth = error_pth  # (n,)
+        self.coefficients = coefficients  # (n, K)
 
 
 def _reproduce(frame: ConstructedFrame, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -94,7 +93,6 @@ def frame_operator_rows(frame: ConstructedFrame, values: np.ndarray) -> FrameIma
     return FrameImages(main, error_pth, b)
 
 
-@dataclass
 class Reconstructions:
     """reconstruct_rows of a batch, one entry per row: the solution y of
     S y = y_0 (the projection of f) and its image S y.
@@ -103,12 +101,15 @@ class Reconstructions:
     || S f - f ||_p are relative to || f ||_p (all 0 when f is zero).
     """
 
-    solution: np.ndarray  # (n, count)
-    image: FrameImages
-    relative_error: np.ndarray
-    synthesis_residual: np.ndarray
-    contraction_ratio: np.ndarray
-    iterations: np.ndarray
+    def __init__(self, solution: np.ndarray, image: FrameImages, relative_error: np.ndarray,
+                 synthesis_residual: np.ndarray, contraction_ratio: np.ndarray,
+                 iterations: np.ndarray):
+        self.solution = solution  # (n, count)
+        self.image = image
+        self.relative_error = relative_error
+        self.synthesis_residual = synthesis_residual
+        self.contraction_ratio = contraction_ratio
+        self.iterations = iterations
 
 
 def reconstruct_rows(

@@ -27,9 +27,15 @@ MAX_LEAD_SIZE = 10**6
 
 
 class _Frozen:
-    """A value set once in __init__, compared and hashed by the fields that
-    _compared names and shown by all of them, as a frozen dataclass is (the
-    dataclasses module imports inspect, which plans leaves unloaded)."""
+    """The package's one value-class base: a value whose __init__ sets its
+    fields once, with vars(self).update, and which is then compared, hashed
+    and shown by the fields that _compared names, as a frozen dataclass is.
+    Assigning or deleting a field raises AttributeError.
+
+    The package makes no dataclass: the dataclasses module imports inspect,
+    and with it ast, dis and tokenize, and it makes each class by exec'ing
+    generated methods, both again in every process, while a build that loads
+    no numpy needs none of those modules."""
 
     _compared: Tuple[str, ...] = ()
 
@@ -51,7 +57,7 @@ class _Frozen:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
         return f"{type(self).__name__}({fields})"
 
 
@@ -86,7 +92,7 @@ class BlockPlan(_Frozen):
     demonstration plans (a single size-one block has no error pairs at all,
     yet no size list summing to at least 1 can satisfy the condition) may
     be built with require_condition=False, forfeiting the q < 1 guarantee.
-    Plans compare by p and sizes.
+    Plans compare, hash and print by p and sizes.
     """
 
     _compared = ("p", "sizes")

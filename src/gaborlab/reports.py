@@ -12,22 +12,23 @@ writes each as the Python value it holds.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 
-@dataclass
 class Report:
-    command: str
-    config: Dict[str, object]
-    metrics: Dict[str, object] = field(default_factory=dict)
-    assertions: Dict[str, bool] = field(default_factory=dict)
-    calibration: Dict[str, object] = field(default_factory=dict)
-    wall_time_s: float = 0.0
+    def __init__(self, command: str, config: Dict[str, object],
+                 metrics: Optional[Dict[str, object]] = None,
+                 assertions: Optional[Dict[str, bool]] = None,
+                 calibration: Optional[Dict[str, object]] = None, wall_time_s: float = 0.0):
+        self.command = command
+        self.config = config
+        self.metrics = {} if metrics is None else metrics
+        self.assertions = {} if assertions is None else assertions
+        self.calibration = {} if calibration is None else calibration
+        self.wall_time_s = wall_time_s
 
     @property
     def passed(self) -> bool:
@@ -75,6 +76,8 @@ def write_csv(path: str, rows: Iterable[dict]) -> None:
         with open(path, "w"):
             pass
         return
+    import csv  # only a command that writes a CSV loads it
+
     keys = list(first)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

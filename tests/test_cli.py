@@ -357,11 +357,13 @@ class TestExitCodes:
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_MODULES = ["basic_sequences", "fourier", "stochastic", "suites"]
-# modules a command loads only once it does array work (numpy imports inspect),
-# each with the module that is in sys.modules once it has executed: numpy's
-# compiled core, which numpy's own run imports, so that a numpy bound lazily
-# and not yet run does not count as loaded
-HEAVY = {"numpy": "numpy._core._multiarray_umath", "inspect": "inspect"}
+# modules a command loads only once it does array work (numpy imports inspect)
+# or writes a CSV, and dataclasses, which no command loads, each with the
+# module that is in sys.modules once it has executed: numpy's compiled core,
+# which numpy's own run imports, so that a numpy bound lazily and not yet run
+# does not count as loaded
+HEAVY = {"numpy": "numpy._core._multiarray_umath", "inspect": "inspect",
+         "dataclasses": "dataclasses", "csv": "csv"}
 NUMPY_RAN = HEAVY["numpy"]
 # run the commands given as JSON in argv[1] through main in this interpreter
 # (the exit code of --help is SystemExit's), then print their exit codes, the
@@ -522,7 +524,7 @@ class TestImportScope:
              "--frame-out", "g.json"],
             ["build-frame", "--sizes", "37", "--lambda-file", lam, "--frame-out", "h.json"])
         assert codes == [0, 0, 0]
-        assert "numpy" not in heavy
+        assert heavy == []
         assert "frames" not in unexecuted
 
     def test_modulated_build_executes_numpy(self, tmp_path):
@@ -580,6 +582,15 @@ class TestImportScope:
             tmp_path, ["counterexample", "--family", "peaks", "--trials", "5", "--seed", "1"])
         assert codes == [0]
         assert "basic_sequences" not in unexecuted
+
+    def test_array_commands_load_no_dataclasses(self, tmp_path):
+        codes, _, _, heavy = _modules_after(
+            tmp_path, ["build-frame", "--sizes", "37", "--frame-out", "f.json"],
+            ["verify-frame", "--frame", "f.json", "--corpus", "5", "--seed", "1",
+             "--csv", "rows.csv"],
+            ["counterexample", "--family", "peaks", "--trials", "5", "--seed", "1"])
+        assert codes == [0, 0, 0]
+        assert heavy == ["numpy", "inspect", "csv"]
 
 
 # the benchmark's process entry, which calls main() with argv=None
