@@ -52,6 +52,7 @@ UNRUN_ON_PURPOSE = (
      "oracle: the Haar enumeration whose prefix frames.block_atoms makes in closed form"),
     ("fourier", "partial_sum", (), "only the tests call it"),
     ("grids", "SampledFunction.__sub__", (), "only the tests call it"),
+    ("grids", "SampledFunction._key", (), "only the tests compare functions"),
     ("__init__", "__getattr__", (),
      "the package's re-exported names, which only the tests and acceptance criteria read"),
     ("plans", "_Frozen.__setattr__", (), "guard: a frozen value refuses assignment"),

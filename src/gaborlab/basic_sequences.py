@@ -36,6 +36,7 @@ from .grids import (
     Exponent,
     Grid,
     SampledFunction,
+    check_cells,
     first_overlap,
     lp_norm,
     lp_norm_pth,
@@ -229,8 +230,10 @@ def peaks_decomposition_check(
 
 
 def peaks_grid(J: int, K: int) -> Grid:
-    """Grid resolving the peaks window, its translates and its modulations."""
+    """Grid resolving the peaks window, its translates and its modulations
+    (ConfigError past MAX_CELLS cells, before it is made)."""
     step = min(-K, -(J + 2))  # Nyquist for 2^J requires step < 2^-(J+1)
+    check_cells(K + 2, step)
     return Grid.over(0, K + 2, step)
 
 
@@ -331,6 +334,8 @@ def cells_predicted_mass(
 
 
 def cells_grid(K: int, n_max: int) -> Grid:
+    """Grid of the cells combinations (ConfigError past MAX_CELLS cells)."""
+    check_cells(K + 1 + n_max, -(K + 2))
     return Grid.over(0, K + 1 + n_max, -(K + 2))
 
 
@@ -417,9 +422,11 @@ def separated_translates_norm(
 
     With separation at least the window's support length K + 1, the shifted
     copies are disjoint and the norm is exactly n^(1/p) times the window's.
+    Raises ConfigError if the grid would have more than MAX_CELLS cells.
     """
     if separation < K + 1:
         raise ValueError("separation below the window support length")
+    check_cells(separation * n + K + 1, -(K + 2))
     grid = Grid.over(0, separation * n + K + 1, -(K + 2))
     window = cells_window(c, K, Grid.over(0, K + 1, -(K + 2)))
     a = np.zeros(separation * n)

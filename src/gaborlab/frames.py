@@ -13,7 +13,9 @@ the input; operators applies the frame operator and solves with it.
 Selected translates grow geometrically (|t_{i+1}| >= 4 |t_i| + 4), which
 forces every pairwise difference apart by more than the unit support length.
 Disjointness is checked exactly, never assumed: one certificate,
-certify_selection, runs once for every built or loaded frame.  When the
+certify_selection, runs once for every built or loaded frame.  A frame file
+holds its plan and selection alone; frame_from_json refuses any other key and
+rebuilds the rest, certificate included, with build_frame.  When the
 growth rule holds and the atom supports lie in [0, 1) it settles the
 certificate with the n - 1 exact integer comparisons that the selection
 made once, when it was constructed; any other selection (a
@@ -97,13 +99,6 @@ class TranslateSelection(_Frozen):
             if not follows_growth_rule and not all(_grows(a.t, b.t) for a, b in pairwise(points)):
                 raise ValueError("|t_i| must be strictly increasing")
         vars(self).update(points=points, follows_growth_rule=follows_growth_rule)
-
-    def to_json(self) -> list:
-        return points_to_json(self.points)
-
-    @classmethod
-    def from_json(cls, obj) -> "TranslateSelection":
-        return cls(tuple(points_from_json(obj)))
 
 
 def _grows(prev: Fraction, t: Fraction) -> bool:
@@ -249,7 +244,7 @@ class ConstructedFrame:
 
     @property
     def q(self) -> float:
-        return self.certificate["q"]
+        return self.plan.contraction
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -270,13 +265,7 @@ class ConstructedFrame:
         return tuple(layout(a, self.p.conjugate, self.span_grid) for a in self.atoms)
 
     def to_json(self) -> dict:
-        return {
-            "plan": self.plan.to_json(),
-            "selection": self.selection.to_json(),
-            "step_log2": self.span_grid.step_log2,
-            "q": self.q,
-            "certificate": self.certificate,
-        }
+        return {"plan": self.plan.to_json(), "selection": points_to_json(self.selection.points)}
 
 
 def _window_piece(local: Grid, row: np.ndarray, size: int, s: Fraction) -> SampledFunction:
@@ -332,30 +321,25 @@ def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFr
     check_cells(1, step)
     span_grid = Grid.over(0, 1, step)
     ok, detail, clear, summands_ok = certify_selection(selection, atoms, plan.block_of_index())
-    norm_pth = _window_norm_pth(plan, selection, atoms, span_grid)
     certificate = {
         "difference_sets_disjoint": ok,
         "difference_sets_detail": detail,
         "difference_sets_clear_of_base": clear,
         "window_summands_disjoint": summands_ok,
-        "window_norm_pth": norm_pth,
-        "window_norm_target": plan.block_sum,
-        "window_norm_error": abs(norm_pth - plan.block_sum),
-        "q": plan.contraction,
+        "window_norm_pth": _window_norm_pth(plan, selection, atoms, span_grid),
     }
     return ConstructedFrame(plan, selection, atoms, certificate, span_grid)
 
+
 def frame_from_json(obj: dict) -> ConstructedFrame:
-    """The frame a to_json dict describes; raises ValueError if a block size is
-    not an integer, or if its stored window step is not the one its plan and
-    selection give."""
+    """The frame a to_json dict describes, rebuilt and re-certified by
+    build_frame; raises ValueError if obj is not a dict of the keys "plan"
+    and "selection" alone, or if a block size is not an integer."""
+    keys = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    if keys != ["plan", "selection"]:
+        raise ValueError(f"a frame file is an object of the keys plan and selection, not {keys}")
     plan = plan_from_sizes(Exponent(obj["plan"]["p"]), obj["plan"]["sizes"])
-    frame = build_frame(plan, TranslateSelection.from_json(obj["selection"]))
-    step = frame.span_grid.step_log2
-    if obj["step_log2"] != step:
-        raise ValueError(f"step_log2 {obj['step_log2']} is not the window step "
-                         f"{step} of the plan and selection")
-    return frame
+    return build_frame(plan, TranslateSelection(tuple(points_from_json(obj["selection"]))))
 
 
 def _block_error_weights(

@@ -185,6 +185,10 @@ class SampledFunction(_Frozen):
             )
         vars(self).update(grid=grid, values=v)
 
+    def _key(self) -> tuple:
+        """Functions compare and hash bitwise: by grid and the bytes of the values."""
+        return self.grid, self.values.tobytes()
+
     @classmethod
     def zero(cls, grid: Grid) -> "SampledFunction":
         import numpy as np

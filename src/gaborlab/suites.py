@@ -25,7 +25,9 @@ The checks are a few private helpers: `_on_side_of_one` and `_side_of_one`
 `_is_recorded_run` (whether the recorded windows apply, read from the config
 the report echoes).  Each Report is built whole, its wall time included.
 Parameters outside a suite's domain, and grids of more than `grids.MAX_CELLS`
-cells (`check_cells`), raise ConfigError before any work; so do a peaks
+cells (`check_cells`, which peaks and cells reach through the grid makers of
+`basic_sequences`, where their extents are derived), raise ConfigError before
+any trial work; so do a peaks
 alpha so small that every window coefficient is 0, a peaks (p, alpha)
 whose growth ratios do not rise over WEIGHT_HORIZON, and a grid step too
 coarse for the top frequency of lacunary or isometry (the Nyquist bound).
@@ -409,7 +411,7 @@ def peaks_suite(
     if J > K:
         raise ConfigError(f"peaks weighs lattice point j by the window's tail weight "
                           f"w_j, j <= K, so J must be at most K, got J = {J}, K = {K}")
-    check_cells(K + 2, min(-K, -(J + 2)))  # peaks_grid
+    basic_sequences.peaks_grid(J, K)  # refuses its grid before the weights are made
     exp = Exponent(p)
     cal = calibration.CALIBRATION["peaks"]
     horizon = basic_sequences.WEIGHT_HORIZON
@@ -453,8 +455,7 @@ def cells_suite(
     n_max: int = 8,
 ) -> Tuple[Report, List[dict]]:
     """Cells window family (p > 2): translate combinations against predicted mass."""
-    # cells_grid and the grid of separated_translates_norm
-    check_cells(max(K + 1 + n_max, 9 * (K + 1)), -(K + 2))
+    basic_sequences.cells_grid(K, n_max)  # refuses its grid before c is made
     exp = Exponent(p)
     cal = calibration.CALIBRATION["cells"]
     try:
@@ -464,9 +465,9 @@ def cells_suite(
                 threshold = basic_sequences.growth_threshold_scan(c, exp)
             except ValueError as exc:
                 raise ConfigError(f"cells at p = {p}, K = {K}: {exc}") from None
-            rows = basic_sequences.verify_cells(c, exp, K, n_max, trials, seed)
             sep_norm = basic_sequences.separated_translates_norm(c, exp, K, n=8,
                                                                  separation=K + 1)
+            rows = basic_sequences.verify_cells(c, exp, K, n_max, trials, seed)
     except FloatingPointError as exc:
         raise ConfigError(f"cells at p = {p}: the p-th powers leave the float range "
                           f"({exc})") from None

@@ -42,16 +42,15 @@ def run(args):
     return main(args)
 
 
-FRAME_WITHOUT_SIZES = json.dumps({"plan": {"p": 4.0}, "selection": [], "step_log2": -3})
+FRAME_WITHOUT_SIZES = json.dumps({"plan": {"p": 4.0}, "selection": []})
 _PLAN_37 = plan_from_sizes(Exponent(4.0), (37,))
-FRAME_37 = json.dumps(
-    build_frame(_PLAN_37, select_translates(spread_candidates(37), _PLAN_37)).to_json()
-)
+_BUILT_37 = build_frame(_PLAN_37, select_translates(spread_candidates(37), _PLAN_37))
+FRAME_37 = json.dumps(_BUILT_37.to_json())
 
 
-def _frame_37_with_step(step_log2):
-    """FRAME_37 with a stored window step its plan and selection do not give."""
-    return {"frame.json": json.dumps({**json.loads(FRAME_37), "step_log2": step_log2})}
+def _frame_37_with(**keys):
+    """FRAME_37 with further keys, as frame files once stored them."""
+    return {"frame.json": json.dumps({**json.loads(FRAME_37), **keys})}
 
 
 def _frame_37_with_sizes(sizes):
@@ -65,8 +64,8 @@ def _points_37_modulated(e):
 
 
 def _frame_37_modulated(e):
-    """FRAME_37 with every modulation s = 2^e and the window step that gives."""
-    return {"frame.json": json.dumps({**json.loads(FRAME_37), "step_log2": -(e + 3),
+    """FRAME_37 with every modulation s = 2^e."""
+    return {"frame.json": json.dumps({**json.loads(FRAME_37),
                                       "selection": _points_37_modulated(e)})}
 
 
@@ -98,9 +97,19 @@ MALFORMED_INPUTS = [
      ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
     ("frame_without_sizes", {"frame.json": FRAME_WITHOUT_SIZES},
      ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
-    *((f"frame_step_{step}", _frame_37_with_step(step),
+    # a frame file holds its plan and selection alone: any other key is
+    # refused, even with the value the loader would rebuild
+    *((f"frame_key_{key}", _frame_37_with(**{key: value}),
        ["verify-frame", "--seed", "1", "--frame", "frame.json"])
-      for step in (-40, 3)),
+      for key, value in (("step_log2", _BUILT_37.span_grid.step_log2),
+                         ("q", _BUILT_37.q), ("certificate", _BUILT_37.certificate))),
+    # a stale q and certificate, which the loader once ignored
+    ("frame_claims_stale_q_and_certificate",
+     _frame_37_with(step_log2=_BUILT_37.span_grid.step_log2, q=0.99,
+                    certificate={**_BUILT_37.certificate, "difference_sets_disjoint": False}),
+     ["verify-frame", "--seed", "1", "--frame", "frame.json", "--corpus", "3"]),
+    ("frame_json_list", {"frame.json": json.dumps(json.loads(FRAME_37)["selection"])},
+     ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
     # block sizes that are not JSON integers: one overflows a float, one
     # would be truncated to the frame's true size
     *((f"frame_sizes_{sizes}", _frame_37_with_sizes(f"[{sizes}]"),
@@ -863,6 +872,7 @@ class TestFramePipeline:
         build = json.loads(report_path.read_text())
         assert build["assertions"]["difference_sets_disjoint"]
         assert build["metrics"]["q"] == pytest.approx(0.4677, abs=1e-3)
+        assert set(json.loads(frame_path.read_text())) == {"plan", "selection"}
 
         verify_path = tmp_path / "verify.json"
         csv_path = tmp_path / "trials.csv"
@@ -1148,8 +1158,8 @@ BUILD_1020 = {
     "window_norm_pth": 0.027573529411764067,
     "window_norm_target": 0.027573529411764705,
 }
-SHA_504 = "4cefea1fe6d4c72924167d5dac1ee7105cd4c14c0734ab4464fb2247b5ab21c8"
-SHA_1020 = "c3f9900264072220b4ea1a78be2d8dd9a09c55b4b5766458a92bffbd3d295d27"
+SHA_504 = "22ee05f792e464ccbed5ecf433bf10ef18a6e3794ce66b7fb3d9a6a9cedb0352"
+SHA_1020 = "d7230949b75dbe3f48a938fe43a6224f431854f8638a32c7c2fce7834528ff67"
 
 # (exit code, metric block, assertion block, sha256 of the frame file) of the
 # benchmark's frame commands at the recorded seed, set-up builds included
@@ -1162,7 +1172,7 @@ FRAME_OUTPUTS = {
         "window_norm_pth": 0.005432041458722676,
         "window_norm_target": 0.005432041458722654,
     }, FRAME_BUILD_ASSERTIONS,
-        "417dfcefd6b0ad26a46db811031ee784c1dbffb09ba2ba56d3ced7c82d6502e1"),
+        "5ba52e8542855725ff917035b04363e0bbd21cd57f5ae944bb0959a40203140a"),
     "build_p4_K3": (0, {
         "q": 0.49607837082461076,
         "sizes": [64, 128, 256],
@@ -1171,7 +1181,7 @@ FRAME_OUTPUTS = {
         "window_norm_pth": 0.02734375,
         "window_norm_target": 0.02734375,
     }, FRAME_BUILD_ASSERTIONS,
-        "c2f7f428e35d6b15c98074648b53d80af09ffcf539013498cf279da5860c49b1"),
+        "fd12177d779c84b2cd4ac3f555820e1c1759ef045b279fd6b4fab73156dfc4a4"),
     "build_p4_504": (0, BUILD_504, FRAME_BUILD_ASSERTIONS, SHA_504),
     "build_p6_K4": (0, {
         "q": 0.49497337538955405,
@@ -1181,7 +1191,7 @@ FRAME_OUTPUTS = {
         "window_norm_pth": 0.0009701424397370228,
         "window_norm_target": 0.0009701424397370344,
     }, FRAME_BUILD_ASSERTIONS,
-        "2aa92a986d18864a441a6367a8e62f1be2fa2668c59b46b9cc7df795ff1d63e2"),
+        "9bba1767d6dea6660dee1ca5236ca5e5a186719d3125ace33dc9362ae479a8fe"),
     "build_p4_K4": (0, BUILD_1020, FRAME_BUILD_ASSERTIONS, SHA_1020),
     "build_p4_504_generic": (0, {
         "q": 0.4677071733467426,
@@ -1191,7 +1201,7 @@ FRAME_OUTPUTS = {
         "window_norm_pth": 0.024305555555555358,
         "window_norm_target": 0.024305555555555552,
     }, FRAME_BUILD_ASSERTIONS,
-        "1b4e434f86562380c586ef9b002c4bb69cd31a0864ab49ce606a384dc555d7fa"),
+        "a83b0530e7271762186ce6d10a5ec071521619db899e3bfd44d0ba3742df2e13"),
     # InfeasiblePlan writes no report
     "build_p2.05_K3_infeasible": (3, None, None, None),
     "setup_frame_504": (0, BUILD_504, FRAME_BUILD_ASSERTIONS, SHA_504),

@@ -3,7 +3,8 @@
 The frozen ones are plans._Frozen subclasses: a field cannot be assigned or
 deleted, and ==, hash and repr read the fields that _compared names, which
 leave out what a value derives or is handed (a selection's growth-rule
-verdict, a Gabor system's hull and atom matrix).  Every construction check
+verdict, a Gabor system's hull and atom matrix).  A function compares and
+hashes by its grid and the bytes of its values.  Every construction check
 runs in __init__, and defaults are made fresh for each value.
 """
 
@@ -37,8 +38,6 @@ FROZEN = {
     "WeightSequence": lambda: WeightSequence((1 + 0j,), (1.0,)),
     "FrequencyInterval": lambda: FrequencyInterval(-1.0, 1.0),
 }
-# the frozen values that hold no array, so that == and hash apply
-HASHABLE = [name for name in FROZEN if name not in ("SampledFunction", "GaborSystem")]
 
 
 @pytest.mark.parametrize("make", FROZEN.values(), ids=FROZEN)
@@ -53,7 +52,7 @@ def test_fields_refuse_assignment_and_deletion(make):
     assert vars(value) == fields
 
 
-@pytest.mark.parametrize("name", HASHABLE)
+@pytest.mark.parametrize("name", FROZEN)
 def test_equal_values_compare_hash_and_print_alike(name):
     a, b = FROZEN[name](), FROZEN[name]()
     assert a is not b
@@ -78,6 +77,15 @@ def test_a_gabor_system_compares_and_prints_by_window_and_points_alone():
     assert a == b
     assert a != GaborSystem(window, OFF_RULE[:1])
     assert repr(a) == repr(b) == f"GaborSystem(window={window!r}, points={OFF_RULE!r})"
+
+
+def test_functions_compare_bitwise():
+    f = SampledFunction(GRID, [1, 2, 3, 4])
+    assert f != SampledFunction(GRID, [1, 2, 3, 5])
+    assert f != SampledFunction(GRID.shifted(1), [1, 2, 3, 4])
+    # 0.0 and -0.0 are equal floats but differ in their bits
+    assert SampledFunction(GRID, [0.0] * 4) != SampledFunction(GRID, [-0.0] * 4)
+    assert GaborSystem(f, OFF_RULE) != GaborSystem(f * 2, OFF_RULE)
 
 
 def test_a_plan_compares_and_prints_by_p_and_sizes_alone():
