@@ -84,6 +84,11 @@ GATE_SHAPES = [
     # piece beside it sums past 128 terms (pairwise_sum's split)
     ("build-frame", "--lambda-file", "gates/s32.lambda.json", "--p", "4",
      "--sizes", "110,110,110"),
+    # a span grid at the MAX_CELLS cap: one point at s = 2^17 takes the
+    # window step 2^-20, and 72 distinct s on the 504 points; every piece's
+    # p-mass is its block's on 2^20 cells
+    ("build-frame", "--lambda-file", "gates/cap.lambda.json", "--p", "4",
+     "--sizes", "72,144,288"),
     # 16 blocks: atoms up to scale 3, past what block_atoms enumerated cheaply
     ("build-frame", "--p", "100", "--sizes", ",".join(["240"] * 16)),
     # no workload reads --config: its flags with an underscore key and a
@@ -105,9 +110,13 @@ EDITED_FRAMES = {
     "gates/overlap_504.frame.json": lambda t501, t502: 2 * t502 - t501,
 }
 # the other inputs that some shapes read, as JSON: the 330 candidates
-# t = 4 * 5^n, each at s = 0 but the 100th, at s = 32; and a --config file
+# t = 4 * 5^n, each at s = 0 but the 100th, at s = 32; the 504 candidates
+# t = 4 * 5^n, at s = 2^17 - n for every 7th n and s = 0 otherwise; and a
+# --config file
 GENERATED_INPUTS = {
     "gates/s32.lambda.json": [[[4 * 5**n, 1], [32 if n == 100 else 0, 1]] for n in range(330)],
+    "gates/cap.lambda.json": [[[4 * 5**n, 1], [0 if n % 7 else 2**17 - n, 1]]
+                              for n in range(504)],
     "gates/rdf.config.json": {"suite": "rdf", "grid_log2": -7, "span": 8, "trials": 50},
 }
 

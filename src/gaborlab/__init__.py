@@ -13,10 +13,11 @@ compiles the frames, build-frame never compiles the frame operator
 exponent and the block plans without numpy, so --help, a config error found
 while parsing (--p's included) and a refused block plan load no numpy.
 `grids`, `haar`, `gabor` and `frames` import numpy only where they make an
-array, so build-frame on an unmodulated selection (every s = 0) loads no
-numpy either; a modulated one loads it for its modulated pieces, and
-verify-frame with `operators`.  The exponent, grids, Gabor systems and Haar
-atoms re-exported here load their module on first access.
+array, so no build-frame loads numpy either, whatever its modulations: the
+modulus of a time-frequency shift is exact, so each window piece's p-mass
+is its block's, taken in plain Python.  verify-frame loads numpy with
+`operators`.  The exponent, grids, Gabor systems and Haar atoms re-exported
+here load their module on first access.
 """
 
 import importlib.util

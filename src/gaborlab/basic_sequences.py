@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GridTooCoarse, GridTooSmall
+from .errors import GridTooCoarse, GridTooSmall, InvariantViolated
 from .gabor import GaborSystem, TimeFreqPoint, synthesize
 from .grids import (
     Exponent,
@@ -196,16 +196,17 @@ def peaks_decomposition_check(
 
     Checks, with exact dyadic endpoints: the families are pairwise disjoint,
     each lies inside [k, k+1], their masses add up to the cell's mass, and
-    the function vanishes outside their union within the cell.
+    the function vanishes outside their union within the cell.  A failed
+    check is a fault of the program and raises InvariantViolated.
     """
     families = peaks_interval_families(k, J)
     intervals = [iv for fam in families.values() for iv in fam]
     overlap = first_overlap(intervals)
     if overlap is not None:
         (alo, ahi), (blo, bhi) = overlap
-        raise AssertionError(f"interval overlap: [{alo},{ahi}) and [{blo},{bhi})")
+        raise InvariantViolated(f"interval overlap: [{alo},{ahi}) and [{blo},{bhi})")
     if intervals and (intervals[0][0] < k or intervals[-1][1] > k + 1):
-        raise AssertionError("interval escapes the unit cell")
+        raise InvariantViolated("interval escapes the unit cell")
     cell = restrict(phi, Fraction(k), Fraction(k + 1))
     cell_mass = lp_norm_pth(cell, p)
     fam_mass = {
@@ -221,11 +222,11 @@ def peaks_decomposition_check(
     outside = float(np.abs(cell.values[~covered]).max(initial=0.0))
     scale = max(cell_mass, 1.0)
     if abs(total - cell_mass) > DECOMPOSITION_TOL * scale:
-        raise AssertionError(
+        raise InvariantViolated(
             f"family masses {total} do not reconstruct cell mass {cell_mass}"
         )
     if outside > DECOMPOSITION_TOL:
-        raise AssertionError(f"mass {outside} outside the decomposition")
+        raise InvariantViolated(f"mass {outside} outside the decomposition")
     return {"cell_mass": cell_mass, "outside_sup": outside, **fam_mass}
 
 

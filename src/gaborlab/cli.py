@@ -141,11 +141,10 @@ def cmd_build_frame(args) -> int:
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"block plan: {exc}") from None
     # frames runs here, before the stopwatch, so that compiling it and the
-    # modules it imports does not count in wall_time_s.  Running it loads no
-    # numpy: an unmodulated build never loads it, and a modulated one (a
-    # --lambda-file with some s != 0) loads it at its first modulated piece,
-    # so that build's wall_time_s, outside the byte-stable metric block,
-    # includes the import
+    # modules it imports does not count in wall_time_s.  No build loads
+    # numpy, modulated or not: a time-frequency shift keeps a piece's
+    # modulus, so the window's p-mass is taken from each block's modulus in
+    # plain Python and no piece is sampled
     _execute(frames)
     with reports.Stopwatch() as sw:
         if args.lambda_file:

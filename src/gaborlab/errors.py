@@ -57,5 +57,10 @@ class NoConvergence(GaborLabError):
     """Iteration exceeded its certified iteration budget."""
 
 
+class InvariantViolated(GaborLabError):
+    """A computed result breaks a statement the program proves: a fault in
+    the program, not in its input."""
+
+
 class ConfigError(GaborLabError):
     """Invalid run configuration."""

@@ -32,14 +32,16 @@ operator reads on first use, once: the atom rows, each atom's (i, mid, j)
 cell slice and dual amplitude, and the f-independent error-term weight of
 each block.
 
-build_frame makes no array for an unmodulated selection, so build-frame on one
-never loads numpy.  The modulus of an unmodulated piece is amp * N_k^(-1/2)
-on the atom's cells and 0 elsewhere, and _unmodulated_pth takes its p-mass in
-plain Python with the float operations of lp_norm_pth, except for the power:
-math.pow is libm's pow, which numpy's power is too, but on CPUs where numpy
-takes its AVX-512 loop for it; there the two can round a power 1 ulp apart.
-A modulated piece keeps lp_norm_pth, since numpy's SIMD cos, sin and hypot
-set its bits.
+build_frame makes no array, so no build-frame loads numpy.  The window's pieces
+are time-frequency shifts of the scaled block atoms, and translation and
+modulation are isometries of L^p: the modulus of the piece at (t_i, s_i) is
+amp * N_k^(-1/2) on the atom's cells and 0 elsewhere whatever s_i, so its
+p-mass is its block's.  _piece_pth takes that mass from the exact modulus,
+in plain Python with the float operations of lp_norm_pth, except for the
+power: math.pow is libm's pow, which numpy's power is too, but on CPUs where
+numpy takes its AVX-512 loop for it; there the two can round a power 1 ulp
+apart.  Sampling a modulated piece instead would add the rounding of numpy's
+cos, sin and hypot to a modulus that is exact.
 """
 
 from __future__ import annotations
@@ -49,18 +51,15 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InsufficientSpread
 from .gabor import TimeFreqPoint, points_from_json, points_to_json
 from .grids import (
     Grid,
-    SampledFunction,
     check_cells,
     first_overlap,
-    lp_norm_pth,
     moduli_pth,
-    modulate,
     pairwise_sum,
 )
 from .haar import HaarIndex, haar_function, layout
@@ -224,10 +223,11 @@ class ConstructedFrame:
 
     The window sum_k sum_{i in J_k} N_k^(-1/2) tau_{-t_i}(e_{-s_i} h_k) is kept
     as its K block rows: rows[k] is block k's atom sampled on span_grid, that
-    is on [0, 1] at the window step.  Every piece is a scaled, possibly
-    modulated copy of a row (_window_piece).  The rows, the functional
-    layouts and the block weights that the operator reads are made on first
-    use.
+    is on [0, 1] at the window step.  The piece at point i is block k's row
+    scaled by N_k^(-1/2), modulated by -s_i and moved to -t_i; the frame
+    keeps no piece, and the certificate takes each piece's p-mass from its
+    modulus (_piece_pth).  The rows, the functional layouts and the block
+    weights that the operator reads are made on first use.
     """
 
     def __init__(self, plan: BlockPlan, selection: TranslateSelection,
@@ -268,40 +268,23 @@ class ConstructedFrame:
         return {"plan": self.plan.to_json(), "selection": points_to_json(self.selection.points)}
 
 
-def _window_piece(local: Grid, row: np.ndarray, size: int, s: Fraction) -> SampledFunction:
-    """An atom row scaled by size^(-1/2) and modulated by -s, on local."""
-    return modulate(SampledFunction(local, row) * (size ** -0.5), -s)
-
-
-def _unmodulated_pth(atom: HaarIndex, p: Exponent, size: int, local: Grid) -> float:
-    """lp_norm_pth of the unmodulated piece _window_piece(local, row, size, 0),
-    row the atom on local, in plain Python: the modulus amp * size^(-1/2) on
-    the atom's cells, raised by math.pow, summed with 0 on every other cell
-    in numpy's order, times the step."""
+def _piece_pth(atom: HaarIndex, p: Exponent, size: int, local: Grid) -> float:
+    """The p-mass on local of every window piece of atom's block, from its
+    modulus in plain Python: amp * size^(-1/2) on the atom's cells, raised by
+    math.pow, summed with 0 on every other cell in numpy's order, times the
+    step.  That is lp_norm_pth of the unmodulated piece; a time-frequency
+    shift keeps the modulus, so the piece's t and s do not enter."""
     i, _, j, amp = layout(atom, p.p, local)
     power = math.pow(amp * size ** -0.5, p.p)
     return pairwise_sum([0.0] * i + [power] * (j - i) + [0.0] * (local.count - j)) * local.step
 
 
-def _window_norm_pth(
-    plan: BlockPlan, selection: TranslateSelection, atoms: Sequence[HaarIndex], local: Grid
-) -> float:
+def _window_norm_pth(plan: BlockPlan, atoms: Sequence[HaarIndex], local: Grid) -> float:
     """The window's p-mass: the sum of the piece masses in point order.  Piece
-    supports are certified pairwise disjoint, so the p-mass adds; a piece
-    depends only on its block and modulation, so each distinct one is
-    measured once, an unmodulated one without numpy."""
-    mass: Dict[Tuple[int, int, int], float] = {}
-    masses = []
-    for pt, k in zip(selection.points, plan.block_of_index()):
-        key = (k, pt.s.numerator, pt.s.denominator)
-        if key not in mass:
-            if pt.s == 0:
-                mass[key] = _unmodulated_pth(atoms[k], plan.p, plan.sizes[k], local)
-            else:
-                row = haar_function(atoms[k], plan.p, local).values
-                mass[key] = lp_norm_pth(_window_piece(local, row, plan.sizes[k], pt.s), plan.p)
-        masses.append(mass[key])
-    return float(sum(masses))
+    supports are certified pairwise disjoint, so the p-mass adds; a piece's
+    mass depends only on its block, so each block is measured once."""
+    mass = [_piece_pth(atom, plan.p, size, local) for atom, size in zip(atoms, plan.sizes)]
+    return sum(mass[k] for k in plan.block_of_index())
 
 
 def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFrame:
@@ -326,7 +309,7 @@ def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFr
         "difference_sets_detail": detail,
         "difference_sets_clear_of_base": clear,
         "window_summands_disjoint": summands_ok,
-        "window_norm_pth": _window_norm_pth(plan, selection, atoms, span_grid),
+        "window_norm_pth": _window_norm_pth(plan, atoms, span_grid),
     }
     return ConstructedFrame(plan, selection, atoms, certificate, span_grid)
 
@@ -334,12 +317,19 @@ def build_frame(plan: BlockPlan, selection: TranslateSelection) -> ConstructedFr
 def frame_from_json(obj: dict) -> ConstructedFrame:
     """The frame a to_json dict describes, rebuilt and re-certified by
     build_frame; raises ValueError if obj is not a dict of the keys "plan"
-    and "selection" alone, or if a block size is not an integer."""
-    keys = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-    if keys != ["plan", "selection"]:
-        raise ValueError(f"a frame file is an object of the keys plan and selection, not {keys}")
+    and "selection" alone, or its plan not a dict of "p" and "sizes" alone,
+    or if a block size is not an integer."""
+    _check_keys(obj, "a frame file", ["plan", "selection"])
+    _check_keys(obj["plan"], "a frame file's plan", ["p", "sizes"])
     plan = plan_from_sizes(Exponent(obj["plan"]["p"]), obj["plan"]["sizes"])
     return build_frame(plan, TranslateSelection(tuple(points_from_json(obj["selection"]))))
+
+
+def _check_keys(obj, what: str, keys: List[str]) -> None:
+    """Raise ValueError unless obj is a dict of exactly the sorted keys."""
+    found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    if found != keys:
+        raise ValueError(f"{what} is an object of the keys {' and '.join(keys)}, not {found}")
 
 
 def _block_error_weights(

@@ -251,22 +251,26 @@ def pairwise_sum(terms: Sequence[float]) -> float:
     are added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
     last n mod 8 terms in turn; past 128, the sums of two halves split at a
     multiple of 8 are added."""
-    def total(lo: int, n: int) -> float:
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return total(lo, half) + total(lo + half, n - half)
-        end, out = lo + n - n % 8, 0.0
-        if n >= 8:
-            sums = terms[lo:lo + 8]
-            for start in range(lo + 8, end, 8):
-                sums = [a + b for a, b in zip(sums, terms[start:start + 8])]
-            out = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
-                (sums[4] + sums[5]) + (sums[6] + sums[7]))
-        for x in terms[end:lo + n]:
-            out += x
-        return out
+    return _pairwise_total(terms, 0, len(terms))
 
-    return total(0, len(terms))
+
+def _pairwise_total(terms: Sequence[float], lo: int, n: int) -> float:
+    """pairwise_sum of terms[lo:lo + n].  A module function, not a closure
+    that calls itself: such a closure is a reference cycle that holds terms
+    until the cyclic collector runs, which a CLI command never does."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_total(terms, lo, half) + _pairwise_total(terms, lo + half, n - half)
+    end, out = lo + n - n % 8, 0.0
+    if n >= 8:
+        sums = terms[lo:lo + 8]
+        for start in range(lo + 8, end, 8):
+            sums = [a + b for a, b in zip(sums, terms[start:start + 8])]
+        out = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+            (sums[4] + sums[5]) + (sums[6] + sums[7]))
+    for x in terms[end:lo + n]:
+        out += x
+    return out
 
 
 def moduli_pth(mods: np.ndarray, step: float, p: Exponent) -> np.ndarray:

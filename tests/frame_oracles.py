@@ -2,10 +2,12 @@
 
 The package's frame code never places a piece at a translate: the window is
 kept as its K block rows and the operator works on the span grid.  These
-oracles place every piece densely instead, one at a time: window_pieces and
-window_on_grid for the window, error_pieces and error_pth_direct for the
-unreduced error term of the frame operator, and frame_operator_dense for the
-operator itself on an explicit grid.  span_coefficients applies one
+oracles place every piece densely instead, one at a time: window_piece,
+window_pieces and window_on_grid for the window, whose modulated pieces the
+package never samples (it takes each piece's p-mass from its modulus),
+error_pieces and error_pth_direct for the unreduced error term of the frame
+operator, and frame_operator_dense for the operator itself on an explicit
+grid.  span_coefficients applies one
 haar_functional per atom, the oracle of the batched functionals that
 operators reads from each frame's layout; error_pieces samples each relative
 modulation with modulation_values.  window_on_grid and
@@ -22,9 +24,16 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 import numpy as np
 
 from gaborlab.errors import GridTooSmall, NonAlignedShift
-from gaborlab.frames import ConstructedFrame, _window_piece, spread_candidates
+from gaborlab.frames import ConstructedFrame, spread_candidates
 from gaborlab.gabor import TimeFreqPoint
-from gaborlab.grids import Exponent, Grid, SampledFunction, modulation_phase, phase_samples
+from gaborlab.grids import (
+    Exponent,
+    Grid,
+    SampledFunction,
+    modulate,
+    modulation_phase,
+    phase_samples,
+)
 from gaborlab.haar import HaarIndex, layout
 from gaborlab.operators import frame_operator_rows
 
@@ -52,12 +61,17 @@ def modulation_values(grid: Grid, s) -> np.ndarray:
     return phase_samples(*modulation_phase(grid, s), grid.count)
 
 
+def window_piece(local: Grid, row: np.ndarray, size: int, s: Fraction) -> SampledFunction:
+    """An atom row scaled by size^(-1/2) and modulated by -s, on local."""
+    return modulate(SampledFunction(local, row) * (size ** -0.5), -s)
+
+
 def window_pieces(frame: ConstructedFrame) -> Iterator[Tuple[Fraction, SampledFunction]]:
     """(offset, local step function on [0, 1]) of every point of the window,
     in point order."""
     sizes = frame.plan.sizes
     for pt, k in zip(frame.selection.points, frame.plan.block_of_index()):
-        yield -pt.t, _window_piece(frame.span_grid, frame.rows[k], sizes[k], pt.s)
+        yield -pt.t, window_piece(frame.span_grid, frame.rows[k], sizes[k], pt.s)
 
 
 def _place(out: np.ndarray, grid: Grid, at: Fraction, values: np.ndarray) -> None:

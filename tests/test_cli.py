@@ -49,7 +49,8 @@ FRAME_37 = json.dumps(_BUILT_37.to_json())
 
 
 def _frame_37_with(**keys):
-    """FRAME_37 with further keys, as frame files once stored them."""
+    """FRAME_37 with further keys, as frame files once stored them, or with
+    a key's value replaced."""
     return {"frame.json": json.dumps({**json.loads(FRAME_37), **keys})}
 
 
@@ -110,6 +111,16 @@ MALFORMED_INPUTS = [
      ["verify-frame", "--seed", "1", "--frame", "frame.json", "--corpus", "3"]),
     ("frame_json_list", {"frame.json": json.dumps(json.loads(FRAME_37)["selection"])},
      ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
+    # the plan holds p and sizes alone: a stale q and certificate inside it,
+    # and a plan that is no object, are refused
+    ("frame_plan_claims_stale_q_and_certificate",
+     _frame_37_with(plan={**_PLAN_37.to_json(), "q": 0.99,
+                          "certificate": {"difference_sets_disjoint": False}}),
+     ["verify-frame", "--seed", "1", "--frame", "frame.json", "--corpus", "3"]),
+    *((f"frame_plan_{name}", _frame_37_with(plan=plan),
+       ["verify-frame", "--seed", "1", "--frame", "frame.json"])
+      for name, plan in (("list", [4.0, [37]]), ("keys_list", ["p", "sizes"]),
+                         ("number", 4.0))),
     # block sizes that are not JSON integers: one overflows a float, one
     # would be truncated to the frame's true size
     *((f"frame_sizes_{sizes}", _frame_37_with_sizes(f"[{sizes}]"),
@@ -277,6 +288,18 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+    def test_broken_invariant_exits_3_with_one_line(self, monkeypatch, capsys):
+        # a negative tolerance makes every peaks decomposition a violation,
+        # which the program reports as its own fault, not as a traceback
+        from gaborlab import basic_sequences
+
+        monkeypatch.setattr(basic_sequences, "DECOMPOSITION_TOL", -1.0)
+        assert run([*PEAKS, "--trials", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: InvariantViolated: family masses ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_peaks_growth_is_decided_on_the_horizon(self, capsys):
         # 1.21 > 2(1 - 0.4), yet the ratios still rise over n <= WEIGHT_HORIZON
@@ -511,9 +534,8 @@ class TestImportScope:
 
     def test_numpy_loads_before_each_frame_stopwatch(self, tmp_path):
         # [numpy executed when the stopwatch starts, when it stops] of each
-        # command: verify-frame's wall_time_s leaves the numpy import out, an
-        # unmodulated build executes no numpy at all, and a modulated one
-        # executes it inside its stopwatch
+        # command: verify-frame's wall_time_s leaves the numpy import out,
+        # and no build, unmodulated or modulated, executes numpy at all
         codes, seen = _run_script(tmp_path, STOPWATCH_SCOPE, [
             ["build-frame", "--sizes", "37", "--frame-out", "f.json"],
             ["verify-frame", "--frame", "f.json", "--corpus", "5", "--seed", "1"]])
@@ -523,7 +545,7 @@ class TestImportScope:
         codes, seen = _run_script(tmp_path, STOPWATCH_SCOPE, [
             ["build-frame", "--sizes", "37", "--lambda-file", lam]])
         assert codes == [0]
-        assert seen == [[False, True]]
+        assert seen == [[False, False]]
 
     def test_unmodulated_builds_execute_no_numpy(self, tmp_path):
         lam = _lambda_file(tmp_path / "lambda.json", Fraction(0))
@@ -536,13 +558,18 @@ class TestImportScope:
         assert heavy == []
         assert "frames" not in unexecuted
 
-    def test_modulated_build_executes_numpy(self, tmp_path):
-        lam = _lambda_file(tmp_path / "lambda.json", Fraction(1, 16))
-        codes, _, _, heavy = _modules_after(
-            tmp_path, ["build-frame", "--sizes", "37", "--lambda-file", lam,
-                       "--frame-out", "f.json"])
-        assert codes == [0]
-        assert "numpy" in heavy
+    def test_no_build_frame_executes_numpy(self, tmp_path):
+        # a piece's p-mass comes from its modulus, which modulation keeps:
+        # low and high frequencies, the latter at the span grid's cell cap
+        low = _lambda_file(tmp_path / "low.json", Fraction(1, 16))
+        high = _lambda_file(tmp_path / "high.json", Fraction(2**17))
+        codes, _, unexecuted, heavy = _modules_after(
+            tmp_path, ["build-frame", "--sizes", "37", "--lambda-file", low,
+                       "--frame-out", "f.json"],
+            ["build-frame", "--sizes", "37", "--lambda-file", high, "--out", "r.json"])
+        assert codes == [0, 0]
+        assert heavy == []
+        assert "frames" not in unexecuted
 
     def test_refused_plans_run_no_array_code(self, tmp_path):
         codes, _, unexecuted, heavy = _modules_after(
@@ -1197,8 +1224,8 @@ FRAME_OUTPUTS = {
         "q": 0.4677071733467426,
         "sizes": [72, 144, 288],
         "total_points": 504,
-        "window_norm_error": 1.942890293094024e-16,
-        "window_norm_pth": 0.024305555555555358,
+        "window_norm_error": 1.734723475976807e-16,
+        "window_norm_pth": 0.02430555555555538,
         "window_norm_target": 0.024305555555555552,
     }, FRAME_BUILD_ASSERTIONS,
         "a83b0530e7271762186ce6d10a5ec071521619db899e3bfd44d0ba3742df2e13"),

@@ -20,6 +20,7 @@ from frame_oracles import (
     frame_operator_dense,
     span_coefficients,
     window_on_grid,
+    window_piece,
     window_pieces,
 )
 from gaborlab import frames, operators
@@ -516,6 +517,58 @@ def unmodulated_pieces(draw):
     return p, draw(st.sampled_from(atoms)), draw(st.integers(1, 10**6)), Grid.over(0, 1, step)
 
 
+@st.composite
+def modulated_selections(draw):
+    """A demonstration plan at p in (2, 8] on growth-rule translates of
+    random signs, every point at a random s with |s| <= 255 (span grids of up
+    to 1024 cells); and the same points with one s redrawn at the same
+    Nyquist bit length."""
+    p = Exponent(draw(st.floats(2.0, 8.0, exclude_min=True)))
+    plan = BlockPlan(p, tuple(draw(SMALL_SIZES)), require_condition=False)
+    ss = draw(st.lists(st.fractions(-255, 255, max_denominator=16),
+                       min_size=plan.total, max_size=plan.total))
+    points = tuple(TimeFreqPoint(draw(SIGNS) * pt.t, s)
+                   for pt, s in zip(spread_candidates(plan.total), ss))
+    i = draw(st.integers(0, plan.total - 1))
+    # the Nyquist bit length, that of floor(4|s|), sets the finest window
+    # step a point asks for: redraw floor(4|s|) = m at the same bit length,
+    # then s = +-(m + r/8)/4
+    bits = (4 * abs(ss[i].numerator) // ss[i].denominator).bit_length()
+    m = draw(st.integers(2 ** bits // 2, 2 ** bits - 1))
+    s = draw(SIGNS) * Fraction(8 * m + draw(st.integers(0, 7)), 32)
+    redrawn = points[:i] + (TimeFreqPoint(points[i].t, s),) + points[i + 1:]
+    return plan, points, redrawn
+
+
+def block_masses(frame):
+    """The p-mass on the span grid of each block's unmodulated piece, from
+    the dense oracle piece: numpy's sum of libm's powers (math.pow) of its
+    sampled moduli, times the step."""
+    masses = []
+    for k, size in enumerate(frame.plan.sizes):
+        piece = window_piece(frame.span_grid, frame.rows[k], size, Fraction(0))
+        powers = np.array([[math.pow(m, frame.p.p) for m in np.abs(piece.values)]])
+        masses.append(float(powers_pth(powers, frame.span_grid.step)[0]))
+    return masses
+
+
+# numpy's float64 cos and sin (its complex exp), SIMD loops included, are
+# taken to be within TRIG_ULPS ulp
+TRIG_ULPS = 4
+
+
+def sampled_window_units(p, cells, points):
+    """First-order bound, in units of u = 2^-53 relative to the window's
+    p-mass, on |window_norm_pth - the point-order sum of lp_norm_pth over the
+    sampled oracle pieces|.  Both sides scale the atom row by the same float.
+    A sampled modulus is then that value times 1 + e, |e| <= (TRIG_ULPS + 2) u:
+    the sample, the real-by-complex product and hypot's rounding.  The power
+    carries e p-fold and adds one rounding on each side.  Each side sums a
+    piece's cells and then the pieces, non-negative terms, with at most
+    (cells - 1) and (points - 1) roundings each; the step is a power of two."""
+    return p * (TRIG_ULPS + 2) + 2 + 2 * (cells - 1) + 2 * (points - 1)
+
+
 def tiny_frame(sizes=(37,), s=Fraction(0)):
     plan = plan_from_sizes(P4, sizes)
     cands = candidates(plan.total, base=4, ratio=5, s=s)
@@ -574,9 +627,35 @@ class TestWindow:
         modulations = [{pt.s for pt, k in zip(frame.selection.points, block_of) if k == b}
                        for b in range(len(plan.sizes))]
         assert all(len(m) > 1 for m in modulations) == generic
-        # bit for bit: one mass per distinct piece, summed in point order
-        assert frame.certificate["window_norm_pth"] == sum(
-            lp_norm_pth(f, exp) for _, f in window_pieces(frame))
+        total = frame.certificate["window_norm_pth"]
+        sampled = sum(lp_norm_pth(f, exp) for _, f in window_pieces(frame))
+        if not generic:
+            # bit for bit: one mass per block, summed in point order
+            assert total == sampled
+            return
+        # the modulus of a modulated piece is exact in the package and
+        # rounded through numpy's exponential in the oracle's samples
+        units = sampled_window_units(p, frame.span_grid.count, plan.total)
+        assert abs(total - sampled) <= units * total * 2.0**-53
+        masses = block_masses(frame)
+        assert total == sum(masses[k] for k in block_of)
+
+    @PROPERTY
+    @given(modulated_selections())
+    def test_window_mass_is_the_point_order_sum_of_block_masses(self, case):
+        # bit for bit, whatever the modulations: a time-frequency shift keeps
+        # a piece's modulus, so only the span grid, which the largest Nyquist
+        # bit length sets, reaches the p-mass through s
+        plan, points, redrawn = case
+        frame = build_frame(plan, TranslateSelection(points))
+        masses = block_masses(frame)
+        total = 0.0
+        for k in plan.block_of_index():
+            total += masses[k]
+        assert frame.certificate["window_norm_pth"] == total
+        other = build_frame(plan, TranslateSelection(redrawn))
+        assert other.span_grid.step_log2 == frame.span_grid.step_log2
+        assert other.certificate["window_norm_pth"] == total
 
     @PROPERTY
     @given(unmodulated_pieces())
@@ -587,8 +666,8 @@ class TestWindow:
         # wherever numpy's power is libm's.  Where numpy's power takes its
         # AVX-512 loop it rounds some powers the other way, 1 ulp apart.
         p, atom, size, grid = case
-        piece = frames._window_piece(grid, haar_function(atom, p, grid).values, size, 0)
-        pure = frames._unmodulated_pth(atom, p, size, grid)
+        piece = window_piece(grid, haar_function(atom, p, grid).values, size, Fraction(0))
+        pure = frames._piece_pth(atom, p, size, grid)
         mods = np.abs(piece.values)
         libm = np.array([math.pow(m, p.p) for m in mods])
         assert pure == float(powers_pth(libm[None], grid.step)[0])

@@ -1,5 +1,8 @@
 """Step-function grid core: exact norms, isometries, mixed norms, amalgam norm."""
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -94,6 +97,19 @@ class TestPairwiseSum:
         terms = rng.random(n) * 10.0 ** rng.integers(-12, 12, n)
         terms[rng.random(n) < 1 / 3] = 0.0
         assert pairwise_sum(terms.tolist()) == float(powers_pth(terms[None], 1.0)[0])
+
+    @pytest.mark.parametrize("n", [0, 7, 128, 129, 3000])
+    def test_holds_no_reference_once_returned(self, n):
+        # a CLI command runs with the cyclic collector off, so a reference
+        # cycle that held the terms would keep a 2^20-cell list per block
+        terms = [1.0] * n
+        before = sys.getrefcount(terms)
+        gc.disable()
+        try:
+            pairwise_sum(terms)
+            assert sys.getrefcount(terms) == before
+        finally:
+            gc.enable()
 
 
 class TestTranslate:
