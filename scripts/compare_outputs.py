@@ -76,12 +76,12 @@ GATE_SHAPES = [
     # no workload raises NoConvergence: a tolerance below the rounding floor
     ("verify-frame", "--frame", "frame-verify/setup_frame_504.frame.json",
      "--corpus", "50", "--tol", "1e-17"),
-    # no workload builds K >= 5 blocks, whose unmodulated pieces on 8 span
-    # cells are the first to sum 8 or more terms (grids.pairwise_sum's
-    # accumulator loop)
+    # no workload builds K >= 5 blocks, whose span grids of n = 8 cells are
+    # the first with n >= 8: the piece masses (frames._piece_pth) of runs of
+    # L < 8 cells there are the closed form's L < 8 case, not its n < 8 one
     ("build-frame", "--p", "4", "--blocks", "5"),
-    # one point at s = 32 makes the span grid 256 cells, so every unmodulated
-    # piece beside it sums past 128 terms (pairwise_sum's split)
+    # one point at s = 32 makes the span grid 256 cells, so every piece's
+    # run has L >= 128 cells, past numpy's split of a row (the L >= 128 case)
     ("build-frame", "--lambda-file", "gates/s32.lambda.json", "--p", "4",
      "--sizes", "110,110,110"),
     # a span grid at the MAX_CELLS cap: one point at s = 2^17 takes the
@@ -91,6 +91,10 @@ GATE_SHAPES = [
      "--sizes", "72,144,288"),
     # 16 blocks: atoms up to scale 3, past what block_atoms enumerated cheaply
     ("build-frame", "--p", "100", "--sizes", ",".join(["240"] * 16)),
+    # the same plan at the MAX_CELLS cap: its first point at s = 2^17, so
+    # each of the 16 blocks' piece masses is taken on 2^20 cells
+    ("build-frame", "--lambda-file", "gates/cap16.lambda.json", "--p", "100",
+     "--sizes", ",".join(["240"] * 16)),
     # no workload reads --config: its flags with an underscore key and a
     # number, and a --trials on the command line that wins over the file's
     ("inequalities", "--config", "gates/rdf.config.json", "--trials", "3"),
@@ -111,12 +115,14 @@ EDITED_FRAMES = {
 }
 # the other inputs that some shapes read, as JSON: the 330 candidates
 # t = 4 * 5^n, each at s = 0 but the 100th, at s = 32; the 504 candidates
-# t = 4 * 5^n, at s = 2^17 - n for every 7th n and s = 0 otherwise; and a
-# --config file
+# t = 4 * 5^n, at s = 2^17 - n for every 7th n and s = 0 otherwise; the
+# 3,840 candidates t = 4 * 5^n, at s = 2^17 for n = 0 and s = 0 otherwise;
+# and a --config file
 GENERATED_INPUTS = {
     "gates/s32.lambda.json": [[[4 * 5**n, 1], [32 if n == 100 else 0, 1]] for n in range(330)],
     "gates/cap.lambda.json": [[[4 * 5**n, 1], [0 if n % 7 else 2**17 - n, 1]]
                               for n in range(504)],
+    "gates/cap16.lambda.json": [[[4 * 5**n, 1], [0 if n else 2**17, 1]] for n in range(3840)],
     "gates/rdf.config.json": {"suite": "rdf", "grid_log2": -7, "span": 8, "trials": 50},
 }
 

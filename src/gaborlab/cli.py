@@ -39,7 +39,8 @@ def _read_json(path: str, flag: str, parse: Callable):
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError,
+            RecursionError) as exc:  # RecursionError: JSON nested too deep to parse
         raise ConfigError(f"{flag} {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -400,7 +401,8 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command; return its exit code: 0 when every assertion passed,
-    1 when one failed, 2 for a config error and 3 for any other GaborLabError.
+    1 when one failed, 2 for a config error (running out of memory included)
+    and 3 for any other GaborLabError.
 
     argv=None reads sys.argv and marks the process entry (the `gaborlab`
     script, `python -m gaborlab.cli`): the process ends once main returns.
@@ -418,8 +420,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         gc.disable()
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-        return args.func(args)
+        try:
+            args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+            return args.func(args)
+        except MemoryError as exc:  # an input too large for this machine
+            raise ConfigError(f"out of memory: {exc!r}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -36,12 +36,12 @@ build_frame makes no array, so no build-frame loads numpy.  The window's pieces
 are time-frequency shifts of the scaled block atoms, and translation and
 modulation are isometries of L^p: the modulus of the piece at (t_i, s_i) is
 amp * N_k^(-1/2) on the atom's cells and 0 elsewhere whatever s_i, so its
-p-mass is its block's.  _piece_pth takes that mass from the exact modulus,
-in plain Python with the float operations of lp_norm_pth, except for the
-power: math.pow is libm's pow, which numpy's power is too, but on CPUs where
-numpy takes its AVX-512 loop for it; there the two can round a power 1 ulp
-apart.  Sampling a modulated piece instead would add the rounding of numpy's
-cos, sin and hypot to a modulus that is exact.
+p-mass is its block's.  _piece_pth takes that mass from the exact modulus
+in closed form, without a row of cells, bit for bit as lp_norm_pth sums it,
+except for the power: math.pow is libm's pow, which numpy's power is too,
+but on CPUs where numpy takes its AVX-512 loop for it; there the two can
+round a power 1 ulp apart.  Sampling a modulated piece instead would add
+the rounding of numpy's cos, sin and hypot to a modulus that is exact.
 """
 
 from __future__ import annotations
@@ -55,13 +55,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InsufficientSpread
 from .gabor import TimeFreqPoint, points_from_json, points_to_json
-from .grids import (
-    Grid,
-    check_cells,
-    first_overlap,
-    moduli_pth,
-    pairwise_sum,
-)
+from .grids import Grid, check_cells, first_overlap, moduli_pth
 from .haar import HaarIndex, haar_function, layout
 from .plans import BlockPlan, Exponent, _Frozen, plan_from_sizes
 
@@ -269,14 +263,26 @@ class ConstructedFrame:
 
 
 def _piece_pth(atom: HaarIndex, p: Exponent, size: int, local: Grid) -> float:
-    """The p-mass on local of every window piece of atom's block, from its
-    modulus in plain Python: amp * size^(-1/2) on the atom's cells, raised by
-    math.pow, summed with 0 on every other cell in numpy's order, times the
-    step.  That is lp_norm_pth of the unmodulated piece; a time-frequency
-    shift keeps the modulus, so the piece's t and s do not enter."""
+    """The p-mass on local of every window piece of atom's block, as
+    lp_norm_pth takes it: the modulus is amp * size^(-1/2) on the atom's run
+    of L of the n cells and 0 elsewhere, its power x by math.pow, and the
+    mass numpy's sum of that row times the step.  A time-frequency shift
+    keeps the modulus, so the piece's t and s do not enter.
+
+    Requires n = 2^m and a run of L = 2^a cells starting at a multiple of L,
+    as every block atom's is on the span grid.  numpy's row sum adds fewer
+    than 8 terms in turn, up to 128 in 8 running sums of every 8th term, and
+    a longer row by halves.  Adding a 0 or two equal sums is exact, so the
+    sum is L/c times x added c times in turn: c = L if n < 8; c = 1 if
+    L < 8 <= n (x once in each of L running sums); else c = min(L/8, 16),
+    the x's in one running sum of a 128-cell half."""
     i, _, j, amp = layout(atom, p.p, local)
-    power = math.pow(amp * size ** -0.5, p.p)
-    return pairwise_sum([0.0] * i + [power] * (j - i) + [0.0] * (local.count - j)) * local.step
+    power, run = math.pow(amp * size ** -0.5, p.p), j - i
+    lanes = run if local.count < 8 else 1 if run < 8 else min(run // 8, 16)
+    total = 0.0
+    for _ in range(lanes):
+        total += power
+    return total * (run // lanes) * local.step
 
 
 def _window_norm_pth(plan: BlockPlan, atoms: Sequence[HaarIndex], local: Grid) -> float:

@@ -19,9 +19,9 @@ exact rational gives, without building a Fraction.
 
 Every p-mass is formed by one kernel, powers_pth, from moduli already raised
 to the p-th power; moduli_pth raises them, and a caller that needs both the
-whole mass and the masses of pieces raises them once.  pairwise_sum is the
-kernel's row sum in plain Python, in numpy's order, for a caller that makes
-no array.  A family of functions reaches lp_ell2_norm and moduli_pth as
+whole mass and the masses of pieces raises them once.  The one mass made
+without an array, a window piece's (frames._piece_pth), is that kernel's sum
+in closed form.  A family of functions reaches lp_ell2_norm and moduli_pth as
 (values, step): its (n, cells) matrix.
 
 The module imports numpy only inside the functions that make arrays, so the
@@ -242,35 +242,6 @@ def powers_pth(powers: np.ndarray, step: float) -> np.ndarray:
     step function, given its moduli on cells of the given step raised to the
     p-th power."""
     return powers.sum(axis=1) * step
-
-
-def pairwise_sum(terms: Sequence[float]) -> float:
-    """numpy's sum of a contiguous row of non-negative floats, as powers_pth
-    takes it, in plain Python and in numpy's order: fewer than 8 terms are
-    added in turn; up to 128, 8 running sums take the terms 8 at a time and
-    are added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    last n mod 8 terms in turn; past 128, the sums of two halves split at a
-    multiple of 8 are added."""
-    return _pairwise_total(terms, 0, len(terms))
-
-
-def _pairwise_total(terms: Sequence[float], lo: int, n: int) -> float:
-    """pairwise_sum of terms[lo:lo + n].  A module function, not a closure
-    that calls itself: such a closure is a reference cycle that holds terms
-    until the cyclic collector runs, which a CLI command never does."""
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_total(terms, lo, half) + _pairwise_total(terms, lo + half, n - half)
-    end, out = lo + n - n % 8, 0.0
-    if n >= 8:
-        sums = terms[lo:lo + 8]
-        for start in range(lo + 8, end, 8):
-            sums = [a + b for a, b in zip(sums, terms[start:start + 8])]
-        out = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
-            (sums[4] + sums[5]) + (sums[6] + sums[7]))
-    for x in terms[end:lo + n]:
-        out += x
-    return out
 
 
 def moduli_pth(mods: np.ndarray, step: float, p: Exponent) -> np.ndarray:

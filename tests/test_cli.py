@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaborlab import cli
+from gaborlab import cli, frames
 from gaborlab.cli import MAX_TRIALS, main
 from gaborlab.frames import build_frame, frame_from_json, select_translates, spread_candidates
 from gaborlab.gabor import TimeFreqPoint
@@ -81,6 +81,10 @@ def _configured(config, *argv):
     return {"cfg.json": json.dumps(config)}, [*argv, "--config", "cfg.json"]
 
 
+# JSON nested past the parser's recursion limit
+DEEP_LIST = "[" * 200_000 + "]" * 200_000
+DEEP_OBJECT = '{"a":' * 200_000 + "0" + "}" * 200_000
+
 PEAKS = ["counterexample", "--family", "peaks", "--seed", "1"]
 CELLS = ["counterexample", "--family", "cells", "--seed", "1"]
 
@@ -96,6 +100,12 @@ MALFORMED_INPUTS = [
     ("frame_missing", {}, ["verify-frame", "--seed", "1", "--frame", "absent.json"]),
     ("frame_unparsable", {"frame.json": "{"},
      ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
+    ("frame_nested_too_deep", {"frame.json": DEEP_OBJECT},
+     ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
+    ("lambda_nested_too_deep", {"lam.json": DEEP_LIST},
+     ["build-frame", "--sizes", "37", "--lambda-file", "lam.json"]),
+    ("config_nested_too_deep", {"cfg.json": DEEP_OBJECT},
+     ["build-frame", "--config", "cfg.json"]),
     ("frame_without_sizes", {"frame.json": FRAME_WITHOUT_SIZES},
      ["verify-frame", "--seed", "1", "--frame", "frame.json"]),
     # a frame file holds its plan and selection alone: any other key is
@@ -379,6 +389,21 @@ class TestExitCodes:
         path.write_text(json.dumps(frame))
         assert run(["verify-frame", "--frame", str(path), "--corpus", "5", "--seed", "1"]) == code
         assert capsys.readouterr().err == err
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # the n^2 enumeration of a frame off the growth rule, which a large
+        # enough frame takes past the machine's memory
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(frames, "_certify_by_enumeration", exhausted)
+        frame = json.loads(FRAME_37)
+        (t35, _), (_, s) = frame["selection"][-2:]
+        frame["selection"][-1] = [[4 * t35[0], 1], s]
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame))
+        assert run(["verify-frame", "--frame", str(path), "--corpus", "5", "--seed", "1"]) == 2
+        assert capsys.readouterr() == ("", "config error: out of memory: MemoryError()\n")
 
     def test_infeasible_plan_exit(self, capsys):
         code = run(["build-frame", "--p", "2.0", "--blocks", "1"])
@@ -1460,7 +1485,8 @@ ALPHABET = ("0", "1", "-1", "400", str(10**30), "nan", "inf", "", "x")
 BOUNDED = {"trials": ("1", "2", "0", "-1", "x"), "corpus": ("1", "2", "0", "x"),
            "span": ("1", "2", "0", "x"), "grid-log2": ("0", "-1", "-3", "1", "x")}
 INPUT_FILES = {"frame.json": FRAME_37, "lam.json": json.dumps(_points_37_modulated(0)),
-               "cfg.json": '{"seed": 1, "trials": 1}', "empty.json": ""}
+               "cfg.json": '{"seed": 1, "trials": 1}', "empty.json": "",
+               "deep.json": DEEP_LIST}
 PATHS = (*INPUT_FILES, "missing.json")
 
 

@@ -122,6 +122,21 @@ def demo_plan(sizes):
     return BlockPlan(P4, tuple(sizes), require_condition=False)
 
 
+def traced_peak(call):
+    """call()'s result and the most memory it held at once, in bytes, by
+    tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def span_functions(frame, size, seed):
     """The rows of span_corpus as functions on the frame's span grid."""
     return [SampledFunction(frame.span_grid, values)
@@ -419,16 +434,7 @@ class TestCertificatePaths:
         assert plan.total == 1020
         sel = select_translates(spread_candidates(plan.total), plan)
         atoms, block_of = block_atoms(plan), plan.block_of_index()
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            verdict = certify_selection(sel, atoms, block_of)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        verdict, peak = traced_peak(lambda: certify_selection(sel, atoms, block_of))
         assert verdict == (True, "pairwise disjoint", True, True)
         assert peak < 5 * 2**20
 
@@ -675,6 +681,27 @@ class TestWindow:
         assert np.all(np.abs(powers - libm) <= np.spacing(libm))
         if np.array_equal(powers, libm):
             assert pure == lp_norm_pth(piece, p)
+
+    @pytest.mark.parametrize("blocks,p,size", [(16, 100.0, 240), (20, 4.0, 10**6)])
+    def test_piece_mass_on_the_cell_cap(self, blocks, p, size):
+        # every block's closed-form p-mass on MAX_CELLS cells, bit for bit
+        # against numpy's sum of libm's powers of the dense piece: runs of
+        # 2^20 down to 2^16 cells, far past numpy's 128-term split
+        grid, p = Grid.over(0, 1, -20), Exponent(p)
+        assert grid.count == MAX_CELLS
+        for atom in block_atoms(demo_plan((1,) * blocks)):
+            piece = window_piece(grid, haar_function(atom, p, grid).values, size, Fraction(0))
+            mods, cells = np.unique(np.abs(piece.values), return_inverse=True)
+            libm = np.array([math.pow(m, p.p) for m in mods])[cells]
+            assert frames._piece_pth(atom, p, size, grid) == float(
+                powers_pth(libm[None], grid.step)[0])
+
+    def test_window_mass_on_the_cell_cap_makes_no_row(self):
+        # a row of 2^20 cells would take 8 MiB per block
+        plan = demo_plan((240,) * 16)
+        atoms, grid = block_atoms(plan), Grid.over(0, 1, -20)
+        _, peak = traced_peak(lambda: frames._window_norm_pth(plan, atoms, grid))
+        assert peak < 2**20
 
     @pytest.mark.parametrize("blocks", range(1, 15))
     def test_block_atoms_are_the_haar_enumeration_prefix(self, blocks):
